@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -45,12 +44,10 @@ class CliError(Exception):
 
 
 def _param(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}") from None
+        return mc.parse_param(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_vector(text: str, m: int) -> np.ndarray:
@@ -152,26 +149,30 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
-    path = Path(args.config)
+def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
+    """An experiment config file and its optional `power_reference`
+    (a null-run summary CSV, resolved against the config's directory)."""
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from None
-    power_reference = data.pop("power_reference", None)
+    power_reference = data.pop("power_reference", None) if isinstance(data, dict) else None
     try:
         config = mc.ExperimentConfig.from_dict(data)
     except ExperimentError as exc:
         raise CliError(str(exc)) from None
+    if power_reference is None:
+        return config, None
+    return config, path.parent / power_reference
 
+
+def cmd_experiment(args) -> int:
+    config, power_reference = load_config(Path(args.config))
     critical_by_n = None
     if power_reference is not None:
-        ref = Path(power_reference)
-        if not ref.is_absolute():
-            ref = path.parent / ref
-        critical_by_n = mc.read_critical_values(ref, 0.05)
+        critical_by_n = mc.read_critical_values(power_reference, 0.05)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

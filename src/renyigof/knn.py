@@ -2,9 +2,21 @@
 
 Implements the Renyi entropy estimator of Leonenko, Pronzato and Savani
 (2008) and its Shannon (q -> 1) limit, the Kozachenko-Leonenko
-estimator.  Distances come from one of two interchangeable kernels: a
-brute-force O(N^2 m) scan, which doubles as the test oracle, and a
-kd-tree used for large samples.  Both produce bit-identical distances.
+estimator.  Distances come from one of three interchangeable kernels
+that produce bit-identical distances and report the same duplicate
+pairs:
+
+- "sorted", for m = 1 only: sort the points once; the k nearest
+  neighbours of a point then lie within k places of it on either side,
+  so O(N log N + N k) work suffices.
+- "tree", a kd-tree (Friedman, Bentley and Finkel, 1977), for any m.
+- "brute", an O(N^2 m) scan kept as the test oracle.
+
+Every kernel squares coordinate differences and takes one square root
+of the sorted squared distances, so the distances agree bit for bit in
+every floating-point regime: differences beyond about 1e154 overflow to
+inf in all three, and a squared difference that underflows to zero is a
+duplicate in all three.
 """
 
 from __future__ import annotations
@@ -26,11 +38,7 @@ __all__ = [
     "g_estimate",
     "renyi_estimate",
     "shannon_estimate",
-    "TREE_THRESHOLD",
 ]
-
-# brute force below this sample size, kd-tree above
-TREE_THRESHOLD = 512
 
 _BRUTE_BLOCK = 256
 
@@ -75,25 +83,31 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
         N points in R^m, all distinct.
     k_max : int
         Number of neighbour distances per point, 1 <= k_max <= N-1.
-    method : {"auto", "brute", "tree"}
-        Kernel selection; "auto" uses the tree for N > TREE_THRESHOLD.
+    method : {"auto", "sorted", "tree", "brute"}
+        Kernel selection; all give bit-identical distances.  "auto"
+        picks "sorted" for m = 1 and "tree" otherwise, at every N.
+        "sorted" needs m = 1; "brute" is the O(N^2) test oracle.
 
     Raises
     ------
     DuplicatePointsError
-        If two points coincide (zero distance), with the colliding
-        index pairs.
+        If two points coincide (zero squared distance), listing every
+        colliding index pair (i, j), i < j, in sorted order.
     """
     pts = sample.points
     n = sample.n
     if k_max < 1 or k_max > n - 1:
         raise DomainError(f"k_max must satisfy 1 <= k_max <= N-1 = {n - 1}, got {k_max}")
     if method == "auto":
-        method = "tree" if n > TREE_THRESHOLD else "brute"
-    if method == "brute":
-        rho = _brute_kernel(pts, k_max)
+        method = "sorted" if sample.dim == 1 else "tree"
+    if method == "sorted":
+        if sample.dim != 1:
+            raise DomainError(f"the sorted kernel needs m = 1, got m = {sample.dim}")
+        rho = _sorted_kernel(pts[:, 0], k_max)
     elif method == "tree":
         rho = _tree_kernel(pts, k_max)
+    elif method == "brute":
+        rho = _brute_kernel(pts, k_max)
     else:
         raise DomainError(f"unknown method {method!r}")
     return KnnDistances(rho)
@@ -133,17 +147,64 @@ def _brute_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
 
 def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
     tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=k_max + 1)
+    dist, _ = tree.query(pts, k=k_max + 1)
     # column 0 is the query point itself; a second zero means a duplicate
     zero = dist[:, 1] == 0.0
     if zero.any():
-        duplicates = []
-        for i in np.nonzero(zero)[0]:
-            j = int(idx[i, 1]) if int(idx[i, 0]) == int(i) else int(idx[i, 0])
-            if int(i) < j:
-                duplicates.append((int(i), j))
-        raise DuplicatePointsError(sorted(set(duplicates)))
+        raise DuplicatePointsError(_tree_duplicates(tree, pts, np.nonzero(zero)[0], k_max + 1))
     return dist[:, 1:]
+
+
+def _tree_duplicates(tree, pts: np.ndarray, rows: np.ndarray, k: int) -> list[tuple[int, int]]:
+    # widen the query until each flagged point's last neighbour is at a
+    # non-zero distance, so no coincident point is cut off (query_pairs
+    # would be shorter but refuses data whose squared extent overflows)
+    n = pts.shape[0]
+    while True:
+        dist, idx = tree.query(pts[rows], k=k)
+        if k == n or (dist[:, -1] > 0.0).all():
+            break
+        k = min(2 * k, n)
+    pairs = set()
+    for i, d_row, j_row in zip(rows.tolist(), dist, idx):
+        for j in j_row[d_row == 0.0].tolist():
+            if j != i:
+                pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)
+
+
+def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
+    n = x.size
+    order = np.argsort(x)
+    xs = x[order]
+    # the k_max neighbours on either side in sorted order, padded with
+    # +-inf past the ends, hold the k_max nearest: gaps grow outward
+    padded = np.concatenate((np.full(k_max, -np.inf), xs, np.full(k_max, np.inf)))
+    d2 = np.empty((n, 2 * k_max))
+    for col, start in enumerate((*range(k_max), *range(k_max + 1, 2 * k_max + 1))):
+        np.subtract(padded[start:start + n], xs, out=d2[:, col])
+    # square like the other kernels so over- and underflow agree too
+    d2 *= d2
+    d2.sort(axis=1)
+    if (d2[:, 0] == 0.0).any():
+        raise DuplicatePointsError(_sorted_duplicates(xs, order))
+    rho = np.empty((n, k_max))
+    rho[order] = np.sqrt(d2[:, :k_max])
+    return rho
+
+
+def _sorted_duplicates(xs: np.ndarray, order: np.ndarray) -> list[tuple[int, int]]:
+    # squared gaps never shrink as the offset grows in sorted order, so
+    # the scan stops at the first offset r with no zero squared gap
+    pairs = []
+    for r in range(1, xs.size):
+        gaps = xs[r:] - xs[:-r]
+        lo = np.nonzero(gaps * gaps == 0.0)[0]
+        if lo.size == 0:
+            break
+        a, b = order[lo], order[lo + r]
+        pairs.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    return sorted(pairs)
 
 
 def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:

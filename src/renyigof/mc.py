@@ -87,12 +87,68 @@ def _param_str(p: float) -> str:
     return "inf" if math.isinf(p) else repr(float(p))
 
 
-def _param_from(v) -> float:
-    if isinstance(v, str):
-        if v.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        return float(v)
-    return float(v)
+def parse_param(value) -> float:
+    """A tail parameter from a number or the string "inf" ("infinity").
+
+    The one parser for tail parameters in configs and on the command
+    line.  Raises ValueError for anything else, NaN and -inf included.
+    """
+    x = math.nan
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if math.isnan(x) or x == -math.inf:
+        raise ValueError(f"expected a number or 'inf', got {value!r}")
+    return x
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _list_of(parse):
+    def parse_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"must be a list, got {value!r}")
+        return tuple(parse(v) for v in value)
+
+    return parse_list
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+# config key -> parser of its JSON value; the first seven are required
+_CONFIG_FIELDS = {
+    "family": Family,
+    "true_param": parse_param,
+    "null_param": parse_param,
+    "dim": _integer,
+    "n_grid": _list_of(_integer),
+    "k": _integer,
+    "replicates": _integer,
+    "alpha_levels": _list_of(_real),
+    "master_seed": _integer,
+    "max_failure_rate": _real,
+    "include_replicates": _boolean,
+    "covariance_mode": str,
+}
+_REQUIRED_FIELDS = tuple(_CONFIG_FIELDS)[:7]
 
 
 @dataclass(frozen=True)
@@ -196,35 +252,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form without coercing anything.
+
+        Unknown or missing keys and values of the wrong type (1.7 for an
+        integer, "false" for a boolean) are collected and raised together
+        as one ExperimentError; value constraints are then checked by
+        :meth:`validate`.
+        """
         if not isinstance(data, dict):
             raise ExperimentError("config must be a JSON object")
+        problems = []
         version = data.get("schema_version")
         if version != CONFIG_SCHEMA_VERSION:
-            raise ExperimentError(
+            problems.append(
                 f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
             )
-        required = ["family", "true_param", "null_param", "dim", "n_grid", "k", "replicates"]
-        missing = [key for key in required if key not in data]
+        missing = [key for key in _REQUIRED_FIELDS if key not in data]
         if missing:
-            raise ExperimentError("config missing required fields: " + ", ".join(missing))
-        try:
-            family = Family(data["family"])
-        except ValueError:
-            raise ExperimentError(f"unknown family {data['family']!r}") from None
-        return cls(
-            family=family,
-            true_param=_param_from(data["true_param"]),
-            null_param=_param_from(data["null_param"]),
-            dim=int(data["dim"]),
-            n_grid=tuple(int(n) for n in data["n_grid"]),
-            k=int(data["k"]),
-            replicates=int(data["replicates"]),
-            alpha_levels=tuple(float(a) for a in data.get("alpha_levels", (0.01, 0.05, 0.10))),
-            master_seed=int(data.get("master_seed", 0)),
-            max_failure_rate=float(data.get("max_failure_rate", 0.01)),
-            include_replicates=bool(data.get("include_replicates", False)),
-            covariance_mode=str(data.get("covariance_mode", "same")),
-        )
+            problems.append("config missing required fields: " + ", ".join(missing))
+        unknown = [key for key in data if key not in _CONFIG_FIELDS and key != "schema_version"]
+        if unknown:
+            problems.append("unknown config fields: " + ", ".join(map(repr, unknown)))
+        fields = {}
+        for key, parse in _CONFIG_FIELDS.items():
+            if key in data:
+                try:
+                    fields[key] = parse(data[key])
+                except ValueError as exc:
+                    problems.append(f"{key}: {exc}")
+        if problems:
+            raise ExperimentError("invalid experiment config: " + "; ".join(problems))
+        return cls(**fields)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,11 +1,14 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from renyigof.cli import main
+from renyigof.cli import load_config, main
 from renyigof.distributions import gaussian
 from renyigof.knn import renyi_estimate
+from renyigof.mc import ExperimentConfig
 from renyigof.sampler import RngStream, read_csv, sample, write_csv
 
 
@@ -47,6 +50,13 @@ class TestSampleCommand:
                                      "--n", "10", "--seed", "1", "-o", str(tmp_path / "x.csv")])
         assert code == 2
         assert "--nu" in err
+
+    def test_nan_parameter_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--family", "student", "--nu", "nan", "--dim", "1", "--n", "5",
+                  "--seed", "0", "-o", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert "expected a number or 'inf', got 'nan'" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -212,6 +222,20 @@ class TestExperimentCommand:
         for fragment in ("dim", "replicates", "k must be", "true_param", "null_param"):
             assert fragment in err
 
+    def test_structural_violations_all_listed(self, tmp_path, capsys):
+        config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1.7, "n_grid": [10], "k": 3,
+            "replicates": 4, "include_replicates": "false", "covarience_mode": "fresh",
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        for fragment in ("covarience_mode", "include_replicates", "dim: must be an integer"):
+            assert fragment in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
                                    "--out-dir", str(tmp_path / "o")])
@@ -288,3 +312,23 @@ class TestPaperScaleDecisions:
             decision = json.loads(out.strip().splitlines()[1])
             rejects += bool(decision["reject"])
         assert rejects >= 95
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+class TestShippedConfigs:
+    # strict parsing must still accept every config the repository ships
+    # or the benchmark generates
+
+    @pytest.mark.parametrize("path", sorted((_REPO / "configs").glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_config_file_loads(self, path):
+        load_config(path)
+
+    def test_benchmark_workload_configs_load(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(_REPO / "bench"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS.values():
+            for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
+                ExperimentConfig.from_dict(workload.config(seed, 0))

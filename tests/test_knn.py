@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dyadic_points, random_orthogonal
+from renyigof import knn
 from renyigof.distributions import gaussian, renyi_entropy_closed_form, student
 from renyigof.errors import DomainError, DuplicatePointsError
 from renyigof.knn import (
@@ -47,13 +50,27 @@ class TestKnnDistances:
             brute = knn_distances(s, k, method="brute").rho
             tree = knn_distances(s, k, method="tree").rho
             np.testing.assert_array_equal(brute, tree)
+            np.testing.assert_array_equal(knn_distances(s, k).rho, brute)
+            if m == 1:
+                np.testing.assert_array_equal(knn_distances(s, k, method="sorted").rho, brute)
 
     def test_duplicate_points_identified(self):
-        pts = [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
-        for method in ("brute", "tree"):
-            with pytest.raises(DuplicatePointsError) as excinfo:
-                knn_distances(_sample(pts), 2, method=method)
-            assert (0, 2) in excinfo.value.pairs
+        # a coincident triple and a coincident pair: every kernel lists
+        # every zero-distance pair (i < j), sorted, even when k_max = 1
+        # leaves most of them outside the neighbour lists
+        line = [[0.0], [1.0], [0.0], [2.0], [0.0], [1.0]]
+        plane = [[x, -x] for (x,) in line]
+        expected = [(0, 2), (0, 4), (1, 5), (2, 4)]
+        for pts, methods in ((line, ("brute", "tree", "sorted")), (plane, ("brute", "tree"))):
+            for method in methods:
+                for k_max in (1, 3):
+                    with pytest.raises(DuplicatePointsError) as excinfo:
+                        knn_distances(_sample(pts), k_max, method=method)
+                    assert excinfo.value.pairs == expected, (method, k_max)
+
+    def test_sorted_needs_one_dimension(self):
+        with pytest.raises(DomainError):
+            knn_distances(_sample([[0.0, 0.0], [1.0, 1.0]]), 1, method="sorted")
 
     def test_k_max_bounds(self):
         s = _sample([[0.0], [1.0], [2.0]])
@@ -65,6 +82,98 @@ class TestKnnDistances:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             knn_distances(_sample([[0.0], [1.0]]), 1, method="fancy")
+
+
+class TestRouting:
+    def test_auto_never_runs_brute_force(self, monkeypatch, rng):
+        # the O(N^2) scan is the test oracle only: no production path may
+        # reach it, at any N or m
+        def forbidden(pts, k_max):
+            raise AssertionError("brute-force kernel ran without method='brute'")
+
+        monkeypatch.setattr(knn, "_brute_kernel", forbidden)
+        for m in (1, 2, 3):
+            for n in (10, 100, 600):
+                s = Sample(rng.standard_normal((n, m)))
+                knn_distances(s, 3)
+                renyi_estimate(s, 3, 0.8)
+                shannon_estimate(s, 3)
+
+
+# Property tests: derandomized, with no example database, so a run is
+# reproducible and leaves no files behind.
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
+
+
+def _every_kernel(points, k, methods):
+    """Each kernel's distances, or the duplicate pairs it reports."""
+    out = {}
+    for method in methods:
+        # brute and sorted warn when squared gaps overflow to inf
+        with np.errstate(over="ignore"):
+            try:
+                out[method] = knn_distances(Sample(points), k, method=method).rho
+            except DuplicatePointsError as exc:
+                out[method] = exc.pairs
+    return out
+
+
+def _assert_identical(out):
+    oracle = out["brute"]
+    for method, got in out.items():
+        assert type(got) is type(oracle), method
+        if isinstance(oracle, list):
+            assert got == oracle, method
+        else:
+            np.testing.assert_array_equal(got, oracle, err_msg=method)
+
+
+@st.composite
+def _line(draw):
+    """(x, k): points on a line with ties, near-duplicates and extreme
+    scales, and a neighbour count up to 5."""
+    n = draw(st.integers(2, 40))
+    scale = draw(st.sampled_from(_SCALES))
+    kind = draw(st.sampled_from(("grid", "near", "floats")))
+    if kind == "grid":
+        # integers on a narrow grid: tied gaps, and duplicates unless unique
+        unique = draw(st.booleans())
+        ints = draw(st.lists(st.integers(-n, n), min_size=n, max_size=n, unique=unique))
+        x = np.asarray(ints, dtype=float) * scale
+    elif kind == "near":
+        # pairs one ulp apart, whose squared gap underflows at small scales
+        base = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))) * scale
+        x = np.concatenate((base, np.nextafter(base, np.inf)))
+    else:
+        x = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))) * scale
+    k = draw(st.integers(1, min(5, x.size - 1)))
+    return x, k
+
+
+@st.composite
+def _grid_points(draw):
+    """(points, k): integer-grid points in m = 2 or 3, many coincident."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 30))
+    scale = draw(st.sampled_from(_SCALES))
+    ints = draw(st.lists(st.integers(-2, 2), min_size=n * m, max_size=n * m))
+    k = draw(st.integers(1, min(5, n - 1)))
+    return np.asarray(ints, dtype=float).reshape(n, m) * scale, k
+
+
+class TestKernelExactness:
+    @_PROPERTY
+    @given(_line())
+    def test_line_kernels_bit_identical(self, case):
+        x, k = case
+        _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "sorted")))
+
+    @_PROPERTY
+    @given(_grid_points())
+    def test_tree_and_brute_report_same_duplicates(self, case):
+        points, k = case
+        _assert_identical(_every_kernel(points, k, ("brute", "tree")))
 
 
 class TestGEstimate:

@@ -173,6 +173,55 @@ class TestConfig:
         with pytest.raises(ExperimentError, match="true_param"):
             ExperimentConfig.from_dict({"schema_version": 1, "family": "student"})
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("covarience_mode", "fresh", "unknown config fields: 'covarience_mode'"),
+        ("include_replicates", "false", "include_replicates: must be true or false"),
+        ("include_replicates", 0, "include_replicates: must be true or false"),
+        ("dim", 1.7, "dim: must be an integer, got 1.7"),
+        ("k", "3", "k: must be an integer, got '3'"),
+        ("replicates", True, "replicates: must be an integer, got True"),
+        ("n_grid", [100, 200.5], "n_grid: must be an integer, got 200.5"),
+        ("n_grid", 100, "n_grid: must be a list, got 100"),
+        ("dim", [1], "dim: must be an integer, got [1]"),
+        ("master_seed", 4.2, "master_seed: must be an integer"),
+        ("alpha_levels", ["0.05"], "alpha_levels: must be a number"),
+        ("null_param", "nan", "null_param: expected a number or 'inf'"),
+    ])
+    def test_nothing_is_coerced(self, key, value, fragment):
+        data = dict(_config().to_dict(), **{key: value})
+        with pytest.raises(ExperimentError) as excinfo:
+            ExperimentConfig.from_dict(data)
+        assert fragment in str(excinfo.value)
+
+    def test_every_structural_violation_listed(self):
+        data = dict(_config().to_dict(), covarience_mode="fresh", include_replicates="false",
+                    dim=1.7, k=2.5, replicates=10.5, n_grid=[100, 200.5])
+        del data["family"]
+        with pytest.raises(ExperimentError) as excinfo:
+            ExperimentConfig.from_dict(data)
+        message = str(excinfo.value)
+        for fragment in ("missing required fields: family", "covarience_mode",
+                         "include_replicates", "dim", "k:", "replicates:", "n_grid"):
+            assert fragment in message
+
+    def test_integral_floats_accepted(self):
+        data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
+        assert ExperimentConfig.from_dict(data) == _config()
+
+
+class TestParseParam:
+    @pytest.mark.parametrize("value, expected", [
+        ("inf", math.inf), ("Infinity", math.inf), (" inf ", math.inf),
+        (5, 5.0), (2.5, 2.5), ("10.0", 10.0), ("-1", -1.0),
+    ])
+    def test_accepts_numbers_and_inf(self, value, expected):
+        assert mc.parse_param(value) == expected
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "abc", "", True, None, [5.0], math.nan])
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ValueError, match="expected a number or 'inf'"):
+            mc.parse_param(value)
+
 
 class TestRunExperiment:
     def test_rerun_bit_identical(self):
