@@ -21,14 +21,14 @@ import numpy as np
 
 from ._version import __version__
 from . import mc
-from .distributions import SpdMatrix, gaussian, pearson2, student
+from .distributions import Family, SpdMatrix, gaussian, pearson2, student
 from .errors import (
     DomainError,
     DuplicatePointsError,
     ExperimentError,
     NotPositiveDefiniteError,
 )
-from .gof import pearson_statistic, student_statistic
+from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import RngStream, read_csv, sample, write_csv
 
@@ -117,14 +117,11 @@ def cmd_test(args) -> int:
             "null configuration to produce one"
         )
     s = read_csv(args.data)
-    if args.family == "student":
-        if args.nu0 is None:
-            raise CliError("--nu0 is required for --family student")
-        stat = student_statistic(s, args.nu0, args.k)
-    else:
-        if args.eta0 is None:
-            raise CliError("--eta0 is required for --family pearson2")
-        stat = pearson_statistic(s, args.eta0, args.k)
+    flag = "nu0" if args.family == "student" else "eta0"
+    null_param = getattr(args, flag)
+    if null_param is None:
+        raise CliError(f"--{flag} is required for --family {args.family}")
+    stat = statistic(s, Family(args.family), null_param, args.k)
     record = {
         "W": stat.value,
         "family": args.family,

@@ -30,6 +30,7 @@ __all__ = [
     "gaussian",
     "student",
     "pearson2",
+    "tail_family",
     "density",
     "log_density",
     "renyi_entropy_closed_form",
@@ -163,21 +164,32 @@ def gaussian(location, scale) -> DistributionSpec:
 def student(location, scale, nu: float) -> DistributionSpec:
     """Student T_m(a, Sigma, nu), requiring nu > 2 so the covariance
     Sigma / (1 - 2/nu) exists.  nu = inf yields the Gaussian."""
-    if math.isinf(nu):
+    if tail_family(Family.STUDENT, nu) is Family.GAUSSIAN:
         return gaussian(location, scale)
-    if not nu > 2:
-        raise DomainError(f"Student requires nu > 2, got {nu}")
     return DistributionSpec(Family.STUDENT, np.asarray(location, float), _as_spd(scale), float(nu))
 
 
 def pearson2(location, scale, eta: float) -> DistributionSpec:
     """Pearson type II P_m(a, Sigma, eta) with eta > 0, supported on the
     ellipsoid (x-a)' Sigma^{-1} (x-a) <= 1.  eta = inf yields the Gaussian."""
-    if math.isinf(eta):
+    if tail_family(Family.PEARSON2, eta) is Family.GAUSSIAN:
         return gaussian(location, scale)
-    if not eta > 0:
-        raise DomainError(f"Pearson II requires eta > 0, got {eta}")
     return DistributionSpec(Family.PEARSON2, np.asarray(location, float), _as_spd(scale), float(eta))
+
+
+def tail_family(family: Family, param: float) -> Family:
+    """Family a tail parameter selects: GAUSSIAN for exactly +inf, else
+    `family`.  The one domain rule: Student nu > 2, Pearson II eta > 0;
+    anything else, -inf and NaN included, raises DomainError."""
+    if family is Family.STUDENT:
+        valid, rule = param > 2, "Student requires nu > 2"
+    elif family is Family.PEARSON2:
+        valid, rule = param > 0, "Pearson II requires eta > 0"
+    else:
+        raise DomainError(f"{family!r} has no tail parameter")
+    if not valid:
+        raise DomainError(f"{rule} or inf, got {param}")
+    return Family.GAUSSIAN if param == math.inf else family
 
 
 def _as_spd(scale) -> SpdMatrix:
@@ -293,7 +305,7 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     Pearson II distribution with eta = 1/(q-1) and Sigma = (2 eta + m + 2) C.
     This function takes the family parameter as input and returns the
     corresponding maximising order q together with the rescaled Sigma.
-    An infinite parameter selects the Gaussian (q -> 1) branch, where
+    A parameter of +inf selects the Gaussian (q -> 1) branch, where
     the Shannon entropy is maximised with Sigma = C.
 
     Parameters
@@ -304,7 +316,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     constraint : SpdMatrix
         Covariance constraint C.
     param : float
-        nu > 2, eta > 0, or inf for the Gaussian branch.
+        nu > 2, eta > 0, or +inf for the Gaussian branch (see
+        :func:`tail_family`).
 
     Returns
     -------
@@ -312,24 +325,20 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         (maximum entropy, maximising order q, rescaled scale matrix).
     """
     m = constraint.dim
-    if family is Family.GAUSSIAN or math.isinf(param):
+    if family is not Family.GAUSSIAN:
+        family = tail_family(family, param)
+    if family is Family.GAUSSIAN:
         h1 = 0.5 * m * (_LOG_2PI + 1.0) + 0.5 * constraint.log_det
         return MaxEntropyResult(h1, 1.0, constraint)
     if family is Family.STUDENT:
-        if not param > 2:
-            raise DomainError(f"Student maximum entropy requires nu > 2, got {param}")
         q = 1.0 - 2.0 / (param + m)
         sigma = constraint.scaled(1.0 - 2.0 / param)
         h = 0.5 * sigma.log_det + student_renyi_constant(m, param, q)
         return MaxEntropyResult(h, q, sigma)
-    if family is Family.PEARSON2:
-        if not param > 0:
-            raise DomainError(f"Pearson II maximum entropy requires eta > 0, got {param}")
-        q = 1.0 + 1.0 / param
-        sigma = constraint.scaled(2.0 * param + m + 2.0)
-        h = 0.5 * sigma.log_det + pearson2_renyi_constant(m, param, q)
-        return MaxEntropyResult(h, q, sigma)
-    raise DomainError(f"unknown family {family!r}")
+    q = 1.0 + 1.0 / param
+    sigma = constraint.scaled(2.0 * param + m + 2.0)
+    h = 0.5 * sigma.log_det + pearson2_renyi_constant(m, param, q)
+    return MaxEntropyResult(h, q, sigma)
 
 
 def critical_moment(spec: DistributionSpec) -> float:

@@ -1,20 +1,21 @@
-"""Maximum-entropy goodness-of-fit statistics.
+"""The maximum-entropy goodness-of-fit statistic.
 
 A sample is tested against the simple null hypothesis that it came from
-a Student (resp. Pearson II) distribution with a given tail parameter.
-The statistic is the gap between the maximum Renyi entropy compatible
-with the sample covariance and the nearest-neighbour entropy estimate,
-evaluated at the order q induced by the null parameter.  Under the null
-the gap tends to zero in probability; under an alternative it tends to
-a strictly positive constant, so large values reject (upper-tail test).
+a Student (resp. Pearson II) distribution with a given tail parameter;
++inf gives the two families' common Gaussian limit.  The statistic is
+W = H_q^max(S) - H_hat_{N,k,q}: the gap between the maximum Renyi
+entropy compatible with the sample covariance S and the
+nearest-neighbour entropy estimate, both at the order q the null
+parameter induces.  Under the null the gap tends to zero in
+probability; under an alternative it tends to a strictly positive
+constant, so large values reject (upper-tail test).
 
-The statistic can be negative in finite samples (the estimate may
-overshoot the maximum); it is returned signed.
+:func:`statistic` computes W, signed (the estimate may overshoot the
+maximum in finite samples); the two named wrappers fix its family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,16 @@ from .errors import DomainError
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import Sample
 
-__all__ = ["GofStatistic", "sample_covariance", "student_statistic", "pearson_statistic"]
+__all__ = ["GofStatistic", "sample_covariance", "statistic", "student_statistic",
+           "pearson_statistic"]
 
 
 @dataclass(frozen=True)
 class GofStatistic:
     """Value of a maximum-entropy test statistic and its settings.
 
-    `family` is GAUSSIAN when the null parameter is infinite (both
-    tests then coincide in their common Gaussian limit).  `l2_ok`
+    `family` is GAUSSIAN when the null parameter is +inf (both tests
+    then coincide in their common Gaussian limit).  `l2_ok`
     records whether the L2 moment condition for estimator convergence
     holds under the null; the boundary case q = 1/2 computes anyway and
     is merely flagged.
@@ -71,50 +73,40 @@ def sample_covariance(sample: Sample) -> tuple[np.ndarray, SpdMatrix]:
     return mean, SpdMatrix(cov)
 
 
-def student_statistic(sample: Sample, nu0: float, k: int) -> GofStatistic:
-    """Test statistic for the null "sample ~ Student with parameter nu0".
+_NULL_FACTORY = {Family.STUDENT: student, Family.PEARSON2: pearson2}
 
-    For finite nu0 > 2 this is H_q^max - H_hat at q = 1 - 2/(nu0+m) with
-    the maximum taken at covariance constraint C = sample covariance;
-    nu0 = inf tests Gaussianity through the Shannon estimator against
-    the Gaussian entropy maximum.
+
+def statistic(sample: Sample, family: Family, null_param: float, k: int) -> GofStatistic:
+    """W = H_q^max(S) - H_hat_{N,k,q} for the null "sample ~ family(null_param)".
+
+    S, the sample covariance, is the constraint of the maximum.  Student
+    nu0 > 2 gives q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives
+    q = 1 + 1/eta0 (which needs k > 1/eta0), both with the Renyi estimate;
+    +inf gives the Gaussian branch (family GAUSSIAN, q = 1, Shannon
+    estimate).  Any other null parameter, -inf and NaN included, raises
+    DomainError.
     """
-    if not (math.isinf(nu0) or nu0 > 2):
-        raise DomainError(f"null parameter nu0 must be > 2 or inf, got {nu0}")
-    _, cov = sample_covariance(sample)
-    h_max, q, _ = max_renyi_entropy(Family.STUDENT, cov, nu0)
-    if math.isinf(nu0):
-        est = shannon_estimate(sample, k)
-        family = Family.GAUSSIAN
-    else:
-        est = renyi_estimate(sample, k, q)
-        family = Family.STUDENT
+    make_null = _NULL_FACTORY.get(family)
+    if make_null is None:
+        raise DomainError(f"null family must be student or pearson2, got {family!r}")
     m = sample.dim
-    null_spec = student(np.zeros(m), SpdMatrix.identity(m), nu0)
+    null_spec = make_null(np.zeros(m), SpdMatrix.identity(m), null_param)
+    if null_spec.family is Family.PEARSON2 and not k > 1.0 / null_param:
+        raise DomainError(f"estimator requires k > 1/eta0 = {1.0 / null_param}, got k = {k}")
+    _, cov = sample_covariance(sample)
+    h_max, q, _ = max_renyi_entropy(null_spec.family, cov, null_param)
+    est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)
     l2_ok = bool(check_estimator_conditions(null_spec, q, "L2"))
-    return GofStatistic(h_max - est.value, family, float(nu0), q, int(k), sample.n, m, l2_ok)
+    return GofStatistic(
+        h_max - est.value, null_spec.family, float(null_param), q, int(k), sample.n, m, l2_ok
+    )
+
+
+def student_statistic(sample: Sample, nu0: float, k: int) -> GofStatistic:
+    """:func:`statistic` for the null "sample ~ Student with parameter nu0"."""
+    return statistic(sample, Family.STUDENT, nu0, k)
 
 
 def pearson_statistic(sample: Sample, eta0: float, k: int) -> GofStatistic:
-    """Test statistic for the null "sample ~ Pearson II with parameter eta0".
-
-    For finite eta0 > 0 this is H_q^max - H_hat at q = 1 + 1/eta0, which
-    requires k > 1/eta0; eta0 = inf is the same Gaussian branch as
-    student_statistic(..., inf, ...).
-    """
-    if not (math.isinf(eta0) or eta0 > 0):
-        raise DomainError(f"null parameter eta0 must be > 0 or inf, got {eta0}")
-    if not math.isinf(eta0) and not k > 1.0 / eta0:
-        raise DomainError(f"estimator requires k > 1/eta0 = {1.0 / eta0}, got k = {k}")
-    _, cov = sample_covariance(sample)
-    h_max, q, _ = max_renyi_entropy(Family.PEARSON2, cov, eta0)
-    if math.isinf(eta0):
-        est = shannon_estimate(sample, k)
-        family = Family.GAUSSIAN
-    else:
-        est = renyi_estimate(sample, k, q)
-        family = Family.PEARSON2
-    m = sample.dim
-    null_spec = pearson2(np.zeros(m), SpdMatrix.identity(m), eta0)
-    l2_ok = bool(check_estimator_conditions(null_spec, q, "L2"))
-    return GofStatistic(h_max - est.value, family, float(eta0), q, int(k), sample.n, m, l2_ok)
+    """:func:`statistic` for the null "sample ~ Pearson II with parameter eta0"."""
+    return statistic(sample, Family.PEARSON2, eta0, k)

@@ -29,10 +29,10 @@ from .distributions import (
     DistributionSpec,
     Family,
     SpdMatrix,
-    gaussian,
     max_renyi_entropy,
     pearson2,
     student,
+    tail_family,
 )
 from .errors import (
     DomainError,
@@ -120,7 +120,7 @@ def _real(value) -> float:
 
 def _list_of(parse):
     def parse_list(value) -> tuple:
-        if not isinstance(value, list):
+        if not isinstance(value, (list, tuple)):
             raise ValueError(f"must be a list, got {value!r}")
         return tuple(parse(v) for v in value)
 
@@ -133,7 +133,8 @@ def _boolean(value) -> bool:
     return value
 
 
-# config key -> parser of its JSON value; the first seven are required
+# config key -> parser of its value, run on every construction (tuples stand
+# for JSON lists, a Family for its string); the first seven are required
 _CONFIG_FIELDS = {
     "family": Family,
     "true_param": parse_param,
@@ -151,14 +152,25 @@ _CONFIG_FIELDS = {
 _REQUIRED_FIELDS = tuple(_CONFIG_FIELDS)[:7]
 
 
+def _parse_fields(values: dict) -> tuple[dict, list[str]]:
+    """Each config value through its parser: (parsed values, problems)."""
+    fields, problems = {}, []
+    for key, value in values.items():
+        try:
+            fields[key] = _CONFIG_FIELDS[key](value)
+        except ValueError as exc:
+            problems.append(f"{key}: {exc}")
+    return fields, problems
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Settings for one Monte Carlo experiment.
 
     `family` selects the test statistic (and the sampled family);
     `true_param` is the tail parameter of the sampled distribution and
-    `null_param` the one the statistic tests against.  Infinite
-    parameters mean Gaussian on either side.  Samples are drawn from
+    `null_param` the one the statistic tests against.  A parameter of
+    +inf means Gaussian on either side.  Samples are drawn from
     the standardised distribution (location 0, scale identity).
 
     `covariance_mode` controls how the maximum-entropy side of the
@@ -185,18 +197,30 @@ class ExperimentConfig:
     covariance_mode: str = "same"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "alpha_levels", tuple(float(a) for a in self.alpha_levels))
-        violations = self.validate()
-        if violations:
-            raise ExperimentError("invalid experiment config: " + "; ".join(violations))
+        fields, problems = _parse_fields(vars(self))
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+        if not problems:
+            problems = self.validate()
+        if problems:
+            raise ExperimentError("invalid experiment config: " + "; ".join(problems))
 
     def validate(self) -> list[str]:
         """Return every constraint violation (empty when valid)."""
         problems: list[str] = []
         if self.family not in (Family.STUDENT, Family.PEARSON2):
             problems.append(f"family must be student or pearson2, got {self.family}")
+        else:
+            tails = {}
+            for name in ("true_param", "null_param"):
+                try:
+                    tails[name] = tail_family(self.family, getattr(self, name))
+                except DomainError as exc:
+                    problems.append(f"{name}: {exc}")
+            if tails.get("null_param") is Family.PEARSON2 and self.k * self.null_param <= 1.0:
+                problems.append(
+                    f"estimator requires k > 1/eta0: k = {self.k}, eta0 = {self.null_param}"
+                )
         if self.dim < 1:
             problems.append(f"dim must be >= 1, got {self.dim}")
         if self.replicates < 2:
@@ -219,18 +243,6 @@ class ExperimentConfig:
             problems.append(
                 f"covariance_mode must be 'same' or 'fresh', got {self.covariance_mode!r}"
             )
-        if self.family is Family.STUDENT:
-            for name, p in (("true_param", self.true_param), ("null_param", self.null_param)):
-                if not (math.isinf(p) or p > 2):
-                    problems.append(f"{name} must be > 2 or inf for the Student family, got {p}")
-        elif self.family is Family.PEARSON2:
-            for name, p in (("true_param", self.true_param), ("null_param", self.null_param)):
-                if not (math.isinf(p) or p > 0):
-                    problems.append(f"{name} must be > 0 or inf for the Pearson II family, got {p}")
-            if not math.isinf(self.null_param) and self.k * self.null_param <= 1.0:
-                problems.append(
-                    f"estimator requires k > 1/eta0: k = {self.k}, eta0 = {self.null_param}"
-                )
         return problems
 
     def to_dict(self) -> dict:
@@ -273,16 +285,11 @@ class ExperimentConfig:
         unknown = [key for key in data if key not in _CONFIG_FIELDS and key != "schema_version"]
         if unknown:
             problems.append("unknown config fields: " + ", ".join(map(repr, unknown)))
-        fields = {}
-        for key, parse in _CONFIG_FIELDS.items():
-            if key in data:
-                try:
-                    fields[key] = parse(data[key])
-                except ValueError as exc:
-                    problems.append(f"{key}: {exc}")
+        given = {key: data[key] for key in _CONFIG_FIELDS if key in data}
         if problems:
+            problems += _parse_fields(given)[1]
             raise ExperimentError("invalid experiment config: " + "; ".join(problems))
-        return cls(**fields)
+        return cls(**given)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -324,13 +331,8 @@ class McResult:
 
 
 def _true_spec(config: ExperimentConfig) -> DistributionSpec:
-    loc = np.zeros(config.dim)
-    scale = SpdMatrix.identity(config.dim)
-    if math.isinf(config.true_param):
-        return gaussian(loc, scale)
-    if config.family is Family.STUDENT:
-        return student(loc, scale, config.true_param)
-    return pearson2(loc, scale, config.true_param)
+    make = student if config.family is Family.STUDENT else pearson2
+    return make(np.zeros(config.dim), SpdMatrix.identity(config.dim), config.true_param)
 
 
 def _stream_id(n: int, j: int) -> int:
@@ -350,11 +352,8 @@ def _replicate_value(config: ExperimentConfig, n: int, j: int) -> float:
         cov_stream = RngStream(config.master_seed, _stream_id(n, j) | _FRESH_COV_BIT)
         s_cov = sample(_true_spec(config), n, cov_stream)
         return _fresh_cov_statistic(config, s, s_cov)
-    if config.family is Family.STUDENT:
-        stat = student_statistic(s, config.null_param, config.k)
-    else:
-        stat = pearson_statistic(s, config.null_param, config.k)
-    return stat.value
+    gof_statistic = student_statistic if config.family is Family.STUDENT else pearson_statistic
+    return gof_statistic(s, config.null_param, config.k).value
 
 
 def _fresh_cov_statistic(config: ExperimentConfig, s, s_cov) -> float:

@@ -132,6 +132,14 @@ class TestTestCommand:
                                    "--nu0", "2", "--k", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("family, flag", [("student", "--nu0"), ("pearson2", "--eta0")])
+    def test_missing_null_param_exits_2(self, tmp_path, capsys, family, flag):
+        path = tmp_path / "pts.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        code, _, err = _run(capsys, ["test", str(path), "--family", family, "--k", "3"])
+        assert code == 2
+        assert f"{flag} is required for --family {family}" in err
+
     def test_decision_rows_against_table(self, tmp_path, capsys):
         config = {
             "schema_version": 1, "family": "student", "true_param": "inf",
@@ -332,3 +340,16 @@ class TestShippedConfigs:
         for workload in workloads.WORKLOADS.values():
             for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
                 ExperimentConfig.from_dict(workload.config(seed, 0))
+
+
+class TestBenchmarkTracer:
+    def test_traced_call_sites_resolve(self, monkeypatch):
+        # bench/layers.py wraps these functions by name for its per-layer
+        # spans; a refactor that drops one must fail here, not in the
+        # traced benchmark run
+        monkeypatch.syspath_prepend(str(_REPO / "bench"))
+        layers = importlib.import_module("layers")
+        for span, sites in layers.SPANS.items():
+            for module, attr in sites:
+                mod = importlib.import_module(f"renyigof.{module}")
+                assert callable(getattr(mod, attr, None)), (span, module, attr)

@@ -79,12 +79,15 @@ class TestSpecConstruction:
         assert p.family is Family.GAUSSIAN and p.param is None
 
     def test_student_requires_nu_above_two(self):
-        with pytest.raises(DomainError):
-            student([0.0], [[1.0]], 2.0)
+        # only +inf means Gaussian; -inf and NaN are invalid
+        for nu in (2.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                student([0.0], [[1.0]], nu)
 
     def test_pearson_requires_positive_eta(self):
-        with pytest.raises(DomainError):
-            pearson2([0.0], [[1.0]], 0.0)
+        for eta in (0.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                pearson2([0.0], [[1.0]], eta)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -249,10 +252,10 @@ class TestMaxEntropy:
         assert res.h_max == pytest.approx(2.6488072826256742, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            max_renyi_entropy(Family.STUDENT, SpdMatrix([[1.0]]), 2.0)
-        with pytest.raises(DomainError):
-            max_renyi_entropy(Family.PEARSON2, SpdMatrix([[1.0]]), 0.0)
+        for family, bad in ((Family.STUDENT, 2.0), (Family.PEARSON2, 0.0)):
+            for param in (bad, -math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    max_renyi_entropy(family, SpdMatrix([[1.0]]), param)
 
     def test_student_max_equals_closed_form_at_induced_parameters(self, rng):
         for _ in range(10):

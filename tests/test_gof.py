@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import digamma
 
 from conftest import dyadic_points
 from renyigof.distributions import SpdMatrix, gaussian, max_renyi_entropy, student
 from renyigof.errors import DomainError, NotPositiveDefiniteError
-from renyigof.gof import pearson_statistic, sample_covariance, student_statistic
+from renyigof.gof import pearson_statistic, sample_covariance, statistic, student_statistic
+from renyigof.knn import renyi_estimate, shannon_estimate
 from renyigof.mc import ExperimentConfig, run_experiment
 from renyigof.distributions import Family
 from renyigof.sampler import RngStream, Sample, sample
@@ -59,9 +62,13 @@ class TestStudentStatistic:
         assert (stat.n, stat.dim, stat.k) == (100, 2, 3)
 
     def test_nu0_domain(self, rng):
+        # only +inf means Gaussian; -inf and NaN are invalid
         s = Sample(rng.standard_normal((50, 1)))
-        with pytest.raises(DomainError):
-            student_statistic(s, 2.0, 3)
+        for nu0 in (2.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                student_statistic(s, nu0, 3)
+            with pytest.raises(DomainError):
+                statistic(s, Family.STUDENT, nu0, 3)
 
     def test_gaussian_branch_uses_shannon(self, rng):
         s = Sample(rng.standard_normal((100, 1)))
@@ -134,8 +141,11 @@ class TestPearsonStatistic:
 
     def test_eta0_domain(self, rng):
         s = Sample(rng.standard_normal((50, 1)))
-        with pytest.raises(DomainError):
-            pearson_statistic(s, 0.0, 3)
+        for eta0 in (0.0, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                pearson_statistic(s, eta0, 3)
+            with pytest.raises(DomainError):
+                statistic(s, Family.PEARSON2, eta0, 3)
 
     def test_k_vs_eta0(self, rng):
         # k must exceed 1/eta0
@@ -164,6 +174,73 @@ class TestPearsonStatistic:
         a = student_statistic(s, math.inf, 3)
         b = pearson_statistic(s, math.inf, 3)
         assert a == b
+
+
+class TestStatistic:
+    def test_wrappers_are_the_statistic(self, rng):
+        s = Sample(rng.standard_normal((100, 2)))
+        assert student_statistic(s, 7.0, 3) == statistic(s, Family.STUDENT, 7.0, 3)
+        assert pearson_statistic(s, 4.0, 3) == statistic(s, Family.PEARSON2, 4.0, 3)
+
+    def test_gaussian_null_family_rejected(self, rng):
+        # the Gaussian is reached through a +inf Student or Pearson II null
+        s = Sample(rng.standard_normal((50, 1)))
+        with pytest.raises(DomainError, match="student or pearson2"):
+            statistic(s, Family.GAUSSIAN, math.inf, 3)
+
+
+# Property tests: derandomized, with no example database, so a run is
+# reproducible and leaves no files behind.
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_BRANCHES = ((Family.STUDENT, 7.0), (Family.PEARSON2, 4.0),
+             (Family.STUDENT, math.inf), (Family.PEARSON2, math.inf))
+
+
+@st.composite
+def _null_case(draw):
+    """(points, family, null parameter, k, generator): distinct dyadic
+    points in m = 1, 2, 3 and a Student, Pearson II or Gaussian null."""
+    m = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = dyadic_points(gen, draw(st.integers(m + 10, 120)), m)
+    assume(len(np.unique(points, axis=0)) == len(points))
+    family, null_param = draw(st.sampled_from(_BRANCHES))
+    return points, family, null_param, draw(st.integers(1, 5)), gen
+
+
+def _entropy_at(points, stat):
+    """The entropy estimate the statistic used: Shannon at q = 1, else Renyi."""
+    s = Sample(points)
+    return shannon_estimate(s, stat.k) if stat.q == 1.0 else renyi_estimate(s, stat.k, stat.q)
+
+
+class TestStatisticInvariance:
+    @_PROPERTY
+    @given(_null_case())
+    def test_row_permutation(self, case):
+        points, family, null_param, k, gen = case
+        base = statistic(Sample(points), family, null_param, k)
+        shuffled = points[gen.permutation(len(points))]
+        moved = statistic(Sample(shuffled), family, null_param, k)
+        assert _entropy_at(shuffled, moved).value == _entropy_at(points, base).value
+        assert abs(moved.value - base.value) <= 1e-12
+
+    @_PROPERTY
+    @given(_null_case(), st.integers(-1000, 1000))
+    def test_translation(self, case, shift):
+        # an integer shift of dyadic points is exact in float64
+        points, family, null_param, k, _ = case
+        base = statistic(Sample(points), family, null_param, k).value
+        moved = statistic(Sample(points + shift), family, null_param, k).value
+        assert abs(moved - base) <= 1e-12
+
+    @_PROPERTY
+    @given(_null_case(), st.floats(0.01, 100.0))
+    def test_scaling(self, case, c):
+        points, family, null_param, k, _ = case
+        base = statistic(Sample(points), family, null_param, k).value
+        scaled = statistic(Sample(c * points), family, null_param, k).value
+        assert abs(scaled - base) <= 1e-9
 
 
 class TestCovarianceTermOracle:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -186,12 +187,20 @@ class TestConfig:
         ("master_seed", 4.2, "master_seed: must be an integer"),
         ("alpha_levels", ["0.05"], "alpha_levels: must be a number"),
         ("null_param", "nan", "null_param: expected a number or 'inf'"),
+        ("n_grid", (100.7,), "n_grid: must be an integer, got 100.7"),
+        ("true_param", -math.inf, "true_param: expected a number or 'inf', got -inf"),
+        ("null_param", math.nan, "null_param: expected a number or 'inf', got nan"),
     ])
     def test_nothing_is_coerced(self, key, value, fragment):
+        # from the JSON form and from the dataclass itself: one parse path
         data = dict(_config().to_dict(), **{key: value})
-        with pytest.raises(ExperimentError) as excinfo:
-            ExperimentConfig.from_dict(data)
-        assert fragment in str(excinfo.value)
+        routes = [lambda: ExperimentConfig.from_dict(data)]
+        if key in mc._CONFIG_FIELDS:  # the dataclass takes no unknown keyword
+            routes.append(lambda: _config(**{key: value}))
+        for build in routes:
+            with pytest.raises(ExperimentError) as excinfo:
+                build()
+            assert fragment in str(excinfo.value)
 
     def test_every_structural_violation_listed(self):
         data = dict(_config().to_dict(), covarience_mode="fresh", include_replicates="false",
@@ -207,6 +216,16 @@ class TestConfig:
     def test_integral_floats_accepted(self):
         data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
         assert ExperimentConfig.from_dict(data) == _config()
+        assert _config(dim=1.0, k=3.0, n_grid=[100.0, 200]) == _config()
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_validate_rejects_minus_inf_and_nan(self, bad):
+        # the parsers stop these first; validate() keeps the tail rule
+        # for an instance whose fields were set behind its back
+        for name in ("true_param", "null_param"):
+            cfg = copy.copy(_config())
+            object.__setattr__(cfg, name, bad)
+            assert any(p.startswith(f"{name}: Student requires nu > 2") for p in cfg.validate())
 
 
 class TestParseParam:
