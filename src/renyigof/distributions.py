@@ -31,6 +31,7 @@ __all__ = [
     "student",
     "pearson2",
     "tail_family",
+    "check_pearson_k",
     "density",
     "log_density",
     "renyi_entropy_closed_form",
@@ -192,6 +193,23 @@ def tail_family(family: Family, param: float) -> Family:
     return Family.GAUSSIAN if param == math.inf else family
 
 
+def _pearson_order(eta: float) -> float:
+    # the Renyi order whose entropy maximiser is Pearson II eta
+    return 1.0 + 1.0 / eta
+
+
+def check_pearson_k(k: int, eta: float) -> None:
+    """The one rule k > 1/eta for a Pearson II null with finite eta.
+
+    The nearest-neighbour estimate at the order q = 1 + 1/eta needs
+    k > q - 1; this tests exactly that, in the estimator's own float
+    arithmetic, so whatever passes here also passes the estimator.
+    Raises DomainError otherwise.
+    """
+    if not k > _pearson_order(eta) - 1.0:
+        raise DomainError(f"estimator requires k > 1/eta0 = {1.0 / eta}, got k = {k}")
+
+
 def _as_spd(scale) -> SpdMatrix:
     return scale if isinstance(scale, SpdMatrix) else SpdMatrix(scale)
 
@@ -335,7 +353,7 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         sigma = constraint.scaled(1.0 - 2.0 / param)
         h = 0.5 * sigma.log_det + student_renyi_constant(m, param, q)
         return MaxEntropyResult(h, q, sigma)
-    q = 1.0 + 1.0 / param
+    q = _pearson_order(param)
     sigma = constraint.scaled(2.0 * param + m + 2.0)
     h = 0.5 * sigma.log_det + pearson2_renyi_constant(m, param, q)
     return MaxEntropyResult(h, q, sigma)

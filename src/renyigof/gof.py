@@ -24,6 +24,7 @@ from .distributions import (
     Family,
     SpdMatrix,
     check_estimator_conditions,
+    check_pearson_k,
     max_renyi_entropy,
     pearson2,
     student,
@@ -91,8 +92,8 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int) -> GofS
         raise DomainError(f"null family must be student or pearson2, got {family!r}")
     m = sample.dim
     null_spec = make_null(np.zeros(m), SpdMatrix.identity(m), null_param)
-    if null_spec.family is Family.PEARSON2 and not k > 1.0 / null_param:
-        raise DomainError(f"estimator requires k > 1/eta0 = {1.0 / null_param}, got k = {k}")
+    if null_spec.family is Family.PEARSON2:
+        check_pearson_k(k, null_param)
     _, cov = sample_covariance(sample)
     h_max, q, _ = max_renyi_entropy(null_spec.family, cov, null_param)
     est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)

@@ -12,11 +12,14 @@ pairs:
 - "tree", a kd-tree (Friedman, Bentley and Finkel, 1977), for any m.
 - "brute", an O(N^2 m) scan kept as the test oracle.
 
-Every kernel squares coordinate differences and takes one square root
-of the sorted squared distances, so the distances agree bit for bit in
-every floating-point regime: differences beyond about 1e154 overflow to
-inf in all three, and a squared difference that underflows to zero is a
-duplicate in all three.
+Every kernel squares coordinate differences, selects the k smallest
+squared distances and takes one square root of each, so the distances
+agree bit for bit in every floating-point regime: differences beyond
+about 1e154 overflow to inf in all three, and a squared difference that
+underflows to zero is a duplicate in all three.
+
+The estimators reduce N terms with :func:`_exact_sum`, a correctly
+rounded sum, so an estimate does not depend on the order of the points.
 """
 
 from __future__ import annotations
@@ -180,16 +183,25 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
     # the k_max neighbours on either side in sorted order, padded with
     # +-inf past the ends, hold the k_max nearest: gaps grow outward
     padded = np.concatenate((np.full(k_max, -np.inf), xs, np.full(k_max, np.inf)))
-    d2 = np.empty((n, 2 * k_max))
-    for col, start in enumerate((*range(k_max), *range(k_max + 1, 2 * k_max + 1))):
-        np.subtract(padded[start:start + n], xs, out=d2[:, col])
-    # square like the other kernels so over- and underflow agree too
-    d2 *= d2
-    d2.sort(axis=1)
-    if (d2[:, 0] == 0.0).any():
+    left, right = [], []
+    for i in range(k_max):
+        # square like the other kernels so over- and underflow agree too
+        for side, start in ((left, k_max - 1 - i), (right, k_max + 1 + i)):
+            d = padded[start:start + n] - xs
+            d *= d
+            side.append(d)
+    # left[i] and right[i], the squared gaps to the (i+1)-th neighbour on
+    # each side, never fall as i grows, so merging the two sorted lists
+    # gives the j-th smallest as min(L[j], R[j], max(L[i], R[j-1-i]), i < j)
+    d2 = np.empty((k_max, n))
+    for j, row in enumerate(d2):
+        np.minimum(left[j], right[j], out=row)
+        for i in range(j):
+            np.minimum(row, np.maximum(left[i], right[j - 1 - i]), out=row)
+    if (d2[0] == 0.0).any():
         raise DuplicatePointsError(_sorted_duplicates(xs, order))
     rho = np.empty((n, k_max))
-    rho[order] = np.sqrt(d2[:, :k_max])
+    rho[order] = np.sqrt(d2, out=d2).T
     return rho
 
 
@@ -205,6 +217,41 @@ def _sorted_duplicates(xs: np.ndarray, order: np.ndarray) -> list[tuple[int, int
         a, b = order[lo], order[lo + r]
         pairs.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     return sorted(pairs)
+
+
+# 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
+_SPLIT = 134217729.0
+# below this size math.fsum is the faster of the two
+_EXACT_SUM_MIN_N = 200
+# up to this many halves on one grid sum without rounding (see below)
+_EXACT_SUM_MAX_N = 2**26
+# from this magnitude on, _SPLIT * x could overflow
+_EXACT_SUM_MAX_ABS = 2.0**995
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of a float array: math.fsum(x), bit for bit.
+
+    A correctly rounded sum has one possible value, so any exact method
+    returns fsum's bits.  Dekker (1971) splitting writes each term
+    |x| < 2**e as hi + lo, exactly, with hi a multiple of 2**(e-27) and
+    lo one of 2**(e-53) (or of the least subnormal), each at most 2**27
+    of those units in size.  The halves of terms that share e therefore
+    sum without rounding in plain float arithmetic (np.bincount) while
+    N <= 2**26, and math.fsum rounds the few per-exponent totals once.
+    Short arrays, non-finite or huge terms, and a zero total (whose sign
+    fsum decides) go to math.fsum itself.
+    """
+    n = x.size
+    if not (_EXACT_SUM_MIN_N <= n <= _EXACT_SUM_MAX_N and np.abs(x).max() < _EXACT_SUM_MAX_ABS):
+        return math.fsum(x)
+    e = np.frexp(x)[1]
+    e -= e.min()
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    total = math.fsum([*np.bincount(e, weights=hi).tolist(), *np.bincount(e, weights=lo).tolist()])
+    return total if total != 0.0 else math.fsum(x)
 
 
 def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
@@ -224,9 +271,9 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     log_const = (1.0 - q) * (math.log(n - 1) + math.log(unit_ball_volume(dim)))
     log_const += ln_gamma(k) - ln_gamma(k + 1.0 - q)
     s = (1.0 - q) * dim * np.log(rho) + log_const
-    # compensated log-sum-exp keeps the mean exact under permutation
+    # log-sum-exp with a correctly rounded sum: the same bits in any order
     s_max = float(s.max())
-    return s_max + math.log(math.fsum(np.exp(s - s_max))) - math.log(n)
+    return s_max + math.log(_exact_sum(np.exp(s - s_max))) - math.log(n)
 
 
 def g_estimate(dists: KnnDistances, dim: int, k: int, q: float) -> float:
@@ -254,7 +301,7 @@ def shannon_estimate(sample: Sample, k: int, method: str = "auto") -> EntropyEst
     n, m = sample.n, sample.dim
     rho = dists.rho[:, k - 1]
     value = (
-        m * math.fsum(np.log(rho)) / n
+        m * _exact_sum(np.log(rho)) / n
         + math.log(unit_ball_volume(m))
         + math.log(n - 1)
         - digamma(k)

@@ -14,6 +14,7 @@ replicates untouched.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from .distributions import (
     DistributionSpec,
     Family,
     SpdMatrix,
+    check_pearson_k,
     max_renyi_entropy,
     pearson2,
     student,
@@ -217,10 +219,11 @@ class ExperimentConfig:
                     tails[name] = tail_family(self.family, getattr(self, name))
                 except DomainError as exc:
                     problems.append(f"{name}: {exc}")
-            if tails.get("null_param") is Family.PEARSON2 and self.k * self.null_param <= 1.0:
-                problems.append(
-                    f"estimator requires k > 1/eta0: k = {self.k}, eta0 = {self.null_param}"
-                )
+            if tails.get("null_param") is Family.PEARSON2:
+                try:
+                    check_pearson_k(self.k, self.null_param)
+                except DomainError as exc:
+                    problems.append(str(exc))
         if self.dim < 1:
             problems.append(f"dim must be >= 1, got {self.dim}")
         if self.replicates < 2:
@@ -330,7 +333,9 @@ class McResult:
         return [(e.n, summarize(e.valid_values)[0]) for e in self.per_n]
 
 
+@functools.lru_cache(maxsize=64)
 def _true_spec(config: ExperimentConfig) -> DistributionSpec:
+    # one spec per config and process: every replicate samples the same law
     make = student if config.family is Family.STUDENT else pearson2
     return make(np.zeros(config.dim), SpdMatrix.identity(config.dim), config.true_param)
 

@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests are derandomized and keep no example database, so a run
+# is reproducible and leaves no files behind; each test sets its own
+# max_examples on top of this profile.
+settings.register_profile("renyigof", derandomize=True, database=None, deadline=None)
+settings.load_profile("renyigof")
 
 
 @pytest.fixture

@@ -189,9 +189,6 @@ class TestStatistic:
             statistic(s, Family.GAUSSIAN, math.inf, 3)
 
 
-# Property tests: derandomized, with no example database, so a run is
-# reproducible and leaves no files behind.
-_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 _BRANCHES = ((Family.STUDENT, 7.0), (Family.PEARSON2, 4.0),
              (Family.STUDENT, math.inf), (Family.PEARSON2, math.inf))
 
@@ -215,7 +212,7 @@ def _entropy_at(points, stat):
 
 
 class TestStatisticInvariance:
-    @_PROPERTY
+    @settings(max_examples=150)
     @given(_null_case())
     def test_row_permutation(self, case):
         points, family, null_param, k, gen = case
@@ -225,7 +222,7 @@ class TestStatisticInvariance:
         assert _entropy_at(shuffled, moved).value == _entropy_at(points, base).value
         assert abs(moved.value - base.value) <= 1e-12
 
-    @_PROPERTY
+    @settings(max_examples=150)
     @given(_null_case(), st.integers(-1000, 1000))
     def test_translation(self, case, shift):
         # an integer shift of dyadic points is exact in float64
@@ -234,7 +231,7 @@ class TestStatisticInvariance:
         moved = statistic(Sample(points + shift), family, null_param, k).value
         assert abs(moved - base) <= 1e-12
 
-    @_PROPERTY
+    @settings(max_examples=150)
     @given(_null_case(), st.floats(0.01, 100.0))
     def test_scaling(self, case, c):
         points, family, null_param, k, _ = case

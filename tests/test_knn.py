@@ -100,9 +100,6 @@ class TestRouting:
                 shannon_estimate(s, 3)
 
 
-# Property tests: derandomized, with no example database, so a run is
-# reproducible and leaves no files behind.
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 _SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
 
 
@@ -163,17 +160,97 @@ def _grid_points(draw):
 
 
 class TestKernelExactness:
-    @_PROPERTY
+    @settings(max_examples=200)
     @given(_line())
     def test_line_kernels_bit_identical(self, case):
         x, k = case
         _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "sorted")))
 
-    @_PROPERTY
+    @settings(max_examples=200)
     @given(_grid_points())
     def test_tree_and_brute_report_same_duplicates(self, case):
         points, k = case
         _assert_identical(_every_kernel(points, k, ("brute", "tree")))
+
+
+# sizes on both sides of the size below which knn._exact_sum calls math.fsum
+_SUM_SIZES = (0, 1, 2, 150, knn._EXACT_SUM_MIN_N - 1, knn._EXACT_SUM_MIN_N, 333, 1500)
+
+
+def _spread(gen, n, e_lo, e_hi):
+    """n signed floats with binary exponents e_lo..e_hi (|x| < 2**e_hi)."""
+    mantissas = gen.uniform(0.5, 1.0, n) * gen.choice((-1.0, 1.0), n)
+    return np.ldexp(mantissas, gen.integers(e_lo, e_hi + 1, n))
+
+
+@st.composite
+def _sum_terms(draw):
+    """Terms for the exact sum: any finite float, binary exponents from
+    subnormal up to 2**994 (and past it), cancelling +-pairs, values in
+    (0, 1] as in a log-sum-exp, and signed zeros."""
+    n = draw(st.sampled_from(_SUM_SIZES))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("floats", "exponents", "cancelling", "unit", "zeros")))
+    if kind == "floats":
+        # hypothesis's own picks: subnormals, huge values, powers of two
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        pool = np.asarray(draw(st.lists(floats, min_size=1, max_size=10)))
+        return gen.choice(pool, n) * gen.choice((-1.0, 1.0), n)
+    if kind == "zeros":
+        x = gen.choice((0.0, -0.0), n)
+        if n >= 2 and draw(st.booleans()):
+            x[:2] = _spread(gen, 1, -1074, 995) * (1.0, -1.0)
+        return gen.permutation(x)
+    # up to |x| < 2**995 the split is exact; above it, down to math.fsum
+    e_max = draw(st.sampled_from((995, 1024)))
+    edges = st.sampled_from((-1074, -1022, 995, 997))
+    e_lo = min(e_max, draw(st.integers(-1074, e_max) | edges))
+    e_hi = min(e_max, e_lo + draw(st.sampled_from((0, 3, 60, 2100))))
+    if kind == "exponents":
+        return _spread(gen, n, e_lo, e_hi)
+    if kind == "cancelling":
+        half = _spread(gen, n // 2, e_lo, e_hi)
+        x = np.concatenate((half, -half, _spread(gen, n % 2, e_lo - 60, e_lo)))
+        return gen.permutation(x)
+    # exp(s - s_max): one term is exactly 1, the rest lie in [0, 1]
+    x = np.exp(-gen.exponential(draw(st.sampled_from((0.1, 10.0, 300.0))), n))
+    x[: min(n, 1)] = 1.0
+    return gen.permutation(x)
+
+
+def _fsum_outcome(fn, x):
+    """A sum's bits (signed zero and NaN included), or the error it raised."""
+    try:
+        return fn(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestExactSum:
+    @settings(max_examples=400)
+    @given(_sum_terms())
+    def test_equals_fsum_bit_for_bit(self, x):
+        assert _fsum_outcome(knn._exact_sum, x) == _fsum_outcome(math.fsum, x)
+
+    @settings(max_examples=100)
+    @given(_sum_terms(),
+           st.lists(st.tuples(st.sampled_from((math.inf, -math.inf, math.nan)),
+                              st.integers(0, 2000)), min_size=1, max_size=3))
+    def test_non_finite_terms_as_fsum(self, x, inserts):
+        for value, at in inserts:
+            x = np.insert(x, at % (x.size + 1), value)
+        assert _fsum_outcome(knn._exact_sum, x) == _fsum_outcome(math.fsum, x)
+
+    @pytest.mark.parametrize("e", [995, 996, 997, 1010, 1024])
+    def test_huge_terms_as_fsum(self, e):
+        gen = np.random.default_rng(e)
+        for n in (knn._EXACT_SUM_MIN_N, 2000):
+            x = _spread(gen, n, e - 1, e)
+            assert _fsum_outcome(knn._exact_sum, x) == _fsum_outcome(math.fsum, x)
+
+    def test_zero_sum_keeps_fsum_sign(self):
+        x = np.full(knn._EXACT_SUM_MIN_N, -0.0)
+        assert knn._exact_sum(x).hex() == math.fsum(x).hex()
 
 
 class TestGEstimate:

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyigof.distributions import Family
 from renyigof.errors import DomainError, ExperimentError
+from renyigof.gof import pearson_statistic
+from renyigof.sampler import Sample
 from renyigof import mc
 from renyigof.mc import (
     ExperimentConfig,
@@ -158,6 +162,33 @@ class TestConfig:
         messages = problems.validate()
         assert len(messages) >= 8
 
+    def test_k_rule_matches_pearson_statistic(self):
+        # one k > 1/eta0 rule: within 4 ulps of 1/k the config is accepted
+        # exactly when the statistic computes (k > q - 1 in the estimator)
+        s = Sample(np.random.default_rng(5).standard_normal((30, 1)))
+        accepted = 0
+        for k in range(1, 11):
+            below = above = 1.0 / k
+            etas = [below]
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                etas += [below, above]
+            for eta0 in etas:
+                try:
+                    _config(family=Family.PEARSON2, true_param=eta0, null_param=eta0, k=k)
+                    config_ok = True
+                except ExperimentError as exc:
+                    assert "eta0" in str(exc)
+                    config_ok = False
+                try:
+                    pearson_statistic(s, eta0, k)
+                    statistic_ok = True
+                except DomainError:
+                    statistic_ok = False
+                assert config_ok == statistic_ok, (k, eta0)
+                accepted += config_ok
+        assert 0 < accepted < 90
+
     def test_invalid_config_raises(self):
         with pytest.raises(ExperimentError, match="replicates"):
             _config(replicates=1)
@@ -259,6 +290,34 @@ class TestRunExperiment:
         short = run_experiment(_config(n_grid=(100,), replicates=8))
         longer = run_experiment(_config(n_grid=(100, 300), replicates=8))
         assert short.per_n[0].values == longer.per_n[0].values
+
+    @settings(max_examples=100)
+    @given(st.sampled_from((Family.STUDENT, Family.PEARSON2)),
+           st.integers(1, 3),
+           st.lists(st.integers(10, 60), min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(10, 60), min_size=1, max_size=2, unique=True),
+           st.sampled_from(("same", "fresh")),
+           st.randoms(use_true_random=False))
+    def test_grid_extension_property(self, family, dim, grid, extra, mode, rnd):
+        # any grid, extended and shuffled, keeps each shared N's replicates
+        extended = list(dict.fromkeys(grid + extra))
+        rnd.shuffle(extended)
+        params = dict(family=family, true_param=4.0, null_param=4.0, dim=dim,
+                      replicates=3, covariance_mode=mode)
+        short = run_experiment(_config(n_grid=tuple(grid), **params))
+        longer = run_experiment(_config(n_grid=tuple(extended), **params))
+        values = {entry.n: entry.values for entry in longer.per_n}
+        for entry in short.per_n:
+            assert entry.values == values[entry.n]
+
+    def test_true_spec_built_once_per_config(self):
+        mc._true_spec.cache_clear()
+        cfg = _config(replicates=8, covariance_mode="fresh")
+        run_experiment(cfg, workers=1)
+        run_experiment(cfg, workers=1)
+        # 2 runs x 2 N x 8 replicates x 2 draws (sample and covariance sample)
+        info = mc._true_spec.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * 2 * 8 * 2 - 1)
 
     def test_covariance_mode_changes_values(self):
         same = run_experiment(_config(replicates=8))
