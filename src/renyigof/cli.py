@@ -64,19 +64,30 @@ def _parse_matrix(text: str, m: int) -> np.ndarray:
     return np.asarray(rows)
 
 
+def _tail_flag(args, flags: dict[str, str]):
+    """The value of the tail-parameter flag of `args.family` among `flags`
+    (family -> flag name; None for a family with no flag).  A missing
+    own flag, or a flag of another family, raises CliError."""
+    for family, flag in flags.items():
+        if family != args.family and getattr(args, flag) is not None:
+            raise CliError(f"--{flag} does not apply to --family {args.family}")
+    own = flags.get(args.family)
+    if own is None:
+        return None
+    if getattr(args, own) is None:
+        raise CliError(f"--{own} is required for --family {args.family}")
+    return getattr(args, own)
+
+
 def _build_spec(args):
+    param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
     m = args.dim
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
     if args.family == "gaussian":
         return gaussian(loc, scale)
-    if args.family == "student":
-        if args.nu is None:
-            raise CliError("--nu is required for --family student")
-        return student(loc, scale, args.nu)
-    if args.eta is None:
-        raise CliError("--eta is required for --family pearson2")
-    return pearson2(loc, scale, args.eta)
+    make = student if args.family == "student" else pearson2
+    return make(loc, scale, param)
 
 
 def cmd_sample(args) -> int:
@@ -116,11 +127,8 @@ def cmd_test(args) -> int:
             "--alpha needs --critical-table; run `renyigof experiment` on the "
             "null configuration to produce one"
         )
+    null_param = _tail_flag(args, {"student": "nu0", "pearson2": "eta0"})
     s = read_csv(args.data)
-    flag = "nu0" if args.family == "student" else "eta0"
-    null_param = getattr(args, flag)
-    if null_param is None:
-        raise CliError(f"--{flag} is required for --family {args.family}")
     stat = statistic(s, Family(args.family), null_param, args.k)
     record = {
         "W": stat.value,
@@ -165,10 +173,25 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     return config, path.parent / power_reference
 
 
+# the settings a power run must share with the null run behind its critical values
+_REFERENCE_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
+
+
+def _check_reference(config: mc.ExperimentConfig, path: Path) -> None:
+    ours, theirs = config.to_dict(), mc.read_summary_config(path).to_dict()
+    differ = [key for key in _REFERENCE_KEYS if ours[key] != theirs[key]]
+    if differ:
+        raise CliError(
+            f"power_reference {path} comes from a different null run: "
+            + ", ".join(f"{key} {theirs[key]!r} there, {ours[key]!r} here" for key in differ)
+        )
+
+
 def cmd_experiment(args) -> int:
     config, power_reference = load_config(Path(args.config))
     critical_by_n = None
     if power_reference is not None:
+        _check_reference(config, power_reference)
         critical_by_n = mc.read_critical_values(power_reference, 0.05)
 
     out_dir = Path(args.out_dir)

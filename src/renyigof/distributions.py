@@ -13,6 +13,7 @@ due to Lutwak, Yang and Zhang (2004) and Johnson and Vignat (2007).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -176,6 +177,17 @@ def pearson2(location, scale, eta: float) -> DistributionSpec:
     if tail_family(Family.PEARSON2, eta) is Family.GAUSSIAN:
         return gaussian(location, scale)
     return DistributionSpec(Family.PEARSON2, np.asarray(location, float), _as_spd(scale), float(eta))
+
+
+@functools.lru_cache(maxsize=64)
+def _standard_spec(family: Family, param: float, m: int) -> DistributionSpec:
+    """The location-0, scale-I member of the Student or Pearson II family
+    with tail parameter `param` in dimension m (+inf gives the Gaussian),
+    built once per process and key.  Any other family raises DomainError."""
+    make = {Family.STUDENT: student, Family.PEARSON2: pearson2}.get(family)
+    if make is None:
+        raise DomainError(f"family must be student or pearson2, got {family!r}")
+    return make(np.zeros(m), SpdMatrix.identity(m), param)
 
 
 def tail_family(family: Family, param: float) -> Family:

@@ -11,7 +11,9 @@ probability; under an alternative it tends to a strictly positive
 constant, so large values reject (upper-tail test).
 
 :func:`statistic` computes W, signed (the estimate may overshoot the
-maximum in finite samples); the two named wrappers fix its family.
+maximum in finite samples); the two named wrappers fix its family.  Its
+`constraint` argument replaces S by another covariance: the Monte Carlo
+engine's "fresh" mode passes the covariance of an independent draw.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import numpy as np
 from .distributions import (
     Family,
     SpdMatrix,
+    _standard_spec,
     check_estimator_conditions,
     check_pearson_k,
     max_renyi_entropy,
-    pearson2,
-    student,
 )
 from .errors import DomainError
 from .knn import renyi_estimate, shannon_estimate
@@ -74,28 +75,27 @@ def sample_covariance(sample: Sample) -> tuple[np.ndarray, SpdMatrix]:
     return mean, SpdMatrix(cov)
 
 
-_NULL_FACTORY = {Family.STUDENT: student, Family.PEARSON2: pearson2}
-
-
-def statistic(sample: Sample, family: Family, null_param: float, k: int) -> GofStatistic:
+def statistic(sample: Sample, family: Family, null_param: float, k: int,
+              constraint: SpdMatrix | None = None) -> GofStatistic:
     """W = H_q^max(S) - H_hat_{N,k,q} for the null "sample ~ family(null_param)".
 
-    S, the sample covariance, is the constraint of the maximum.  Student
-    nu0 > 2 gives q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives
-    q = 1 + 1/eta0 (which needs k > 1/eta0), both with the Renyi estimate;
-    +inf gives the Gaussian branch (family GAUSSIAN, q = 1, Shannon
-    estimate).  Any other null parameter, -inf and NaN included, raises
-    DomainError.
+    S, the covariance constraint of the maximum, is `constraint` when
+    given (an independent draw's covariance, say) and the sample's own
+    :func:`sample_covariance` otherwise.  Student nu0 > 2 gives
+    q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives q = 1 + 1/eta0
+    (which needs k > 1/eta0), both with the Renyi estimate; +inf gives
+    the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  Any
+    other null parameter, -inf and NaN included, raises DomainError.
     """
-    make_null = _NULL_FACTORY.get(family)
-    if make_null is None:
-        raise DomainError(f"null family must be student or pearson2, got {family!r}")
     m = sample.dim
-    null_spec = make_null(np.zeros(m), SpdMatrix.identity(m), null_param)
+    null_spec = _standard_spec(family, null_param, m)
     if null_spec.family is Family.PEARSON2:
         check_pearson_k(k, null_param)
-    _, cov = sample_covariance(sample)
-    h_max, q, _ = max_renyi_entropy(null_spec.family, cov, null_param)
+    if constraint is None:
+        _, constraint = sample_covariance(sample)
+    elif constraint.dim != m:
+        raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
+    h_max, q, _ = max_renyi_entropy(null_spec.family, constraint, null_param)
     est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)
     l2_ok = bool(check_estimator_conditions(null_spec, q, "L2"))
     return GofStatistic(

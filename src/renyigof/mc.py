@@ -14,7 +14,6 @@ replicates untouched.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -26,25 +25,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import (
-    DistributionSpec,
-    Family,
-    SpdMatrix,
-    check_pearson_k,
-    max_renyi_entropy,
-    pearson2,
-    student,
-    tail_family,
-)
+from .distributions import Family, _standard_spec, check_pearson_k, tail_family
 from .errors import (
     DomainError,
     DuplicatePointsError,
     ExperimentError,
     NotPositiveDefiniteError,
 )
-from .gof import pearson_statistic, sample_covariance, student_statistic
-from .knn import renyi_estimate, shannon_estimate
+from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import RngStream, sample
+
+# only bench/layers.py reads these: its per-layer spans wrap them by name here
+from .distributions import max_renyi_entropy  # noqa: F401
+from .knn import renyi_estimate, shannon_estimate  # noqa: F401
 
 __all__ = [
     "ExperimentConfig",
@@ -61,6 +54,7 @@ __all__ = [
     "write_summary_csv",
     "write_histogram_csv",
     "read_critical_values",
+    "read_summary_config",
     "SUMMARY_COLUMNS",
 ]
 
@@ -176,13 +170,14 @@ class ExperimentConfig:
     the standardised distribution (location 0, scale identity).
 
     `covariance_mode` controls how the maximum-entropy side of the
-    statistic is fed.  "same" (the default, and the statistic's actual
-    definition) estimates the covariance from the sample under test.
-    "fresh" estimates it from an independent draw of the same size,
-    which removes the variance cancellation between the entropy
-    estimate and the covariance term; published critical-value tables
-    produced by harnesses that draw the constraint sample separately
-    are only reproducible in this mode.
+    statistic is fed; both modes compute W with :func:`gof.statistic`.
+    "same" (the default, and the statistic's actual definition)
+    estimates the covariance from the sample under test.  "fresh"
+    estimates it from an independent draw of the same size and passes
+    it as the statistic's `constraint`, which removes the variance
+    cancellation between the entropy estimate and the covariance term;
+    published critical-value tables produced by harnesses that draw the
+    constraint sample separately are only reproducible in this mode.
     """
 
     family: Family
@@ -199,13 +194,17 @@ class ExperimentConfig:
     covariance_mode: str = "same"
 
     def __post_init__(self) -> None:
-        fields, problems = _parse_fields(vars(self))
-        for key, value in fields.items():
-            object.__setattr__(self, key, value)
-        if not problems:
-            problems = self.validate()
+        problems = self._settle(vars(self))
         if problems:
             raise ExperimentError("invalid experiment config: " + "; ".join(problems))
+
+    def _settle(self, values: dict) -> list[str]:
+        """Set each field of `values` through its parser; return the type
+        problems, or once every value parses, :meth:`validate`'s."""
+        fields, problems = _parse_fields(values)
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+        return problems or self.validate()
 
     def validate(self) -> list[str]:
         """Return every constraint violation (empty when valid)."""
@@ -232,6 +231,9 @@ class ExperimentConfig:
             problems.append(f"k must be >= 1, got {self.k}")
         if not self.n_grid:
             problems.append("n_grid must be non-empty")
+        repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
+        if repeated:
+            problems.append("n_grid repeats sample sizes " + ", ".join(map(str, repeated)))
         for n in self.n_grid:
             if n < self.dim + 1:
                 problems.append(f"sample size {n} below m+1 = {self.dim + 1}")
@@ -269,10 +271,11 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build a config from its JSON form without coercing anything.
 
-        Unknown or missing keys and values of the wrong type (1.7 for an
-        integer, "false" for a boolean) are collected and raised together
-        as one ExperimentError; value constraints are then checked by
-        :meth:`validate`.
+        Unknown or missing keys, a wrong `schema_version`, values of the
+        wrong type (1.7 for an integer, "false" for a boolean) and, when
+        no field is missing and every value parses, the violations
+        :meth:`validate` finds are collected and raised together as one
+        ExperimentError.
         """
         if not isinstance(data, dict):
             raise ExperimentError("config must be a JSON object")
@@ -290,7 +293,10 @@ class ExperimentConfig:
             problems.append("unknown config fields: " + ", ".join(map(repr, unknown)))
         given = {key: data[key] for key in _CONFIG_FIELDS if key in data}
         if problems:
-            problems += _parse_fields(given)[1]
+            if missing:  # validate() needs every required field
+                problems += _parse_fields(given)[1]
+            else:
+                problems += cls.__new__(cls)._settle(given)
             raise ExperimentError("invalid experiment config: " + "; ".join(problems))
         return cls(**given)
 
@@ -333,13 +339,6 @@ class McResult:
         return [(e.n, summarize(e.valid_values)[0]) for e in self.per_n]
 
 
-@functools.lru_cache(maxsize=64)
-def _true_spec(config: ExperimentConfig) -> DistributionSpec:
-    # one spec per config and process: every replicate samples the same law
-    make = student if config.family is Family.STUDENT else pearson2
-    return make(np.zeros(config.dim), SpdMatrix.identity(config.dim), config.true_param)
-
-
 def _stream_id(n: int, j: int) -> int:
     # keyed by the sample size value, not its grid index, so extending
     # the grid never perturbs existing replicate streams
@@ -351,24 +350,18 @@ _FRESH_COV_BIT = 1 << 63
 
 
 def _replicate_value(config: ExperimentConfig, n: int, j: int) -> float:
-    stream = RngStream(config.master_seed, _stream_id(n, j))
-    s = sample(_true_spec(config), n, stream)
+    true_spec = _standard_spec(config.family, config.true_param, config.dim)
+    s = sample(true_spec, n, RngStream(config.master_seed, _stream_id(n, j)))
     if config.covariance_mode == "fresh":
         cov_stream = RngStream(config.master_seed, _stream_id(n, j) | _FRESH_COV_BIT)
-        s_cov = sample(_true_spec(config), n, cov_stream)
-        return _fresh_cov_statistic(config, s, s_cov)
+        return _fresh_cov_statistic(config, s, sample(true_spec, n, cov_stream))
     gof_statistic = student_statistic if config.family is Family.STUDENT else pearson_statistic
     return gof_statistic(s, config.null_param, config.k).value
 
 
 def _fresh_cov_statistic(config: ExperimentConfig, s, s_cov) -> float:
     _, cov = sample_covariance(s_cov)
-    h_max, q, _ = max_renyi_entropy(config.family, cov, config.null_param)
-    if q == 1.0:
-        est = shannon_estimate(s, config.k)
-    else:
-        est = renyi_estimate(s, config.k, q)
-    return h_max - est.value
+    return statistic(s, config.family, config.null_param, config.k, constraint=cov).value
 
 
 def _run_block(args) -> list:
@@ -467,15 +460,16 @@ def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
     Pairs with non-positive mean are excluded (and reported in the
     result) rather than folded in via absolute values: sign flips occur
     where the statistic has essentially converged and carry no rate
-    information.  At least 3 usable pairs are required.
+    information.  At least 3 usable pairs with distinct N are required.
     """
     pairs = list(pairs)
     usable = [(n, w) for n, w in pairs if w > 0]
     excluded = tuple((n, w) for n, w in pairs if not w > 0)
-    if len(usable) < 3:
+    distinct = len({n for n, _ in usable})
+    if distinct < 3:
         raise DomainError(
-            f"need at least 3 pairs with positive mean, got {len(usable)} "
-            f"({len(excluded)} excluded)"
+            f"need at least 3 distinct N with positive mean, got {distinct} "
+            f"({len(excluded)} pairs excluded)"
         )
     x = np.log([float(n) for n, _ in usable])
     y = np.log([w for _, w in usable])
@@ -512,10 +506,14 @@ def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
+# the header line that carries a run's config, read back by read_summary_config
+_CONFIG_HEADER = "# config "
+
+
 def _header_lines(config: ExperimentConfig) -> list[str]:
     return [
         f"# renyigof {__version__}",
-        f"# config {config.canonical_json()}",
+        f"{_CONFIG_HEADER}{config.canonical_json()}",
         f"# config_hash {config.config_hash()}",
         f"# master_seed {config.master_seed}",
         f"# quantile_scheme {_QUANTILE_SCHEME}",
@@ -627,6 +625,22 @@ def write_histogram_csv(result: McResult, n: int, path) -> None:
         lines.append(f"{_format_float(left)},{_format_float(right)},{int(count)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_summary_config(path) -> ExperimentConfig:
+    """The config a file written by :func:`write_summary_csv` was run with,
+    read back from its `# config` header line (DomainError if it has none)."""
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            if line.startswith(_CONFIG_HEADER):
+                try:
+                    data = json.loads(line[len(_CONFIG_HEADER):])
+                except json.JSONDecodeError as exc:
+                    raise DomainError(f"{path}: unreadable config header: {exc}") from None
+                return ExperimentConfig.from_dict(data)
+    raise DomainError(f"{path}: no '# config' header line")
 
 
 def read_critical_values(path, alpha: float = 0.05) -> dict[int, float]:

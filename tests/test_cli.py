@@ -51,6 +51,20 @@ class TestSampleCommand:
         assert code == 2
         assert "--nu" in err
 
+    @pytest.mark.parametrize("family, flags, stray", [
+        ("student", ["--nu", "5", "--eta", "2"], "--eta"),
+        ("pearson2", ["--eta", "2", "--nu", "5"], "--nu"),
+        ("gaussian", ["--nu", "5"], "--nu"),
+        ("gaussian", ["--eta", "inf"], "--eta"),
+    ])
+    def test_other_family_param_exits_2(self, tmp_path, capsys, family, flags, stray):
+        path = tmp_path / "x.csv"
+        code, _, err = _run(capsys, ["sample", "--family", family, *flags, "--dim", "1",
+                                     "--n", "10", "--seed", "1", "-o", str(path)])
+        assert code == 2
+        assert f"{stray} does not apply to --family {family}" in err
+        assert not path.exists()
+
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["sample", "--family", "student", "--nu", "nan", "--dim", "1", "--n", "5",
@@ -139,6 +153,19 @@ class TestTestCommand:
         code, _, err = _run(capsys, ["test", str(path), "--family", family, "--k", "3"])
         assert code == 2
         assert f"{flag} is required for --family {family}" in err
+
+    @pytest.mark.parametrize("family, flags, stray", [
+        ("student", ["--nu0", "5", "--eta0", "3"], "--eta0"),
+        ("pearson2", ["--eta0", "3", "--nu0", "5"], "--nu0"),
+    ])
+    def test_other_family_null_param_exits_2(self, tmp_path, capsys, family, flags, stray):
+        path = tmp_path / "pts.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        code, out, err = _run(capsys, ["test", str(path), "--family", family, *flags,
+                                       "--k", "3"])
+        assert code == 2
+        assert out == ""
+        assert f"{stray} does not apply to --family {family}" in err
 
     def test_decision_rows_against_table(self, tmp_path, capsys):
         config = {
@@ -244,6 +271,19 @@ class TestExperimentCommand:
             assert fragment in err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_sample_size_exits_2(self, tmp_path, capsys):
+        config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [100, 100, 100], "k": 3,
+            "replicates": 4, "master_seed": 0,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "n_grid repeats sample sizes 100" in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
                                    "--out-dir", str(tmp_path / "o")])
@@ -273,6 +313,53 @@ class TestExperimentCommand:
         assert 0.0 <= power <= 1.0
         # rejection rate against the null table exceeds the nominal level
         assert power > 0.05
+
+    def _power_run(self, tmp_path, capsys, **alt):
+        """Exit code and stderr of a power run whose reference is a small null run."""
+        null_config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 21,
+        }
+        (tmp_path / "null.json").write_text(json.dumps(null_config))
+        code, _, _ = _run(capsys, ["experiment", str(tmp_path / "null.json"),
+                                   "--out-dir", str(tmp_path / "null_out")])
+        assert code == 0
+        alt_config = dict(null_config, true_param="inf", master_seed=22,
+                          power_reference="null_out/summary.csv", **alt)
+        (tmp_path / "alt.json").write_text(json.dumps(alt_config))
+        code, _, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                     "--out-dir", str(tmp_path / "alt_out")])
+        return code, err
+
+    def test_mismatched_power_reference_exits_2(self, tmp_path, capsys):
+        code, err = self._power_run(tmp_path, capsys, null_param=10.0, k=4,
+                                    covariance_mode="fresh")
+        assert code == 2
+        for key in ("null_param", "k", "covariance_mode"):
+            assert key in err
+        for key in ("family", "dim"):
+            assert f"{key} " not in err
+        assert not (tmp_path / "alt_out").exists()
+
+    @pytest.mark.parametrize("key, value", [("family", "pearson2"), ("dim", 2)])
+    def test_each_reference_key_checked(self, tmp_path, capsys, key, value):
+        code, err = self._power_run(tmp_path, capsys, **{key: value})
+        assert code == 2
+        assert f"{key} " in err
+
+    def test_power_reference_without_config_header_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bare.csv").write_text("N,q05\n50,0.1\n")
+        config = {
+            "schema_version": 1, "family": "student", "true_param": "inf",
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 22, "power_reference": "bare.csv",
+        }
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                     "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert "no '# config' header" in err
 
 
 class TestPaperScaleDecisions:
@@ -333,6 +420,14 @@ class TestShippedConfigs:
                              ids=lambda p: p.name)
     def test_config_file_loads(self, path):
         load_config(path)
+
+    def test_power_config_matches_its_reference(self):
+        # the shipped power run is judged against the shipped null run's table
+        power, reference = load_config(_REPO / "configs" / "power_gaussian_vs_nu0_10_m1.json")
+        null, _ = load_config(_REPO / "configs" / "critical_values_nu10_m1.json")
+        assert reference.name == "summary.csv"
+        for key in ("family", "null_param", "dim", "k", "covariance_mode"):
+            assert getattr(power, key) == getattr(null, key), key
 
     def test_benchmark_workload_configs_load(self, monkeypatch):
         monkeypatch.syspath_prepend(str(_REPO / "bench"))

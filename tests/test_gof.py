@@ -188,6 +188,30 @@ class TestStatistic:
         with pytest.raises(DomainError, match="student or pearson2"):
             statistic(s, Family.GAUSSIAN, math.inf, 3)
 
+    def test_own_covariance_is_the_default_constraint(self, rng):
+        for m in (1, 2, 3):
+            s = Sample(rng.standard_normal((120, m)))
+            for family, null_param in _BRANCHES:
+                own = sample_covariance(s)[1]
+                assert (statistic(s, family, null_param, 3, constraint=own)
+                        == statistic(s, family, null_param, 3))
+
+    def test_constraint_changes_only_the_maximum(self, rng):
+        s = Sample(rng.standard_normal((120, 2)))
+        other = sample_covariance(Sample(rng.standard_normal((120, 2))))[1]
+        for family, null_param in _BRANCHES:
+            base = statistic(s, family, null_param, 3)
+            fresh = statistic(s, family, null_param, 3, constraint=other)
+            shift = (max_renyi_entropy(family, other, null_param).h_max
+                     - max_renyi_entropy(family, sample_covariance(s)[1], null_param).h_max)
+            assert fresh.value - base.value == pytest.approx(shift, abs=1e-12)
+            assert (fresh.q, fresh.family, fresh.l2_ok) == (base.q, base.family, base.l2_ok)
+
+    def test_constraint_dimension_checked(self, rng):
+        s = Sample(rng.standard_normal((50, 2)))
+        with pytest.raises(DomainError, match="dimension"):
+            statistic(s, Family.STUDENT, 7.0, 3, constraint=SpdMatrix.identity(3))
+
 
 _BRANCHES = ((Family.STUDENT, 7.0), (Family.PEARSON2, 4.0),
              (Family.STUDENT, math.inf), (Family.PEARSON2, math.inf))
@@ -234,9 +258,16 @@ class TestStatisticInvariance:
     @settings(max_examples=150)
     @given(_null_case(), st.floats(0.01, 100.0))
     def test_scaling(self, case, c):
-        points, family, null_param, k, _ = case
+        points, family, null_param, k, gen = case
         base = statistic(Sample(points), family, null_param, k).value
         scaled = statistic(Sample(c * points), family, null_param, k).value
+        assert abs(scaled - base) <= 1e-9
+        # the fresh protocol: an independent constraint sample scaled with the data
+        other = dyadic_points(gen, len(points), points.shape[1])
+        cov = sample_covariance(Sample(other))[1]
+        cov_scaled = sample_covariance(Sample(c * other))[1]
+        base = statistic(Sample(points), family, null_param, k, constraint=cov).value
+        scaled = statistic(Sample(c * points), family, null_param, k, constraint=cov_scaled).value
         assert abs(scaled - base) <= 1e-9
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renyigof.distributions import Family
+from renyigof.distributions import Family, _standard_spec
 from renyigof.errors import DomainError, ExperimentError
 from renyigof.gof import pearson_statistic
 from renyigof.sampler import Sample
@@ -119,6 +119,15 @@ class TestRateFit:
     def test_too_few_usable(self):
         with pytest.raises(DomainError):
             fit_convergence_rate([(100, 1.0), (200, 0.5), (400, -1.0)])
+
+    def test_repeated_n_is_not_a_rate(self):
+        # three means at one N leave no spread in log N to fit against
+        with pytest.raises(DomainError, match="3 distinct N"):
+            fit_convergence_rate([(100, 1.0), (100, 0.9), (100, 1.1)])
+        with pytest.raises(DomainError, match="3 distinct N"):
+            fit_convergence_rate([(100, 1.0), (100, 0.9), (200, 0.5), (400, -1.0)])
+        fit = fit_convergence_rate([(100, 1.0), (100, 1.0), (200, 0.5), (400, 0.25)])
+        assert fit.b == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestSummarize:
@@ -244,6 +253,25 @@ class TestConfig:
                          "include_replicates", "dim", "k:", "replicates:", "n_grid"):
             assert fragment in message
 
+    def test_value_violations_listed_with_structural_ones(self):
+        # every field present parses: validate()'s findings join the same error
+        data = dict(_config().to_dict(), covarience_mode="fresh", replicates=1,
+                    n_grid=[100, 100])
+        data["schema_version"] = 99
+        with pytest.raises(ExperimentError) as excinfo:
+            ExperimentConfig.from_dict(data)
+        message = str(excinfo.value)
+        for fragment in ("schema_version 99", "unknown config fields: 'covarience_mode'",
+                         "replicates must be >= 2", "n_grid repeats sample sizes 100"):
+            assert fragment in message
+
+    def test_repeated_sample_size_rejected(self):
+        for build in (lambda: _config(n_grid=(100, 200, 100, 100)),
+                      lambda: ExperimentConfig.from_dict(
+                          dict(_config().to_dict(), n_grid=[100, 200, 200]))):
+            with pytest.raises(ExperimentError, match="n_grid repeats sample sizes"):
+                build()
+
     def test_integral_floats_accepted(self):
         data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
         assert ExperimentConfig.from_dict(data) == _config()
@@ -311,12 +339,13 @@ class TestRunExperiment:
             assert entry.values == values[entry.n]
 
     def test_true_spec_built_once_per_config(self):
-        mc._true_spec.cache_clear()
+        _standard_spec.cache_clear()
         cfg = _config(replicates=8, covariance_mode="fresh")
         run_experiment(cfg, workers=1)
         run_experiment(cfg, workers=1)
-        # 2 runs x 2 N x 8 replicates x 2 draws (sample and covariance sample)
-        info = mc._true_spec.cache_info()
+        # 2 runs x 2 N x 8 replicates x 2 lookups (the true law, and the
+        # statistic's null law, which is the same key here)
+        info = _standard_spec.cache_info()
         assert (info.misses, info.hits) == (1, 2 * 2 * 8 * 2 - 1)
 
     def test_covariance_mode_changes_values(self):
