@@ -50,15 +50,22 @@ def _param(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} takes numbers, got {text!r}") from None
+
+
 def _parse_vector(text: str, m: int) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
+    vals = _floats(text, "--loc")
     if len(vals) != m:
         raise CliError(f"--loc needs {m} comma-separated values, got {len(vals)}")
     return np.asarray(vals)
 
 
 def _parse_matrix(text: str, m: int) -> np.ndarray:
-    rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
+    rows = [_floats(row, "--scale") for row in text.split(";")]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise CliError(f"--scale needs an {m}x{m} matrix as 'r1c1,r1c2;r2c1,...'")
     return np.asarray(rows)
@@ -82,6 +89,8 @@ def _tail_flag(args, flags: dict[str, str]):
 def _build_spec(args):
     param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
     m = args.dim
+    if m < 1:
+        raise CliError(f"--dim must be >= 1, got {m}")
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
     if args.family == "gaussian":
@@ -130,6 +139,22 @@ def cmd_test(args) -> int:
     null_param = _tail_flag(args, {"student": "nu0", "pearson2": "eta0"})
     s = read_csv(args.data)
     stat = statistic(s, Family(args.family), null_param, args.k)
+    decisions = []
+    if args.critical_table:
+        table, critical = mc.read_summary(args.critical_table)
+        # W here constrains the maximum by the sample's own covariance
+        settings = {"family": args.family, "null_param": mc._param_str(stat.null_param),
+                    "dim": stat.dim, "k": stat.k, "covariance_mode": "same"}
+        mc.check_null_run(args.critical_table, table, settings)
+        for alpha in args.alpha or [0.05]:
+            if alpha not in critical:
+                raise CliError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
+            crit = critical[alpha].get(stat.n)
+            if crit is None:
+                raise CliError(
+                    f"critical table {args.critical_table} has no row for N={stat.n}"
+                )
+            decisions.append({"alpha": alpha, "critical": crit, "reject": stat.value > crit})
     record = {
         "W": stat.value,
         "family": args.family,
@@ -140,17 +165,8 @@ def cmd_test(args) -> int:
         "m": stat.dim,
         "l2_condition_ok": stat.l2_ok,
     }
-    print(json.dumps(record))
-    if args.critical_table:
-        alphas = args.alpha or [0.05]
-        for alpha in alphas:
-            table = mc.read_critical_values(args.critical_table, alpha)
-            crit = table.get(stat.n)
-            if crit is None:
-                raise CliError(
-                    f"critical table {args.critical_table} has no row for N={stat.n}"
-                )
-            print(json.dumps({"alpha": alpha, "critical": crit, "reject": stat.value > crit}))
+    for line in (record, *decisions):
+        print(json.dumps(line))
     return EXIT_OK
 
 
@@ -173,26 +189,13 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     return config, path.parent / power_reference
 
 
-# the settings a power run must share with the null run behind its critical values
-_REFERENCE_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
-
-
-def _check_reference(config: mc.ExperimentConfig, path: Path) -> None:
-    ours, theirs = config.to_dict(), mc.read_summary_config(path).to_dict()
-    differ = [key for key in _REFERENCE_KEYS if ours[key] != theirs[key]]
-    if differ:
-        raise CliError(
-            f"power_reference {path} comes from a different null run: "
-            + ", ".join(f"{key} {theirs[key]!r} there, {ours[key]!r} here" for key in differ)
-        )
-
-
 def cmd_experiment(args) -> int:
     config, power_reference = load_config(Path(args.config))
     critical_by_n = None
     if power_reference is not None:
-        _check_reference(config, power_reference)
-        critical_by_n = mc.read_critical_values(power_reference, 0.05)
+        reference, critical = mc.read_summary(power_reference)
+        mc.check_null_run(power_reference, reference, config.to_dict())
+        critical_by_n = critical[0.05]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -198,25 +198,13 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
         np.minimum(left[j], right[j], out=row)
         for i in range(j):
             np.minimum(row, np.maximum(left[i], right[j - 1 - i]), out=row)
-    if (d2[0] == 0.0).any():
-        raise DuplicatePointsError(_sorted_duplicates(xs, order))
+    zero = d2[0] == 0.0
+    if zero.any():
+        pts = x[:, None]
+        raise DuplicatePointsError(_tree_duplicates(cKDTree(pts), pts, order[zero], k_max + 1))
     rho = np.empty((n, k_max))
     rho[order] = np.sqrt(d2, out=d2).T
     return rho
-
-
-def _sorted_duplicates(xs: np.ndarray, order: np.ndarray) -> list[tuple[int, int]]:
-    # squared gaps never shrink as the offset grows in sorted order, so
-    # the scan stops at the first offset r with no zero squared gap
-    pairs = []
-    for r in range(1, xs.size):
-        gaps = xs[r:] - xs[:-r]
-        lo = np.nonzero(gaps * gaps == 0.0)[0]
-        if lo.size == 0:
-            break
-        a, b = order[lo], order[lo + r]
-        pairs.extend(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
-    return sorted(pairs)
 
 
 # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
@@ -287,17 +275,17 @@ def g_estimate(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     return math.exp(_log_g(dists, dim, k, q))
 
 
-def renyi_estimate(sample: Sample, k: int, q: float, method: str = "auto") -> EntropyEstimate:
+def renyi_estimate(sample: Sample, k: int, q: float) -> EntropyEstimate:
     """Nearest-neighbour Renyi entropy estimate log(G)/(1-q) at order q != 1."""
-    dists = knn_distances(sample, k, method=method)
+    dists = knn_distances(sample, k)
     value = _log_g(dists, sample.dim, k, q) / (1.0 - q)
     return EntropyEstimate(value, float(q), int(k), sample.n, sample.dim)
 
 
-def shannon_estimate(sample: Sample, k: int, method: str = "auto") -> EntropyEstimate:
+def shannon_estimate(sample: Sample, k: int) -> EntropyEstimate:
     """Kozachenko-Leonenko Shannon entropy estimate, the q -> 1 limit of
     :func:`renyi_estimate` (where C_k -> exp(-psi(k)))."""
-    dists = knn_distances(sample, k, method=method)
+    dists = knn_distances(sample, k)
     n, m = sample.n, sample.dim
     rho = dists.rho[:, k - 1]
     value = (

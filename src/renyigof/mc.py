@@ -53,12 +53,17 @@ __all__ = [
     "result_to_json",
     "write_summary_csv",
     "write_histogram_csv",
-    "read_critical_values",
-    "read_summary_config",
+    "read_summary",
+    "check_null_run",
+    "ALPHA_COLUMNS",
+    "NULL_RUN_KEYS",
     "SUMMARY_COLUMNS",
 ]
 
 CONFIG_SCHEMA_VERSION = 1
+
+# significance level -> the summary column holding its critical value
+ALPHA_COLUMNS = {0.05: "q05", 0.01: "q01", 0.10: "q10"}
 
 # fixed column layout of the summary table
 SUMMARY_COLUMNS = (
@@ -69,12 +74,14 @@ SUMMARY_COLUMNS = (
     "k",
     "mean",
     "stderr",
-    "q05",
-    "q01",
-    "q10",
+    *ALPHA_COLUMNS.values(),
     "power_at_005",
     "rate_b",
 )
+
+# the settings a statistic must share with the null run whose critical
+# values judge it: W's null law depends on each of them
+NULL_RUN_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
 
 _QUANTILE_SCHEME = "order statistics, linear interpolation at h = (M-1)(1-alpha) + 1"
 
@@ -378,15 +385,17 @@ def _run_block(args) -> list:
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:
     """Run every replicate of the experiment, optionally in parallel.
 
-    `workers=None` uses all available CPUs.  Results are bit-identical
-    for any worker count.  Raises ExperimentError if the fraction of
-    failed replicates at any sample size exceeds
-    config.max_failure_rate.
+    `workers=None` uses all available CPUs; a count below 1 raises
+    DomainError.  Results are bit-identical for any worker count.
+    Raises ExperimentError if the fraction of failed replicates at any
+    sample size exceeds config.max_failure_rate.
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {workers}")
     m_rep = config.replicates
-    block = max(1, -(-m_rep // max(1, 4 * workers)))
+    block = -(-m_rep // (4 * workers))
     tasks = []
     for n in config.n_grid:
         for j0 in range(0, m_rep, block):
@@ -506,7 +515,7 @@ def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-# the header line that carries a run's config, read back by read_summary_config
+# the header line that carries a run's config, read back by read_summary
 _CONFIG_HEADER = "# config "
 
 
@@ -588,14 +597,12 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
     for entry in result.per_n:
         vals = entry.valid_values
         mean, stderr = summarize(vals)
-        q05 = empirical_quantile(vals, 0.05)
-        q01 = empirical_quantile(vals, 0.01)
-        q10 = empirical_quantile(vals, 0.10)
+        quantiles = {alpha: empirical_quantile(vals, alpha) for alpha in ALPHA_COLUMNS}
         if critical_by_n is not None:
             crit = critical_by_n.get(entry.n)
             power = "" if crit is None else _format_float(estimate_power(vals, crit))
         else:
-            power = _format_float(estimate_power(vals, q05))
+            power = _format_float(estimate_power(vals, quantiles[0.05]))
         row = [
             str(config.dim),
             _param_str(config.true_param),
@@ -604,9 +611,7 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
             str(config.k),
             _format_float(mean),
             _format_float(stderr),
-            _format_float(q05),
-            _format_float(q01),
-            _format_float(q10),
+            *map(_format_float, quantiles.values()),
             power,
             "" if rate_b is None else _format_float(rate_b),
         ]
@@ -627,43 +632,44 @@ def write_histogram_csv(result: McResult, n: int, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_summary_config(path) -> ExperimentConfig:
-    """The config a file written by :func:`write_summary_csv` was run with,
-    read back from its `# config` header line (DomainError if it has none)."""
+def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]:
+    """The config and the critical values of a summary CSV written by
+    :func:`write_summary_csv`, read in one pass: (config, {alpha: {N:
+    critical value}}) at each level of :data:`ALPHA_COLUMNS`.
+
+    The config comes from the `# config` header line; a file without
+    one, or without a well-formed table, raises DomainError.
+    """
     with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            if line.startswith(_CONFIG_HEADER):
-                try:
-                    data = json.loads(line[len(_CONFIG_HEADER):])
-                except json.JSONDecodeError as exc:
-                    raise DomainError(f"{path}: unreadable config header: {exc}") from None
-                return ExperimentConfig.from_dict(data)
-    raise DomainError(f"{path}: no '# config' header line")
+        lines = [line.strip() for line in fh if line.strip()]
+    configs = [line[len(_CONFIG_HEADER):] for line in lines if line.startswith(_CONFIG_HEADER)]
+    if not configs:
+        raise DomainError(f"{path}: no '# config' header line")
+    try:
+        config = ExperimentConfig.from_dict(json.loads(configs[0]))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: unreadable config header: {exc}") from None
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    needed = ("N", *ALPHA_COLUMNS.values())
+    if not table or not set(needed) <= set(table[0]):
+        raise DomainError(f"{path}: not a summary table (needs columns {', '.join(needed)})")
+    rows = [dict(zip(table[0], row)) for row in table[1:]]
+    try:
+        critical = {alpha: {int(row["N"]): float(row[column]) for row in rows}
+                    for alpha, column in ALPHA_COLUMNS.items()}
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"{path}: unreadable summary row: {exc}") from None
+    return config, critical
 
 
-def read_critical_values(path, alpha: float = 0.05) -> dict[int, float]:
-    """Read {N: critical value} from a summary CSV written by
-    :func:`write_summary_csv`, at one of the three tabulated levels."""
-    column = {0.05: "q05", 0.01: "q01", 0.10: "q10"}.get(alpha)
-    if column is None:
-        raise DomainError(f"critical tables carry alpha in (0.01, 0.05, 0.10), got {alpha}")
-    table: dict[int, float] = {}
-    header: list[str] | None = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if header is None:
-                header = parts
-                if column not in header or "N" not in header:
-                    raise DomainError(f"{path}: not a summary table (missing N/{column})")
-                continue
-            row = dict(zip(header, parts))
-            table[int(row["N"])] = float(row[column])
-    if header is None:
-        raise DomainError(f"{path}: empty critical table")
-    return table
+def check_null_run(path, table: ExperimentConfig, settings: dict) -> None:
+    """Raise DomainError naming each key of :data:`NULL_RUN_KEYS` on which
+    `settings` (in :meth:`ExperimentConfig.to_dict` form) differ from
+    `table`, the null run that wrote the critical table at `path`."""
+    theirs = table.to_dict()
+    differ = [key for key in NULL_RUN_KEYS if settings[key] != theirs[key]]
+    if differ:
+        raise DomainError(
+            f"critical table {path} comes from a different null run: "
+            + ", ".join(f"{key} {theirs[key]!r} there, {settings[key]!r} here" for key in differ)
+        )

@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +66,21 @@ class TestSampleCommand:
                                      "--n", "10", "--seed", "1", "-o", str(path)])
         assert code == 2
         assert f"{stray} does not apply to --family {family}" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dim", "0"], "--dim must be >= 1, got 0"),
+        (["--dim", "-1"], "--dim must be >= 1, got -1"),
+        (["--dim", "1", "--loc", "abc"], "--loc takes numbers, got 'abc'"),
+        (["--dim", "2", "--scale", "1,0;0,x"], "--scale takes numbers, got '0,x'"),
+    ])
+    def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
+        path = tmp_path / "x.csv"
+        code, out, err = _run(capsys, ["sample", "--family", "gaussian", *flags,
+                                       "--n", "10", "--seed", "1", "-o", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err
         assert not path.exists()
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
@@ -192,6 +210,63 @@ class TestTestCommand:
             row = json.loads(line)
             assert set(row) == {"alpha", "critical", "reject"}
 
+    def _null_table(self, tmp_path, capsys, **overrides):
+        """Summary CSV of a small null run: Student nu = nu0 = 5, m = 1, k = 3, N = 50."""
+        config = dict({
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 23,
+        }, **overrides)
+        (tmp_path / "null.json").write_text(json.dumps(config))
+        code, _, _ = _run(capsys, ["experiment", str(tmp_path / "null.json"),
+                                   "--out-dir", str(tmp_path / "null_out"), "--workers", "1"])
+        assert code == 0
+        return tmp_path / "null_out" / "summary.csv"
+
+    def _test_against(self, tmp_path, capsys, table, *flags):
+        data = tmp_path / "pts.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 50, RngStream(66)), data)
+        return _run(capsys, ["test", str(data), "--family", "student", *flags,
+                             "--critical-table", str(table)])
+
+    def test_table_from_other_null_exits_2(self, tmp_path, capsys):
+        # a nu0 = 10, "fresh" table cannot judge W against nu0 = 3
+        table = self._null_table(tmp_path, capsys, true_param=10.0, null_param=10.0,
+                                 covariance_mode="fresh")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "3", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert "null_param '10.0' there, '3.0' here" in err
+        assert "covariance_mode 'fresh' there, 'same' here" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 2), ("k", 4), ("family", "pearson2"), ("covariance_mode", "fresh"),
+    ])
+    def test_each_table_key_checked(self, tmp_path, capsys, key, value):
+        table = self._null_table(tmp_path, capsys, **{key: value})
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert f"{key} " in err
+        others = [k for k in ("family", "null_param", "dim", "k", "covariance_mode") if k != key]
+        assert not any(f"{k} " in err for k in others)
+
+    def test_table_without_config_header_exits_2(self, tmp_path, capsys):
+        (tmp_path / "bare.csv").write_text("N,q05\n50,0.1\n")
+        code, out, err = self._test_against(tmp_path, capsys, tmp_path / "bare.csv",
+                                            "--nu0", "5", "--k", "3")
+        assert code == 2
+        assert out == ""
+        assert "no '# config' header" in err
+
+    def test_untabulated_alpha_exits_2(self, tmp_path, capsys):
+        table = self._null_table(tmp_path, capsys)
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
+                                            "--alpha", "0.2")
+        assert code == 2
+        assert out == ""
+        assert "got 0.2" in err
+
     def test_missing_table_row_exits_2(self, tmp_path, capsys):
         config = {
             "schema_version": 1, "family": "student", "true_param": "inf",
@@ -283,6 +358,14 @@ class TestExperimentCommand:
         assert code == 2
         assert "n_grid repeats sample sizes 100" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        code, out, err = _run(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
+                                       "--out-dir", str(tmp_path / "o"), "--workers", workers])
+        assert code == 2
+        assert out == ""
+        assert f"workers must be >= 1 (None for all CPUs), got {workers}" in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
@@ -435,6 +518,28 @@ class TestShippedConfigs:
         for workload in workloads.WORKLOADS.values():
             for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
                 ExperimentConfig.from_dict(workload.config(seed, 0))
+
+
+class TestReadmeCommands:
+    def test_command_line_block_runs_as_written(self, tmp_path, capsys, monkeypatch):
+        # the README's command-line block, run line by line from a directory
+        # holding the config it names; it ends with a decision against a table
+        text = (_REPO / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        (tmp_path / "configs").mkdir()
+        shutil.copy(_REPO / "configs" / "smoke.json", tmp_path / "configs")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # at most 2 worker processes
+        for argv in commands:
+            assert argv[0] == "renyigof"
+            code, out, err = _run(capsys, argv[1:])
+            assert code == 0, (argv, err)
+        assert "--critical-table" in argv
+        record, *decisions = out.strip().splitlines()
+        assert json.loads(record)["n"] == 200
+        assert len(decisions) == 1
+        assert set(json.loads(decisions[0])) == {"alpha", "critical", "reject"}
 
 
 class TestBenchmarkTracer:

@@ -18,7 +18,7 @@ from renyigof.mc import (
     estimate_power,
     fit_convergence_rate,
     histogram_bins,
-    read_critical_values,
+    read_summary,
     result_to_json,
     run_experiment,
     summarize,
@@ -314,6 +314,11 @@ class TestRunExperiment:
         parallel = result_to_json(run_experiment(cfg, workers=2), include_replicates=True)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(DomainError, match=f"workers must be >= 1.*got {workers}"):
+            run_experiment(_config(replicates=4), workers=workers)
+
     def test_grid_extension_preserves_existing_streams(self):
         short = run_experiment(_config(n_grid=(100,), replicates=8))
         longer = run_experiment(_config(n_grid=(100, 300), replicates=8))
@@ -389,11 +394,23 @@ class TestOutputs:
         assert "# master_seed 42" in text
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == ",".join(mc.SUMMARY_COLUMNS)
-        crit = read_critical_values(path, 0.05)
-        assert set(crit) == {100, 200}
-        assert crit[100] == pytest.approx(
-            empirical_quantile(res.values_at(100), 0.05), rel=1e-15
-        )
+        config, critical = read_summary(path)
+        assert config == cfg
+        assert set(critical) == set(mc.ALPHA_COLUMNS)
+        for alpha, crit in critical.items():
+            assert crit == {n: empirical_quantile(res.values_at(n), alpha) for n in (100, 200)}
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda text: text.replace("# config ", "# settings "), "no '# config' header"),
+        (lambda text: text.replace("q01", "p01"), "not a summary table"),
+        (lambda text: text.replace(",100,", ",1e2,"), "unreadable summary row"),
+    ], ids=["no-config-header", "missing-column", "bad-row"])
+    def test_read_summary_rejects_malformed_tables(self, tmp_path, corrupt, message):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(run_experiment(_config(replicates=4)), path)
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(DomainError, match=message):
+            read_summary(path)
 
     def test_self_power_column_near_alpha(self, tmp_path):
         cfg = _config(replicates=200)
@@ -429,10 +446,6 @@ class TestOutputs:
         assert "values" not in doc["per_n"][0]
         doc_full = json.loads(result_to_json(res, include_replicates=True))
         assert len(doc_full["per_n"][0]["values"]) == 8
-
-    def test_read_critical_values_rejects_other_alpha(self, tmp_path):
-        with pytest.raises(DomainError):
-            read_critical_values(tmp_path / "nope.csv", 0.2)
 
 
 class TestScaleBehaviour:
