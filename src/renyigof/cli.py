@@ -197,9 +197,10 @@ def cmd_experiment(args) -> int:
         mc.check_null_run(power_reference, reference, config.to_dict())
         critical_by_n = critical[0.05]
 
+    workers = mc.worker_count(args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = mc.run_experiment(config, workers=args.workers)
+    result = mc.run_experiment(config, workers=workers)
 
     summary_path = out_dir / "summary.csv"
     mc.write_summary_csv(result, summary_path, critical_by_n=critical_by_n)

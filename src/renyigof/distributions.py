@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NotPositiveDefiniteError
 from .special import ln_beta, ln_gamma
@@ -47,6 +46,11 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_NOT_FINITE = "matrix entries must be finite"
+
+
+def _pivot_underflow(min_pivot_sq: float) -> str:
+    return f"Cholesky pivot underflow (min pivot {min_pivot_sq:.3e})"
 
 
 class Family(str, enum.Enum):
@@ -81,9 +85,12 @@ class SpdMatrix:
         a = np.atleast_2d(np.asarray(matrix, dtype=float))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
+        if a.shape == (1, 1):
+            self._factor_1x1(a)
+            return
         scale = np.abs(a).max()
         if not np.isfinite(scale):
-            raise DomainError("matrix entries must be finite")
+            raise DomainError(_NOT_FINITE)
         if np.abs(a - a.T).max() > 1e-12 * max(scale, 1e-300):
             raise DomainError("matrix is not symmetric within 1e-12 relative tolerance")
         sym = (a + a.T) / 2.0
@@ -95,13 +102,31 @@ class SpdMatrix:
             ) from None
         diag = np.diag(chol)
         if (diag * diag <= 1e-300).any():
-            raise NotPositiveDefiniteError(
-                f"Cholesky pivot underflow (min pivot {float((diag * diag).min()):.3e})"
-            )
+            raise NotPositiveDefiniteError(_pivot_underflow(float((diag * diag).min())))
         self.matrix = sym
         self.chol = chol
         self.dim = sym.shape[0]
         self.log_det = 2.0 * float(np.log(diag).sum())
+
+    def _factor_1x1(self, a: np.ndarray) -> None:
+        # the path above without LAPACK, bit for bit: the Cholesky factor
+        # of [[s]] is the correctly rounded sqrt(s), and LAPACK fails
+        # exactly when s <= 0; a 1x1 matrix is always symmetric
+        if not math.isfinite(a[0, 0]):
+            raise DomainError(_NOT_FINITE)
+        sym = (a + a) / 2.0
+        if not sym[0, 0] > 0:
+            raise NotPositiveDefiniteError(
+                "Cholesky factorisation failed: Matrix is not positive definite"
+            )
+        chol = np.sqrt(sym)
+        pivot = chol[0, 0]
+        if pivot * pivot <= 1e-300:
+            raise NotPositiveDefiniteError(_pivot_underflow(float(pivot * pivot)))
+        self.matrix = sym
+        self.chol = chol
+        self.dim = 1
+        self.log_det = 2.0 * float(np.log(pivot))
 
     @classmethod
     def identity(cls, m: int) -> "SpdMatrix":
@@ -118,6 +143,8 @@ class SpdMatrix:
 
         `delta` may be a single m-vector or an (n, m) batch.
         """
+        from scipy.linalg import solve_triangular  # loaded on first use
+
         d = np.asarray(delta, dtype=float)
         single = d.ndim == 1
         y = solve_triangular(self.chol, np.atleast_2d(d).T, lower=True)
@@ -261,6 +288,7 @@ def density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     return np.exp(log_density(spec, x))
 
 
+@functools.lru_cache(maxsize=256)
 def student_renyi_constant(m: int, nu: float, q: float) -> float:
     """Location-free part of the Student Renyi entropy:
     H_q(T_m(a, Sigma, nu)) = log|Sigma|/2 + this constant."""
@@ -276,6 +304,7 @@ def student_renyi_constant(m: int, nu: float, q: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def pearson2_renyi_constant(m: int, eta: float, q: float) -> float:
     """Location-free part of the Pearson II Renyi entropy:
     H_q(P_m(a, Sigma, eta)) = log|Sigma|/2 + this constant."""

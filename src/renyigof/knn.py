@@ -24,11 +24,11 @@ rounded sum, so an estimate does not depend on the order of the points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
@@ -149,6 +149,8 @@ def _brute_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
+    from scipy.spatial import cKDTree  # loaded on first use: m = 1 never needs it
+
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=k_max + 1)
     # column 0 is the query point itself; a second zero means a duplicate
@@ -179,32 +181,40 @@ def _tree_duplicates(tree, pts: np.ndarray, rows: np.ndarray, k: int) -> list[tu
 def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
     n = x.size
     order = np.argsort(x)
-    xs = x[order]
     # the k_max neighbours on either side in sorted order, padded with
     # +-inf past the ends, hold the k_max nearest: gaps grow outward
-    padded = np.concatenate((np.full(k_max, -np.inf), xs, np.full(k_max, np.inf)))
-    left, right = [], []
-    for i in range(k_max):
-        # square like the other kernels so over- and underflow agree too
-        for side, start in ((left, k_max - 1 - i), (right, k_max + 1 + i)):
-            d = padded[start:start + n] - xs
-            d *= d
-            side.append(d)
-    # left[i] and right[i], the squared gaps to the (i+1)-th neighbour on
-    # each side, never fall as i grows, so merging the two sorted lists
-    # gives the j-th smallest as min(L[j], R[j], max(L[i], R[j-1-i]), i < j)
-    d2 = np.empty((k_max, n))
-    for j, row in enumerate(d2):
-        np.minimum(left[j], right[j], out=row)
+    padded = np.empty(n + 2 * k_max)
+    padded[:k_max] = -np.inf
+    padded[n + k_max:] = np.inf
+    xs = np.take(x, order, out=padded[k_max:n + k_max])
+    # row s of `windows` is padded[s:s + n], a view
+    windows = np.ndarray((2 * k_max + 1, n), buffer=padded, strides=(padded.itemsize,) * 2)
+    # row i: the gaps to the (i+1)-th neighbour on the left, on the right;
+    # squared like the other kernels so over- and underflow agree too
+    left = windows[k_max - 1::-1] - xs
+    right = windows[k_max + 1:] - xs
+    left *= left
+    right *= right
+    # left[i] and right[i] never fall as i grows, so merging the two
+    # sorted lists gives the j-th smallest as
+    # min(L[j], R[j], max(L[i], R[j-1-i]), i < j); row j of `left` takes
+    # it, from the last row up, so each merge reads rows not yet replaced
+    pair = np.empty(n)
+    for j in range(k_max - 1, -1, -1):
+        row = left[j]
+        np.minimum(row, right[j], out=row)
         for i in range(j):
-            np.minimum(row, np.maximum(left[i], right[j - 1 - i]), out=row)
-    zero = d2[0] == 0.0
-    if zero.any():
+            np.minimum(row, np.maximum(left[i], right[j - 1 - i], out=pair), out=row)
+    if not left[0].all():  # a zero nearest gap: a duplicate
+        from scipy.spatial import cKDTree
+
         pts = x[:, None]
-        raise DuplicatePointsError(_tree_duplicates(cKDTree(pts), pts, order[zero], k_max + 1))
-    rho = np.empty((n, k_max))
-    rho[order] = np.sqrt(d2, out=d2).T
-    return rho
+        rows = order[left[0] == 0.0]
+        raise DuplicatePointsError(_tree_duplicates(cKDTree(pts), pts, rows, k_max + 1))
+    rho = np.empty((k_max, n))
+    for to, row in zip(rho, np.sqrt(left, out=left)):
+        to[order] = row  # a 1-d scatter per row is faster than one 2-d one
+    return rho.T
 
 
 # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
@@ -242,6 +252,13 @@ def _exact_sum(x: np.ndarray) -> float:
     return total if total != 0.0 else math.fsum(x)
 
 
+@functools.lru_cache(maxsize=256)
+def _log_g_const(n: int, dim: int, k: int, q: float) -> float:
+    # zeta_i = (N-1) C_k V_m rho_i^m;  (1-q) log C_k = lnG(k) - lnG(k+1-q)
+    log_const = (1.0 - q) * (math.log(n - 1) + math.log(unit_ball_volume(dim)))
+    return log_const + (ln_gamma(k) - ln_gamma(k + 1.0 - q))
+
+
 def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     if q == 1.0:
         raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
@@ -255,10 +272,7 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     rho = dists.rho[:, k - 1]
     if q > 1.0 and (rho == 0.0).any():
         raise DomainError("zero neighbour distance with q > 1 diverges")
-    # zeta_i = (N-1) C_k V_m rho_i^m;  (1-q) log C_k = lnG(k) - lnG(k+1-q)
-    log_const = (1.0 - q) * (math.log(n - 1) + math.log(unit_ball_volume(dim)))
-    log_const += ln_gamma(k) - ln_gamma(k + 1.0 - q)
-    s = (1.0 - q) * dim * np.log(rho) + log_const
+    s = (1.0 - q) * dim * np.log(rho) + _log_g_const(n, dim, k, q)
     # log-sum-exp with a correctly rounded sum: the same bits in any order
     s_max = float(s.max())
     return s_max + math.log(_exact_sum(np.exp(s - s_max))) - math.log(n)

@@ -44,6 +44,7 @@ __all__ = [
     "NResult",
     "McResult",
     "run_experiment",
+    "worker_count",
     "empirical_quantile",
     "estimate_power",
     "fit_convergence_rate",
@@ -234,6 +235,8 @@ class ExperimentConfig:
             problems.append(f"dim must be >= 1, got {self.dim}")
         if self.replicates < 2:
             problems.append(f"replicates must be >= 2, got {self.replicates}")
+        if not 0 <= self.master_seed < 2**64:
+            problems.append(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.k < 1:
             problems.append(f"k must be >= 1, got {self.k}")
         if not self.n_grid:
@@ -382,18 +385,25 @@ def _run_block(args) -> list:
     return out
 
 
+def worker_count(workers: int | None) -> int:
+    """The number of worker processes `workers` asks for: all CPUs for
+    None; a count below 1 raises DomainError."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {workers}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:
     """Run every replicate of the experiment, optionally in parallel.
 
-    `workers=None` uses all available CPUs; a count below 1 raises
-    DomainError.  Results are bit-identical for any worker count.
-    Raises ExperimentError if the fraction of failed replicates at any
-    sample size exceeds config.max_failure_rate.
+    `workers` counts as in :func:`worker_count`.  Results are
+    bit-identical for any worker count.  Raises ExperimentError if the
+    fraction of failed replicates at any sample size exceeds
+    config.max_failure_rate.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    elif workers < 1:
-        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {workers}")
+    workers = worker_count(workers)
     m_rep = config.replicates
     block = -(-m_rep // (4 * workers))
     tasks = []

@@ -24,26 +24,50 @@ from .errors import DomainError
 __all__ = ["RngStream", "Sample", "sample", "sample_uniform_sphere", "write_csv", "read_csv"]
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A 128-bit Philox key, handed to Philox as the seed sequence it reads.
+
+    Philox(key=k) first seeds a SeedSequence from OS entropy and then
+    ignores it; Philox(_PhiloxKey(k)) reads k itself, so its state and
+    draws are those of Philox(key=k), without that detour.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return self.key
+
+
 class RngStream:
     """An independent random stream identified by (seed, stream_id).
 
-    Reconstructing a stream with the same identifiers replays the same
-    byte sequence; distinct stream_ids share no state.  A stream is
-    single-owner: draws advance it, so pass each consumer its own.
+    Both identifiers are integers in [0, 2**64); anything else raises
+    DomainError.  Reconstructing a stream with the same identifiers
+    replays the same byte sequence; distinct stream_ids share no state.
+    A stream is single-owner: draws advance it, so pass each consumer
+    its own.
     """
 
     __slots__ = ("seed", "stream_id", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise DomainError(f"{name} must lie in [0, 2**64), got {value}")
         self._generator = None
 
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key))
+            self._generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
         return self._generator
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -3,6 +3,8 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +83,18 @@ class TestSampleCommand:
         assert code == 2
         assert out == ""
         assert message in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)),
+                                             ("--stream", "-1"), ("--stream", str(2**64))])
+    def test_seed_outside_uint64_exits_2(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "x.csv"
+        argv = ["sample", "--family", "gaussian", "--dim", "1", "--n", "10", "--seed", "1",
+                "-o", str(path), flag, value]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"must lie in [0, 2**64), got {value}" in err
         assert not path.exists()
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
@@ -366,6 +380,7 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert f"workers must be >= 1 (None for all CPUs), got {workers}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
@@ -553,3 +568,36 @@ class TestBenchmarkTracer:
             for module, attr in sites:
                 mod = importlib.import_module(f"renyigof.{module}")
                 assert callable(getattr(mod, attr, None)), (span, module, attr)
+
+
+class TestLazyImports:
+    def test_m1_run_loads_neither_kd_tree_nor_linalg(self, tmp_path):
+        # m = 1 uses neither the kd-tree nor scipy.linalg, and both load on
+        # first use; a stray top-level import would load them into every run
+        script = """
+import json, sys
+from renyigof.cli import main
+lazy = ("scipy.spatial", "scipy.linalg")
+loaded = {"import": [m for m in lazy if m in sys.modules]}
+for dim in (1, 3):
+    config = {"schema_version": 1, "family": "student", "true_param": 10.0,
+              "null_param": 10.0, "dim": dim, "n_grid": [40, 80], "k": 3,
+              "replicates": 4, "covariance_mode": "fresh"}
+    with open(f"m{dim}.json", "w") as fh:
+        json.dump(config, fh)
+    code = main(["experiment", f"m{dim}.json", "--out-dir", f"m{dim}", "--workers", "1"])
+    loaded[f"m{dim}"] = [code, [m for m in lazy if m in sys.modules]]
+print(json.dumps(loaded))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.splitlines()[-1])
+        assert loaded["import"] == []
+        assert loaded["m1"] == [0, []]
+        code, modules = loaded["m3"]
+        assert code == 0
+        assert "scipy.spatial" in modules

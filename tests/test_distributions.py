@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from renyigof.distributions import (
@@ -69,6 +71,49 @@ class TestSpdMatrix:
         scaled = spd.scaled(3.0)
         np.testing.assert_allclose(scaled.matrix, 3.0 * spd.matrix, rtol=1e-15)
         assert scaled.log_det == pytest.approx(spd.log_det + 2 * math.log(3.0), rel=1e-12)
+
+
+def _bits(spd) -> list:
+    """An SpdMatrix's matrix, factor and log-determinant, to the bit."""
+    return [(x.shape, x.tobytes()) for x in (spd.matrix, spd.chol)] + [float(spd.log_det).hex()]
+
+
+def _lapack_1x1(a: float):
+    """SpdMatrix's general path on [[a]], with LAPACK's Cholesky: the
+    _bits of what it builds, or the (type, message) it raises."""
+    m = np.array([[a]])
+    if not np.isfinite(m).all():
+        return DomainError, "matrix entries must be finite"
+    sym = (m + m.T) / 2.0
+    try:
+        chol = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        return NotPositiveDefiniteError, f"Cholesky factorisation failed: {exc}"
+    diag = np.diag(chol)
+    if (diag * diag <= 1e-300).any():
+        return (NotPositiveDefiniteError,
+                f"Cholesky pivot underflow (min pivot {float((diag * diag).min()):.3e})")
+    return [(x.shape, x.tobytes()) for x in (sym, chol)] + [(2.0 * float(np.log(diag).sum())).hex()]
+
+
+# the pivot-underflow edge, the largest a with finite (a + a)/2, and past it
+_SPD_EDGES = (1e-300, np.nextafter(1e-300, 0.0), np.nextafter(1e-300, 1.0), 1e-150,
+              2.0**1023 - 2.0**970, 2.0**1023, 1e308, np.finfo(float).max, 5e-324)
+
+
+class TestSpdMatrix1x1:
+    @settings(max_examples=500)
+    @given(st.floats() | st.floats(min_value=0.0, exclude_min=True)
+           | st.sampled_from(_SPD_EDGES + (0.0, -0.0, -1.0, np.nan, np.inf, -np.inf)))
+    def test_same_bits_as_lapack(self, a):
+        with np.errstate(over="ignore"):  # (a + a)/2 overflows from 2**1023 on
+            expected = _lapack_1x1(a)
+            for given_as in (a, [[a]], np.array([a])):
+                try:
+                    got = _bits(SpdMatrix(given_as))
+                except (DomainError, NotPositiveDefiniteError) as exc:
+                    got = type(exc), str(exc)
+                assert got == expected
 
 
 class TestSpecConstruction:

@@ -272,6 +272,17 @@ class TestConfig:
             with pytest.raises(ExperimentError, match="n_grid repeats sample sizes"):
                 build()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_uint64_rejected(self, seed):
+        # such seeds once wrapped: -1 ran the replicates of 2**64 - 1
+        for build in (lambda: _config(master_seed=seed),
+                      lambda: ExperimentConfig.from_dict(
+                          dict(_config().to_dict(), master_seed=seed))):
+            with pytest.raises(ExperimentError,
+                               match=rf"master_seed must lie in \[0, 2\*\*64\), got {seed}"):
+                build()
+        assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
     def test_integral_floats_accepted(self):
         data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
         assert ExperimentConfig.from_dict(data) == _config()

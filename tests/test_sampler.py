@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from renyigof.distributions import gaussian, pearson2, student
@@ -24,6 +26,48 @@ class TestRngStream:
         _ = sample(gaussian([0.0], [[1.0]]), 50, RngStream(1, 5))
         s9_after = sample(gaussian([0.0], [[1.0]]), 50, RngStream(1, 9))
         np.testing.assert_array_equal(s9_alone.points, s9_after.points)
+
+
+_UINT64 = st.integers(0, 2**64 - 1) | st.sampled_from((0, 1, 2**63, 2**64 - 1))
+
+
+def _same_state(a, b):
+    """Bit generator states equal entry for entry, arrays by dtype and value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestRngStreamKey:
+    @settings(max_examples=200)
+    @given(_UINT64, _UINT64)
+    def test_same_generator_as_keyed_philox(self, seed, stream_id):
+        ours = RngStream(seed, stream_id).generator
+        ref = np.random.Generator(
+            np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+        for draw in (lambda g: g.standard_normal(7), lambda g: g.chisquare(3.5, 7),
+                     lambda g: g.beta(0.5, 3.0, 7)):
+            np.testing.assert_array_equal(draw(ours), draw(ref))
+        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+    def test_streams_own_their_generators(self):
+        # interleaved draws from two live streams match each drawn alone
+        a, b = RngStream(3, 1), RngStream(3, 2)
+        mixed = [(a.generator.standard_normal(), b.generator.standard_normal())
+                 for _ in range(5)]
+        np.testing.assert_array_equal([x for x, _ in mixed],
+                                      RngStream(3, 1).generator.standard_normal(5))
+        np.testing.assert_array_equal([y for _, y in mixed],
+                                      RngStream(3, 2).generator.standard_normal(5))
+
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_identifiers_outside_uint64_rejected(self, seed, stream_id):
+        # they once wrapped: seed -1 drew what seed 2**64 - 1 draws
+        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
+            RngStream(seed, stream_id)
 
 
 class TestSphere:
