@@ -47,6 +47,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _NOT_FINITE = "matrix entries must be finite"
+_SYM_OVERFLOW = "matrix entries too large: (A + A')/2 is not finite"
+# a + b cannot overflow when neither exceeds this in magnitude
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _pivot_underflow(min_pivot_sq: float) -> str:
@@ -65,9 +68,10 @@ class SpdMatrix:
     """Symmetric positive definite matrix with a cached Cholesky factor.
 
     Input is symmetrised as (A + A')/2 before factorisation; sample
-    covariances carry rounding asymmetry.  Construction fails if the
-    input is visibly asymmetric, or if any Cholesky pivot is not
-    strictly positive (tiny pivots below 1e-300 are treated as zero).
+    covariances carry rounding asymmetry.  Construction fails if an
+    entry of the input or of (A + A')/2 is not finite, if the input is
+    visibly asymmetric, or if any Cholesky pivot is not strictly
+    positive (tiny pivots below 1e-300 are treated as zero).
 
     Attributes
     ----------
@@ -91,9 +95,13 @@ class SpdMatrix:
         scale = np.abs(a).max()
         if not np.isfinite(scale):
             raise DomainError(_NOT_FINITE)
-        if np.abs(a - a.T).max() > 1e-12 * max(scale, 1e-300):
+        with np.errstate(over="ignore"):  # entries past _HALF_MAX may give inf: see below
+            asymmetry = np.abs(a - a.T).max()
+            sym = (a + a.T) / 2.0
+        if asymmetry > 1e-12 * max(scale, 1e-300):
             raise DomainError("matrix is not symmetric within 1e-12 relative tolerance")
-        sym = (a + a.T) / 2.0
+        if scale > _HALF_MAX and not np.isfinite(sym).all():
+            raise DomainError(_SYM_OVERFLOW)
         try:
             chol = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError as exc:
@@ -114,6 +122,8 @@ class SpdMatrix:
         # exactly when s <= 0; a 1x1 matrix is always symmetric
         if not math.isfinite(a[0, 0]):
             raise DomainError(_NOT_FINITE)
+        if abs(a[0, 0]) > _HALF_MAX:
+            raise DomainError(_SYM_OVERFLOW)
         sym = (a + a) / 2.0
         if not sym[0, 0] > 0:
             raise NotPositiveDefiniteError(

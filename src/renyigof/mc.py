@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,7 +138,7 @@ def _boolean(value) -> bool:
 
 
 # config key -> parser of its value, run on every construction (tuples stand
-# for JSON lists, a Family for its string); the first seven are required
+# for JSON lists, a Family for its string)
 _CONFIG_FIELDS = {
     "family": Family,
     "true_param": parse_param,
@@ -153,18 +153,71 @@ _CONFIG_FIELDS = {
     "include_replicates": _boolean,
     "covariance_mode": str,
 }
-_REQUIRED_FIELDS = tuple(_CONFIG_FIELDS)[:7]
 
 
-def _parse_fields(values: dict) -> tuple[dict, list[str]]:
-    """Each config value through its parser: (parsed values, problems)."""
-    fields, problems = {}, []
+def _check(values: dict) -> tuple[dict, list[str]]:
+    """Each config value through its parser, then every rule whose fields
+    all parsed: (parsed values, problems)."""
+    parsed, problems = {}, []
     for key, value in values.items():
         try:
-            fields[key] = _CONFIG_FIELDS[key](value)
+            parsed[key] = _CONFIG_FIELDS[key](value)
         except ValueError as exc:
             problems.append(f"{key}: {exc}")
-    return fields, problems
+    return parsed, problems + _rule_problems(parsed)
+
+
+def _rule_problems(v: dict) -> list[str]:
+    """Every value and cross-field rule on the config values in `v`.  A
+    rule on a field that `v` lacks is skipped: it is never judged
+    against a stand-in value."""
+    problems: list[str] = []
+    family = v.get("family")
+    if "family" in v and family not in (Family.STUDENT, Family.PEARSON2):
+        problems.append(f"family must be student or pearson2, got {family}")
+    elif "family" in v:
+        tails = {}
+        for name in ("true_param", "null_param"):
+            if name in v:
+                try:
+                    tails[name] = tail_family(family, v[name])
+                except DomainError as exc:
+                    problems.append(f"{name}: {exc}")
+        if tails.get("null_param") is Family.PEARSON2 and "k" in v:
+            try:
+                check_pearson_k(v["k"], v["null_param"])
+            except DomainError as exc:
+                problems.append(str(exc))
+    for name, least in (("dim", 1), ("replicates", 2), ("k", 1)):
+        if name in v and v[name] < least:
+            problems.append(f"{name} must be >= {least}, got {v[name]}")
+    if "master_seed" in v and not 0 <= v["master_seed"] < 2**64:
+        problems.append(f"master_seed must lie in [0, 2**64), got {v['master_seed']}")
+    n_grid = v.get("n_grid", ())
+    if "n_grid" in v and not n_grid:
+        problems.append("n_grid must be non-empty")
+    repeated = sorted({n for n in n_grid if n_grid.count(n) > 1})
+    if repeated:
+        problems.append("n_grid repeats sample sizes " + ", ".join(map(str, repeated)))
+    for n in n_grid:
+        if "dim" in v and n < v["dim"] + 1:
+            problems.append(f"sample size {n} below m+1 = {v['dim'] + 1}")
+        if "k" in v and n < v["k"] + 1:
+            problems.append(f"sample size {n} too small for k = {v['k']}")
+    for a in v.get("alpha_levels", ()):
+        if not 0.0 < a < 1.0:
+            problems.append(f"alpha level {a} outside (0, 1)")
+    if "max_failure_rate" in v and not 0.0 <= v["max_failure_rate"] < 1.0:
+        problems.append(f"max_failure_rate {v['max_failure_rate']} outside [0, 1)")
+    if "covariance_mode" in v and v["covariance_mode"] not in ("same", "fresh"):
+        problems.append(
+            f"covariance_mode must be 'same' or 'fresh', got {v['covariance_mode']!r}"
+        )
+    return problems
+
+
+def _invalid(problems: list[str]) -> ExperimentError:
+    return ExperimentError("invalid experiment config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -202,79 +255,26 @@ class ExperimentConfig:
     covariance_mode: str = "same"
 
     def __post_init__(self) -> None:
-        problems = self._settle(vars(self))
+        parsed, problems = _check(vars(self))
         if problems:
-            raise ExperimentError("invalid experiment config: " + "; ".join(problems))
-
-    def _settle(self, values: dict) -> list[str]:
-        """Set each field of `values` through its parser; return the type
-        problems, or once every value parses, :meth:`validate`'s."""
-        fields, problems = _parse_fields(values)
-        for key, value in fields.items():
+            raise _invalid(problems)
+        for key, value in parsed.items():
             object.__setattr__(self, key, value)
-        return problems or self.validate()
 
     def validate(self) -> list[str]:
-        """Return every constraint violation (empty when valid)."""
-        problems: list[str] = []
-        if self.family not in (Family.STUDENT, Family.PEARSON2):
-            problems.append(f"family must be student or pearson2, got {self.family}")
-        else:
-            tails = {}
-            for name in ("true_param", "null_param"):
-                try:
-                    tails[name] = tail_family(self.family, getattr(self, name))
-                except DomainError as exc:
-                    problems.append(f"{name}: {exc}")
-            if tails.get("null_param") is Family.PEARSON2:
-                try:
-                    check_pearson_k(self.k, self.null_param)
-                except DomainError as exc:
-                    problems.append(str(exc))
-        if self.dim < 1:
-            problems.append(f"dim must be >= 1, got {self.dim}")
-        if self.replicates < 2:
-            problems.append(f"replicates must be >= 2, got {self.replicates}")
-        if not 0 <= self.master_seed < 2**64:
-            problems.append(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        if self.k < 1:
-            problems.append(f"k must be >= 1, got {self.k}")
-        if not self.n_grid:
-            problems.append("n_grid must be non-empty")
-        repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
-        if repeated:
-            problems.append("n_grid repeats sample sizes " + ", ".join(map(str, repeated)))
-        for n in self.n_grid:
-            if n < self.dim + 1:
-                problems.append(f"sample size {n} below m+1 = {self.dim + 1}")
-            if n < self.k + 1:
-                problems.append(f"sample size {n} too small for k = {self.k}")
-        for a in self.alpha_levels:
-            if not 0.0 < a < 1.0:
-                problems.append(f"alpha level {a} outside (0, 1)")
-        if not 0.0 <= self.max_failure_rate < 1.0:
-            problems.append(f"max_failure_rate {self.max_failure_rate} outside [0, 1)")
-        if self.covariance_mode not in ("same", "fresh"):
-            problems.append(
-                f"covariance_mode must be 'same' or 'fresh', got {self.covariance_mode!r}"
-            )
-        return problems
+        """Return every constraint violation (empty when valid): the
+        value and cross-field rules, run on the fields as they are set."""
+        return _rule_problems(vars(self))
 
     def to_dict(self) -> dict:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
+            **vars(self),
             "family": self.family.value,
             "true_param": _param_str(self.true_param),
             "null_param": _param_str(self.null_param),
-            "dim": self.dim,
             "n_grid": list(self.n_grid),
-            "k": self.k,
-            "replicates": self.replicates,
             "alpha_levels": list(self.alpha_levels),
-            "master_seed": self.master_seed,
-            "max_failure_rate": self.max_failure_rate,
-            "include_replicates": self.include_replicates,
-            "covariance_mode": self.covariance_mode,
         }
 
     @classmethod
@@ -282,10 +282,9 @@ class ExperimentConfig:
         """Build a config from its JSON form without coercing anything.
 
         Unknown or missing keys, a wrong `schema_version`, values of the
-        wrong type (1.7 for an integer, "false" for a boolean) and, when
-        no field is missing and every value parses, the violations
-        :meth:`validate` finds are collected and raised together as one
-        ExperimentError.
+        wrong type (1.7 for an integer, "false" for a boolean) and every
+        rule violation among the values that parse are collected and
+        raised together as one ExperimentError.
         """
         if not isinstance(data, dict):
             raise ExperimentError("config must be a JSON object")
@@ -295,19 +294,16 @@ class ExperimentConfig:
             problems.append(
                 f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
             )
-        missing = [key for key in _REQUIRED_FIELDS if key not in data]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             problems.append("config missing required fields: " + ", ".join(missing))
         unknown = [key for key in data if key not in _CONFIG_FIELDS and key != "schema_version"]
         if unknown:
             problems.append("unknown config fields: " + ", ".join(map(repr, unknown)))
         given = {key: data[key] for key in _CONFIG_FIELDS if key in data}
+        problems += _check(given)[1]
         if problems:
-            if missing:  # validate() needs every required field
-                problems += _parse_fields(given)[1]
-            else:
-                problems += cls.__new__(cls)._settle(given)
-            raise ExperimentError("invalid experiment config: " + "; ".join(problems))
+            raise _invalid(problems)
         return cls(**given)
 
     def canonical_json(self) -> str:
@@ -401,7 +397,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     `workers` counts as in :func:`worker_count`.  Results are
     bit-identical for any worker count.  Raises ExperimentError if the
     fraction of failed replicates at any sample size exceeds
-    config.max_failure_rate.
+    config.max_failure_rate, or leaves fewer than 2 valid replicates.
     """
     workers = worker_count(workers)
     m_rep = config.replicates
@@ -427,10 +423,11 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     for n in config.n_grid:
         values = tuple(v for v, _ in collected[n])
         failures = tuple((j, err) for j, (_, err) in enumerate(collected[n]) if err is not None)
-        if len(failures) > config.max_failure_rate * m_rep:
+        # the summaries need at least 2 values, whatever the budget allows
+        if len(failures) > config.max_failure_rate * m_rep or m_rep - len(failures) < 2:
             raise ExperimentError(
-                f"{len(failures)}/{m_rep} replicates failed at N={n}; "
-                f"first failure: {failures[0][1]}"
+                f"{len(failures)}/{m_rep} replicates failed at N={n} (allowed: a share of "
+                f"{config.max_failure_rate}, leaving at least 2); first failure: {failures[0][1]}"
             )
         per_n.append(NResult(n=n, values=values, failures=failures))
     return McResult(config=config, per_n=tuple(per_n))

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from renyigof import mc
 from renyigof.cli import load_config, main
 from renyigof.distributions import gaussian
+from renyigof.errors import DomainError
 from renyigof.knn import renyi_estimate
 from renyigof.mc import ExperimentConfig
 from renyigof.sampler import RngStream, read_csv, sample, write_csv
@@ -75,6 +77,9 @@ class TestSampleCommand:
         (["--dim", "-1"], "--dim must be >= 1, got -1"),
         (["--dim", "1", "--loc", "abc"], "--loc takes numbers, got 'abc'"),
         (["--dim", "2", "--scale", "1,0;0,x"], "--scale takes numbers, got '0,x'"),
+        (["--dim", "2", "--loc", "1,2,3"], "--loc needs 2 comma-separated values, got 3"),
+        (["--dim", "2", "--scale", "1,0;0"], "--scale needs an 2x2 matrix"),
+        (["--dim", "2", "--scale", "1,0"], "--scale needs an 2x2 matrix"),
     ])
     def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
         path = tmp_path / "x.csv"
@@ -84,6 +89,15 @@ class TestSampleCommand:
         assert out == ""
         assert message in err
         assert not path.exists()
+
+    def test_location_and_scale_applied(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        code, _, _ = _run(capsys, ["sample", "--family", "gaussian", "--dim", "2", "--n", "20",
+                                   "--seed", "3", "--loc", "1,-2", "--scale", "2,0.5;0.5,1",
+                                   "-o", str(path)])
+        assert code == 0
+        expected = sample(gaussian([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]), 20, RngStream(3))
+        np.testing.assert_array_equal(read_csv(path).points, expected.points)
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)),
                                              ("--stream", "-1"), ("--stream", str(2**64))])
@@ -386,6 +400,36 @@ class TestExperimentCommand:
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
                                    "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    def test_invalid_json_exits_2(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text('{"schema_version": 1,')
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert out == ""
+        assert "config is not valid JSON" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_fewer_than_two_valid_replicates_exits_2(self, tmp_path, capsys, monkeypatch):
+        original = mc._replicate_value
+
+        def flaky(config, n, j):
+            if j == 1:
+                raise DomainError("synthetic failure")
+            return original(config, n, j)
+
+        monkeypatch.setattr(mc, "_replicate_value", flaky)
+        config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 2, "max_failure_rate": 0.5,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(tmp_path / "o"), "--workers", "1"])
+        assert code == 2
+        assert out == ""
+        assert "1/2 replicates failed at N=50" in err
 
     def test_power_reference_fills_power_column(self, tmp_path, capsys):
         null_config = {

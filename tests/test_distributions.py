@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ class TestSpdMatrix:
         with pytest.raises(NotPositiveDefiniteError):
             SpdMatrix([[1e-320, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("mat, message", [
+        ([[1e308]], "(A + A')/2 is not finite"),
+        ([[1e308, 0.0], [0.0, 1.0]], "(A + A')/2 is not finite"),
+        ([[1.0, 1e308], [1e308, 1.0]], "(A + A')/2 is not finite"),
+        ([[1.0, 1e308], [-1e308, 1.0]], "not symmetric"),
+    ])
+    def test_rejects_overflowing_symmetrisation(self, mat, message):
+        # once these built an infinite matrix, factor and log-determinant
+        with pytest.raises(DomainError, match=re.escape(message)):
+            SpdMatrix(mat)
+
     def test_scalar_input_is_1x1(self):
         spd = SpdMatrix(4.0)
         assert spd.dim == 1
@@ -85,6 +97,8 @@ def _lapack_1x1(a: float):
     if not np.isfinite(m).all():
         return DomainError, "matrix entries must be finite"
     sym = (m + m.T) / 2.0
+    if not np.isfinite(sym).all():
+        return DomainError, "matrix entries too large: (A + A')/2 is not finite"
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:

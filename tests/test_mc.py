@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,40 @@ class TestConfig:
                          "replicates must be >= 2", "n_grid repeats sample sizes 100"):
             assert fragment in message
 
+    def test_every_problem_in_one_round(self):
+        # a missing field, a wrong type and out-of-range values in one config:
+        # each is reported, and no rule runs on a field that did not parse
+        values = dict(family=Family.STUDENT, true_param=5.0, null_param=1.0, dim=1.7,
+                      n_grid=(1, 1), k=3, replicates=1)
+        data = {"schema_version": 1, "family": "student", "true_param": 5.0, "null_param": 1.0,
+                "dim": 1.7, "n_grid": [1, 1], "replicates": 1}
+        found = ("dim: must be an integer, got 1.7", "null_param: Student requires nu > 2",
+                 "replicates must be >= 2, got 1", "n_grid repeats sample sizes 1")
+        for build, also, never in (
+            (lambda: ExperimentConfig.from_dict(data),
+             ("config missing required fields: k",), ("too small for k", "below m+1")),
+            (lambda: ExperimentConfig(**values),
+             ("sample size 1 too small for k = 3",), ("below m+1",)),
+        ):
+            with pytest.raises(ExperimentError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            for fragment in found + also:
+                assert fragment in message
+            for fragment in never:
+                assert fragment not in message
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(n_grid=()), "n_grid must be non-empty"),
+        (dict(dim=3, k=1, n_grid=(3, 100)), "sample size 3 below m+1 = 4"),
+        (dict(k=5, n_grid=(5, 100)), "sample size 5 too small for k = 5"),
+    ])
+    def test_sample_size_rules(self, overrides, message):
+        for build in (lambda: _config(**overrides),
+                      lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **overrides))):
+            with pytest.raises(ExperimentError, match=re.escape(message)):
+                build()
+
     def test_repeated_sample_size_rejected(self):
         for build in (lambda: _config(n_grid=(100, 200, 100, 100)),
                       lambda: ExperimentConfig.from_dict(
@@ -384,6 +419,10 @@ class TestRunExperiment:
             assert entry.failures == ((3, "DomainError: synthetic failure"),)
             assert entry.values[3] is None
             assert len(entry.valid_values) == 199
+        for item in json.loads(result_to_json(res, include_replicates=True))["per_n"]:
+            assert item["failed"] == 1
+            assert item["failures"] == [{"replicate": 3, "error": "DomainError: synthetic failure"}]
+            assert item["values"][3] is None
 
     def test_failure_budget_enforced(self, monkeypatch):
         def broken(config, n, j):
@@ -392,6 +431,20 @@ class TestRunExperiment:
         monkeypatch.setattr(mc, "_replicate_value", broken)
         with pytest.raises(ExperimentError, match="failed"):
             run_experiment(_config(replicates=10), workers=1)
+
+
+    def test_fewer_than_two_valid_replicates_rejected(self, monkeypatch):
+        # within the failure budget, but the summaries need two values
+        original = mc._replicate_value
+
+        def flaky(config, n, j):
+            if j == 1:
+                raise DomainError("synthetic failure")
+            return original(config, n, j)
+
+        monkeypatch.setattr(mc, "_replicate_value", flaky)
+        with pytest.raises(ExperimentError, match=r"1/2 replicates failed at N=100 .*least 2"):
+            run_experiment(_config(replicates=2, max_failure_rate=0.5), workers=1)
 
 
 class TestOutputs:
@@ -415,7 +468,8 @@ class TestOutputs:
         (lambda text: text.replace("# config ", "# settings "), "no '# config' header"),
         (lambda text: text.replace("q01", "p01"), "not a summary table"),
         (lambda text: text.replace(",100,", ",1e2,"), "unreadable summary row"),
-    ], ids=["no-config-header", "missing-column", "bad-row"])
+        (lambda text: text.replace("# config {", "# config {{"), "unreadable config header"),
+    ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header"])
     def test_read_summary_rejects_malformed_tables(self, tmp_path, corrupt, message):
         path = tmp_path / "summary.csv"
         write_summary_csv(run_experiment(_config(replicates=4)), path)
