@@ -197,11 +197,11 @@ def cmd_experiment(args) -> int:
         mc.check_null_run(power_reference, reference, config.to_dict())
         critical_by_n = critical[0.05]
 
-    workers = mc.worker_count(args.workers)
+    result = mc.run_experiment(config, workers=args.workers)
+
+    # created only now, so a run that fails leaves no empty directory
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = mc.run_experiment(config, workers=workers)
-
     summary_path = out_dir / "summary.csv"
     mc.write_summary_csv(result, summary_path, critical_by_n=critical_by_n)
     written = [str(summary_path)]

@@ -410,6 +410,9 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     if workers <= 1:
         outputs = [_run_block(task) for task in tasks]
     else:
+        if config.dim > 1:
+            # the kd-tree's import, paid once here rather than in every forked worker
+            import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_block, tasks))
 

@@ -2,31 +2,192 @@
 
 Everything downstream works in log space and exponentiates at the last
 step, so only logarithmic forms are exposed here.
+
+`ln_gamma` and `digamma` are pure-Python ports of the float64 algorithms
+behind `scipy.special.gammaln` and `scipy.special.psi` (scipy 1.17), so
+that importing this package loads no scipy module:
+
+- `ln_gamma` is Cephes `lgam` (S. L. Moshier, Cephes Math Library
+  `gamma.c`): a recurrence into [2, 3) and a rational fit below 13,
+  Stirling's series with a five-term correction below 1000, a three-term
+  correction below 1e8 and none above.
+- `digamma` is Cephes `psi` as revised in scipy: a harmonic sum for the
+  integers up to 10, a recurrence into [1, 2] with the rational fit of
+  Boost.Math's `digamma_imp_1_2` (J. Maddock, 2006), and the asymptotic
+  series `psi_asy` above.
+
+Each port keeps the original's order of float operations (Horner through
+`_polevl`/`_p1evl`, the same loops and the same constants), so its
+results equal scipy's bit for bit. That rests on Python's `math.log`
+and scipy's `std::log` being the same platform libm `log`;
+`tests/test_special.py` checks the equality against scipy on each
+machine it runs on.
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import special as _special
+import operator
 
 from .errors import DomainError
 
 __all__ = ["ln_gamma", "digamma", "ln_beta", "unit_ball_volume"]
 
 
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule, highest degree first (Cephes `polevl`)."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """`_polevl` with an implicit leading coefficient 1 (Cephes `p1evl`)."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+# Cephes lgam: Stirling correction (A), rational fit on [2, 3) (B / C).
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+
+# Cephes psi: asymptotic series (A) and the Euler-Mascheroni constant.
+_PSI_A = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+_EULER = 0.577215664901532860606512090082402431
+
+# Boost digamma_imp_1_2: digamma(x) = (x - root) * (Y + P(x-1) / Q(x-1)).
+_DIG_Y = 0.99558162689208984375  # the float constant 0.99558162689208984f
+_DIG_ROOT1 = 1569415565.0 / 1073741824.0
+_DIG_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
+_DIG_ROOT3 = 0.9016312093258695918615325266959189453125e-19
+_DIG_P = (
+    -0.0020713321167745952,
+    -0.045251321448739056,
+    -0.28919126444774784,
+    -0.65031853770896507,
+    -0.32555031186804491,
+    0.25479851061131551,
+)
+_DIG_Q = (
+    -0.55789841321675513e-6,
+    0.0021284987017821144,
+    0.054151797245674225,
+    0.43593529692665969,
+    1.4606242909763515,
+    2.0767117023730469,
+    1.0,
+)
+
+
+def _positive(name: str, x: float) -> float:
+    x = float(x)
+    if not x > 0:
+        raise DomainError(f"{name} requires x > 0, got {x}")
+    return x
+
+
 def ln_gamma(x: float) -> float:
     """Natural logarithm of the gamma function, for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(_special.gammaln(x))
+    x = _positive("ln_gamma", x)
+    if x == math.inf:
+        return x
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        p = x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+        return math.log(z) + p
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    else:
+        q += _polevl(p, _LGAM_A) / x
+    return q
 
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of the gamma function, for x > 0."""
-    if not x > 0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
-    return float(_special.psi(x))
+    x = _positive("digamma", x)
+    if x == math.inf:
+        return x
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if 1.0 <= x <= 2.0:
+        g = x - _DIG_ROOT1
+        g -= _DIG_ROOT2
+        g -= _DIG_ROOT3
+        r = _polevl(x - 1.0, _DIG_P) / _polevl(x - 1.0, _DIG_Q)
+        return y + (g * _DIG_Y + g * r)
+    if x < 1.0e17:
+        z = 1.0 / (x * x)
+        s = z * _polevl(z, _PSI_A)
+    else:
+        s = 0.0
+    return y + (math.log(x) - (0.5 / x) - s)
 
 
 def ln_beta(a: float, b: float) -> float:
@@ -38,6 +199,12 @@ def ln_beta(a: float, b: float) -> float:
 
 def unit_ball_volume(m: int) -> float:
     """Volume pi^(m/2) / Gamma(m/2 + 1) of the unit ball in m dimensions."""
-    if not (isinstance(m, (int,)) and m >= 1):
+    dim = 0  # any integral type (operator.index); bool is rejected, as in configs
+    if not isinstance(m, bool):
+        try:
+            dim = operator.index(m)
+        except TypeError:
+            pass
+    if dim < 1:
         raise DomainError(f"dimension must be an integer >= 1, got {m!r}")
-    return math.exp(0.5 * m * math.log(math.pi) - ln_gamma(0.5 * m + 1.0))
+    return math.exp(0.5 * dim * math.log(math.pi) - ln_gamma(0.5 * dim + 1.0))

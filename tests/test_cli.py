@@ -430,6 +430,30 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert "1/2 replicates failed at N=50" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failure_budget_exceeded_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        original = mc._replicate_value
+
+        def flaky(config, n, j):
+            if j == 1:
+                raise DomainError("synthetic failure")
+            return original(config, n, j)
+
+        monkeypatch.setattr(mc, "_replicate_value", flaky)
+        config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 4, "max_failure_rate": 0.0,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out_dir = tmp_path / "nested" / "o"
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(out_dir), "--workers", "1"])
+        assert code == 2
+        assert out == ""
+        assert "1/4 replicates failed at N=50" in err
+        assert not (tmp_path / "nested").exists()
 
     def test_power_reference_fills_power_column(self, tmp_path, capsys):
         null_config = {
@@ -614,34 +638,70 @@ class TestBenchmarkTracer:
                 assert callable(getattr(mod, attr, None)), (span, module, attr)
 
 
-class TestLazyImports:
-    def test_m1_run_loads_neither_kd_tree_nor_linalg(self, tmp_path):
-        # m = 1 uses neither the kd-tree nor scipy.linalg, and both load on
-        # first use; a stray top-level import would load them into every run
-        script = """
+_LAZY_PRELUDE = """
 import json, sys
 from renyigof.cli import main
-lazy = ("scipy.spatial", "scipy.linalg")
-loaded = {"import": [m for m in lazy if m in sys.modules]}
-for dim in (1, 3):
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def experiment(dim, workers):
     config = {"schema_version": 1, "family": "student", "true_param": 10.0,
               "null_param": 10.0, "dim": dim, "n_grid": [40, 80], "k": 3,
               "replicates": 4, "covariance_mode": "fresh"}
     with open(f"m{dim}.json", "w") as fh:
         json.dump(config, fh)
-    code = main(["experiment", f"m{dim}.json", "--out-dir", f"m{dim}", "--workers", "1"])
-    loaded[f"m{dim}"] = [code, [m for m in lazy if m in sys.modules]]
-print(json.dumps(loaded))
+    return main(["experiment", f"m{dim}.json", "--out-dir", f"m{dim}-{workers}",
+                 "--workers", workers])
 """
+
+
+class TestLazyImports:
+    @staticmethod
+    def _run_script(tmp_path, script):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", _LAZY_PRELUDE + script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        loaded = json.loads(done.stdout.splitlines()[-1])
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_m1_run_loads_neither_kd_tree_nor_linalg(self, tmp_path):
+        # m = 1 needs no scipy module at all: ln_gamma and digamma are pure
+        # Python, and the kd-tree and scipy.linalg load on first use; a stray
+        # top-level import would load scipy into every run
+        loaded = self._run_script(tmp_path, """
+loaded = {"import": scipy_modules()}
+codes = [
+    main(["sample", "--family", "student", "--nu", "10", "--dim", "1", "--n", "60",
+          "--seed", "1", "-o", "s.csv"]),
+    main(["entropy", "s.csv", "--k", "3", "--q", "0.8"]),
+    main(["entropy", "s.csv", "--k", "3", "--q", "1"]),
+    main(["test", "s.csv", "--family", "student", "--nu0", "10", "--k", "3"]),
+    main(["test", "s.csv", "--family", "pearson2", "--eta0", "inf", "--k", "3"]),
+]
+loaded["commands"] = [codes, scipy_modules()]
+for dim in (1, 3):
+    code = experiment(dim, "1")
+    loaded[f"m{dim}"] = [code, scipy_modules()]
+print(json.dumps(loaded))
+""")
         assert loaded["import"] == []
+        assert loaded["commands"] == [[0] * 5, []]
         assert loaded["m1"] == [0, []]
         code, modules = loaded["m3"]
         assert code == 0
         assert "scipy.spatial" in modules
+
+    def test_pooled_run_imports_kd_tree_once_before_the_fork(self, tmp_path):
+        # with 2 workers the parent builds no tree itself, so scipy.spatial is
+        # in its modules only if it was imported once for all the workers
+        loaded = self._run_script(tmp_path, """
+loaded = {}
+for dim in (1, 3):
+    code = experiment(dim, "2")
+    loaded[f"m{dim}"] = [code, "scipy.spatial" in sys.modules]
+print(json.dumps(loaded))
+""")
+        assert loaded == {"m1": [0, False], "m3": [0, True]}

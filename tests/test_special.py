@@ -1,13 +1,87 @@
 import math
+import struct
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special as scipy_special
 
 from renyigof.errors import DomainError
 from renyigof.special import digamma, ln_beta, ln_gamma, unit_ball_volume
 
 mpmath.mp.dps = 40
+
+# the branch edges of both ports (Cephes lgam: 2, 3, 13, 1000, 1e8, the
+# overflow bound; Cephes psi: the integers up to 10, [1, 2], 1e17), the
+# smallest and largest doubles, and each one's neighbours
+_EDGES = sorted({
+    y
+    for x in (5e-324, 1.0, 2.0, 3.0, 10.0, 13.0, 1000.0, 1e8, 1e17, 2.556348e305,
+              sys.float_info.max, *map(float, range(1, 11)))
+    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+    if 0.0 < y < math.inf
+})
+
+# positive finite doubles, uniform over the bit patterns (so over the
+# exponent range) or as hypothesis draws them
+_POSITIVE = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
+    lambda b: struct.unpack("<d", struct.pack("<q", b))[0]
+) | st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+def _same(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+@pytest.mark.parametrize("x", _EDGES)
+def test_ports_match_scipy_at_branch_edges(x):
+    assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
+    assert _same(digamma(x), float(scipy_special.psi(x)))
+
+
+@settings(max_examples=1000)
+@given(_POSITIVE)
+@example(math.nextafter(13.0, 0.0))
+def test_ln_gamma_is_scipy_gammaln_bit_for_bit(x):
+    assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
+
+
+@settings(max_examples=1000)
+@given(_POSITIVE | st.floats(min_value=0.0, max_value=20.0, exclude_min=True))
+@example(math.nextafter(13.0, 0.0))
+def test_digamma_is_scipy_psi_bit_for_bit(x):
+    assert _same(digamma(x), float(scipy_special.psi(x)))
+
+
+def test_ports_match_scipy_on_a_seeded_sweep(rng):
+    # many more arguments than the properties draw, compared in one array
+    # pass: uniform over the bit patterns and uniform on (0, 20)
+    bits = rng.integers(1, 0x7FF0000000000000, 40_000, dtype=np.int64).view(np.float64)
+    xs = np.concatenate([bits, rng.uniform(0.0, 20.0, 40_000)])
+    xs = xs[xs > 0.0]
+    ours = np.array([(ln_gamma(x), digamma(x)) for x in xs.tolist()])
+    assert ours[:, 0].tobytes() == scipy_special.gammaln(xs).tobytes()
+    assert ours[:, 1].tobytes() == scipy_special.psi(xs).tobytes()
+
+
+def test_float32_arguments_are_computed_in_double():
+    # a float32 argument is converted first, so no float32 loop runs
+    assert ln_gamma(np.float32(2.5)) == ln_gamma(2.5) == 0.2846828704729192
+    assert digamma(np.float32(2.5)) == digamma(2.5)
+    assert type(ln_gamma(np.float32(2.5))) is float
+    assert ln_gamma(np.int64(4)) == ln_gamma(4.0)
+
+
+def test_infinity_and_nan():
+    assert ln_gamma(math.inf) == math.inf
+    assert digamma(math.inf) == math.inf
+    with pytest.raises(DomainError):
+        ln_gamma(math.nan)
+    with pytest.raises(DomainError):
+        digamma(np.float64("nan"))
 
 
 def test_ln_gamma_examples():
@@ -60,6 +134,8 @@ def test_digamma_matches_central_difference():
 def test_digamma_domain():
     with pytest.raises(DomainError):
         digamma(0.0)
+    with pytest.raises(DomainError):
+        digamma(-2.5)
 
 
 def test_ln_beta_examples():
@@ -97,3 +173,12 @@ def test_unit_ball_volume_domain():
         unit_ball_volume(0)
     with pytest.raises(DomainError):
         unit_ball_volume(2.5)
+
+
+def test_unit_ball_volume_integral_types():
+    # any integral type is a dimension; bool is not, as in the config parser
+    assert unit_ball_volume(np.int64(3)) == unit_ball_volume(3)
+    assert unit_ball_volume(np.int32(1)) == unit_ball_volume(1)
+    for m in (True, False, np.float64(3.0), 3.0):
+        with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
+            unit_ball_volume(m)
