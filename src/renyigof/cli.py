@@ -189,6 +189,16 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     return config, path.parent / power_reference
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise CliError unless `out_dir` can be created as (or already is) a
+    directory: it, and its nearest existing ancestor, must be directories."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise CliError(f"--out-dir {out_dir}: {path} is not a directory")
+            return
+
+
 def cmd_experiment(args) -> int:
     config, power_reference = load_config(Path(args.config))
     critical_by_n = None
@@ -196,11 +206,12 @@ def cmd_experiment(args) -> int:
         reference, critical = mc.read_summary(power_reference)
         mc.check_null_run(power_reference, reference, config.to_dict())
         critical_by_n = critical[0.05]
+    out_dir = Path(args.out_dir)
+    _check_out_dir(out_dir)  # before the run, which an unusable path would waste
 
     result = mc.run_experiment(config, workers=args.workers)
 
     # created only now, so a run that fails leaves no empty directory
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.csv"
     mc.write_summary_csv(result, summary_path, critical_by_n=critical_by_n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -173,12 +173,17 @@ class DistributionSpec:
     shape exponent for Pearson II, and None for the Gaussian.  Infinite
     Student/Pearson parameters are canonicalised to the Gaussian by the
     factory functions; use those rather than this constructor.
+
+    `unit_scale`, set at construction, is true when the Cholesky factor
+    of `scale` is exactly the identity and no entry of `location` is
+    -0.0; :func:`sampler.sample` then skips its matmul (see there).
     """
 
     family: Family
     location: np.ndarray
     scale: SpdMatrix
     param: float | None = None
+    unit_scale: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         loc = np.asarray(self.location, dtype=float).reshape(-1)
@@ -189,6 +194,8 @@ class DistributionSpec:
         if not np.isfinite(loc).all():
             raise DomainError("location must be finite")
         object.__setattr__(self, "location", loc)
+        unit = np.array_equal(self.scale.chol, np.eye(loc.shape[0]))
+        object.__setattr__(self, "unit_scale", unit and not np.signbit(loc[loc == 0.0]).any())
 
     @property
     def dim(self) -> int:

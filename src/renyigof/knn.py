@@ -20,6 +20,10 @@ underflows to zero is a duplicate in all three.
 
 The estimators reduce N terms with :func:`_exact_sum`, a correctly
 rounded sum, so an estimate does not depend on the order of the points.
+They read one column of distances through :meth:`KnnDistances.column`,
+which promises no row order, and never ask for point order: the sorted
+kernel returns its rows in ascending-x order, and only
+:attr:`KnnDistances.rho` puts them back in point order, on first access.
 """
 
 from __future__ import annotations
@@ -46,24 +50,59 @@ __all__ = [
 _BRUTE_BLOCK = 256
 
 
-@dataclass(frozen=True, eq=False)
 class KnnDistances:
-    """Matrix rho of exact neighbour distances.
+    """Exact neighbour distances, read as the matrix rho or by column.
 
     rho[i, j-1] is the Euclidean distance from point i to its j-th
     nearest neighbour among the other N-1 points, so rows are
     non-decreasing left to right.
+
+    The sorted kernel (m = 1) keeps its result in ascending-x order:
+    `rho` puts it back in point order on first access (an argsort and
+    one scatter per column) and caches it, reading the sample's points,
+    which must not have changed since.  :meth:`column` promises no row
+    order and costs nothing; the estimators reduce it with order-free
+    sums and never ask for point order.
     """
 
-    rho: np.ndarray
+    __slots__ = ("_columns", "_x", "_rho")
+
+    def __init__(self, rho: np.ndarray) -> None:
+        self._columns = rho.T
+        self._x = None
+        self._rho = rho
+
+    @classmethod
+    def _in_sorted_order(cls, columns: np.ndarray, x: np.ndarray) -> "KnnDistances":
+        # columns[j-1, s]: the distance from the s-th smallest of the
+        # (distinct) x to its j-th nearest neighbour
+        dists = cls(columns.T)
+        dists._x = x
+        dists._rho = None
+        return dists
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            order = np.argsort(self._x)
+            rho = np.empty_like(self._columns)
+            for to, row in zip(rho, self._columns):
+                to[order] = row  # a 1-d scatter per row is faster than one 2-d one
+            self._rho = rho.T
+        return self._rho
+
+    def column(self, k: int) -> np.ndarray:
+        """The distance of every point to its k-th nearest neighbour, in
+        no promised order (point order, or ascending x)."""
+        return self._columns[k - 1]
 
     @property
     def n(self) -> int:
-        return self.rho.shape[0]
+        return self._columns.shape[1]
 
     @property
     def k_max(self) -> int:
-        return self.rho.shape[1]
+        return self._columns.shape[0]
 
 
 @dataclass(frozen=True)
@@ -106,8 +145,9 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     if method == "sorted":
         if sample.dim != 1:
             raise DomainError(f"the sorted kernel needs m = 1, got m = {sample.dim}")
-        rho = _sorted_kernel(pts[:, 0], k_max)
-    elif method == "tree":
+        x = pts[:, 0]
+        return KnnDistances._in_sorted_order(_sorted_kernel(x, k_max), x)
+    if method == "tree":
         rho = _tree_kernel(pts, k_max)
     elif method == "brute":
         rho = _brute_kernel(pts, k_max)
@@ -179,14 +219,18 @@ def _tree_duplicates(tree, pts: np.ndarray, rows: np.ndarray, k: int) -> list[tu
 
 
 def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
+    # row j-1 of the result holds the j-th neighbour distances in
+    # ascending-x order; the estimators' sums do not depend on order, so
+    # no argsort or scatter back to point order happens here
     n = x.size
-    order = np.argsort(x)
     # the k_max neighbours on either side in sorted order, padded with
     # +-inf past the ends, hold the k_max nearest: gaps grow outward
     padded = np.empty(n + 2 * k_max)
     padded[:k_max] = -np.inf
     padded[n + k_max:] = np.inf
-    xs = np.take(x, order, out=padded[k_max:n + k_max])
+    xs = padded[k_max:n + k_max]
+    xs[:] = x
+    xs.sort()
     # row s of `windows` is padded[s:s + n], a view
     windows = np.ndarray((2 * k_max + 1, n), buffer=padded, strides=(padded.itemsize,) * 2)
     # row i: the gaps to the (i+1)-th neighbour on the left, on the right;
@@ -209,12 +253,11 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
         from scipy.spatial import cKDTree
 
         pts = x[:, None]
-        rows = order[left[0] == 0.0]
+        # the sort put tied values side by side, so a zero gap flags the
+        # same sorted positions that argsort maps back to point indices
+        rows = np.argsort(x)[left[0] == 0.0]
         raise DuplicatePointsError(_tree_duplicates(cKDTree(pts), pts, rows, k_max + 1))
-    rho = np.empty((k_max, n))
-    for to, row in zip(rho, np.sqrt(left, out=left)):
-        to[order] = row  # a 1-d scatter per row is faster than one 2-d one
-    return rho.T
+    return np.sqrt(left, out=left)
 
 
 # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves
@@ -269,7 +312,7 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     if not k > q - 1.0:
         raise DomainError(f"estimator requires k > q - 1, got k = {k}, q = {q}")
     n = dists.n
-    rho = dists.rho[:, k - 1]
+    rho = dists.column(k)
     if q > 1.0 and (rho == 0.0).any():
         raise DomainError("zero neighbour distance with q > 1 diverges")
     s = (1.0 - q) * dim * np.log(rho) + _log_g_const(n, dim, k, q)
@@ -301,7 +344,7 @@ def shannon_estimate(sample: Sample, k: int) -> EntropyEstimate:
     :func:`renyi_estimate` (where C_k -> exp(-psi(k)))."""
     dists = knn_distances(sample, k)
     n, m = sample.n, sample.dim
-    rho = dists.rho[:, k - 1]
+    rho = dists.column(k)
     value = (
         m * _exact_sum(np.log(rho)) / n
         + math.log(unit_ball_volume(m))

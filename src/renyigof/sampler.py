@@ -113,7 +113,8 @@ def _sphere_block(m: int, n: int, gen: np.random.Generator) -> np.ndarray:
         bad = norms == 0.0
         u[bad] = gen.standard_normal((int(bad.sum()), m))
         norms = np.linalg.norm(u, axis=1)
-    return u / norms[:, None]
+    u /= norms[:, None]
+    return u
 
 
 def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
@@ -126,23 +127,36 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
         raise DomainError(f"sample size must be >= 1, got {n}")
     gen = rng.generator
     m = spec.dim
-    chol_t = spec.scale.chol.T
 
+    # each step mixes in place, with the roundings of z * sqrt(nu / w)
+    # and r * u
     if spec.family is Family.GAUSSIAN:
-        z = gen.standard_normal((n, m))
-        core = z
+        core = gen.standard_normal((n, m))
     elif spec.family is Family.STUDENT:
         nu = spec.param
-        z = gen.standard_normal((n, m))
+        core = gen.standard_normal((n, m))
         w = gen.chisquare(nu, n)
-        core = z * np.sqrt(nu / w)[:, None]
+        np.divide(nu, w, out=w)
+        np.sqrt(w, out=w)
+        core *= w[:, None]
     else:
         eta = spec.param
-        u = _sphere_block(m, n, gen)
-        r = np.sqrt(gen.beta(m / 2.0, eta + 1.0, n))
-        core = r[:, None] * u
+        core = _sphere_block(m, n, gen)
+        r = gen.beta(m / 2.0, eta + 1.0, n)
+        np.sqrt(r, out=r)
+        core *= r[:, None]
 
-    return Sample(core @ chol_t + spec.location)
+    # core @ I equals core up to the sign of a zero (and, at m >= 2, it
+    # turns an inf into NaN, which fails the finiteness check all the
+    # same); adding a location with no -0.0 entry, as spec.unit_scale
+    # requires, gives such a zero the one sign the matmul path gives it,
+    # so skipping the matmul keeps every byte.  The add stays even for a
+    # zero location: without it a -0.0 in core would survive where
+    # core @ I + 0 gives +0.0.
+    if not spec.unit_scale:
+        core = core @ spec.scale.chol.T
+    core += spec.location
+    return Sample(core)
 
 
 def write_csv(s: Sample, path, metadata: list[str] | None = None) -> None:

@@ -455,6 +455,26 @@ class TestExperimentCommand:
         assert "1/4 replicates failed at N=50" in err
         assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unusable_out_dir_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                     below):
+        # an existing file, or a path below one, is refused before any
+        # replicate runs, and nothing is created or changed
+        def never(config, n, j):
+            pytest.fail("a replicate ran although --out-dir is unusable")
+
+        monkeypatch.setattr(mc, "_replicate_value", never)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out_dir = afile / "sub" if below else afile
+        code, out, err = _run(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
+                                       "--out-dir", str(out_dir), "--workers", "1"])
+        assert code == 2
+        assert out == ""
+        assert f"--out-dir {out_dir}: {afile} is not a directory" in err
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "kept\n"
+
     def test_power_reference_fills_power_column(self, tmp_path, capsys):
         null_config = {
             "schema_version": 1, "family": "student", "true_param": 5.0,

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import dyadic_points, random_orthogonal
 from renyigof import knn
-from renyigof.distributions import gaussian, renyi_entropy_closed_form, student
+from renyigof.distributions import Family, gaussian, renyi_entropy_closed_form, student
 from renyigof.errors import DomainError, DuplicatePointsError
+from renyigof.gof import sample_covariance, statistic
 from renyigof.knn import (
     g_estimate,
     knn_distances,
@@ -98,6 +99,27 @@ class TestRouting:
                 knn_distances(s, 3)
                 renyi_estimate(s, 3, 0.8)
                 shannon_estimate(s, 3)
+
+    def test_m1_estimators_compute_no_point_order(self, monkeypatch, rng):
+        # the sorted kernel's rows stay in ascending-x order: the order-free
+        # sums need no argsort back to point order, and only .rho pays for it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.argsort ran on the m = 1 estimator path")
+
+        monkeypatch.setattr(np, "argsort", forbidden)
+        kept = []
+        for n in (10, 100, 600):
+            s = Sample(rng.standard_normal((n, 1)))
+            cov = sample_covariance(Sample(rng.standard_normal((n, 1))))[1]
+            renyi_estimate(s, 3, 0.8)
+            shannon_estimate(s, 3)
+            for family, null_param in ((Family.STUDENT, 10.0), (Family.PEARSON2, math.inf)):
+                statistic(s, family, null_param, 3)
+                statistic(s, family, null_param, 3, constraint=cov)
+            kept.append((s, knn_distances(s, 3)))
+        monkeypatch.undo()
+        for s, dists in kept:
+            np.testing.assert_array_equal(dists.rho, knn_distances(s, 3, method="brute").rho)
 
 
 _SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
@@ -301,6 +323,12 @@ class TestGEstimate:
         assert np.mean(vals) == pytest.approx(target, abs=0.02)
 
 
+# (m, N): the sorted (m = 1) and tree (m = 3) kernels, each on both sides
+# of the size from which knn._exact_sum leaves math.fsum for its bincount path
+_PERMUTATION_CASES = [(m, n) for m in (1, 3)
+                      for n in (60, knn._EXACT_SUM_MIN_N - 1, knn._EXACT_SUM_MIN_N, 1000)]
+
+
 class TestRenyiEstimate:
     def test_scaling_shift(self, rng):
         for _ in range(20):
@@ -313,12 +341,12 @@ class TestRenyiEstimate:
             assert h2 == pytest.approx(h1 + m * math.log(c), abs=1e-9)
 
     def test_permutation_bit_identical(self, rng):
-        for _ in range(20):
-            pts = rng.standard_normal((60, 2))
-            perm = rng.permutation(60)
-            a = renyi_estimate(Sample(pts), 3, 0.8).value
-            b = renyi_estimate(Sample(pts[perm]), 3, 0.8).value
-            assert a == b
+        for m, n in _PERMUTATION_CASES:
+            for _ in range(5):
+                pts = rng.standard_normal((n, m))
+                perm = rng.permutation(n)
+                a = renyi_estimate(Sample(pts), 3, 0.8).value
+                assert renyi_estimate(Sample(pts[perm]), 3, 0.8).value == a, (m, n)
 
     def test_translation_bit_identical_on_exact_grid(self, rng):
         # translation by an integer vector is exact in float64 on dyadic
@@ -399,9 +427,12 @@ class TestShannonEstimate:
             assert h2 == pytest.approx(h1 + m * math.log(c), abs=1e-9)
 
     def test_permutation_bit_identical(self, rng):
-        pts = rng.standard_normal((80, 3))
-        perm = rng.permutation(80)
-        assert shannon_estimate(Sample(pts), 2).value == shannon_estimate(Sample(pts[perm]), 2).value
+        for m, n in _PERMUTATION_CASES:
+            for _ in range(5):
+                pts = rng.standard_normal((n, m))
+                perm = rng.permutation(n)
+                a = shannon_estimate(Sample(pts), 2).value
+                assert shannon_estimate(Sample(pts[perm]), 2).value == a, (m, n)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):

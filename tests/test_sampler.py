@@ -131,21 +131,37 @@ class TestSampleLaws:
         assert chi2 < stats.chi2.ppf(0.999, 29)
 
     def test_affine_correctness(self, rng):
+        # the same bytes as the standard draw mapped by hand; an identity
+        # scale takes the branch that skips the matmul
         for m in (1, 2, 3):
             a = rng.standard_normal((m, m))
-            scale = a @ a.T + m * np.eye(m)
             loc = rng.standard_normal(m)
-            for spec_at in (
-                lambda l, s: gaussian(l, s),
-                lambda l, s: student(l, s, 6.0),
-                lambda l, s: pearson2(l, s, 2.0),
-            ):
-                shifted = sample(spec_at(loc, scale), 200, RngStream(31, m))
-                base = sample(spec_at(np.zeros(m), np.eye(m)), 200, RngStream(31, m))
-                chol = np.linalg.cholesky(scale)
-                np.testing.assert_allclose(
-                    shifted.points, base.points @ chol.T + loc, rtol=1e-12, atol=1e-12
-                )
+            for scale in (a @ a.T + m * np.eye(m), np.eye(m)):
+                for spec_at in (
+                    lambda l, s: gaussian(l, s),
+                    lambda l, s: student(l, s, 6.0),
+                    lambda l, s: pearson2(l, s, 2.0),
+                ):
+                    shifted = sample(spec_at(loc, scale), 200, RngStream(31, m))
+                    base = sample(spec_at(np.zeros(m), np.eye(m)), 200, RngStream(31, m))
+                    chol = np.linalg.cholesky(scale)
+                    assert shifted.points.tobytes() == (base.points @ chol.T + loc).tobytes()
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_identity_scale_keeps_signed_zeros(self, m):
+        # skipping core @ I keeps the bytes of core @ I + location even
+        # for a signed zero in the draw and for a -0.0 location
+        core = np.array([[-0.0] * m, [0.0] * m, [-0.0] + [3.0] * (m - 1), [-1.5] * m])
+
+        class Planted:
+            def standard_normal(self, size):
+                return core.copy()
+
+        for loc in (np.zeros(m), -np.zeros(m), np.full(m, -0.25)):
+            stream = RngStream(1)
+            stream._generator = Planted()
+            got = sample(gaussian(loc, np.eye(m)), core.shape[0], stream).points
+            assert got.tobytes() == (core @ np.eye(m) + loc).tobytes(), loc
 
     def test_determinism_bit_identical(self):
         spec = student(np.zeros(3), np.eye(3), 4.0)
