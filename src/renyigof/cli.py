@@ -171,19 +171,31 @@ def cmd_test(args) -> int:
 
 
 def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
-    """An experiment config file and its optional `power_reference`
-    (a null-run summary CSV, resolved against the config's directory)."""
+    """An experiment config file (UTF-8 JSON) and its optional
+    `power_reference` (a null-run summary CSV, resolved against the
+    config's directory).  A reference that is not a non-empty string is
+    reported in one error with the config's other problems."""
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from None
-    power_reference = data.pop("power_reference", None) if isinstance(data, dict) else None
+    power_reference, problems = None, []
+    if isinstance(data, dict) and "power_reference" in data:
+        power_reference = data.pop("power_reference")
+        if not isinstance(power_reference, str) or not power_reference:
+            problems.append(
+                f"power_reference must be a non-empty path string, got {power_reference!r}"
+            )
     try:
         config = mc.ExperimentConfig.from_dict(data)
     except ExperimentError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError("; ".join([str(exc), *problems])) from None
+    if problems:
+        raise CliError(str(mc._invalid(problems)))
     if power_reference is None:
         return config, None
     return config, path.parent / power_reference

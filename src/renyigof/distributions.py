@@ -8,6 +8,10 @@ entropy estimator converges.
 Closed forms for the Student and Pearson II Renyi entropies follow
 Zografos and Nadarajah (2005); the maximum-entropy characterisation is
 due to Lutwak, Yang and Zhang (2004) and Johnson and Vignat (2007).
+Each family's closed form is written once, as a function of the
+log-determinant of the scale, and the maximum entropy is evaluated by
+that same code at the maximiser's order and scale, so H_max equals the
+maximiser's closed-form entropy bit for bit.
 """
 
 from __future__ import annotations
@@ -314,11 +318,7 @@ def student_renyi_constant(m: int, nu: float, q: float) -> float:
         raise DomainError(
             f"Student Renyi entropy undefined: q(nu+m)/2 - m/2 = {b1} must be positive"
         )
-    return (
-        (ln_beta(b1, m / 2.0) - q * ln_beta(nu / 2.0, m / 2.0)) / (1.0 - q)
-        + 0.5 * m * math.log(math.pi * nu)
-        - ln_gamma(m / 2.0)
-    )
+    return _elliptic_renyi_constant(m, q, b1, nu / 2.0, math.pi * nu)
 
 
 @functools.lru_cache(maxsize=256)
@@ -330,15 +330,26 @@ def pearson2_renyi_constant(m: int, eta: float, q: float) -> float:
         raise DomainError(
             f"Pearson II Renyi entropy undefined: q*eta + 1 = {b1} must be positive"
         )
-    return (
-        (ln_beta(b1, m / 2.0) - q * ln_beta(eta + 1.0, m / 2.0)) / (1.0 - q)
-        + 0.5 * m * math.log(math.pi)
-        - ln_gamma(m / 2.0)
-    )
+    return _elliptic_renyi_constant(m, q, b1, eta + 1.0, math.pi)
 
 
-def _gaussian_renyi(m: int, log_det: float, q: float) -> float:
-    return 0.5 * m * _LOG_2PI + 0.5 * log_det - m * math.log(q) / (2.0 * (1.0 - q))
+def _elliptic_renyi_constant(m: int, q: float, b1: float, b0: float, s: float) -> float:
+    # the one body of both constants (Zografos and Nadarajah 2005):
+    # [ln B(b1, m/2) - q ln B(b0, m/2)]/(1 - q) + (m/2) log s - ln Gamma(m/2)
+    return ((ln_beta(b1, m / 2.0) - q * ln_beta(b0, m / 2.0)) / (1.0 - q)
+            + 0.5 * m * math.log(s) - ln_gamma(m / 2.0))
+
+
+def _renyi_entropy(family: Family, m: int, log_det: float, param, q: float) -> float:
+    # H_q of the family member with tail parameter `param` whose scale has
+    # log-determinant `log_det`; q = 1 is the Gaussian Shannon entropy.  The
+    # callers check q; this is the one place each closed form is written
+    if family is Family.GAUSSIAN:
+        if q == 1.0:
+            return 0.5 * m * (_LOG_2PI + 1.0) + 0.5 * log_det
+        return 0.5 * m * _LOG_2PI + 0.5 * log_det - m * math.log(q) / (2.0 * (1.0 - q))
+    constant = student_renyi_constant if family is Family.STUDENT else pearson2_renyi_constant
+    return 0.5 * log_det + constant(m, param, q)
 
 
 def renyi_entropy_closed_form(spec: DistributionSpec, q: float) -> float:
@@ -351,18 +362,14 @@ def renyi_entropy_closed_form(spec: DistributionSpec, q: float) -> float:
         raise DomainError(f"Renyi order must be positive, got {q}")
     if q == 1.0:
         raise DomainError("q = 1 is the Shannon case; use gaussian_shannon_entropy")
-    if spec.family is Family.GAUSSIAN:
-        return _gaussian_renyi(spec.dim, spec.scale.log_det, q)
-    if spec.family is Family.STUDENT:
-        return 0.5 * spec.scale.log_det + student_renyi_constant(spec.dim, spec.param, q)
-    return 0.5 * spec.scale.log_det + pearson2_renyi_constant(spec.dim, spec.param, q)
+    return _renyi_entropy(spec.family, spec.dim, spec.scale.log_det, spec.param, q)
 
 
 def gaussian_shannon_entropy(spec: DistributionSpec) -> float:
     """Shannon entropy log[(2 pi e)^{m/2} |Sigma|^{1/2}] of a Gaussian spec."""
     if spec.family is not Family.GAUSSIAN:
         raise DomainError("closed-form Shannon entropy is implemented for the Gaussian only")
-    return 0.5 * spec.dim * (_LOG_2PI + 1.0) + 0.5 * spec.scale.log_det
+    return _renyi_entropy(Family.GAUSSIAN, spec.dim, spec.scale.log_det, None, 1.0)
 
 
 class MaxEntropyResult(NamedTuple):
@@ -382,7 +389,10 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     This function takes the family parameter as input and returns the
     corresponding maximising order q together with the rescaled Sigma.
     A parameter of +inf selects the Gaussian (q -> 1) branch, where
-    the Shannon entropy is maximised with Sigma = C.
+    the Shannon entropy is maximised with Sigma = C.  The maximum is
+    the maximiser's closed-form entropy, evaluated by the same code as
+    :func:`renyi_entropy_closed_form` (:func:`gaussian_shannon_entropy`
+    on the Gaussian branch), so the two agree bit for bit.
 
     Parameters
     ----------
@@ -404,17 +414,12 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     if family is not Family.GAUSSIAN:
         family = tail_family(family, param)
     if family is Family.GAUSSIAN:
-        h1 = 0.5 * m * (_LOG_2PI + 1.0) + 0.5 * constraint.log_det
-        return MaxEntropyResult(h1, 1.0, constraint)
-    if family is Family.STUDENT:
-        q = 1.0 - 2.0 / (param + m)
-        sigma = constraint.scaled(1.0 - 2.0 / param)
-        h = 0.5 * sigma.log_det + student_renyi_constant(m, param, q)
-        return MaxEntropyResult(h, q, sigma)
-    q = _pearson_order(param)
-    sigma = constraint.scaled(2.0 * param + m + 2.0)
-    h = 0.5 * sigma.log_det + pearson2_renyi_constant(m, param, q)
-    return MaxEntropyResult(h, q, sigma)
+        q, sigma = 1.0, constraint
+    elif family is Family.STUDENT:
+        q, sigma = 1.0 - 2.0 / (param + m), constraint.scaled(1.0 - 2.0 / param)
+    else:
+        q, sigma = _pearson_order(param), constraint.scaled(2.0 * param + m + 2.0)
+    return MaxEntropyResult(_renyi_entropy(family, m, sigma.log_det, param, q), q, sigma)
 
 
 def critical_moment(spec: DistributionSpec) -> float:
@@ -446,7 +451,8 @@ def check_estimator_conditions(spec: DistributionSpec, q: float, mode: str) -> C
     convergence in L2 additionally requires q > 1/2 and
     r_c(f) > 2m(1-q)/(2q-1), where r_c is the critical moment.  For
     q >= 1 the moment side holds for all three families; the companion
-    requirement q < (k+1)/2 depends on k and is checked by the caller.
+    requirement q < (k+1)/2 for q > 1 depends on k and is checked by the
+    caller (:func:`gof.statistic` folds it into `GofStatistic.l2_ok`).
     """
     if not q > 0:
         raise DomainError(f"order q must be positive, got {q}")

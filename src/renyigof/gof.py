@@ -44,9 +44,12 @@ class GofStatistic:
 
     `family` is GAUSSIAN when the null parameter is +inf (both tests
     then coincide in their common Gaussian limit).  `l2_ok`
-    records whether the L2 moment condition for estimator convergence
-    holds under the null; the boundary case q = 1/2 computes anyway and
-    is merely flagged.
+    records whether both sides of the L2 condition for estimator
+    convergence (Leonenko, Pronzato and Savani 2008) hold under the
+    null: the moment side of :func:`check_estimator_conditions` and,
+    for q > 1, q < (k+1)/2.  A failing case (the boundary q = 1/2, a
+    Pearson II null with k <= 2/eta0 + 1) computes anyway and is merely
+    flagged.
     """
 
     value: float
@@ -97,7 +100,9 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
         raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
     h_max, q, _ = max_renyi_entropy(null_spec.family, constraint, null_param)
     est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)
-    l2_ok = bool(check_estimator_conditions(null_spec, q, "L2"))
+    # the moment side, and for q > 1 the k side that the check leaves to its caller
+    l2_ok = (bool(check_estimator_conditions(null_spec, q, "L2"))
+             and (q <= 1.0 or q < (k + 1) / 2.0))
     return GofStatistic(
         h_max - est.value, null_spec.family, float(null_param), q, int(k), sample.n, m, l2_ok
     )

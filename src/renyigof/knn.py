@@ -285,14 +285,14 @@ def _exact_sum(x: np.ndarray) -> float:
     """
     n = x.size
     if not (_EXACT_SUM_MIN_N <= n <= _EXACT_SUM_MAX_N and np.abs(x).max() < _EXACT_SUM_MAX_ABS):
-        return math.fsum(x)
+        return math.fsum(x.tolist())
     e = np.frexp(x)[1]
     e -= e.min()
     c = _SPLIT * x
     hi = c - (c - x)
     lo = x - hi
     total = math.fsum([*np.bincount(e, weights=hi).tolist(), *np.bincount(e, weights=lo).tolist()])
-    return total if total != 0.0 else math.fsum(x)
+    return total if total != 0.0 else math.fsum(x.tolist())
 
 
 @functools.lru_cache(maxsize=256)
@@ -315,10 +315,15 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     rho = dists.column(k)
     if q > 1.0 and (rho == 0.0).any():
         raise DomainError("zero neighbour distance with q > 1 diverges")
-    s = (1.0 - q) * dim * np.log(rho) + _log_g_const(n, dim, k, q)
+    # the terms in one buffer, each step in place: the bits of
+    # exp((1 - q) * dim * log(rho) + const - max)
+    s = np.log(rho)
+    s *= (1.0 - q) * dim
+    s += _log_g_const(n, dim, k, q)
     # log-sum-exp with a correctly rounded sum: the same bits in any order
     s_max = float(s.max())
-    return s_max + math.log(_exact_sum(np.exp(s - s_max))) - math.log(n)
+    s -= s_max
+    return s_max + math.log(_exact_sum(np.exp(s, out=s))) - math.log(n)
 
 
 def g_estimate(dists: KnnDistances, dim: int, k: int, q: float) -> float:

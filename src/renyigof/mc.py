@@ -647,11 +647,15 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
     :func:`write_summary_csv`, read in one pass: (config, {alpha: {N:
     critical value}}) at each level of :data:`ALPHA_COLUMNS`.
 
-    The config comes from the `# config` header line; a file without
-    one, or without a well-formed table, raises DomainError.
+    The file is read as UTF-8.  The config comes from the `# config`
+    header line; a file that does not decode, has no such line, or has
+    no well-formed table raises DomainError.
     """
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     configs = [line[len(_CONFIG_HEADER):] for line in lines if line.startswith(_CONFIG_HEADER)]
     if not configs:
         raise DomainError(f"{path}: no '# config' header line")

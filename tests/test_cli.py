@@ -177,6 +177,17 @@ class TestTestCommand:
         assert record["q"] == 1.0
         assert record["m"] == 2 and record["n"] == 500
 
+    @pytest.mark.parametrize("eta0, k, ok", [("1", "2", False), ("2", "2", False),
+                                            ("2", "3", True)])
+    def test_l2_condition_covers_k_side(self, tmp_path, capsys, eta0, k, ok):
+        # a Pearson II null has q = 1 + 1/eta0 > 1, where L2 also needs q < (k+1)/2
+        path = tmp_path / "pts.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        code, out, _ = _run(capsys, ["test", str(path), "--family", "pearson2",
+                                     "--eta0", eta0, "--k", k])
+        assert code == 0
+        assert f'"l2_condition_ok": {str(ok).lower()}' in out
+
     def test_alpha_without_table_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
@@ -546,6 +557,77 @@ class TestExperimentCommand:
                                      "--out-dir", str(tmp_path / "alt_out")])
         assert code == 2
         assert "no '# config' header" in err
+
+    @pytest.mark.parametrize("reference", [5, "", None])
+    def test_power_reference_not_a_path_string_exits_2(self, tmp_path, capsys, reference):
+        config = {
+            "schema_version": 1, "family": "student", "true_param": "inf",
+            "null_param": 5.0, "dim": 0, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 22, "power_reference": reference,
+        }
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                       "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert out == ""
+        # reported in one error with the config's other problems
+        assert err == ("error: invalid experiment config: dim must be >= 1, got 0; "
+                       f"power_reference must be a non-empty path string, got {reference!r}\n")
+        assert not (tmp_path / "alt_out").exists()
+
+    @pytest.mark.parametrize("reference", [5, "", None])
+    def test_power_reference_alone_exits_2(self, tmp_path, capsys, reference):
+        config = dict(json.loads((_REPO / "configs" / "smoke.json").read_text()),
+                      power_reference=reference)
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                       "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid experiment config: power_reference must be")
+        assert not (tmp_path / "alt_out").exists()
+
+
+class TestUndecodableInput:
+    """Input files that are not UTF-8 text exit 2 naming the file."""
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        return path
+
+    def _assert_exit_2(self, capsys, argv, path):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "not UTF-8 text" in err
+
+    def test_experiment_config(self, tmp_path, capsys, binary):
+        self._assert_exit_2(capsys, ["experiment", str(binary), "--out-dir",
+                                     str(tmp_path / "o"), "--workers", "1"], binary)
+        assert sorted(tmp_path.iterdir()) == [binary]
+
+    def test_power_reference(self, tmp_path, capsys, binary):
+        config = dict(json.loads((_REPO / "configs" / "smoke.json").read_text()),
+                      power_reference=binary.name)
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        self._assert_exit_2(capsys, ["experiment", str(tmp_path / "alt.json"), "--out-dir",
+                                     str(tmp_path / "o"), "--workers", "1"], binary)
+        assert not (tmp_path / "o").exists()
+
+    def test_entropy_data(self, capsys, binary):
+        self._assert_exit_2(capsys, ["entropy", str(binary), "--k", "3", "--q", "0.5"], binary)
+
+    def test_test_data(self, capsys, binary):
+        self._assert_exit_2(capsys, ["test", str(binary), "--family", "student",
+                                     "--nu0", "10", "--k", "3"], binary)
+
+    def test_critical_table(self, tmp_path, capsys, binary):
+        path = tmp_path / "ok.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        self._assert_exit_2(capsys, ["test", str(path), "--family", "student", "--nu0", "10",
+                                     "--k", "3", "--critical-table", str(binary)], binary)
 
 
 class TestPaperScaleDecisions:

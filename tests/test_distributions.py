@@ -291,6 +291,24 @@ class TestRenyiClosedForm:
         assert (diffs <= 1e-12).all()
 
 
+def _outcome(fn):
+    """A float result's bits, or the type and message of the error raised."""
+    try:
+        return fn().hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _covariances(draw):
+    """An SPD covariance A A' + m I in dimension m = 1, 2 or 3 (1 x 1
+    takes SpdMatrix's path without LAPACK)."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    a = np.asarray(draw(st.lists(entries, min_size=m * m, max_size=m * m))).reshape(m, m)
+    return SpdMatrix(a @ a.T + m * np.eye(m))
+
+
 class TestMaxEntropy:
     def test_gaussian_branch(self):
         res = max_renyi_entropy(Family.STUDENT, SpdMatrix([[1.0]]), math.inf)
@@ -316,29 +334,32 @@ class TestMaxEntropy:
                 with pytest.raises(DomainError):
                     max_renyi_entropy(family, SpdMatrix([[1.0]]), param)
 
-    def test_student_max_equals_closed_form_at_induced_parameters(self, rng):
-        for _ in range(10):
-            m = int(rng.integers(1, 4))
-            a = rng.standard_normal((m, m))
-            c = SpdMatrix(a @ a.T + m * np.eye(m))
-            nu = float(rng.uniform(2.5, 30.0))
-            res = max_renyi_entropy(Family.STUDENT, c, nu)
-            spec = student(np.zeros(m), res.scale, nu)
-            assert res.h_max == pytest.approx(
-                renyi_entropy_closed_form(spec, res.q), abs=1e-12
-            )
+    # the maximum is the closed-form entropy of the maximiser, stated here
+    # from its order q and scale Sigma, bit for bit.  Where the closed form
+    # rejects the parameter (nu a few ulps above 2, where q(nu+m)/2 - m/2
+    # rounds to zero), both raise the same error.
+    @settings(max_examples=60)
+    @given(_covariances(), st.floats(2.0, 60.0, exclude_min=True))
+    def test_student_max_equals_closed_form_at_induced_parameters(self, c, nu):
+        q = 1.0 - 2.0 / (nu + c.dim)
+        spec = student(np.zeros(c.dim), c.scaled(1.0 - 2.0 / nu), nu)
+        assert _outcome(lambda: max_renyi_entropy(Family.STUDENT, c, nu).h_max) == \
+            _outcome(lambda: renyi_entropy_closed_form(spec, q))
 
-    def test_pearson_max_equals_closed_form_at_induced_parameters(self, rng):
-        for _ in range(10):
-            m = int(rng.integers(1, 4))
-            a = rng.standard_normal((m, m))
-            c = SpdMatrix(a @ a.T + m * np.eye(m))
-            eta = float(rng.uniform(0.5, 20.0))
-            res = max_renyi_entropy(Family.PEARSON2, c, eta)
-            spec = pearson2(np.zeros(m), res.scale, eta)
-            assert res.h_max == pytest.approx(
-                renyi_entropy_closed_form(spec, res.q), abs=1e-12
-            )
+    @settings(max_examples=60)
+    @given(_covariances(), st.floats(0.0, 40.0, exclude_min=True))
+    def test_pearson_max_equals_closed_form_at_induced_parameters(self, c, eta):
+        q = 1.0 + 1.0 / eta
+        spec = pearson2(np.zeros(c.dim), c.scaled(2.0 * eta + c.dim + 2.0), eta)
+        assert _outcome(lambda: max_renyi_entropy(Family.PEARSON2, c, eta).h_max) == \
+            _outcome(lambda: renyi_entropy_closed_form(spec, q))
+
+    @settings(max_examples=60)
+    @given(_covariances(), st.sampled_from([Family.STUDENT, Family.PEARSON2]))
+    def test_gaussian_max_equals_shannon_closed_form(self, c, family):
+        res = max_renyi_entropy(family, c, math.inf)
+        assert res.q == 1.0 and res.scale is c
+        assert res.h_max.hex() == gaussian_shannon_entropy(gaussian(np.zeros(c.dim), c)).hex()
 
 
 class TestMomentConditions:

@@ -147,6 +147,15 @@ class TestPearsonStatistic:
             with pytest.raises(DomainError):
                 statistic(s, Family.PEARSON2, eta0, 3)
 
+    @pytest.mark.parametrize("eta0, k, ok", [(1.0, 2, False), (2.0, 2, False), (2.0, 3, True)])
+    def test_l2_flag_needs_q_below_half_k_plus_one(self, rng, eta0, k, ok):
+        # q = 1 + 1/eta0 > 1, where L2 convergence also needs q < (k+1)/2
+        # (Leonenko, Pronzato and Savani 2008); eta0 = 2, k = 2 is the boundary
+        s = Sample(rng.standard_normal((60, 2)))
+        stat = pearson_statistic(s, eta0, k)
+        assert stat.l2_ok is ok
+        assert math.isfinite(stat.value)
+
     def test_k_vs_eta0(self, rng):
         # k must exceed 1/eta0
         s = Sample(rng.standard_normal((50, 1)))
@@ -206,6 +215,16 @@ class TestStatistic:
                      - max_renyi_entropy(family, sample_covariance(s)[1], null_param).h_max)
             assert fresh.value - base.value == pytest.approx(shift, abs=1e-12)
             assert (fresh.q, fresh.family, fresh.l2_ok) == (base.q, base.family, base.l2_ok)
+
+    @pytest.mark.parametrize("family, param, ok", [
+        (Family.STUDENT, 3.0, False), (Family.STUDENT, 10.0, True),
+        (Family.STUDENT, math.inf, True), (Family.PEARSON2, math.inf, True),
+    ])
+    def test_l2_flag_has_no_k_side_for_q_at_most_one(self, rng, family, param, ok):
+        # Student (q < 1) and Gaussian (q = 1) nulls: the moment side alone, any k
+        s = Sample(rng.standard_normal((50, 1)))
+        for k in (1, 2, 5):
+            assert statistic(s, family, param, k).l2_ok is ok
 
     def test_constraint_dimension_checked(self, rng):
         s = Sample(rng.standard_normal((50, 2)))
