@@ -283,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: all CPUs); results identical for any count")
+                   help="worker processes (default: the CPUs this process may run on); "
+                        "results identical for any count")
     p.add_argument("--replicates-json", action="store_true",
                    help="also write full replicate arrays as JSON")
     p.set_defaults(func=cmd_experiment)

@@ -343,7 +343,10 @@ def _elliptic_renyi_constant(m: int, q: float, b1: float, b0: float, s: float) -
 def _renyi_entropy(family: Family, m: int, log_det: float, param, q: float) -> float:
     # H_q of the family member with tail parameter `param` whose scale has
     # log-determinant `log_det`; q = 1 is the Gaussian Shannon entropy.  The
-    # callers check q; this is the one place each closed form is written
+    # callers check q > 0; this is the one place each closed form is written.
+    # No closed form here holds at q = inf (a Pearson II eta below ~5.6e-309)
+    if q == math.inf:
+        raise DomainError(f"Renyi order q = {q} is not finite")
     if family is Family.GAUSSIAN:
         if q == 1.0:
             return 0.5 * m * (_LOG_2PI + 1.0) + 0.5 * log_det
@@ -353,7 +356,7 @@ def _renyi_entropy(family: Family, m: int, log_det: float, param, q: float) -> f
 
 
 def renyi_entropy_closed_form(spec: DistributionSpec, q: float) -> float:
-    """Renyi entropy of order q (q > 0, q != 1) in nats.
+    """Renyi entropy of finite order q (q > 0, q != 1) in nats.
 
     The q = 1 (Shannon) value is available in closed form only for the
     Gaussian; use :func:`gaussian_shannon_entropy` for that.
@@ -403,7 +406,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         Covariance constraint C.
     param : float
         nu > 2, eta > 0, or +inf for the Gaussian branch (see
-        :func:`tail_family`).
+        :func:`tail_family`).  An eta so small that q = 1 + 1/eta
+        overflows to inf raises DomainError.
 
     Returns
     -------

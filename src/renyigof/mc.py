@@ -15,6 +15,7 @@ replicates untouched.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -370,21 +371,21 @@ def _fresh_cov_statistic(config: ExperimentConfig, s, s_cov) -> float:
     return statistic(s, config.family, config.null_param, config.k, constraint=cov).value
 
 
-def _run_block(args) -> list:
-    config, n, j_start, j_stop = args
-    out = []
-    for j in range(j_start, j_stop):
-        try:
-            out.append((j, _replicate_value(config, n, j), None))
-        except (DomainError, DuplicatePointsError, NotPositiveDefiniteError) as exc:
-            out.append((j, None, f"{type(exc).__name__}: {exc}"))
-    return out
+def _replicate_outcome(config: ExperimentConfig, n: int, j: int) -> tuple:
+    # (W, None), or (None, "<ErrorType>: <message>") for a replicate whose
+    # estimator preconditions failed
+    try:
+        return _replicate_value(config, n, j), None
+    except (DomainError, DuplicatePointsError, NotPositiveDefiniteError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def worker_count(workers: int | None) -> int:
-    """The number of worker processes `workers` asks for: all CPUs for
-    None; a count below 1 raises DomainError."""
+    """The number of worker processes `workers` asks for: for None, the
+    CPUs this process may run on; a count below 1 raises DomainError."""
     if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if workers < 1:
         raise DomainError(f"workers must be >= 1 (None for all CPUs), got {workers}")
@@ -401,31 +402,24 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     """
     workers = worker_count(workers)
     m_rep = config.replicates
-    block = -(-m_rep // (4 * workers))
-    tasks = []
-    for n in config.n_grid:
-        for j0 in range(0, m_rep, block):
-            tasks.append((config, n, j0, min(j0 + block, m_rep)))
-
+    ns, js = zip(*itertools.product(config.n_grid, range(m_rep)))
+    configs = itertools.repeat(config)
     if workers <= 1:
-        outputs = [_run_block(task) for task in tasks]
+        outcomes = list(map(_replicate_outcome, configs, ns, js))
     else:
         if config.dim > 1:
             # the kd-tree's import, paid once here rather than in every forked worker
             import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_block, tasks))
-
-    collected: dict[int, list] = {n: [None] * m_rep for n in config.n_grid}
-    for task, out in zip(tasks, outputs):
-        n = task[1]
-        for j, value, err in out:
-            collected[n][j] = (value, err)
+            chunksize = -(-m_rep // (4 * workers))
+            outcomes = list(pool.map(_replicate_outcome, configs, ns, js, chunksize=chunksize))
 
     per_n = []
-    for n in config.n_grid:
-        values = tuple(v for v, _ in collected[n])
-        failures = tuple((j, err) for j, (_, err) in enumerate(collected[n]) if err is not None)
+    # map keeps submission order, so each N's outcomes are one slice
+    for start, n in zip(range(0, len(outcomes), m_rep), config.n_grid):
+        at_n = outcomes[start:start + m_rep]
+        values = tuple(v for v, _ in at_n)
+        failures = tuple((j, err) for j, (_, err) in enumerate(at_n) if err is not None)
         # the summaries need at least 2 values, whatever the budget allows
         if len(failures) > config.max_failure_rate * m_rep or m_rep - len(failures) < 2:
             raise ExperimentError(

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -705,6 +706,45 @@ class TestShippedConfigs:
                 ExperimentConfig.from_dict(workload.config(seed, 0))
 
 
+# the tools/output_digest.py total, recorded with numpy 2.4.6: numpy's Philox
+# stream and float kernels set these bytes as much as the program does
+_DIGEST_TOTAL = "7c4222418b2ed5648cf5b0dec3805cfa8575ffef291399444c2b3aab30874bf7"
+_DIGEST_NUMPY = "2.4.6"
+
+
+def _toolchain_note() -> str:
+    return (f"recorded with numpy {_DIGEST_NUMPY}, running numpy {np.__version__}; "
+            "under another numpy the bytes may differ without a program fault")
+
+
+class TestOutputBytes:
+    # the output bytes a speed-up or a refactor must keep, checked on every
+    # test run rather than by hand
+
+    def test_output_digest_total(self, monkeypatch, capsys):
+        monkeypatch.syspath_prepend(str(_REPO / "tools"))
+        output_digest = importlib.import_module("output_digest")
+        assert output_digest.main(["--total"]) == 0
+        total = capsys.readouterr().out.split()[0]
+        assert total == _DIGEST_TOTAL, _toolchain_note()
+
+    def test_benchmark_gate_hashes(self, tmp_path, monkeypatch, capsys):
+        # the summary.csv sha256 that the benchmark's correctness gate checks
+        monkeypatch.syspath_prepend(str(_REPO / "bench"))
+        workloads = importlib.import_module("workloads")
+        for workload in workloads.WORKLOADS.values():
+            for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
+                config = tmp_path / f"{workload.name}-{seed}.json"
+                config.write_text(json.dumps(workload.config(seed, 0, workload.gate_replicates)))
+                out_dir = tmp_path / f"{workload.name}-{seed}"
+                code, _, err = _run(capsys, ["experiment", str(config), "--out-dir",
+                                             str(out_dir), "--workers", "1"])
+                assert code == 0, err
+                digest = hashlib.sha256((out_dir / "summary.csv").read_bytes()).hexdigest()
+                assert digest == workload.summary_sha256[seed], \
+                    f"{workload.name} seed {seed}: {_toolchain_note()}"
+
+
 class TestReadmeCommands:
     def test_command_line_block_runs_as_written(self, tmp_path, capsys, monkeypatch):
         # the README's command-line block, run line by line from a directory
@@ -715,7 +755,8 @@ class TestReadmeCommands:
         (tmp_path / "configs").mkdir()
         shutil.copy(_REPO / "configs" / "smoke.json", tmp_path / "configs")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # at most 2 worker processes
+        # at most 2 worker processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         for argv in commands:
             assert argv[0] == "renyigof"
             code, out, err = _run(capsys, argv[1:])

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -328,6 +328,13 @@ class TestMaxEntropy:
         np.testing.assert_allclose(res.scale.matrix, 6.0 * np.eye(2), rtol=1e-15)
         assert res.h_max == pytest.approx(2.6488072826256742, rel=1e-12)
 
+    def test_pearson_eta_with_infinite_order_rejected(self):
+        # q = 1 + 1/eta overflows to inf below eta ~ 5.6e-309, where the
+        # closed form would give NaN
+        assert max_renyi_entropy(Family.PEARSON2, SpdMatrix(np.eye(2)), 5.6e-309).q < math.inf
+        with pytest.raises(DomainError, match="not finite"):
+            max_renyi_entropy(Family.PEARSON2, SpdMatrix(np.eye(2)), 1e-310)
+
     def test_domain_errors(self):
         for family, bad in ((Family.STUDENT, 2.0), (Family.PEARSON2, 0.0)):
             for param in (bad, -math.inf, math.nan):
@@ -348,6 +355,7 @@ class TestMaxEntropy:
 
     @settings(max_examples=60)
     @given(_covariances(), st.floats(0.0, 40.0, exclude_min=True))
+    @example(SpdMatrix(np.eye(2)), 1e-310)
     def test_pearson_max_equals_closed_form_at_induced_parameters(self, c, eta):
         q = 1.0 + 1.0 / eta
         spec = pearson2(np.zeros(c.dim), c.scaled(2.0 * eta + c.dim + 2.0), eta)

@@ -360,6 +360,20 @@ class TestRunExperiment:
         parallel = result_to_json(run_experiment(cfg, workers=2), include_replicates=True)
         assert serial == parallel
 
+    def test_outcomes_land_at_their_n_and_j(self):
+        # 9 replicates on 2 workers run in chunks of 2, so chunks straddle
+        # the N boundaries; each N still gets its own replicates in order
+        cfg = _config(n_grid=(100, 200, 300), replicates=9)
+        result = run_experiment(cfg, workers=2)
+        for entry in result.per_n:
+            assert entry.values == tuple(mc._replicate_value(cfg, entry.n, j) for j in range(9))
+
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        # the CPUs this process may run on, not all the machine's
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        assert mc.worker_count(None) == 1
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(DomainError, match=f"workers must be >= 1.*got {workers}"):
