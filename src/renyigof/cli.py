@@ -104,8 +104,8 @@ def cmd_sample(args) -> int:
     s = sample(spec, args.n, RngStream(args.seed, args.stream))
     resolved = {
         "family": args.family, "dim": args.dim,
-        "nu": None if args.nu is None else mc._param_str(args.nu),
-        "eta": None if args.eta is None else mc._param_str(args.eta),
+        "nu": None if args.nu is None else mc._format_float(args.nu),
+        "eta": None if args.eta is None else mc._format_float(args.eta),
         "n": args.n, "seed": args.seed, "stream": args.stream,
         "loc": args.loc, "scale": args.scale,
     }
@@ -143,7 +143,7 @@ def cmd_test(args) -> int:
     if args.critical_table:
         table, critical = mc.read_summary(args.critical_table)
         # W here constrains the maximum by the sample's own covariance
-        settings = {"family": args.family, "null_param": mc._param_str(stat.null_param),
+        settings = {"family": args.family, "null_param": mc._format_float(stat.null_param),
                     "dim": stat.dim, "k": stat.k, "covariance_mode": "same"}
         mc.check_null_run(args.critical_table, table, settings)
         for alpha in args.alpha or [0.05]:
@@ -158,7 +158,7 @@ def cmd_test(args) -> int:
     record = {
         "W": stat.value,
         "family": args.family,
-        "null_param": mc._param_str(stat.null_param),
+        "null_param": mc._format_float(stat.null_param),
         "q": stat.q,
         "k": stat.k,
         "n": stat.n,

@@ -313,7 +313,12 @@ def density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
 def student_renyi_constant(m: int, nu: float, q: float) -> float:
     """Location-free part of the Student Renyi entropy:
     H_q(T_m(a, Sigma, nu)) = log|Sigma|/2 + this constant."""
-    b1 = q * (nu + m) / 2.0 - m / 2.0
+    # at the maximiser's order (max_renyi_entropy's expression) b1 is
+    # exactly (nu - 2)/2, which q(nu+m)/2 - m/2 rounds to 0 a few ulps above 2
+    if q == 1.0 - 2.0 / (nu + m):
+        b1 = (nu - 2.0) / 2.0
+    else:
+        b1 = q * (nu + m) / 2.0 - m / 2.0
     if not b1 > 0:
         raise DomainError(
             f"Student Renyi entropy undefined: q(nu+m)/2 - m/2 = {b1} must be positive"

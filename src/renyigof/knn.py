@@ -57,29 +57,21 @@ class KnnDistances:
     nearest neighbour among the other N-1 points, so rows are
     non-decreasing left to right.
 
-    The sorted kernel (m = 1) keeps its result in ascending-x order:
-    `rho` puts it back in point order on first access (an argsort and
-    one scatter per column) and caches it, reading the sample's points,
-    which must not have changed since.  :meth:`column` promises no row
-    order and costs nothing; the estimators reduce it with order-free
-    sums and never ask for point order.
+    Given the points `x` (m = 1, distinct), `rho` holds its rows in
+    ascending-x order, as the sorted kernel leaves them: the `rho`
+    property puts them back in point order on first access (an argsort
+    and one scatter per column) and caches them, reading `x`, which must
+    not have changed since.  :meth:`column` promises no row order and
+    costs nothing; the estimators reduce it with order-free sums and
+    never ask for point order.
     """
 
     __slots__ = ("_columns", "_x", "_rho")
 
-    def __init__(self, rho: np.ndarray) -> None:
+    def __init__(self, rho: np.ndarray, x: np.ndarray | None = None) -> None:
         self._columns = rho.T
-        self._x = None
-        self._rho = rho
-
-    @classmethod
-    def _in_sorted_order(cls, columns: np.ndarray, x: np.ndarray) -> "KnnDistances":
-        # columns[j-1, s]: the distance from the s-th smallest of the
-        # (distinct) x to its j-th nearest neighbour
-        dists = cls(columns.T)
-        dists._x = x
-        dists._rho = None
-        return dists
+        self._x = x
+        self._rho = rho if x is None else None
 
     @property
     def rho(self) -> np.ndarray:
@@ -146,7 +138,7 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
         if sample.dim != 1:
             raise DomainError(f"the sorted kernel needs m = 1, got m = {sample.dim}")
         x = pts[:, 0]
-        return KnnDistances._in_sorted_order(_sorted_kernel(x, k_max), x)
+        return KnnDistances(_sorted_kernel(x, k_max).T, x)
     if method == "tree":
         rho = _tree_kernel(pts, k_max)
     elif method == "brute":

@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,8 +88,9 @@ NULL_RUN_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
 _QUANTILE_SCHEME = "order statistics, linear interpolation at h = (M-1)(1-alpha) + 1"
 
 
-def _param_str(p: float) -> str:
-    return "inf" if math.isinf(p) else repr(float(p))
+def _format_float(x: float) -> str:
+    # the one float format of every output table and config: "inf" for +inf
+    return repr(float(x))
 
 
 def parse_param(value) -> float:
@@ -262,18 +263,13 @@ class ExperimentConfig:
         for key, value in parsed.items():
             object.__setattr__(self, key, value)
 
-    def validate(self) -> list[str]:
-        """Return every constraint violation (empty when valid): the
-        value and cross-field rules, run on the fields as they are set."""
-        return _rule_problems(vars(self))
-
     def to_dict(self) -> dict:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
             **vars(self),
             "family": self.family.value,
-            "true_param": _param_str(self.true_param),
-            "null_param": _param_str(self.null_param),
+            "true_param": _format_float(self.true_param),
+            "null_param": _format_float(self.null_param),
             "n_grid": list(self.n_grid),
             "alpha_levels": list(self.alpha_levels),
         }
@@ -533,6 +529,22 @@ def _header_lines(config: ExperimentConfig) -> list[str]:
     ]
 
 
+def _per_n_rows(result: McResult, alphas: Iterable[float]) -> Iterator[tuple]:
+    # one table row's numbers per N, in grid order: (entry, valid values,
+    # mean, standard error, {alpha: critical value})
+    for entry in result.per_n:
+        vals = entry.valid_values
+        mean, stderr = summarize(vals)
+        yield entry, vals, mean, stderr, {a: empirical_quantile(vals, a) for a in alphas}
+
+
+def _rate_or_none(result: McResult) -> float | None:
+    try:
+        return fit_convergence_rate(result.mean_curve()).b
+    except DomainError:
+        return None
+
+
 def result_to_json(result: McResult, include_replicates: bool | None = None) -> str:
     """Serialise a result deterministically.
 
@@ -541,22 +553,15 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
     """
     if include_replicates is None:
         include_replicates = result.config.include_replicates
-    rate_b = _rate_or_none(result)
     per_n = []
-    for entry in result.per_n:
-        vals = entry.valid_values
-        mean, stderr = summarize(vals)
-        quantiles = {
-            repr(float(a)): empirical_quantile(vals, a)
-            for a in result.config.alpha_levels
-        }
+    for entry, _, mean, stderr, quantiles in _per_n_rows(result, result.config.alpha_levels):
         item = {
             "n": entry.n,
             "replicates": len(entry.values),
             "failed": len(entry.failures),
             "mean": mean,
             "std_error": stderr,
-            "quantiles": quantiles,
+            "quantiles": {_format_float(a): q for a, q in quantiles.items()},
         }
         if entry.failures:
             item["failures"] = [{"replicate": j, "error": msg} for j, msg in entry.failures]
@@ -569,54 +574,35 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "quantile_scheme": _QUANTILE_SCHEME,
-        "rate_b": rate_b,
+        "rate_b": _rate_or_none(result),
         "per_n": per_n,
     }
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _rate_or_none(result: McResult) -> float | None:
-    try:
-        return fit_convergence_rate(result.mean_curve()).b
-    except DomainError:
-        return None
 
 
 def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | None = None) -> None:
     """Write the per-N summary table.
 
     `power_at_005` is the rejection rate against `critical_by_n` when a
-    reference (null-run) critical table is supplied, otherwise against
-    this run's own 5% critical value (a self-consistency check that
-    sits near 0.05 by construction).
+    reference (null-run) critical table is supplied, and empty at an N
+    the table has no row for; otherwise it is the rate against this
+    run's own 5% critical value (a self-consistency check that sits near
+    0.05 by construction).
     """
     config = result.config
     rate_b = _rate_or_none(result)
     lines = _header_lines(config)
     lines.append(",".join(SUMMARY_COLUMNS))
-    for entry in result.per_n:
-        vals = entry.valid_values
-        mean, stderr = summarize(vals)
-        quantiles = {alpha: empirical_quantile(vals, alpha) for alpha in ALPHA_COLUMNS}
-        if critical_by_n is not None:
-            crit = critical_by_n.get(entry.n)
-            power = "" if crit is None else _format_float(estimate_power(vals, crit))
-        else:
-            power = _format_float(estimate_power(vals, quantiles[0.05]))
+    for entry, vals, mean, stderr, quantiles in _per_n_rows(result, ALPHA_COLUMNS):
+        crit = quantiles[0.05] if critical_by_n is None else critical_by_n.get(entry.n)
         row = [
             str(config.dim),
-            _param_str(config.true_param),
-            _param_str(config.null_param),
+            _format_float(config.true_param),
+            _format_float(config.null_param),
             str(entry.n),
             str(config.k),
-            _format_float(mean),
-            _format_float(stderr),
-            *map(_format_float, quantiles.values()),
-            power,
+            *map(_format_float, (mean, stderr, *quantiles.values())),
+            "" if crit is None else _format_float(estimate_power(vals, crit)),
             "" if rate_b is None else _format_float(rate_b),
         ]
         lines.append(",".join(row))

@@ -17,7 +17,7 @@ that importing this package loads no scipy module:
   series `psi_asy` above.
 
 Each port keeps the original's order of float operations (Horner through
-`_polevl`/`_p1evl`, the same loops and the same constants), so its
+`_polevl`, the same loops and the same constants), so its
 results equal scipy's bit for bit. That rests on Python's `math.log`
 and scipy's `std::log` being the same platform libm `log`;
 `tests/test_special.py` checks the equality against scipy on each
@@ -42,14 +42,6 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """`_polevl` with an implicit leading coefficient 1 (Cephes `p1evl`)."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 # Cephes lgam: Stirling correction (A), rational fit on [2, 3) (B / C).
 _LGAM_A = (
     8.11614167470508450300e-4,
@@ -67,6 +59,7 @@ _LGAM_B = (
     -8.53555664245765465627e5,
 )
 _LGAM_C = (
+    1.0,  # Cephes p1evl's implicit leading coefficient: 1.0 * x is exact
     -3.51815701436523470549e2,
     -1.70642106651881159223e4,
     -2.20528590553854454839e5,
@@ -141,7 +134,7 @@ def ln_gamma(x: float) -> float:
             return math.log(z)
         p -= 2.0
         x = x + p
-        p = x * _polevl(x, _LGAM_B) / _p1evl(x, _LGAM_C)
+        p = x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
         return math.log(z) + p
     if x > _MAXLGM:
         return math.inf

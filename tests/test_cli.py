@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import shlex
 import shutil
@@ -203,6 +204,16 @@ class TestTestCommand:
         code, _, _ = _run(capsys, ["test", str(path), "--family", "student",
                                    "--nu0", "2", "--k", "3"])
         assert code == 2
+
+    def test_nu0_one_ulp_above_two_at_m2(self, tmp_path, capsys):
+        # the config accepts this nu0, so the statistic must compute: at the
+        # maximiser b1 is (nu0 - 2)/2, not the q(nu0+m)/2 - m/2 that rounds to 0
+        path = tmp_path / "pts.csv"
+        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 100, RngStream(6)), path)
+        code, out, err = _run(capsys, ["test", str(path), "--family", "student",
+                                       "--nu0", "2.0000000000000004", "--k", "3"])
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["W"])
 
     @pytest.mark.parametrize("family, flag", [("student", "--nu0"), ("pearson2", "--eta0")])
     def test_missing_null_param_exits_2(self, tmp_path, capsys, family, flag):
@@ -706,9 +717,11 @@ class TestShippedConfigs:
                 ExperimentConfig.from_dict(workload.config(seed, 0))
 
 
-# the tools/output_digest.py total, recorded with numpy 2.4.6: numpy's Philox
-# stream and float kernels set these bytes as much as the program does
+# the tools/output_digest.py totals (of result_to_json, and of the summary and
+# histogram tables), recorded with numpy 2.4.6: numpy's Philox stream and
+# float kernels set these bytes as much as the program does
 _DIGEST_TOTAL = "7c4222418b2ed5648cf5b0dec3805cfa8575ffef291399444c2b3aab30874bf7"
+_TABLES_TOTAL = "b20c4ed58ffae7b4e2a68bf7903b41fa3c996876c4216613ebfe7d89c6b15892"
 _DIGEST_NUMPY = "2.4.6"
 
 
@@ -725,8 +738,8 @@ class TestOutputBytes:
         monkeypatch.syspath_prepend(str(_REPO / "tools"))
         output_digest = importlib.import_module("output_digest")
         assert output_digest.main(["--total"]) == 0
-        total = capsys.readouterr().out.split()[0]
-        assert total == _DIGEST_TOTAL, _toolchain_note()
+        totals = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert totals == [_DIGEST_TOTAL, _TABLES_TOTAL], _toolchain_note()
 
     def test_benchmark_gate_hashes(self, tmp_path, monkeypatch, capsys):
         # the summary.csv sha256 that the benchmark's correctness gate checks

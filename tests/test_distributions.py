@@ -335,6 +335,12 @@ class TestMaxEntropy:
         with pytest.raises(DomainError, match="not finite"):
             max_renyi_entropy(Family.PEARSON2, SpdMatrix(np.eye(2)), 1e-310)
 
+    def test_student_nu_one_ulp_above_two(self):
+        # q(nu+m)/2 - m/2 rounds to 0 here; at the maximiser b1 is (nu - 2)/2
+        nu = math.nextafter(2.0, 3.0)
+        assert nu == 2.0000000000000004
+        assert math.isfinite(max_renyi_entropy(Family.STUDENT, SpdMatrix(np.eye(2)), nu).h_max)
+
     def test_domain_errors(self):
         for family, bad in ((Family.STUDENT, 2.0), (Family.PEARSON2, 0.0)):
             for param in (bad, -math.inf, math.nan):
@@ -342,9 +348,8 @@ class TestMaxEntropy:
                     max_renyi_entropy(family, SpdMatrix([[1.0]]), param)
 
     # the maximum is the closed-form entropy of the maximiser, stated here
-    # from its order q and scale Sigma, bit for bit.  Where the closed form
-    # rejects the parameter (nu a few ulps above 2, where q(nu+m)/2 - m/2
-    # rounds to zero), both raise the same error.
+    # from its order q and scale Sigma, bit for bit (and where either
+    # raises, both raise the same error)
     @settings(max_examples=60)
     @given(_covariances(), st.floats(2.0, 60.0, exclude_min=True))
     def test_student_max_equals_closed_form_at_induced_parameters(self, c, nu):

@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import re
@@ -157,21 +156,6 @@ class TestConfig:
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
-    def test_validate_collects_every_violation(self):
-        problems = ExperimentConfig.__new__(ExperimentConfig)
-        object.__setattr__(problems, "family", Family.STUDENT)
-        object.__setattr__(problems, "true_param", 1.0)
-        object.__setattr__(problems, "null_param", 0.5)
-        object.__setattr__(problems, "dim", 0)
-        object.__setattr__(problems, "n_grid", (1,))
-        object.__setattr__(problems, "k", 0)
-        object.__setattr__(problems, "replicates", 1)
-        object.__setattr__(problems, "alpha_levels", (1.5,))
-        object.__setattr__(problems, "max_failure_rate", 2.0)
-        object.__setattr__(problems, "covariance_mode", "weird")
-        messages = problems.validate()
-        assert len(messages) >= 8
-
     def test_k_rule_matches_pearson_statistic(self):
         # one k > 1/eta0 rule: within 4 ulps of 1/k the config is accepted
         # exactly when the statistic computes (k > q - 1 in the estimator)
@@ -255,7 +239,7 @@ class TestConfig:
             assert fragment in message
 
     def test_value_violations_listed_with_structural_ones(self):
-        # every field present parses: validate()'s findings join the same error
+        # every field present parses: the rules' findings join the same error
         data = dict(_config().to_dict(), covarience_mode="fresh", replicates=1,
                     n_grid=[100, 100])
         data["schema_version"] = 99
@@ -322,15 +306,6 @@ class TestConfig:
         data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
         assert ExperimentConfig.from_dict(data) == _config()
         assert _config(dim=1.0, k=3.0, n_grid=[100.0, 200]) == _config()
-
-    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
-    def test_validate_rejects_minus_inf_and_nan(self, bad):
-        # the parsers stop these first; validate() keeps the tail rule
-        # for an instance whose fields were set behind its back
-        for name in ("true_param", "null_param"):
-            cfg = copy.copy(_config())
-            object.__setattr__(cfg, name, bad)
-            assert any(p.startswith(f"{name}: Student requires nu > 2") for p in cfg.validate())
 
 
 class TestParseParam:
@@ -501,6 +476,30 @@ class TestOutputs:
         for line in rows[1:]:
             row = dict(zip(header, line.split(",")))
             assert abs(float(row["power_at_005"]) - 0.05) <= 3.0 / math.sqrt(200)
+
+    def test_power_column_against_reference_table(self, tmp_path):
+        # one rule: the reference's critical value at N, an empty cell at an
+        # N the reference has no row for, and without a reference the run's
+        # own q05
+        res = run_experiment(_config(replicates=40))
+        crit = float(np.median(res.values_at(100)))
+        rows = {}
+        for name, critical_by_n in (("reference", {100: crit}), ("self", None)):
+            path = tmp_path / f"{name}.csv"
+            write_summary_csv(res, path, critical_by_n=critical_by_n)
+            header, *lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+            rows[name] = {int(row["N"]): row for row in
+                          (dict(zip(header.split(","), l.split(","))) for l in lines)}
+        assert rows["reference"][100]["power_at_005"] == repr(
+            estimate_power(res.values_at(100), crit))
+        assert rows["reference"][200]["power_at_005"] == ""
+        for n, row in rows["self"].items():
+            assert row["power_at_005"] == repr(
+                estimate_power(res.values_at(n), float(row["q05"])))
+        # the reference changes only the power column
+        for n in (100, 200):
+            del rows["reference"][n]["power_at_005"], rows["self"][n]["power_at_005"]
+        assert rows["reference"] == rows["self"]
 
     def test_histogram_csv(self, tmp_path):
         cfg = _config(replicates=50)

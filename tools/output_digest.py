@@ -1,14 +1,19 @@
 """sha256 of the output bytes of a fixed grid of small experiments.
 
-    python3 tools/output_digest.py          # one line per config, then the total
-    python3 tools/output_digest.py --total  # the total only
+    python3 tools/output_digest.py          # one line per config, then the totals
+    python3 tools/output_digest.py --total  # the totals only
 
 Run from anywhere; the program is imported from `src/` of the checkout
-that holds this file, and nothing is installed.  Each config's digest is
-the sha256 of `mc.result_to_json(result, include_replicates=True)`, so it
-covers every replicate's value; the total is the sha256 of all the
-per-config lines.  A change that must keep output bytes (a speed-up, a
-refactor) prints the same total before and after it.
+that holds this file, and nothing is installed.  Each config has two
+digests.  Its JSON digest is the sha256 of
+`mc.result_to_json(result, include_replicates=True)`, so it covers every
+replicate's value.  Its tables digest is the sha256 of the bytes
+`mc.write_summary_csv` writes (self-referenced, then against a reference
+table whose only row is the first N, at critical value 0) followed by
+those of `mc.write_histogram_csv` at each N.  Each total is the sha256
+of the per-config lines of one kind, printed as "<total>  total" and
+"<total>  tables total".  A change that must keep output bytes (a
+speed-up, a refactor) prints the same totals before and after it.
 
 The grid: both families with a finite and an infinite parameter on the
 true or the null side, m = 1, 2, 3, both covariance modes, k = 1 and 3,
@@ -23,6 +28,7 @@ import argparse
 import hashlib
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -56,9 +62,19 @@ def grid() -> list[dict]:
     ]
 
 
-def digest(config: dict) -> str:
+def digests(config: dict, tmp: Path) -> tuple[str, str]:
+    """The config's JSON digest and tables digest; the tables are written
+    under `tmp`."""
     result = mc.run_experiment(mc.ExperimentConfig.from_dict(config), workers=1)
-    return hashlib.sha256(mc.result_to_json(result, include_replicates=True).encode()).hexdigest()
+    json_digest = hashlib.sha256(mc.result_to_json(result, include_replicates=True).encode())
+    tables = hashlib.sha256()
+    for critical_by_n in (None, {config["n_grid"][0]: 0.0}):
+        mc.write_summary_csv(result, tmp / "summary.csv", critical_by_n=critical_by_n)
+        tables.update((tmp / "summary.csv").read_bytes())
+    for n in config["n_grid"]:
+        mc.write_histogram_csv(result, n, tmp / "hist.csv")
+        tables.update((tmp / "hist.csv").read_bytes())
+    return json_digest.hexdigest(), tables.hexdigest()
 
 
 def label(config: dict) -> str:
@@ -68,15 +84,18 @@ def label(config: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--total", action="store_true", help="print the total digest only")
+    parser.add_argument("--total", action="store_true", help="print the totals only")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
-    for config in grid():
-        line = f"{digest(config)}  {label(config)}"
-        total.update(line.encode() + b"\n")
-        if not args.total:
-            print(line)
+    total, tables_total = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in grid():
+            json_digest, tables_digest = digests(config, Path(tmp))
+            total.update(f"{json_digest}  {label(config)}\n".encode())
+            tables_total.update(f"{tables_digest}  {label(config)}\n".encode())
+            if not args.total:
+                print(f"{json_digest}  {tables_digest}  {label(config)}")
     print(f"{total.hexdigest()}  total")
+    print(f"{tables_total.hexdigest()}  tables total")
     return 0
 
 
