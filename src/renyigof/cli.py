@@ -37,12 +37,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
-        super().__init__(message)
-        self.code = code
-
-
 def _param(text: str) -> float:
     try:
         return mc.parse_param(text)
@@ -54,35 +48,35 @@ def _floats(text: str, flag: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliError(f"{flag} takes numbers, got {text!r}") from None
+        raise DomainError(f"{flag} takes numbers, got {text!r}") from None
 
 
 def _parse_vector(text: str, m: int) -> np.ndarray:
     vals = _floats(text, "--loc")
     if len(vals) != m:
-        raise CliError(f"--loc needs {m} comma-separated values, got {len(vals)}")
+        raise DomainError(f"--loc needs {m} comma-separated values, got {len(vals)}")
     return np.asarray(vals)
 
 
 def _parse_matrix(text: str, m: int) -> np.ndarray:
     rows = [_floats(row, "--scale") for row in text.split(";")]
     if len(rows) != m or any(len(r) != m for r in rows):
-        raise CliError(f"--scale needs an {m}x{m} matrix as 'r1c1,r1c2;r2c1,...'")
+        raise DomainError(f"--scale needs an {m}x{m} matrix as 'r1c1,r1c2;r2c1,...'")
     return np.asarray(rows)
 
 
 def _tail_flag(args, flags: dict[str, str]):
     """The value of the tail-parameter flag of `args.family` among `flags`
     (family -> flag name; None for a family with no flag).  A missing
-    own flag, or a flag of another family, raises CliError."""
+    own flag, or a flag of another family, raises DomainError."""
     for family, flag in flags.items():
         if family != args.family and getattr(args, flag) is not None:
-            raise CliError(f"--{flag} does not apply to --family {args.family}")
+            raise DomainError(f"--{flag} does not apply to --family {args.family}")
     own = flags.get(args.family)
     if own is None:
         return None
     if getattr(args, own) is None:
-        raise CliError(f"--{own} is required for --family {args.family}")
+        raise DomainError(f"--{own} is required for --family {args.family}")
     return getattr(args, own)
 
 
@@ -90,7 +84,7 @@ def _build_spec(args):
     param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
     m = args.dim
     if m < 1:
-        raise CliError(f"--dim must be >= 1, got {m}")
+        raise DomainError(f"--dim must be >= 1, got {m}")
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
     if args.family == "gaussian":
@@ -132,7 +126,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_test(args) -> int:
     if args.alpha and not args.critical_table:
-        raise CliError(
+        raise DomainError(
             "--alpha needs --critical-table; run `renyigof experiment` on the "
             "null configuration to produce one"
         )
@@ -148,10 +142,10 @@ def cmd_test(args) -> int:
         mc.check_null_run(args.critical_table, table, settings)
         for alpha in args.alpha or [0.05]:
             if alpha not in critical:
-                raise CliError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
+                raise DomainError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
             crit = critical[alpha].get(stat.n)
             if crit is None:
-                raise CliError(
+                raise DomainError(
                     f"critical table {args.critical_table} has no row for N={stat.n}"
                 )
             decisions.append({"alpha": alpha, "critical": crit, "reject": stat.value > crit})
@@ -177,12 +171,10 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     reported in one error with the config's other problems."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise CliError(f"config {path} is not UTF-8 text: {exc}") from None
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from None
+        raise ExperimentError(f"config is not valid JSON: {exc}") from None
     power_reference, problems = None, []
     if isinstance(data, dict) and "power_reference" in data:
         power_reference = data.pop("power_reference")
@@ -193,21 +185,21 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     try:
         config = mc.ExperimentConfig.from_dict(data)
     except ExperimentError as exc:
-        raise CliError("; ".join([str(exc), *problems])) from None
+        raise ExperimentError("; ".join([str(exc), *problems])) from None
     if problems:
-        raise CliError(str(mc._invalid(problems)))
+        raise mc._invalid(problems)
     if power_reference is None:
         return config, None
     return config, path.parent / power_reference
 
 
 def _check_out_dir(out_dir: Path) -> None:
-    """Raise CliError unless `out_dir` can be created as (or already is) a
+    """Raise DomainError unless `out_dir` can be created as (or already is) a
     directory: it, and its nearest existing ancestor, must be directories."""
     for path in (out_dir, *out_dir.parents):
         if path.exists():
             if not path.is_dir():
-                raise CliError(f"--out-dir {out_dir}: {path} is not a directory")
+                raise DomainError(f"--out-dir {out_dir}: {path} is not a directory")
             return
 
 
@@ -296,9 +288,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (DuplicatePointsError, NotPositiveDefiniteError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

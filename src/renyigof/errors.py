@@ -2,7 +2,9 @@
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An input value a function or command does not accept: an argument
+    outside the mathematical domain of an operation, a malformed input
+    file, or a command-line usage error."""
 
 
 class DuplicatePointsError(ValueError):

@@ -538,9 +538,9 @@ def _per_n_rows(result: McResult, alphas: Iterable[float]) -> Iterator[tuple]:
         yield entry, vals, mean, stderr, {a: empirical_quantile(vals, a) for a in alphas}
 
 
-def _rate_or_none(result: McResult) -> float | None:
+def _rate_or_none(pairs: list[tuple[int, float]]) -> float | None:
     try:
-        return fit_convergence_rate(result.mean_curve()).b
+        return fit_convergence_rate(pairs).b
     except DomainError:
         return None
 
@@ -574,7 +574,7 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
         "config": result.config.to_dict(),
         "config_hash": result.config.config_hash(),
         "quantile_scheme": _QUANTILE_SCHEME,
-        "rate_b": _rate_or_none(result),
+        "rate_b": _rate_or_none([(item["n"], item["mean"]) for item in per_n]),
         "per_n": per_n,
     }
     return json.dumps(doc, sort_keys=True, indent=1)
@@ -590,10 +590,11 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
     0.05 by construction).
     """
     config = result.config
-    rate_b = _rate_or_none(result)
+    per_n = list(_per_n_rows(result, ALPHA_COLUMNS))
+    rate_b = _rate_or_none([(entry.n, mean) for entry, _, mean, _, _ in per_n])
     lines = _header_lines(config)
     lines.append(",".join(SUMMARY_COLUMNS))
-    for entry, vals, mean, stderr, quantiles in _per_n_rows(result, ALPHA_COLUMNS):
+    for entry, vals, mean, stderr, quantiles in per_n:
         crit = quantiles[0.05] if critical_by_n is None else critical_by_n.get(entry.n)
         row = [
             str(config.dim),
@@ -657,10 +658,14 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
 
 
 def check_null_run(path, table: ExperimentConfig, settings: dict) -> None:
-    """Raise DomainError naming each key of :data:`NULL_RUN_KEYS` on which
-    `settings` (in :meth:`ExperimentConfig.to_dict` form) differ from
-    `table`, the null run that wrote the critical table at `path`."""
+    """Raise DomainError unless `table`, the run that wrote the critical
+    table at `path`, is a null run (true_param equal to null_param), and
+    naming each key of :data:`NULL_RUN_KEYS` on which `settings` (in
+    :meth:`ExperimentConfig.to_dict` form) differ from it."""
     theirs = table.to_dict()
+    if table.true_param != table.null_param:
+        raise DomainError(f"critical table {path} is not from a null run: true_param "
+                          f"{theirs['true_param']!r}, null_param {theirs['null_param']!r}")
     differ = [key for key in NULL_RUN_KEYS if settings[key] != theirs[key]]
     if differ:
         raise DomainError(

@@ -177,29 +177,32 @@ def read_csv(path) -> Sample:
     """Read a sample written by :func:`write_csv`, skipping '#' comments.
 
     The file is read as UTF-8.  Raises DomainError for a file that does
-    not decode, an empty file, ragged rows, or non-numeric entries.
+    not decode, an empty file, a first row of numbers where the header
+    belongs, ragged rows, or non-numeric entries.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             records = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
-    rows = []
-    header = None
+    rows, width = [], None
     for lineno, row in enumerate(records, start=1):
         if not row or row[0].startswith("#"):
             continue
-        if header is None:
-            header = row
-            width = len(header)
-            continue
+        if width is None:  # the header line
+            width = len(row)
+            try:
+                [float(v) for v in row]
+            except ValueError:
+                continue
+            raise DomainError(f"{path}:{lineno}: expected a header line, got a row of numbers")
         if len(row) != width:
             raise DomainError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
             rows.append([float(v) for v in row])
         except ValueError:
             raise DomainError(f"{path}:{lineno}: non-numeric value") from None
-    if header is None:
+    if width is None:
         raise DomainError(f"{path}: empty file")
     if not rows:
         raise DomainError(f"{path}: no data rows")

@@ -166,6 +166,15 @@ class TestEntropyCommand:
         code, _, _ = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.5"])
         assert code == 2
 
+    def test_headerless_file_exit_2(self, tmp_path, capsys):
+        # its first point is not dropped as a header
+        path = tmp_path / "bare.csv"
+        path.write_text("1.5\n2.5\n3.7\n4.1\n5.9\n")
+        code, out, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.8"])
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: expected a header line" in err
+
 
 class TestTestCommand:
     def test_record_fields(self, tmp_path, capsys):
@@ -302,6 +311,24 @@ class TestTestCommand:
         others = [k for k in ("family", "null_param", "dim", "k", "covariance_mode") if k != key]
         assert not any(f"{k} " in err for k in others)
 
+    def test_table_from_non_null_run_exits_2(self, tmp_path, capsys):
+        # a power run's quantiles are those of W under its alternative
+        table = self._null_table(tmp_path, capsys, true_param="inf")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
+                                            "--alpha", "0.05")
+        assert code == 2
+        assert out == ""
+        assert "is not from a null run: true_param 'inf', null_param '5.0'" in err
+
+    def test_headerless_data_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bare.csv"
+        path.write_text("1.5\n2.5\n3.7\n4.1\n5.9\n")
+        code, out, err = _run(capsys, ["test", str(path), "--family", "student",
+                                       "--nu0", "5", "--k", "3"])
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: expected a header line" in err
+
     def test_table_without_config_header_exits_2(self, tmp_path, capsys):
         (tmp_path / "bare.csv").write_text("N,q05\n50,0.1\n")
         code, out, err = self._test_against(tmp_path, capsys, tmp_path / "bare.csv",
@@ -420,9 +447,10 @@ class TestExperimentCommand:
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
-        code, _, _ = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
-                                   "--out-dir", str(tmp_path / "o")])
+        code, _, err = _run(capsys, ["experiment", str(tmp_path / "nope.json"),
+                                     "--out-dir", str(tmp_path / "o")])
         assert code == 2
+        assert str(tmp_path / "nope.json") in err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text('{"schema_version": 1,')
@@ -550,6 +578,26 @@ class TestExperimentCommand:
         for key in ("family", "dim"):
             assert f"{key} " not in err
         assert not (tmp_path / "alt_out").exists()
+
+    def test_power_reference_from_non_null_run_exits_2(self, tmp_path, capsys):
+        # a power run's quantiles are those of W under its alternative
+        power = {
+            "schema_version": 1, "family": "student", "true_param": "inf",
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 21,
+        }
+        (tmp_path / "power.json").write_text(json.dumps(power))
+        code, _, _ = _run(capsys, ["experiment", str(tmp_path / "power.json"),
+                                   "--out-dir", str(tmp_path / "power_out")])
+        assert code == 0
+        again = dict(power, master_seed=22, power_reference="power_out/summary.csv")
+        (tmp_path / "again.json").write_text(json.dumps(again))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "again.json"),
+                                       "--out-dir", str(tmp_path / "again_out")])
+        assert code == 2
+        assert out == ""
+        assert "is not from a null run: true_param 'inf', null_param '5.0'" in err
+        assert not (tmp_path / "again_out").exists()
 
     @pytest.mark.parametrize("key, value", [("family", "pearson2"), ("dim", 2)])
     def test_each_reference_key_checked(self, tmp_path, capsys, key, value):

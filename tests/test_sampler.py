@@ -205,3 +205,10 @@ class TestCsv:
         path.write_text("x1\n1.0\nfoo\n")
         with pytest.raises(DomainError, match="non-numeric"):
             read_csv(path)
+
+    def test_rejects_missing_header(self, tmp_path):
+        # a first row of numbers is a point, not a header to drop
+        path = tmp_path / "bare.csv"
+        path.write_text("# comment\n1.5\n2.5\n3.7\n4.1\n5.9\n")
+        with pytest.raises(DomainError, match=r"bare\.csv:2: expected a header line"):
+            read_csv(path)
