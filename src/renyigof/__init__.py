@@ -1,106 +1,82 @@
 """Nearest-neighbour Renyi entropy estimation and maximum-entropy
 goodness-of-fit tests for multivariate Student and Pearson type II
 distributions, with a Monte Carlo harness for critical values, power
-and convergence rates."""
+and convergence rates.
+
+Each public name loads its module on first use, so `import renyigof`
+alone imports no numpy: the command line sets numpy's BLAS threads
+before numpy loads (see :mod:`renyigof.cli`).
+"""
+
+import importlib
 
 from ._version import __version__
-from .distributions import (
-    ConditionCheck,
-    DistributionSpec,
-    Family,
-    MaxEntropyResult,
-    SpdMatrix,
-    check_estimator_conditions,
-    critical_moment,
-    density,
-    gaussian,
-    gaussian_shannon_entropy,
-    log_density,
-    max_renyi_entropy,
-    pearson2,
-    pearson2_renyi_constant,
-    renyi_entropy_closed_form,
-    student,
-    student_renyi_constant,
-)
-from .errors import (
-    DomainError,
-    DuplicatePointsError,
-    ExperimentError,
-    NotPositiveDefiniteError,
-)
-from .gof import GofStatistic, pearson_statistic, sample_covariance, statistic, student_statistic
-from .knn import (
-    EntropyEstimate,
-    KnnDistances,
-    g_estimate,
-    knn_distances,
-    renyi_estimate,
-    shannon_estimate,
-)
-from .mc import (
-    ExperimentConfig,
-    McResult,
-    RateFit,
-    empirical_quantile,
-    estimate_power,
-    fit_convergence_rate,
-    histogram_bins,
-    run_experiment,
-    summarize,
-)
-from .sampler import RngStream, Sample, sample, sample_uniform_sphere
-from .special import digamma, ln_beta, ln_gamma, unit_ball_volume
 
-__all__ = [
-    "__version__",
-    "ConditionCheck",
-    "DistributionSpec",
-    "Family",
-    "MaxEntropyResult",
-    "SpdMatrix",
-    "check_estimator_conditions",
-    "critical_moment",
-    "density",
-    "gaussian",
-    "gaussian_shannon_entropy",
-    "log_density",
-    "max_renyi_entropy",
-    "pearson2",
-    "pearson2_renyi_constant",
-    "renyi_entropy_closed_form",
-    "student",
-    "student_renyi_constant",
-    "DomainError",
-    "DuplicatePointsError",
-    "ExperimentError",
-    "NotPositiveDefiniteError",
-    "GofStatistic",
-    "pearson_statistic",
-    "sample_covariance",
-    "statistic",
-    "student_statistic",
-    "EntropyEstimate",
-    "KnnDistances",
-    "g_estimate",
-    "knn_distances",
-    "renyi_estimate",
-    "shannon_estimate",
-    "ExperimentConfig",
-    "McResult",
-    "RateFit",
-    "empirical_quantile",
-    "estimate_power",
-    "fit_convergence_rate",
-    "histogram_bins",
-    "run_experiment",
-    "summarize",
-    "RngStream",
-    "Sample",
-    "sample",
-    "sample_uniform_sphere",
-    "digamma",
-    "ln_beta",
-    "ln_gamma",
-    "unit_ball_volume",
-]
+# public name -> the submodule that defines it
+_MODULE_OF = {
+    "ConditionCheck": "distributions",
+    "DistributionSpec": "distributions",
+    "Family": "distributions",
+    "MaxEntropyResult": "distributions",
+    "SpdMatrix": "distributions",
+    "check_estimator_conditions": "distributions",
+    "critical_moment": "distributions",
+    "density": "distributions",
+    "gaussian": "distributions",
+    "gaussian_shannon_entropy": "distributions",
+    "log_density": "distributions",
+    "max_renyi_entropy": "distributions",
+    "pearson2": "distributions",
+    "pearson2_renyi_constant": "distributions",
+    "renyi_entropy_closed_form": "distributions",
+    "student": "distributions",
+    "student_renyi_constant": "distributions",
+    "DomainError": "errors",
+    "DuplicatePointsError": "errors",
+    "ExperimentError": "errors",
+    "NotPositiveDefiniteError": "errors",
+    "GofStatistic": "gof",
+    "pearson_statistic": "gof",
+    "sample_covariance": "gof",
+    "statistic": "gof",
+    "student_statistic": "gof",
+    "EntropyEstimate": "knn",
+    "KnnDistances": "knn",
+    "g_estimate": "knn",
+    "knn_distances": "knn",
+    "renyi_estimate": "knn",
+    "shannon_estimate": "knn",
+    "ExperimentConfig": "mc",
+    "McResult": "mc",
+    "RateFit": "mc",
+    "empirical_quantile": "mc",
+    "estimate_power": "mc",
+    "fit_convergence_rate": "mc",
+    "histogram_bins": "mc",
+    "run_experiment": "mc",
+    "summarize": "mc",
+    "RngStream": "sampler",
+    "Sample": "sampler",
+    "sample": "sampler",
+    "sample_uniform_sphere": "sampler",
+    "digamma": "special",
+    "ln_beta": "special",
+    "ln_gamma": "special",
+    "unit_ball_volume": "special",
+}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,14 +8,24 @@ statistic (optionally against a precomputed critical-value table), and
 Exit codes: 0 success, 2 usage or validation error, 3 data error
 (duplicate points, degenerate covariance).  stdout carries JSON
 records; diagnostics go to stderr.
+
+numpy runs BLAS on one thread in this process and in the workers it
+starts, unless the caller has set OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# Replicates run in separate worker processes and no BLAS call here is large
+# enough to gain from threads, yet OpenBLAS starts its threads when numpy
+# loads and each one costs CPU.  OpenBLAS reads this only then, so it is set
+# before the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

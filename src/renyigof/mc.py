@@ -176,7 +176,7 @@ def _rule_problems(v: dict) -> list[str]:
     problems: list[str] = []
     family = v.get("family")
     if "family" in v and family not in (Family.STUDENT, Family.PEARSON2):
-        problems.append(f"family must be student or pearson2, got {family}")
+        problems.append(f"family must be student or pearson2, got {family.value!r}")
     elif "family" in v:
         tails = {}
         for name in ("true_param", "null_param"):
@@ -629,8 +629,9 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
     critical value}}) at each level of :data:`ALPHA_COLUMNS`.
 
     The file is read as UTF-8.  The config comes from the `# config`
-    header line; a file that does not decode, has no such line, or has
-    no well-formed table raises DomainError.
+    header line; a file that does not decode, has no such line or no
+    valid experiment config on it, or has no well-formed table raises
+    DomainError naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -642,7 +643,7 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
         raise DomainError(f"{path}: no '# config' header line")
     try:
         config = ExperimentConfig.from_dict(json.loads(configs[0]))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, ExperimentError) as exc:
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
     table = [line.split(",") for line in lines if not line.startswith("#")]
     needed = ("N", *ALPHA_COLUMNS.values())

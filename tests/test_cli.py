@@ -245,6 +245,19 @@ class TestTestCommand:
         assert out == ""
         assert f"{stray} does not apply to --family {family}" in err
 
+    def test_sample_file_as_critical_table_names_it(self, tmp_path, capsys, monkeypatch):
+        # a sample's `# config` line holds its draw settings, not an experiment
+        # config; the error must name the table, not read like a config fault
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = _run(capsys, ["sample", "--family", "student", "--nu", "5", "--dim", "1",
+                                   "--n", "50", "--seed", "1", "-o", "d.csv"])
+        assert code == 0
+        code, out, err = _run(capsys, ["test", "d.csv", "--family", "student", "--nu0", "5",
+                                       "--k", "3", "--critical-table", "d.csv"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: d.csv: unreadable config header: ")
+
     def test_decision_rows_against_table(self, tmp_path, capsys):
         config = {
             "schema_version": 1, "family": "student", "true_param": "inf",
@@ -423,6 +436,17 @@ class TestExperimentCommand:
         for fragment in ("covarience_mode", "include_replicates", "dim: must be an integer"):
             assert fragment in err
         assert not (tmp_path / "o").exists()
+
+    def test_gaussian_family_exits_2(self, tmp_path, capsys):
+        config = {
+            "schema_version": 1, "family": "gaussian", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3, "replicates": 4,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "family must be student or pearson2, got 'gaussian'" in err
 
     def test_repeated_sample_size_exits_2(self, tmp_path, capsys):
         config = {
@@ -860,16 +884,27 @@ def experiment(dim, workers):
 """
 
 
+def _fresh_python(script, cwd=None, blas_threads=None):
+    """The JSON value on the last stdout line of `script`, run by a fresh
+    interpreter on this checkout's src/.  OPENBLAS_NUM_THREADS is set to
+    `blas_threads` if given and unset otherwise: this process has imported
+    renyigof.cli, which sets it."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestLazyImports:
     @staticmethod
     def _run_script(tmp_path, script):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(_REPO / "src"), env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-c", _LAZY_PRELUDE + script], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout.splitlines()[-1])
+        return _fresh_python(_LAZY_PRELUDE + script, cwd=tmp_path)
 
     def test_m1_run_loads_neither_kd_tree_nor_linalg(self, tmp_path):
         # m = 1 needs no scipy module at all: ln_gamma and digamma are pure
@@ -909,3 +944,44 @@ for dim in (1, 3):
 print(json.dumps(loaded))
 """)
         assert loaded == {"m1": [0, False], "m3": [0, True]}
+
+
+class TestFreshImport:
+    # each check runs in a fresh interpreter: OpenBLAS reads its thread count
+    # only when numpy first loads, and this process has loaded numpy already
+    @staticmethod
+    def _probe(script, blas_threads=None):
+        return _fresh_python("import json, os, sys\n" + script, blas_threads=blas_threads)
+
+    def test_package_import_leaves_numpy_and_blas_alone(self):
+        loaded = self._probe("""
+import renyigof
+print(json.dumps(["numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS")]))
+""")
+        assert loaded == [False, None]
+
+    def test_cli_import_runs_one_blas_thread(self):
+        threads, tasks = self._probe("""
+import renyigof.cli
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+""")
+        assert threads == "1"
+        if sys.platform.startswith("linux"):
+            assert tasks == 1  # the main thread alone: no BLAS helper threads
+
+    def test_preset_blas_threads_kept(self):
+        threads = self._probe("""
+import renyigof.cli
+print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+""", blas_threads="2")
+        assert threads == "2"
+
+    def test_every_public_name_resolves(self):
+        unlisted, missing = self._probe("""
+import renyigof
+listed = set(dir(renyigof))
+missing = [name for name in renyigof.__all__ if not hasattr(renyigof, name)]
+print(json.dumps([sorted(set(renyigof.__all__) - listed), missing]))
+""")
+        assert unlisted == [] and missing == []
