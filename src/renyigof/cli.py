@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
-from .sampler import RngStream, read_csv, sample, write_csv
+from .sampler import RngStream, read_csv, read_lines, sample, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -175,14 +175,13 @@ def cmd_test(args) -> int:
 
 
 def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
-    """An experiment config file (UTF-8 JSON) and its optional
-    `power_reference` (a null-run summary CSV, resolved against the
-    config's directory).  A reference that is not a non-empty string is
-    reported in one error with the config's other problems."""
+    """An experiment config file (JSON, read by :func:`sampler.read_lines`)
+    and its optional `power_reference` (a null-run summary CSV, resolved
+    against the config's directory).  A reference that is not a
+    non-empty string is reported in one error with the config's other
+    problems."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
+        data = json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ExperimentError(f"config is not valid JSON: {exc}") from None
     power_reference, problems = None, []

@@ -186,17 +186,13 @@ def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=k_max + 1)
     # column 0 is the query point itself; a second zero means a duplicate
-    zero = dist[:, 1] == 0.0
-    if zero.any():
-        raise DuplicatePointsError(_tree_duplicates(tree, pts, np.nonzero(zero)[0], k_max + 1))
-    return dist[:, 1:]
-
-
-def _tree_duplicates(tree, pts: np.ndarray, rows: np.ndarray, k: int) -> list[tuple[int, int]]:
+    rows = np.flatnonzero(dist[:, 1] == 0.0)
+    if rows.size == 0:
+        return dist[:, 1:]
     # widen the query until each flagged point's last neighbour is at a
     # non-zero distance, so no coincident point is cut off (query_pairs
     # would be shorter but refuses data whose squared extent overflows)
-    n = pts.shape[0]
+    n, k = pts.shape[0], k_max + 1
     while True:
         dist, idx = tree.query(pts[rows], k=k)
         if k == n or (dist[:, -1] > 0.0).all():
@@ -207,7 +203,7 @@ def _tree_duplicates(tree, pts: np.ndarray, rows: np.ndarray, k: int) -> list[tu
         for j in j_row[d_row == 0.0].tolist():
             if j != i:
                 pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
+    raise DuplicatePointsError(sorted(pairs))
 
 
 def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
@@ -242,13 +238,18 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
         for i in range(j):
             np.minimum(row, np.maximum(left[i], right[j - 1 - i], out=pair), out=row)
     if not left[0].all():  # a zero nearest gap: a duplicate
-        from scipy.spatial import cKDTree
-
-        pts = x[:, None]
-        # the sort put tied values side by side, so a zero gap flags the
-        # same sorted positions that argsort maps back to point indices
-        rows = np.argsort(x)[left[0] == 0.0]
-        raise DuplicatePointsError(_tree_duplicates(cKDTree(pts), pts, rows, k_max + 1))
+        # correctly rounded subtraction and squaring are monotone, so the
+        # squared difference of sorted positions p < q is zero only if that
+        # of p and q - 1 is: offset t needs testing only at the positions
+        # whose pair at offset t - 1 was a duplicate
+        order = np.argsort(x)  # the point at each sorted position of xs
+        pos, t, pairs = np.arange(n), 0, []
+        while pos.size:
+            t += 1
+            pos = pos[pos + t < n]
+            pos = pos[np.square(xs[pos + t] - xs[pos]) == 0.0]
+            pairs += zip(order[pos].tolist(), order[pos + t].tolist())
+        raise DuplicatePointsError(sorted((min(i, j), max(i, j)) for i, j in pairs))
     return np.sqrt(left, out=left)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
-from .sampler import RngStream, sample
+from .sampler import RngStream, read_table, sample, write_table
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
@@ -391,14 +391,16 @@ def worker_count(workers: int | None) -> int:
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:
     """Run every replicate of the experiment, optionally in parallel.
 
-    `workers` counts as in :func:`worker_count`.  Results are
-    bit-identical for any worker count.  Raises ExperimentError if the
-    fraction of failed replicates at any sample size exceeds
-    config.max_failure_rate, or leaves fewer than 2 valid replicates.
+    `workers` counts as in :func:`worker_count`, capped at the number of
+    replicates.  Results are bit-identical for any worker count.  Raises
+    ExperimentError if the fraction of failed replicates at any sample
+    size exceeds config.max_failure_rate, or leaves fewer than 2 valid
+    replicates.
     """
-    workers = worker_count(workers)
     m_rep = config.replicates
     ns, js = zip(*itertools.product(config.n_grid, range(m_rep)))
+    # the pool forks all its workers at the first submit, so start no idle ones
+    workers = min(worker_count(workers), len(ns))
     configs = itertools.repeat(config)
     if workers <= 1:
         outcomes = list(map(_replicate_outcome, configs, ns, js))
@@ -515,17 +517,17 @@ def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     return edges, counts
 
 
-# the header line that carries a run's config, read back by read_summary
-_CONFIG_HEADER = "# config "
+# the comment that carries a run's config, read back by read_summary
+_CONFIG_COMMENT = "config "
 
 
-def _header_lines(config: ExperimentConfig) -> list[str]:
+def _comments(config: ExperimentConfig) -> list[str]:
     return [
-        f"# renyigof {__version__}",
-        f"{_CONFIG_HEADER}{config.canonical_json()}",
-        f"# config_hash {config.config_hash()}",
-        f"# master_seed {config.master_seed}",
-        f"# quantile_scheme {_QUANTILE_SCHEME}",
+        f"renyigof {__version__}",
+        f"{_CONFIG_COMMENT}{config.canonical_json()}",
+        f"config_hash {config.config_hash()}",
+        f"master_seed {config.master_seed}",
+        f"quantile_scheme {_QUANTILE_SCHEME}",
     ]
 
 
@@ -592,11 +594,10 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
     config = result.config
     per_n = list(_per_n_rows(result, ALPHA_COLUMNS))
     rate_b = _rate_or_none([(entry.n, mean) for entry, _, mean, _, _ in per_n])
-    lines = _header_lines(config)
-    lines.append(",".join(SUMMARY_COLUMNS))
+    rows = []
     for entry, vals, mean, stderr, quantiles in per_n:
         crit = quantiles[0.05] if critical_by_n is None else critical_by_n.get(entry.n)
-        row = [
+        rows.append([
             str(config.dim),
             _format_float(config.true_param),
             _format_float(config.null_param),
@@ -605,22 +606,17 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
             *map(_format_float, (mean, stderr, *quantiles.values())),
             "" if crit is None else _format_float(estimate_power(vals, crit)),
             "" if rate_b is None else _format_float(rate_b),
-        ]
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        ])
+    write_table(path, _comments(config), SUMMARY_COLUMNS, rows)
 
 
 def write_histogram_csv(result: McResult, n: int, path) -> None:
     """Write Freedman-Diaconis histogram bins of the replicate values at N=n."""
     edges, counts = histogram_bins(result.values_at(n))
-    lines = _header_lines(result.config)
-    lines.append(f"# sample_size {n}")
-    lines.append("bin_left,bin_right,count")
-    for left, right, count in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{_format_float(left)},{_format_float(right)},{int(count)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ([_format_float(left), _format_float(right), str(int(count))]
+            for left, right, count in zip(edges[:-1], edges[1:], counts))
+    write_table(path, [*_comments(result.config), f"sample_size {n}"],
+                ("bin_left", "bin_right", "count"), rows)
 
 
 def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]:
@@ -628,24 +624,21 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
     :func:`write_summary_csv`, read in one pass: (config, {alpha: {N:
     critical value}}) at each level of :data:`ALPHA_COLUMNS`.
 
-    The file is read as UTF-8.  The config comes from the `# config`
-    header line; a file that does not decode, has no such line or no
-    valid experiment config on it, or has no well-formed table raises
-    DomainError naming the file.
+    The file is read through :func:`sampler.read_table`.  The config
+    comes from the `# config` header line; a file that does not decode,
+    has no such line or no valid experiment config on it, or has no
+    well-formed table raises DomainError naming the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
-    configs = [line[len(_CONFIG_HEADER):] for line in lines if line.startswith(_CONFIG_HEADER)]
+    lines = list(read_table(path))
+    prefix = "# " + _CONFIG_COMMENT
+    configs = [line[len(prefix):] for _, line, _ in lines if line.startswith(prefix)]
     if not configs:
         raise DomainError(f"{path}: no '# config' header line")
     try:
         config = ExperimentConfig.from_dict(json.loads(configs[0]))
     except (json.JSONDecodeError, ExperimentError) as exc:
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
-    table = [line.split(",") for line in lines if not line.startswith("#")]
+    table = [row for _, _, row in lines if row is not None]
     needed = ("N", *ALPHA_COLUMNS.values())
     if not table or not set(needed) <= set(table[0]):
         raise DomainError(f"{path}: not a summary table (needs columns {', '.join(needed)})")

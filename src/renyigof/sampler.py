@@ -9,19 +9,27 @@ X = a + L Z sqrt(nu/W); Pearson II vectors use the stochastic
 representation X = a + R L U with R^2 ~ Beta(m/2, eta+1) and U uniform
 on the unit sphere (Johnson 1987).  Here L is the lower Cholesky factor
 of Sigma.
+
+The module also holds the one text-table format of every CSV the
+package writes or reads (samples, summaries, histograms): `# ` comment
+lines, a header line and comma-separated rows, each line ending in LF,
+in UTF-8.  :func:`write_table` writes it and :func:`read_table` reads
+it, through :func:`read_lines`, which also decodes JSON configs.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
 
-__all__ = ["RngStream", "Sample", "sample", "sample_uniform_sphere", "write_csv", "read_csv"]
+__all__ = ["RngStream", "Sample", "sample", "sample_uniform_sphere",
+           "write_table", "read_lines", "read_table", "write_csv", "read_csv"]
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -159,35 +167,56 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
     return Sample(core)
 
 
+def write_table(path, comments, header, rows) -> None:
+    """Write a text table: each of `comments` as a '# ' line, then
+    `header` and each of `rows` (sequences of strings) comma-joined,
+    every line ending in LF, as UTF-8."""
+    lines = [*(f"# {text}" for text in comments), ",".join(header), *map(",".join, rows)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def read_lines(path) -> Iterator[str]:
+    """The lines of a UTF-8 file, each ending in LF but perhaps the last,
+    without a leading byte-order mark.  A file that does not decode
+    raises DomainError naming it."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_table(path) -> Iterator[tuple[int, str, list[str] | None]]:
+    """The lines of a text table written by :func:`write_table`, read by
+    :func:`read_lines`: (line number, line, fields) for each line that
+    is not blank, with the line stripped of surrounding whitespace and
+    its CSV fields, or None for a comment line (one starting with '#')."""
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line, None if line.startswith("#") else next(csv.reader([line]))
+
+
 def write_csv(s: Sample, path, metadata: list[str] | None = None) -> None:
-    """Write a sample as CSV: header x1,...,xm, round-trip floats.
+    """Write a sample as a text table: header x1,...,xm, round-trip floats.
 
     `metadata` lines, if given, are written first as '#' comments.
     """
-    with open(path, "w", newline="") as fh:
-        for line in metadata or ():
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(s.dim)])
-        for row in s.points:
-            writer.writerow([repr(float(v)) for v in row])
+    header = [f"x{j + 1}" for j in range(s.dim)]
+    write_table(path, metadata or (), header, (map(repr, row) for row in s.points.tolist()))
 
 
 def read_csv(path) -> Sample:
-    """Read a sample written by :func:`write_csv`, skipping '#' comments.
+    """Read a sample written by :func:`write_csv`, through :func:`read_table`.
 
-    The file is read as UTF-8.  Raises DomainError for a file that does
-    not decode, an empty file, a first row of numbers where the header
-    belongs, ragged rows, or non-numeric entries.
+    Raises DomainError for a file that does not decode, an empty file, a
+    first row of numbers where the header belongs, ragged rows, or
+    non-numeric entries.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            records = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: not UTF-8 text: {exc}") from None
     rows, width = [], None
-    for lineno, row in enumerate(records, start=1):
-        if not row or row[0].startswith("#"):
+    for lineno, _, row in read_table(path):
+        if row is None:
             continue
         if width is None:  # the header line
             width = len(row)

@@ -21,6 +21,10 @@ from renyigof.mc import ExperimentConfig
 from renyigof.sampler import RngStream, read_csv, sample, write_csv
 
 
+# sha256 of the file that TestSampleCommand.test_writes_deterministic_csv writes
+_SAMPLE_SHA256 = "7e7c9bb2deaa0fae470fd963748f29002c81cc6d756016f8cb4b027ae1df135c"
+
+
 def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -46,6 +50,8 @@ class TestSampleCommand:
         code, _, _ = _run(capsys, argv)
         assert code == 0
         assert path.read_bytes() == first
+        # the bytes of sampler.write_table, which every output table shares
+        assert hashlib.sha256(first).hexdigest() == _SAMPLE_SHA256, _toolchain_note()
 
     def test_invalid_eta_exits_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sample", "--family", "pearson2", "--eta", "-1",
@@ -170,6 +176,16 @@ class TestEntropyCommand:
         # its first point is not dropped as a header
         path = tmp_path / "bare.csv"
         path.write_text("1.5\n2.5\n3.7\n4.1\n5.9\n")
+        code, out, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.8"])
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: expected a header line" in err
+
+    def test_headerless_file_with_byte_order_mark_exit_2(self, tmp_path, capsys):
+        # the mark is not part of the first value, so that point is not
+        # taken for a header either
+        path = tmp_path / "bare.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.7\n4.1\n")
         code, out, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.8"])
         assert code == 2
         assert out == ""
@@ -301,6 +317,15 @@ class TestTestCommand:
         write_csv(sample(gaussian([0.0], [[1.0]]), 50, RngStream(66)), data)
         return _run(capsys, ["test", str(data), "--family", "student", *flags,
                              "--critical-table", str(table)])
+
+    def test_table_with_byte_order_mark_reads_alike(self, tmp_path, capsys):
+        table = self._null_table(tmp_path, capsys)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        outs = [self._test_against(tmp_path, capsys, path, "--nu0", "5", "--k", "3")
+                for path in (table, marked)]
+        assert outs[0][0] == 0
+        assert outs[1] == outs[0]
 
     def test_table_from_other_null_exits_2(self, tmp_path, capsys):
         # a nu0 = 10, "fresh" table cannot judge W against nu0 = 3
@@ -475,6 +500,18 @@ class TestExperimentCommand:
                                      "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert str(tmp_path / "nope.json") in err
+
+    def test_config_with_byte_order_mark_loads(self, tmp_path, capsys):
+        text = (_REPO / "configs" / "smoke.json").read_bytes()
+        (tmp_path / "marked.json").write_bytes(b"\xef\xbb\xbf" + text)
+        summaries = []
+        for name, config in (("plain", _REPO / "configs" / "smoke.json"),
+                             ("marked", tmp_path / "marked.json")):
+            code, _, err = _run(capsys, ["experiment", str(config), "--out-dir",
+                                         str(tmp_path / name), "--workers", "1"])
+            assert code == 0, err
+            summaries.append((tmp_path / name / "summary.csv").read_bytes())
+        assert summaries[1] == summaries[0]
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text('{"schema_version": 1,')
@@ -907,9 +944,9 @@ class TestLazyImports:
         return _fresh_python(_LAZY_PRELUDE + script, cwd=tmp_path)
 
     def test_m1_run_loads_neither_kd_tree_nor_linalg(self, tmp_path):
-        # m = 1 needs no scipy module at all: ln_gamma and digamma are pure
-        # Python, and the kd-tree and scipy.linalg load on first use; a stray
-        # top-level import would load scipy into every run
+        # m = 1 needs no scipy module at all, ties included: ln_gamma and
+        # digamma are pure Python, and the kd-tree and scipy.linalg load on
+        # first use; a stray top-level import would load scipy into every run
         loaded = self._run_script(tmp_path, """
 loaded = {"import": scipy_modules()}
 codes = [
@@ -920,6 +957,9 @@ codes = [
     main(["test", "s.csv", "--family", "student", "--nu0", "10", "--k", "3"]),
     main(["test", "s.csv", "--family", "pearson2", "--eta0", "inf", "--k", "3"]),
 ]
+with open("tied.csv", "w") as fh:
+    fh.write("x1\\n0.5\\n2.0\\n0.5\\n1.0\\n")
+codes.append(main(["entropy", "tied.csv", "--k", "1", "--q", "0.8"]))
 loaded["commands"] = [codes, scipy_modules()]
 for dim in (1, 3):
     code = experiment(dim, "1")
@@ -927,7 +967,8 @@ for dim in (1, 3):
 print(json.dumps(loaded))
 """)
         assert loaded["import"] == []
-        assert loaded["commands"] == [[0] * 5, []]
+        # a tie exits 3 without the kd-tree
+        assert loaded["commands"] == [[0] * 5 + [3], []]
         assert loaded["m1"] == [0, []]
         code, modules = loaded["m3"]
         assert code == 0

@@ -188,6 +188,14 @@ class TestKernelExactness:
         x, k = case
         _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "sorted")))
 
+    def test_run_of_zero_gaps_with_a_nonzero_pair(self):
+        # each squared gap of 1e-162 underflows to zero, but that of 2e-162
+        # does not: the run 0, 1e-162, 2e-162 holds two duplicate pairs, not three
+        x = np.array([2e-162, 5.0, 0.0, 1e-162, 3.0, 5.0])
+        out = _every_kernel(x[:, None], 1, ("brute", "tree", "sorted"))
+        assert out["brute"] == [(0, 3), (1, 5), (2, 3)]
+        _assert_identical(out)
+
     @settings(max_examples=200)
     @given(_grid_points())
     def test_tree_and_brute_report_same_duplicates(self, case):

@@ -343,6 +343,29 @@ class TestRunExperiment:
         for entry in result.per_n:
             assert entry.values == tuple(mc._replicate_value(cfg, entry.n, j) for j in range(9))
 
+    def test_no_more_workers_than_replicates(self, monkeypatch):
+        # the pool forks every worker it is given at the first submit
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+        cfg = _config(n_grid=(100,), replicates=3)
+        assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
+        run_experiment(_config(n_grid=(100, 200), replicates=3), workers=4)
+        assert started == [3, 4]
+
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
         # the CPUs this process may run on, not all the machine's
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -6,7 +6,16 @@ from scipy import stats
 
 from renyigof.distributions import gaussian, pearson2, student
 from renyigof.errors import DomainError
-from renyigof.sampler import RngStream, Sample, read_csv, sample, sample_uniform_sphere, write_csv
+from renyigof.sampler import (
+    RngStream,
+    Sample,
+    read_csv,
+    read_table,
+    sample,
+    sample_uniform_sphere,
+    write_csv,
+    write_table,
+)
 
 
 class TestRngStream:
@@ -212,3 +221,36 @@ class TestCsv:
         path.write_text("# comment\n1.5\n2.5\n3.7\n4.1\n5.9\n")
         with pytest.raises(DomainError, match=r"bare\.csv:2: expected a header line"):
             read_csv(path)
+
+    @pytest.mark.parametrize("metadata", [None, ["renyigof"]],
+                             ids=["header-first", "comment-first"])
+    def test_byte_order_mark_dropped(self, tmp_path, rng, metadata):
+        s = Sample(rng.standard_normal((20, 2)))
+        path = tmp_path / "marked.csv"
+        write_csv(s, path, metadata=metadata)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        np.testing.assert_array_equal(read_csv(path).points, s.points)
+
+
+class TestTable:
+    def test_write_ends_every_line_in_lf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ["tool 1", 'config {"a": 1, "b": 2}'], ("p", "q"),
+                    [["1", "2"], ["3", ""]])
+        assert path.read_bytes() == (b'# tool 1\n# config {"a": 1, "b": 2}\n'
+                                     b"p,q\n1,2\n3,\n")
+
+    def test_read_numbers_lines_and_keeps_comments_raw(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b'\xef\xbb\xbf# config {"a": 1, "b": 2}\r\n\r\np,q\r\n  \n1,"2"\n')
+        assert list(read_table(path)) == [
+            (1, '# config {"a": 1, "b": 2}', None),
+            (3, "p,q", ["p", "q"]),
+            (5, '1,"2"', ["1", "2"]),
+        ]
+
+    def test_undecodable_file_names_it(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"x1\n\xff\n")
+        with pytest.raises(DomainError, match=r"bin\.csv: not UTF-8 text"):
+            list(read_table(path))
