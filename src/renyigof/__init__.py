@@ -23,14 +23,11 @@ _MODULE_OF = {
     "critical_moment": "distributions",
     "density": "distributions",
     "gaussian": "distributions",
-    "gaussian_shannon_entropy": "distributions",
     "log_density": "distributions",
     "max_renyi_entropy": "distributions",
     "pearson2": "distributions",
-    "pearson2_renyi_constant": "distributions",
     "renyi_entropy_closed_form": "distributions",
     "student": "distributions",
-    "student_renyi_constant": "distributions",
     "DomainError": "errors",
     "DuplicatePointsError": "errors",
     "ExperimentError": "errors",
@@ -42,7 +39,6 @@ _MODULE_OF = {
     "student_statistic": "gof",
     "EntropyEstimate": "knn",
     "KnnDistances": "knn",
-    "g_estimate": "knn",
     "knn_distances": "knn",
     "renyi_estimate": "knn",
     "shannon_estimate": "knn",
@@ -58,7 +54,6 @@ _MODULE_OF = {
     "RngStream": "sampler",
     "Sample": "sampler",
     "sample": "sampler",
-    "sample_uniform_sphere": "sampler",
     "digamma": "special",
     "ln_beta": "special",
     "ln_gamma": "special",

@@ -39,9 +39,6 @@ __all__ = [
     "density",
     "log_density",
     "renyi_entropy_closed_form",
-    "gaussian_shannon_entropy",
-    "student_renyi_constant",
-    "pearson2_renyi_constant",
     "max_renyi_entropy",
     "MaxEntropyResult",
     "critical_moment",
@@ -310,37 +307,25 @@ def density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=256)
-def student_renyi_constant(m: int, nu: float, q: float) -> float:
-    """Location-free part of the Student Renyi entropy:
-    H_q(T_m(a, Sigma, nu)) = log|Sigma|/2 + this constant."""
-    # at the maximiser's order (max_renyi_entropy's expression) b1 is
-    # exactly (nu - 2)/2, which q(nu+m)/2 - m/2 rounds to 0 a few ulps above 2
-    if q == 1.0 - 2.0 / (nu + m):
-        b1 = (nu - 2.0) / 2.0
-    else:
-        b1 = q * (nu + m) / 2.0 - m / 2.0
-    if not b1 > 0:
-        raise DomainError(
-            f"Student Renyi entropy undefined: q(nu+m)/2 - m/2 = {b1} must be positive"
-        )
-    return _elliptic_renyi_constant(m, q, b1, nu / 2.0, math.pi * nu)
-
-
-@functools.lru_cache(maxsize=256)
-def pearson2_renyi_constant(m: int, eta: float, q: float) -> float:
-    """Location-free part of the Pearson II Renyi entropy:
-    H_q(P_m(a, Sigma, eta)) = log|Sigma|/2 + this constant."""
-    b1 = q * eta + 1.0
-    if not b1 > 0:
-        raise DomainError(
-            f"Pearson II Renyi entropy undefined: q*eta + 1 = {b1} must be positive"
-        )
-    return _elliptic_renyi_constant(m, q, b1, eta + 1.0, math.pi)
-
-
-def _elliptic_renyi_constant(m: int, q: float, b1: float, b0: float, s: float) -> float:
-    # the one body of both constants (Zografos and Nadarajah 2005):
+def _renyi_constant(family: Family, m: int, param: float, q: float) -> float:
+    # the location-free part of H_q of the Student (param nu) or Pearson II
+    # (param eta) member: H_q = log|Sigma|/2 + this constant, which is
     # [ln B(b1, m/2) - q ln B(b0, m/2)]/(1 - q) + (m/2) log s - ln Gamma(m/2)
+    # (Zografos and Nadarajah 2005)
+    if family is Family.STUDENT:
+        # at the maximiser's order (max_renyi_entropy's expression) b1 is
+        # exactly (nu - 2)/2, which q(nu+m)/2 - m/2 rounds to 0 a few ulps above 2
+        if q == 1.0 - 2.0 / (param + m):
+            b1 = (param - 2.0) / 2.0
+        else:
+            b1 = q * (param + m) / 2.0 - m / 2.0
+        b0, s = param / 2.0, math.pi * param
+        undefined = "Student Renyi entropy undefined: q(nu+m)/2 - m/2"
+    else:
+        b1, b0, s = q * param + 1.0, param + 1.0, math.pi
+        undefined = "Pearson II Renyi entropy undefined: q*eta + 1"
+    if not b1 > 0:
+        raise DomainError(f"{undefined} = {b1} must be positive")
     return ((ln_beta(b1, m / 2.0) - q * ln_beta(b0, m / 2.0)) / (1.0 - q)
             + 0.5 * m * math.log(s) - ln_gamma(m / 2.0))
 
@@ -356,28 +341,21 @@ def _renyi_entropy(family: Family, m: int, log_det: float, param, q: float) -> f
         if q == 1.0:
             return 0.5 * m * (_LOG_2PI + 1.0) + 0.5 * log_det
         return 0.5 * m * _LOG_2PI + 0.5 * log_det - m * math.log(q) / (2.0 * (1.0 - q))
-    constant = student_renyi_constant if family is Family.STUDENT else pearson2_renyi_constant
-    return 0.5 * log_det + constant(m, param, q)
+    return 0.5 * log_det + _renyi_constant(family, m, param, q)
 
 
 def renyi_entropy_closed_form(spec: DistributionSpec, q: float) -> float:
-    """Renyi entropy of finite order q (q > 0, q != 1) in nats.
+    """Renyi entropy of finite order q > 0 in nats.
 
-    The q = 1 (Shannon) value is available in closed form only for the
-    Gaussian; use :func:`gaussian_shannon_entropy` for that.
+    At q = 1 this is the Shannon entropy, which has a closed form here
+    for the Gaussian only, log[(2 pi e)^{m/2} |Sigma|^{1/2}]; a Student
+    or Pearson II spec at q = 1 raises DomainError.
     """
     if not q > 0:
         raise DomainError(f"Renyi order must be positive, got {q}")
-    if q == 1.0:
-        raise DomainError("q = 1 is the Shannon case; use gaussian_shannon_entropy")
+    if q == 1.0 and spec.family is not Family.GAUSSIAN:
+        raise DomainError("q = 1 (Shannon) has a closed form for the Gaussian only")
     return _renyi_entropy(spec.family, spec.dim, spec.scale.log_det, spec.param, q)
-
-
-def gaussian_shannon_entropy(spec: DistributionSpec) -> float:
-    """Shannon entropy log[(2 pi e)^{m/2} |Sigma|^{1/2}] of a Gaussian spec."""
-    if spec.family is not Family.GAUSSIAN:
-        raise DomainError("closed-form Shannon entropy is implemented for the Gaussian only")
-    return _renyi_entropy(Family.GAUSSIAN, spec.dim, spec.scale.log_det, None, 1.0)
 
 
 class MaxEntropyResult(NamedTuple):
@@ -399,8 +377,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     A parameter of +inf selects the Gaussian (q -> 1) branch, where
     the Shannon entropy is maximised with Sigma = C.  The maximum is
     the maximiser's closed-form entropy, evaluated by the same code as
-    :func:`renyi_entropy_closed_form` (:func:`gaussian_shannon_entropy`
-    on the Gaussian branch), so the two agree bit for bit.
+    :func:`renyi_entropy_closed_form` (at q = 1 on the Gaussian branch),
+    so the two agree bit for bit.
 
     Parameters
     ----------

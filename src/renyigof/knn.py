@@ -36,13 +36,12 @@ import numpy as np
 
 from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
-from .special import digamma, ln_gamma, unit_ball_volume
+from .special import _as_int, digamma, ln_gamma, unit_ball_volume
 
 __all__ = [
     "KnnDistances",
     "EntropyEstimate",
     "knn_distances",
-    "g_estimate",
     "renyi_estimate",
     "shannon_estimate",
 ]
@@ -116,7 +115,8 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     sample : Sample
         N points in R^m, all distinct.
     k_max : int
-        Number of neighbour distances per point, 1 <= k_max <= N-1.
+        Number of neighbour distances per point, an integer (of any
+        integral type but bool) with 1 <= k_max <= N-1.
     method : {"auto", "sorted", "tree", "brute"}
         Kernel selection; all give bit-identical distances.  "auto"
         picks "sorted" for m = 1 and "tree" otherwise, at every N.
@@ -124,14 +124,19 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
 
     Raises
     ------
+    DomainError
+        If k_max is not such an integer, or for an unknown or unfit method.
     DuplicatePointsError
         If two points coincide (zero squared distance), listing every
         colliding index pair (i, j), i < j, in sorted order.
     """
     pts = sample.points
     n = sample.n
-    if k_max < 1 or k_max > n - 1:
-        raise DomainError(f"k_max must satisfy 1 <= k_max <= N-1 = {n - 1}, got {k_max}")
+    k = _as_int(k_max)
+    if k is None or not 1 <= k <= n - 1:
+        raise DomainError(f"k_max must be an integer with 1 <= k_max <= N-1 = {n - 1}, "
+                          f"got {k_max!r}")
+    k_max = k
     if method == "auto":
         method = "sorted" if sample.dim == 1 else "tree"
     if method == "sorted":
@@ -296,6 +301,9 @@ def _log_g_const(n: int, dim: int, k: int, q: float) -> float:
 
 
 def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
+    """log G, with G the estimate of the integral of f^q: the sample mean
+    of zeta_i^{1-q}, where zeta_i = (N-1) C_k V_m rho_{k,i}^m and
+    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}.  Requires k > q - 1."""
     if q == 1.0:
         raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
     if not q > 0:
@@ -317,17 +325,6 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     s_max = float(s.max())
     s -= s_max
     return s_max + math.log(_exact_sum(np.exp(s, out=s))) - math.log(n)
-
-
-def g_estimate(dists: KnnDistances, dim: int, k: int, q: float) -> float:
-    """Estimate of the integral of f^q from neighbour distances.
-
-    Computes the sample mean of zeta_i^{1-q} where
-    zeta_i = (N-1) C_k V_m rho_{k,i}^m and
-    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}, in log space.
-    Requires k > q - 1.
-    """
-    return math.exp(_log_g(dists, dim, k, q))
 
 
 def renyi_estimate(sample: Sample, k: int, q: float) -> EntropyEstimate:

@@ -27,8 +27,9 @@ import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
+from .special import _as_int
 
-__all__ = ["RngStream", "Sample", "sample", "sample_uniform_sphere",
+__all__ = ["RngStream", "Sample", "sample",
            "write_table", "read_lines", "read_table", "write_csv", "read_csv"]
 
 
@@ -54,9 +55,11 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
 class RngStream:
     """An independent random stream identified by (seed, stream_id).
 
-    Both identifiers are integers in [0, 2**64); anything else raises
-    DomainError.  Reconstructing a stream with the same identifiers
-    replays the same byte sequence; distinct stream_ids share no state.
+    Both identifiers are integers in [0, 2**64), of any integral type
+    but bool; anything else raises DomainError, a float or a string
+    with an integral value included.  Reconstructing a stream with the
+    same identifiers replays the same byte sequence; distinct stream_ids
+    share no state.
     A stream is single-owner: draws advance it, so pass each consumer
     its own.
     """
@@ -64,11 +67,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= value < 2**64:
-                raise DomainError(f"{name} must lie in [0, 2**64), got {value}")
+        self.seed = _key_word("seed", seed)
+        self.stream_id = _key_word("stream_id", stream_id)
         self._generator = None
 
     @property
@@ -80,6 +80,15 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _key_word(name: str, value) -> int:
+    word = _as_int(value)
+    if word is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= word < 2**64:
+        raise DomainError(f"{name} must lie in [0, 2**64), got {value}")
+    return word
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +116,8 @@ class Sample:
         return self.points.shape[1]
 
 
-def sample_uniform_sphere(m: int, rng: RngStream) -> np.ndarray:
-    """One point uniform on the surface of the unit sphere in R^m."""
-    if m < 1:
-        raise DomainError(f"dimension must be >= 1, got {m}")
-    return _sphere_block(m, 1, rng.generator)[0]
-
-
 def _sphere_block(m: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    # n points uniform on the surface of the unit sphere in R^m
     u = gen.standard_normal((n, m))
     norms = np.linalg.norm(u, axis=1)
     while (norms == 0.0).any():  # pragma: no cover - probability zero

@@ -190,14 +190,22 @@ def ln_beta(a: float, b: float) -> float:
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 
 
+def _as_int(value) -> int | None:
+    """`value` as an int if its type is integral (operator.index: Python
+    and numpy integers), else None; bool is not, as in configs.  A float
+    or a string with an integral value is not either: an integer argument
+    read through here is never truncated or parsed."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def unit_ball_volume(m: int) -> float:
     """Volume pi^(m/2) / Gamma(m/2 + 1) of the unit ball in m dimensions."""
-    dim = 0  # any integral type (operator.index); bool is rejected, as in configs
-    if not isinstance(m, bool):
-        try:
-            dim = operator.index(m)
-        except TypeError:
-            pass
-    if dim < 1:
+    dim = _as_int(m)
+    if dim is None or dim < 1:
         raise DomainError(f"dimension must be an integer >= 1, got {m!r}")
     return math.exp(0.5 * dim * math.log(math.pi) - ln_gamma(0.5 * dim + 1.0))

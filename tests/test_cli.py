@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import renyigof
 from renyigof import mc
 from renyigof.cli import load_config, main
 from renyigof.distributions import gaussian
@@ -901,6 +903,47 @@ class TestBenchmarkTracer:
             for module, attr in sites:
                 mod = importlib.import_module(f"renyigof.{module}")
                 assert callable(getattr(mod, attr, None)), (span, module, attr)
+
+    def test_package_names_bench_reads_resolve(self):
+        # bench/layers.py reads the package as `rg` (bench/run.py hands it
+        # over); a name dropped from the package must fail here, not in
+        # `bench/run.py --trace 1`
+        read = {node.attr for name in ("layers.py", "run.py")
+                for node in ast.walk(ast.parse((_REPO / "bench" / name).read_text()))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "rg"}
+        assert {"knn_distances", "max_renyi_entropy"} <= read  # the walk sees the reads
+        assert sorted(name for name in read if not hasattr(renyigof, name)) == []
+
+
+def _loaded_names(source: str) -> set[str]:
+    """Every name `source` loads, bare (`f`) or as an attribute (`x.f`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _quick_tour() -> str:
+    """The code block of the README's "Library quick tour"."""
+    section = (_REPO / "README.md").read_text(encoding="utf-8").split("## Library quick tour")[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestPublicSurface:
+    def test_every_export_has_a_caller(self):
+        # a name stays public only if the package itself, the benchmark, an
+        # acceptance criterion or the README's quick tour uses it; an
+        # import alone is no use, and a name only its own tests call goes
+        paths = [*(p for p in (_REPO / "src" / "renyigof").glob("*.py") if p.name != "__init__.py"),
+                 *(_REPO / "bench").glob("*.py"), _REPO / "tests" / "test_acceptance.py"]
+        sources = [p.read_text(encoding="utf-8") for p in paths] + [_quick_tour()]
+        loaded = set().union(*map(_loaded_names, sources))
+        assert {"RngStream", "empirical_quantile"} <= _loaded_names(_quick_tour())
+        assert sorted(set(renyigof._MODULE_OF) - loaded) == []
 
 
 _LAZY_PRELUDE = """

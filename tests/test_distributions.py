@@ -15,7 +15,6 @@ from renyigof.distributions import (
     critical_moment,
     density,
     gaussian,
-    gaussian_shannon_entropy,
     log_density,
     max_renyi_entropy,
     pearson2,
@@ -208,17 +207,20 @@ class TestRenyiClosedForm:
 
     def test_continuity_at_q_one(self):
         spec = gaussian(np.zeros(2), 2.0 * np.eye(2))
-        h1 = gaussian_shannon_entropy(spec)
+        h1 = renyi_entropy_closed_form(spec, 1.0)
         assert renyi_entropy_closed_form(spec, 1.0 + 1e-9) == pytest.approx(h1, abs=1e-6)
         assert renyi_entropy_closed_form(spec, 1.0 - 1e-9) == pytest.approx(h1, abs=1e-6)
 
-    def test_q_one_rejected(self):
-        with pytest.raises(DomainError):
-            renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), 1.0)
+    def test_gaussian_q_one_is_shannon(self):
+        # log[(2 pi e)^{m/2} |Sigma|^{1/2}], here with |Sigma| = 4
+        spec = gaussian(np.zeros(2), 2.0 * np.eye(2))
+        expected = math.log(2.0 * math.pi * math.e) + 0.5 * math.log(4.0)
+        assert renyi_entropy_closed_form(spec, 1.0) == pytest.approx(expected, rel=1e-15)
 
     def test_shannon_path_gaussian_only(self):
-        with pytest.raises(DomainError):
-            gaussian_shannon_entropy(student([0.0], [[1.0]], 5.0))
+        for spec in (student([0.0], [[1.0]], 5.0), pearson2([0.0], [[1.0]], 2.0)):
+            with pytest.raises(DomainError, match="q = 1"):
+                renyi_entropy_closed_form(spec, 1.0)
 
     def test_student_beta_argument_precondition(self):
         # q (nu+m)/2 - m/2 <= 0
@@ -372,7 +374,8 @@ class TestMaxEntropy:
     def test_gaussian_max_equals_shannon_closed_form(self, c, family):
         res = max_renyi_entropy(family, c, math.inf)
         assert res.q == 1.0 and res.scale is c
-        assert res.h_max.hex() == gaussian_shannon_entropy(gaussian(np.zeros(c.dim), c)).hex()
+        spec = gaussian(np.zeros(c.dim), c)
+        assert res.h_max.hex() == renyi_entropy_closed_form(spec, 1.0).hex()
 
 
 class TestMomentConditions:

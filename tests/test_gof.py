@@ -113,11 +113,12 @@ class TestStudentStatistic:
     def test_gaussian_data_against_nu0_3_converges_to_positive_limit(self):
         # analytic limit of the statistic on Gaussian data:
         # [log|Sigma|/2 + entropy constant at nu0] - H_q(N(0,1)), q = 1/2
-        from renyigof.distributions import renyi_entropy_closed_form, student_renyi_constant
+        from renyigof.distributions import renyi_entropy_closed_form
 
+        # the constant at nu0 is H_q of the standard Student, log|Sigma| = 0
         limit = (
             0.5 * math.log(1.0 / 3.0)
-            + student_renyi_constant(1, 3.0, 0.5)
+            + renyi_entropy_closed_form(student([0.0], [[1.0]], 3.0), 0.5)
             - renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), 0.5)
         )
         assert limit == pytest.approx(0.2257913526, abs=1e-9)

@@ -10,12 +10,7 @@ from renyigof import knn
 from renyigof.distributions import Family, gaussian, renyi_entropy_closed_form, student
 from renyigof.errors import DomainError, DuplicatePointsError
 from renyigof.gof import sample_covariance, statistic
-from renyigof.knn import (
-    g_estimate,
-    knn_distances,
-    renyi_estimate,
-    shannon_estimate,
-)
+from renyigof.knn import knn_distances, renyi_estimate, shannon_estimate
 from renyigof.sampler import RngStream, Sample, sample
 
 
@@ -83,6 +78,22 @@ class TestKnnDistances:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             knn_distances(_sample([[0.0], [1.0]]), 1, method="fancy")
+
+    @pytest.mark.parametrize("method, m", [("sorted", 1), ("tree", 1), ("tree", 3),
+                                           ("brute", 1), ("brute", 3)])
+    @pytest.mark.parametrize("k_max", [3.0, 2.5, np.float64(3.0), "3", True],
+                             ids=["float", "fraction", "numpy-float", "str", "bool"])
+    def test_non_integral_k_max_rejected(self, rng, method, m, k_max):
+        # unchecked, numpy would take some of these as k and fail on others
+        # with a TypeError or an IndexError, depending on the kernel
+        with pytest.raises(DomainError, match="k_max must be an integer"):
+            knn_distances(Sample(rng.standard_normal((20, m))), k_max, method=method)
+
+    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    def test_numpy_integer_k_max(self, rng, method):
+        s = Sample(rng.standard_normal((20, 1)))
+        np.testing.assert_array_equal(knn_distances(s, np.int64(3), method=method).rho,
+                                      knn_distances(s, 3, method=method).rho)
 
 
 class TestRouting:
@@ -283,22 +294,27 @@ class TestExactSum:
         assert knn._exact_sum(x).hex() == math.fsum(x).hex()
 
 
+def _g(s, k, q):
+    """G, the estimate of the integral of f^q: exp((1-q) H), with H the
+    Renyi estimate log(G)/(1-q)."""
+    return math.exp((1.0 - q) * renyi_estimate(s, k, q).value)
+
+
 class TestGEstimate:
     def test_two_point_hand_value(self):
         # N=2 at distance d, m=1, k=1, q=1/2:
         # zeta = C_1 * 2 d with C_1 = (1/Gamma(3/2))^2, G = sqrt(zeta)
         for d in (1.0, 0.37):
             s = _sample([[0.0], [d]])
-            dists = knn_distances(s, 1)
-            got = g_estimate(dists, 1, 1, 0.5)
             expected = math.sqrt((4.0 / math.pi) * 2.0 * d)
-            assert got == pytest.approx(expected, rel=1e-12)
+            assert _g(s, 1, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_collinear_hand_value(self):
         # {0, 1, 3}, k=1, q=1/2, frozen from a 40-digit scalar evaluation
         s = _sample([[0.0], [1.0], [3.0]])
         dists = knn_distances(s, 1)
-        assert g_estimate(dists, 1, 1, 0.5) == pytest.approx(2.5683516371978372, rel=1e-12)
+        assert math.exp(knn._log_g(dists, 1, 1, 0.5)) == pytest.approx(2.5683516371978372,
+                                                                       rel=1e-12)
         assert renyi_estimate(s, 1, 0.5).value == pytest.approx(1.886528613653193, rel=1e-12)
 
     def test_scaling_homogeneity(self, rng):
@@ -308,26 +324,34 @@ class TestGEstimate:
             q = float(rng.uniform(0.5, 0.95))
             pts = rng.standard_normal((40, m))
             c = float(rng.uniform(0.2, 5.0))
-            g1 = g_estimate(knn_distances(Sample(pts), 2), m, 2, q)
-            g2 = g_estimate(knn_distances(Sample(c * pts), 2), m, 2, q)
+            g1 = _g(Sample(pts), 2, q)
+            g2 = _g(Sample(c * pts), 2, q)
             assert g2 == pytest.approx(c ** (m * (1 - q)) * g1, rel=1e-9)
 
     def test_k_vs_q_precondition(self):
-        dists = knn_distances(_sample([[0.0], [1.0], [3.0]]), 2)
-        with pytest.raises(DomainError):
-            g_estimate(dists, 1, 1, 2.5)  # k = 1 <= q - 1 = 1.5
-        with pytest.raises(DomainError):
-            g_estimate(dists, 1, 3, 0.5)  # k beyond k_max
+        s = _sample([[0.0], [1.0], [3.0]])
+        with pytest.raises(DomainError, match="k > q - 1"):
+            renyi_estimate(s, 1, 2.5)  # k = 1 <= q - 1 = 1.5
+        with pytest.raises(DomainError, match="k <= k_max"):
+            knn._log_g(knn_distances(s, 2), 1, 3, 0.5)  # k beyond k_max
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("k", [3.0, 2.5])
+    def test_non_integral_k_rejected(self, rng, m, k):
+        # the estimators and the statistic pass k to knn_distances as k_max
+        s = Sample(rng.standard_normal((30, m)))
+        for estimate in (lambda: renyi_estimate(s, k, 0.5), lambda: shannon_estimate(s, k),
+                         lambda: statistic(s, Family.STUDENT, 10.0, k),
+                         lambda: statistic(s, Family.PEARSON2, 2.0, k)):
+            with pytest.raises(DomainError, match="k_max must be an integer"):
+                estimate()
 
     def test_large_sample_gaussian_target(self):
         # G_q = exp((1-q) H_q); N=5000, k=3, q=0.9, averaged over 50 streams
         spec = gaussian([0.0], [[1.0]])
         q = 0.9
         target = math.exp((1 - q) * renyi_entropy_closed_form(spec, q))
-        vals = []
-        for j in range(50):
-            s = sample(spec, 5000, RngStream(8001, j))
-            vals.append(g_estimate(knn_distances(s, 3), 1, 3, q))
+        vals = [_g(sample(spec, 5000, RngStream(8001, j)), 3, q) for j in range(50)]
         assert np.mean(vals) == pytest.approx(target, abs=0.02)
 
 
@@ -402,7 +426,7 @@ class TestRenyiEstimate:
         errs = {}
         for n in (500, 5000):
             sq = [
-                (g_estimate(knn_distances(sample(spec, n, RngStream(8003, j)), 3), 1, 3, q) - target) ** 2
+                (_g(sample(spec, n, RngStream(8003, j)), 3, q) - target) ** 2
                 for j in range(100)
             ]
             errs[n] = np.mean(sq)

@@ -11,8 +11,8 @@ from renyigof.sampler import (
     Sample,
     read_csv,
     read_table,
+    _sphere_block,
     sample,
-    sample_uniform_sphere,
     write_csv,
     write_table,
 )
@@ -78,24 +78,37 @@ class TestRngStreamKey:
         with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
             RngStream(seed, stream_id)
 
+    @pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (True, 0), ("7", 0),
+                                                 (0, 2.0), (0, False), (0, "1")],
+                             ids=["float-seed", "bool-seed", "str-seed",
+                                  "float-stream", "bool-stream", "str-stream"])
+    def test_non_integer_identifiers_rejected(self, seed, stream_id):
+        # int() would read 1.5 and True as 1 and "7" as 7
+        with pytest.raises(DomainError, match="must be an integer"):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integer_identifiers(self):
+        stream = RngStream(np.uint64(2**64 - 1), np.int32(5))
+        assert (stream.seed, stream.stream_id) == (2**64 - 1, 5)
+        assert type(stream.seed) is int and type(stream.stream_id) is int
+        np.testing.assert_array_equal(stream.generator.standard_normal(5),
+                                      RngStream(2**64 - 1, 5).generator.standard_normal(5))
+
 
 class TestSphere:
     def test_unit_norm(self):
         for m in (1, 2, 3, 7):
-            u = sample_uniform_sphere(m, RngStream(3, m))
-            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            u = _sphere_block(m, 100, RngStream(3, m).generator)
+            assert u.shape == (100, m)
+            assert (np.abs(np.linalg.norm(u, axis=1) - 1.0) <= 1e-12).all()
 
     def test_m1_is_sign_flip(self):
-        stream = RngStream(11)
-        vals = [sample_uniform_sphere(1, stream)[0] for _ in range(10_000)]
+        vals = _sphere_block(1, 10_000, RngStream(11).generator)[:, 0]
         assert set(np.unique(vals)) == {-1.0, 1.0}
-        assert 0.47 <= np.mean(np.array(vals) > 0) <= 0.53
+        assert 0.47 <= np.mean(vals > 0) <= 0.53
 
     def test_m3_coordinates_centered(self):
-        gen = RngStream(12).generator
-        from renyigof.sampler import _sphere_block
-
-        u = _sphere_block(3, 10_000, gen)
+        u = _sphere_block(3, 10_000, RngStream(12).generator)
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
         assert (np.abs(u.mean(axis=0)) <= 0.02).all()
 
