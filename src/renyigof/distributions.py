@@ -27,25 +27,6 @@ import numpy as np
 from .errors import DomainError, NotPositiveDefiniteError
 from .special import ln_beta, ln_gamma
 
-__all__ = [
-    "Family",
-    "SpdMatrix",
-    "DistributionSpec",
-    "gaussian",
-    "student",
-    "pearson2",
-    "tail_family",
-    "check_pearson_k",
-    "density",
-    "log_density",
-    "renyi_entropy_closed_form",
-    "max_renyi_entropy",
-    "MaxEntropyResult",
-    "critical_moment",
-    "check_estimator_conditions",
-    "ConditionCheck",
-]
-
 _LOG_2PI = math.log(2.0 * math.pi)
 _NOT_FINITE = "matrix entries must be finite"
 _SYM_OVERFLOW = "matrix entries too large: (A + A')/2 is not finite"

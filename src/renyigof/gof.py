@@ -34,9 +34,6 @@ from .errors import DomainError
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import Sample
 
-__all__ = ["GofStatistic", "sample_covariance", "statistic", "student_statistic",
-           "pearson_statistic"]
-
 
 @dataclass(frozen=True)
 class GofStatistic:

@@ -38,14 +38,6 @@ from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
 from .special import _as_int, digamma, ln_gamma, unit_ball_volume
 
-__all__ = [
-    "KnnDistances",
-    "EntropyEstimate",
-    "knn_distances",
-    "renyi_estimate",
-    "shannon_estimate",
-]
-
 _BRUTE_BLOCK = 256
 
 

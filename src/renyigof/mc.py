@@ -35,32 +35,11 @@ from .errors import (
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import RngStream, read_table, sample, write_table
+from .special import _as_int
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
 from .knn import renyi_estimate, shannon_estimate  # noqa: F401
-
-__all__ = [
-    "ExperimentConfig",
-    "NResult",
-    "McResult",
-    "run_experiment",
-    "worker_count",
-    "empirical_quantile",
-    "estimate_power",
-    "fit_convergence_rate",
-    "RateFit",
-    "summarize",
-    "histogram_bins",
-    "result_to_json",
-    "write_summary_csv",
-    "write_histogram_csv",
-    "read_summary",
-    "check_null_run",
-    "ALPHA_COLUMNS",
-    "NULL_RUN_KEYS",
-    "SUMMARY_COLUMNS",
-]
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -378,14 +357,18 @@ def _replicate_outcome(config: ExperimentConfig, n: int, j: int) -> tuple:
 
 def worker_count(workers: int | None) -> int:
     """The number of worker processes `workers` asks for: for None, the
-    CPUs this process may run on; a count below 1 raises DomainError."""
+    CPUs this process may run on; anything but an integer >= 1 raises
+    DomainError."""
     if workers is None:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {workers}")
-    return workers
+    count = _as_int(workers)
+    if count is None:
+        raise DomainError(f"workers must be an integer or None, got {workers!r}")
+    if count < 1:
+        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {count}")
+    return count
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:

@@ -29,9 +29,6 @@ from .distributions import DistributionSpec, Family
 from .errors import DomainError
 from .special import _as_int
 
-__all__ = ["RngStream", "Sample", "sample",
-           "write_table", "read_lines", "read_table", "write_csv", "read_csv"]
-
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
     """A 128-bit Philox key, handed to Philox as the seed sequence it reads.
@@ -134,8 +131,10 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
     The result is a pure function of (spec, n, seed, stream_id) when the
     stream is freshly constructed.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be >= 1, got {n}")
+    size = _as_int(n)
+    if size is None or size < 1:
+        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
+    n = size
     gen = rng.generator
     m = spec.dim
 

@@ -11,10 +11,10 @@ that importing this package loads no scipy module:
   `gamma.c`): a recurrence into [2, 3) and a rational fit below 13,
   Stirling's series with a five-term correction below 1000, a three-term
   correction below 1e8 and none above.
-- `digamma` is Cephes `psi` as revised in scipy: a harmonic sum for the
-  integers up to 10, a recurrence into [1, 2] with the rational fit of
-  Boost.Math's `digamma_imp_1_2` (J. Maddock, 2006), and the asymptotic
-  series `psi_asy` above.
+- `digamma` is Cephes `psi` at the integers k >= 1 only, the one
+  argument the Kozachenko-Leonenko estimator needs: the harmonic sum for
+  k up to 10 and the asymptotic series `psi_asy` above.  Any other
+  argument raises DomainError, so no recurrence or rational fit is kept.
 
 Each port keeps the original's order of float operations (Horner through
 `_polevl`, the same loops and the same constants), so its
@@ -30,8 +30,6 @@ import math
 import operator
 
 from .errors import DomainError
-
-__all__ = ["ln_gamma", "digamma", "ln_beta", "unit_ball_volume"]
 
 
 def _polevl(x: float, coef: tuple[float, ...]) -> float:
@@ -82,40 +80,12 @@ _PSI_A = (
 )
 _EULER = 0.577215664901532860606512090082402431
 
-# Boost digamma_imp_1_2: digamma(x) = (x - root) * (Y + P(x-1) / Q(x-1)).
-_DIG_Y = 0.99558162689208984375  # the float constant 0.99558162689208984f
-_DIG_ROOT1 = 1569415565.0 / 1073741824.0
-_DIG_ROOT2 = (381566830.0 / 1073741824.0) / 1073741824.0
-_DIG_ROOT3 = 0.9016312093258695918615325266959189453125e-19
-_DIG_P = (
-    -0.0020713321167745952,
-    -0.045251321448739056,
-    -0.28919126444774784,
-    -0.65031853770896507,
-    -0.32555031186804491,
-    0.25479851061131551,
-)
-_DIG_Q = (
-    -0.55789841321675513e-6,
-    0.0021284987017821144,
-    0.054151797245674225,
-    0.43593529692665969,
-    1.4606242909763515,
-    2.0767117023730469,
-    1.0,
-)
-
-
-def _positive(name: str, x: float) -> float:
-    x = float(x)
-    if not x > 0:
-        raise DomainError(f"{name} requires x > 0, got {x}")
-    return x
-
 
 def ln_gamma(x: float) -> float:
     """Natural logarithm of the gamma function, for x > 0."""
-    x = _positive("ln_gamma", x)
+    x = float(x)
+    if not x > 0:
+        raise DomainError(f"ln_gamma requires x > 0, got {x}")
     if x == math.inf:
         return x
     if x < 13.0:
@@ -152,35 +122,23 @@ def ln_gamma(x: float) -> float:
     return q
 
 
-def digamma(x: float) -> float:
-    """Logarithmic derivative of the gamma function, for x > 0."""
-    x = _positive("digamma", x)
-    if x == math.inf:
-        return x
-    y = 0.0
-    if x <= 10.0 and x == math.floor(x):
-        for i in range(1, int(x)):
+def digamma(k: int) -> float:
+    """Logarithmic derivative of the gamma function at an integer k >= 1."""
+    n = _as_int(k)
+    if n is None or n < 1:
+        raise DomainError(f"digamma requires an integer k >= 1, got {k!r}")
+    if n <= 10:
+        y = 0.0
+        for i in range(1, n):
             y += 1.0 / i
         return y - _EULER
-    if x < 1.0:
-        y -= 1.0 / x
-        x += 1.0
-    elif x < 10.0:
-        while x > 2.0:
-            x -= 1.0
-            y += 1.0 / x
-    if 1.0 <= x <= 2.0:
-        g = x - _DIG_ROOT1
-        g -= _DIG_ROOT2
-        g -= _DIG_ROOT3
-        r = _polevl(x - 1.0, _DIG_P) / _polevl(x - 1.0, _DIG_Q)
-        return y + (g * _DIG_Y + g * r)
+    x = float(n)
     if x < 1.0e17:
         z = 1.0 / (x * x)
         s = z * _polevl(z, _PSI_A)
     else:
         s = 0.0
-    return y + (math.log(x) - (0.5 / x) - s)
+    return math.log(x) - (0.5 / x) - s
 
 
 def ln_beta(a: float, b: float) -> float:

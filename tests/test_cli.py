@@ -945,6 +945,17 @@ class TestPublicSurface:
         assert {"RngStream", "empirical_quantile"} <= _loaded_names(_quick_tour())
         assert sorted(set(renyigof._MODULE_OF) - loaded) == []
 
+    def test_only_the_package_lists_its_exports(self):
+        # _MODULE_OF is the one list of public names: a submodule's own
+        # __all__ would be a second list that nothing keeps in step
+        def assigns_all(path):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            return any(isinstance(node, ast.Name) and node.id == "__all__"
+                       and isinstance(node.ctx, ast.Store) for node in ast.walk(tree))
+        paths = sorted((_REPO / "src" / "renyigof").glob("*.py"))
+        assert [p.name for p in paths if p.name != "__init__.py" and assigns_all(p)] == []
+        assert assigns_all(_REPO / "src" / "renyigof" / "__init__.py")
+
 
 _LAZY_PRELUDE = """
 import json, sys

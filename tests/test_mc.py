@@ -377,6 +377,17 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match=f"workers must be >= 1.*got {workers}"):
             run_experiment(_config(replicates=4), workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.0, "2", True, False])
+    def test_non_integer_workers_rejected(self, workers):
+        # bool is not a count, and an integral float or string is not either
+        with pytest.raises(DomainError, match="workers must be an integer or None"):
+            run_experiment(_config(replicates=4), workers=workers)
+
+    def test_integer_worker_counts_accepted(self):
+        assert mc.worker_count(np.int64(2)) == 2
+        assert type(mc.worker_count(np.int64(2))) is int
+        assert mc.worker_count(3) == 3
+
     def test_grid_extension_preserves_existing_streams(self):
         short = run_experiment(_config(n_grid=(100,), replicates=8))
         longer = run_experiment(_config(n_grid=(100, 300), replicates=8))

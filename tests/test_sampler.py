@@ -191,6 +191,20 @@ class TestSampleLaws:
         b = sample(spec, 500, RngStream(77, 3))
         np.testing.assert_array_equal(a.points, b.points)
 
+    @pytest.mark.parametrize("spec", [gaussian(np.zeros(2), np.eye(2)),
+                                      student(np.zeros(2), np.eye(2), 4.0),
+                                      pearson2(np.zeros(2), np.eye(2), 2.0)],
+                             ids=["gaussian", "student", "pearson2"])
+    def test_sample_size_must_be_an_integer(self, spec):
+        # an integral type is a size; a float, bool or string never is,
+        # even with an integral value
+        want = sample(spec, 3, RngStream(5)).points
+        for n in (np.int64(3), np.int32(3)):
+            assert sample(spec, n, RngStream(5)).points.tobytes() == want.tobytes()
+        for n in (2.5, 3.0, np.float64(3.0), True, "3", None, 0, -1):
+            with pytest.raises(DomainError, match="sample size must be an integer >= 1"):
+                sample(spec, n, RngStream(5))
+
     def test_sample_validation(self):
         with pytest.raises(DomainError):
             sample(gaussian([0.0], [[1.0]]), 0, RngStream(1))

@@ -14,9 +14,9 @@ from renyigof.special import digamma, ln_beta, ln_gamma, unit_ball_volume
 
 mpmath.mp.dps = 40
 
-# the branch edges of both ports (Cephes lgam: 2, 3, 13, 1000, 1e8, the
-# overflow bound; Cephes psi: the integers up to 10, [1, 2], 1e17), the
-# smallest and largest doubles, and each one's neighbours
+# the branch edges of Cephes lgam (2, 3, 13, 1000, 1e8, the overflow
+# bound) and of Cephes psi (the integers up to 10, 1e17), the smallest
+# and largest doubles, and each one's neighbours
 _EDGES = sorted({
     y
     for x in (5e-324, 1.0, 2.0, 3.0, 10.0, 13.0, 1000.0, 1e8, 1e17, 2.556348e305,
@@ -36,10 +36,21 @@ def _same(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+# psi's branch edges as integers: the harmonic sum up to 10, the
+# asymptotic series above, without its correction from 1e17 on
+_PSI_EDGES = [*range(1, 12), 10**17 - 1, 10**17, 10**17 + 1, 2**60, 10**300]
+
+
 @pytest.mark.parametrize("x", _EDGES)
 def test_ports_match_scipy_at_branch_edges(x):
     assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
-    assert _same(digamma(x), float(scipy_special.psi(x)))
+    if x.is_integer():
+        assert _same(digamma(int(x)), float(scipy_special.psi(x)))
+
+
+@pytest.mark.parametrize("k", _PSI_EDGES)
+def test_digamma_matches_scipy_at_integer_edges(k):
+    assert _same(digamma(k), float(scipy_special.psi(float(k))))
 
 
 @settings(max_examples=1000)
@@ -50,38 +61,42 @@ def test_ln_gamma_is_scipy_gammaln_bit_for_bit(x):
 
 
 @settings(max_examples=1000)
-@given(_POSITIVE | st.floats(min_value=0.0, max_value=20.0, exclude_min=True))
-@example(math.nextafter(13.0, 0.0))
-def test_digamma_is_scipy_psi_bit_for_bit(x):
-    assert _same(digamma(x), float(scipy_special.psi(x)))
+@given(st.integers(1, 2**1023) | st.integers(1, 20))
+@example(11)
+def test_digamma_is_scipy_psi_bit_for_bit(k):
+    assert _same(digamma(k), float(scipy_special.psi(float(k))))
 
 
 def test_ports_match_scipy_on_a_seeded_sweep(rng):
     # many more arguments than the properties draw, compared in one array
-    # pass: uniform over the bit patterns and uniform on (0, 20)
+    # pass: for ln_gamma uniform over the bit patterns and uniform on
+    # (0, 20); for digamma every k up to 10^4 and the integral doubles
+    # among those bit patterns
     bits = rng.integers(1, 0x7FF0000000000000, 40_000, dtype=np.int64).view(np.float64)
     xs = np.concatenate([bits, rng.uniform(0.0, 20.0, 40_000)])
     xs = xs[xs > 0.0]
-    ours = np.array([(ln_gamma(x), digamma(x)) for x in xs.tolist()])
-    assert ours[:, 0].tobytes() == scipy_special.gammaln(xs).tobytes()
-    assert ours[:, 1].tobytes() == scipy_special.psi(xs).tobytes()
+    ours = np.array([ln_gamma(x) for x in xs.tolist()])
+    assert ours.tobytes() == scipy_special.gammaln(xs).tobytes()
+    ks = [*range(1, 10_001), *map(int, np.floor(bits[bits >= 1.0]).tolist())]
+    ours = np.array([digamma(k) for k in ks])
+    assert ours.tobytes() == scipy_special.psi(np.array(ks, dtype=float)).tobytes()
 
 
 def test_float32_arguments_are_computed_in_double():
     # a float32 argument is converted first, so no float32 loop runs
     assert ln_gamma(np.float32(2.5)) == ln_gamma(2.5) == 0.2846828704729192
-    assert digamma(np.float32(2.5)) == digamma(2.5)
     assert type(ln_gamma(np.float32(2.5))) is float
     assert ln_gamma(np.int64(4)) == ln_gamma(4.0)
 
 
 def test_infinity_and_nan():
     assert ln_gamma(math.inf) == math.inf
-    assert digamma(math.inf) == math.inf
     with pytest.raises(DomainError):
         ln_gamma(math.nan)
-    with pytest.raises(DomainError):
-        digamma(np.float64("nan"))
+    # psi is only ever taken at an integer k, so neither is an argument
+    for x in (math.inf, np.float64("nan")):
+        with pytest.raises(DomainError, match="digamma requires an integer k >= 1"):
+            digamma(x)
 
 
 def test_ln_gamma_examples():
@@ -117,25 +132,27 @@ def test_ln_gamma_domain():
 
 
 def test_digamma_examples():
-    # Euler-Mascheroni and the half-integer identity, frozen from mpmath
-    assert digamma(1.0) == pytest.approx(-0.5772156649015329, rel=1e-12)
-    assert digamma(2.0) == pytest.approx(1.0 - 0.5772156649015329, rel=1e-12)
-    assert digamma(0.5) == pytest.approx(-1.9635100260214235, rel=1e-12)
+    # Euler-Mascheroni and psi(2) = 1 - gamma, frozen from mpmath
+    assert digamma(1) == pytest.approx(-0.5772156649015329, rel=1e-12)
+    assert digamma(2) == pytest.approx(1.0 - 0.5772156649015329, rel=1e-12)
 
 
 def test_digamma_matches_central_difference():
+    # psi(k) is the slope of ln_gamma at k, on both sides of the switch
+    # from the harmonic sum to the asymptotic series
     h = 1e-5
-    for x in np.linspace(0.5, 100.0, 40):
-        x = float(x)
-        fd = (ln_gamma(x + h) - ln_gamma(x - h)) / (2 * h)
-        assert digamma(x) == pytest.approx(fd, abs=1e-6)
+    for k in range(1, 101):
+        fd = (ln_gamma(k + h) - ln_gamma(k - h)) / (2 * h)
+        assert digamma(k) == pytest.approx(fd, abs=1e-6)
 
 
 def test_digamma_domain():
-    with pytest.raises(DomainError):
-        digamma(0.0)
-    with pytest.raises(DomainError):
-        digamma(-2.5)
+    # an integer k >= 1 of an integral type; no float, not even an
+    # integral one, and no bool, as in unit_ball_volume
+    assert digamma(np.int64(12)) == digamma(12)
+    for k in (2.5, 0, -2, True, np.float64(3.0), 3.0, math.inf, "3"):
+        with pytest.raises(DomainError, match="digamma requires an integer k >= 1"):
+            digamma(k)
 
 
 def test_ln_beta_examples():
