@@ -9,13 +9,14 @@ class DomainError(ValueError):
 
 class DuplicatePointsError(ValueError):
     """The sample contains coincident points, so nearest-neighbour
-    distances degenerate to zero."""
+    distances degenerate to zero.  `indices` lists, in ascending order,
+    every point that has another point at zero squared distance."""
 
-    def __init__(self, pairs):
-        self.pairs = list(pairs)
-        shown = ", ".join(f"({i}, {j})" for i, j in self.pairs[:5])
-        more = "" if len(self.pairs) <= 5 else f" and {len(self.pairs) - 5} more"
-        super().__init__(f"duplicate points at index pairs {shown}{more}")
+    def __init__(self, indices):
+        self.indices = list(indices)
+        shown = ", ".join(map(str, self.indices[:5]))
+        more = "" if len(self.indices) <= 5 else f" and {len(self.indices) - 5} more"
+        super().__init__(f"duplicate points at indices {shown}{more}")
 
 
 class NotPositiveDefiniteError(ValueError):

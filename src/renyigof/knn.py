@@ -3,8 +3,7 @@
 Implements the Renyi entropy estimator of Leonenko, Pronzato and Savani
 (2008) and its Shannon (q -> 1) limit, the Kozachenko-Leonenko
 estimator.  Distances come from one of three interchangeable kernels
-that produce bit-identical distances and report the same duplicate
-pairs:
+that produce bit-identical distances:
 
 - "sorted", for m = 1 only: sort the points once; the k nearest
   neighbours of a point then lie within k places of it on either side,
@@ -17,6 +16,12 @@ squared distances and takes one square root of each, so the distances
 agree bit for bit in every floating-point regime: differences beyond
 about 1e154 overflow to inf in all three, and a squared difference that
 underflows to zero is a duplicate in all three.
+
+No kernel looks for duplicates.  :func:`knn_distances` applies one rule
+to what any of them returns: a zero nearest-neighbour distance means the
+point coincides with another, and it raises with the list of those
+points, so the report grows with N, not with the number of coincident
+pairs.
 
 The estimators reduce N terms with :func:`_exact_sum`, a correctly
 rounded sum, so an estimate does not depend on the order of the points.
@@ -48,7 +53,7 @@ class KnnDistances:
     nearest neighbour among the other N-1 points, so rows are
     non-decreasing left to right.
 
-    Given the points `x` (m = 1, distinct), `rho` holds its rows in
+    Given the points `x` (m = 1), `rho` holds its rows in
     ascending-x order, as the sorted kernel leaves them: the `rho`
     property puts them back in point order on first access (an argsort
     and one scatter per column) and caches them, reading `x`, which must
@@ -119,8 +124,9 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     DomainError
         If k_max is not such an integer, or for an unknown or unfit method.
     DuplicatePointsError
-        If two points coincide (zero squared distance), listing every
-        colliding index pair (i, j), i < j, in sorted order.
+        If two points coincide (zero squared distance), listing in
+        ascending order every point whose nearest neighbour is at zero
+        distance.
     """
     pts = sample.points
     n = sample.n
@@ -135,14 +141,18 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
         if sample.dim != 1:
             raise DomainError(f"the sorted kernel needs m = 1, got m = {sample.dim}")
         x = pts[:, 0]
-        return KnnDistances(_sorted_kernel(x, k_max).T, x)
-    if method == "tree":
-        rho = _tree_kernel(pts, k_max)
+        dists = KnnDistances(_sorted_kernel(x, k_max).T, x)
+    elif method == "tree":
+        dists = KnnDistances(_tree_kernel(pts, k_max))
     elif method == "brute":
-        rho = _brute_kernel(pts, k_max)
+        dists = KnnDistances(_brute_kernel(pts, k_max))
     else:
         raise DomainError(f"unknown method {method!r}")
-    return KnnDistances(rho)
+    if not dists.column(1).all():
+        # only here is point order needed: the sorted kernel's argsort
+        # runs on this error path alone
+        raise DuplicatePointsError(np.flatnonzero(dists.rho[:, 0] == 0.0).tolist())
+    return dists
 
 
 def _pairwise_sq(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -158,49 +168,24 @@ def _pairwise_sq(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _brute_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
     n = pts.shape[0]
     rho = np.empty((n, k_max))
-    duplicates = []
     for start in range(0, n, _BRUTE_BLOCK):
         stop = min(start + _BRUTE_BLOCK, n)
         d2 = _pairwise_sq(pts[start:stop], pts)
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf
-        zero_i, zero_j = np.nonzero(d2 == 0.0)
-        for i, j in zip(zero_i, zero_j):
-            gi = int(i + start)
-            if gi < j:
-                duplicates.append((gi, int(j)))
         part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
         part.sort(axis=1)
         rho[start:stop] = np.sqrt(part)
-    if duplicates:
-        raise DuplicatePointsError(duplicates)
     return rho
 
 
 def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
     from scipy.spatial import cKDTree  # loaded on first use: m = 1 never needs it
 
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=k_max + 1)
-    # column 0 is the query point itself; a second zero means a duplicate
-    rows = np.flatnonzero(dist[:, 1] == 0.0)
-    if rows.size == 0:
-        return dist[:, 1:]
-    # widen the query until each flagged point's last neighbour is at a
-    # non-zero distance, so no coincident point is cut off (query_pairs
-    # would be shorter but refuses data whose squared extent overflows)
-    n, k = pts.shape[0], k_max + 1
-    while True:
-        dist, idx = tree.query(pts[rows], k=k)
-        if k == n or (dist[:, -1] > 0.0).all():
-            break
-        k = min(2 * k, n)
-    pairs = set()
-    for i, d_row, j_row in zip(rows.tolist(), dist, idx):
-        for j in j_row[d_row == 0.0].tolist():
-            if j != i:
-                pairs.add((min(i, j), max(i, j)))
-    raise DuplicatePointsError(sorted(pairs))
+    dist, _ = cKDTree(pts).query(pts, k=k_max + 1)
+    # column 0 is the query point itself, or a point that coincides with
+    # it: then column 1 is zero too, which knn_distances reports
+    return dist[:, 1:]
 
 
 def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
@@ -234,19 +219,6 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
         np.minimum(row, right[j], out=row)
         for i in range(j):
             np.minimum(row, np.maximum(left[i], right[j - 1 - i], out=pair), out=row)
-    if not left[0].all():  # a zero nearest gap: a duplicate
-        # correctly rounded subtraction and squaring are monotone, so the
-        # squared difference of sorted positions p < q is zero only if that
-        # of p and q - 1 is: offset t needs testing only at the positions
-        # whose pair at offset t - 1 was a duplicate
-        order = np.argsort(x)  # the point at each sorted position of xs
-        pos, t, pairs = np.arange(n), 0, []
-        while pos.size:
-            t += 1
-            pos = pos[pos + t < n]
-            pos = pos[np.square(xs[pos + t] - xs[pos]) == 0.0]
-            pairs += zip(order[pos].tolist(), order[pos + t].tolist())
-        raise DuplicatePointsError(sorted((min(i, j), max(i, j)) for i, j in pairs))
     return np.sqrt(left, out=left)
 
 
@@ -306,8 +278,6 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
         raise DomainError(f"estimator requires k > q - 1, got k = {k}, q = {q}")
     n = dists.n
     rho = dists.column(k)
-    if q > 1.0 and (rho == 0.0).any():
-        raise DomainError("zero neighbour distance with q > 1 diverges")
     # the terms in one buffer, each step in place: the bits of
     # exp((1 - q) * dim * log(rho) + const - max)
     s = np.log(rho)

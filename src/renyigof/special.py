@@ -14,7 +14,8 @@ that importing this package loads no scipy module:
 - `digamma` is Cephes `psi` at the integers k >= 1 only, the one
   argument the Kozachenko-Leonenko estimator needs: the harmonic sum for
   k up to 10 and the asymptotic series `psi_asy` above.  Any other
-  argument raises DomainError, so no recurrence or rational fit is kept.
+  argument, or an integer too large to convert to a double, raises
+  DomainError, so no recurrence or rational fit is kept.
 
 Each port keeps the original's order of float operations (Horner through
 `_polevl`, the same loops and the same constants), so its
@@ -132,7 +133,11 @@ def digamma(k: int) -> float:
         for i in range(1, n):
             y += 1.0 / i
         return y - _EULER
-    x = float(n)
+    try:
+        x = float(n)
+    except OverflowError:
+        raise DomainError(f"digamma requires k within the double range, "
+                          f"got a {n.bit_length()}-bit integer") from None
     if x < 1.0e17:
         z = 1.0 / (x * x)
         s = z * _polevl(z, _PSI_A)

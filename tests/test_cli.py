@@ -160,7 +160,7 @@ class TestEntropyCommand:
         path.write_text("x1\n1.0\n1.0\n2.0\n")
         code, _, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.5"])
         assert code == 3
-        assert "duplicate" in err
+        assert "duplicate points at indices 0, 1" in err
 
     def test_k_below_q_minus_one_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"

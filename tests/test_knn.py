@@ -52,17 +52,16 @@ class TestKnnDistances:
 
     def test_duplicate_points_identified(self):
         # a coincident triple and a coincident pair: every kernel lists
-        # every zero-distance pair (i < j), sorted, even when k_max = 1
-        # leaves most of them outside the neighbour lists
+        # each of their five points once, in ascending order, at any k_max
         line = [[0.0], [1.0], [0.0], [2.0], [0.0], [1.0]]
         plane = [[x, -x] for (x,) in line]
-        expected = [(0, 2), (0, 4), (1, 5), (2, 4)]
+        expected = [0, 1, 2, 4, 5]
         for pts, methods in ((line, ("brute", "tree", "sorted")), (plane, ("brute", "tree"))):
             for method in methods:
                 for k_max in (1, 3):
                     with pytest.raises(DuplicatePointsError) as excinfo:
                         knn_distances(_sample(pts), k_max, method=method)
-                    assert excinfo.value.pairs == expected, (method, k_max)
+                    assert excinfo.value.indices == expected, (method, k_max)
 
     def test_sorted_needs_one_dimension(self):
         with pytest.raises(DomainError):
@@ -136,16 +135,31 @@ class TestRouting:
 _SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
 
 
+def _coincident(points):
+    """The points with another point at zero squared distance, in
+    ascending order: a sum of squares is zero only if every term is, so
+    the summation order does not matter."""
+    with np.errstate(over="ignore"):
+        d2 = np.square(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.flatnonzero((d2 == 0.0).any(axis=1)).tolist()
+
+
 def _every_kernel(points, k, methods):
-    """Each kernel's distances, or the duplicate pairs it reports."""
+    """Each kernel's distances, all positive, or the coincident points
+    it reports, which must be exactly those of :func:`_coincident`."""
     out = {}
     for method in methods:
         # brute and sorted warn when squared gaps overflow to inf
         with np.errstate(over="ignore"):
             try:
-                out[method] = knn_distances(Sample(points), k, method=method).rho
+                rho = knn_distances(Sample(points), k, method=method).rho
             except DuplicatePointsError as exc:
-                out[method] = exc.pairs
+                assert exc.indices == _coincident(points), method
+                out[method] = exc.indices
+            else:
+                assert (rho > 0.0).all(), method
+                out[method] = rho
     return out
 
 
@@ -201,10 +215,11 @@ class TestKernelExactness:
 
     def test_run_of_zero_gaps_with_a_nonzero_pair(self):
         # each squared gap of 1e-162 underflows to zero, but that of 2e-162
-        # does not: the run 0, 1e-162, 2e-162 holds two duplicate pairs, not three
+        # does not: the run 0, 1e-162, 2e-162 holds two duplicate pairs, not
+        # three, and all three of its points are duplicates
         x = np.array([2e-162, 5.0, 0.0, 1e-162, 3.0, 5.0])
         out = _every_kernel(x[:, None], 1, ("brute", "tree", "sorted"))
-        assert out["brute"] == [(0, 3), (1, 5), (2, 3)]
+        assert out["brute"] == [0, 1, 2, 3, 5]
         _assert_identical(out)
 
     @settings(max_examples=200)
@@ -212,6 +227,29 @@ class TestKernelExactness:
     def test_tree_and_brute_report_same_duplicates(self, case):
         points, k = case
         _assert_identical(_every_kernel(points, k, ("brute", "tree")))
+
+
+class TestDuplicatesAtScale:
+    # the report lists points, not pairs: a constant column of N = 5000
+    # holds 12.5 million coincident pairs but only 5000 coincident points
+
+    @pytest.mark.parametrize("m", [1, 2], ids=["sorted", "tree"])
+    def test_constant_column(self, m):
+        with pytest.raises(DuplicatePointsError) as excinfo:
+            knn_distances(Sample(np.full((5000, m), 1.5)), 3)
+        assert excinfo.value.indices == list(range(5000))
+        assert str(excinfo.value) == "duplicate points at indices 0, 1, 2, 3, 4 and 4995 more"
+
+    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    def test_rounded_normals(self, rng, method):
+        # ties almost everywhere, but not in the tails
+        x = np.round(rng.standard_normal(3000), 1)
+        _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        tied = np.flatnonzero(counts[inverse] > 1).tolist()
+        assert 0 < len(tied) < x.size
+        with pytest.raises(DuplicatePointsError) as excinfo:
+            knn_distances(Sample(x[:, None]), 3, method=method)
+        assert excinfo.value.indices == tied
 
 
 # sizes on both sides of the size below which knn._exact_sum calls math.fsum

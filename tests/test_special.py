@@ -63,6 +63,7 @@ def test_ln_gamma_is_scipy_gammaln_bit_for_bit(x):
 @settings(max_examples=1000)
 @given(st.integers(1, 2**1023) | st.integers(1, 20))
 @example(11)
+@example(2**1023)
 def test_digamma_is_scipy_psi_bit_for_bit(k):
     assert _same(digamma(k), float(scipy_special.psi(float(k))))
 
@@ -144,6 +145,17 @@ def test_digamma_matches_central_difference():
     for k in range(1, 101):
         fd = (ln_gamma(k + h) - ln_gamma(k - h)) / (2 * h)
         assert digamma(k) == pytest.approx(fd, abs=1e-6)
+
+
+def test_digamma_beyond_the_double_range():
+    # the largest double is an integer, and psi there is scipy's; one
+    # more half unit in its last place rounds past it, so k cannot be
+    # converted to a double and is outside the domain
+    top = int(sys.float_info.max)
+    assert _same(digamma(top), float(scipy_special.psi(sys.float_info.max)))
+    for k in (top + 2**970, 2**1024, 10**400):
+        with pytest.raises(DomainError, match="digamma requires k within the double range"):
+            digamma(k)
 
 
 def test_digamma_domain():
