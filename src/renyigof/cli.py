@@ -41,6 +41,7 @@ from .errors import (
 from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import RngStream, read_csv, read_lines, sample, write_csv
+from .special import _integer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,9 +93,7 @@ def _tail_flag(args, flags: dict[str, str]):
 
 def _build_spec(args):
     param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
-    m = args.dim
-    if m < 1:
-        raise DomainError(f"--dim must be >= 1, got {m}")
+    m = _integer("--dim", args.dim, 1)
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
     if args.family == "gaussian":

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
-from .special import _as_int, digamma, ln_gamma, unit_ball_volume
+from .special import _integer, digamma, ln_gamma, unit_ball_volume
 
 _BRUTE_BLOCK = 256
 
@@ -95,13 +95,22 @@ class KnnDistances:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """An entropy estimate in nats, tagged with its estimator settings."""
+    """An entropy estimate in nats, tagged with its estimator settings.
+
+    The value is finite: one that is not raises DomainError, as when a
+    neighbour distance beyond about 1.34e154 squares to inf in the kernel.
+    """
 
     value: float
     q: float
     k: int
     n: int
     dim: int
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise DomainError(f"the entropy estimate is {self.value}: a squared neighbour "
+                              "distance overflows the double range")
 
 
 def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistances:
@@ -112,8 +121,8 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     sample : Sample
         N points in R^m, all distinct.
     k_max : int
-        Number of neighbour distances per point, an integer (of any
-        integral type but bool) with 1 <= k_max <= N-1.
+        Number of neighbour distances per point, an integer with
+        1 <= k_max <= N-1, read by :func:`special._integer`.
     method : {"auto", "sorted", "tree", "brute"}
         Kernel selection; all give bit-identical distances.  "auto"
         picks "sorted" for m = 1 and "tree" otherwise, at every N.
@@ -129,12 +138,7 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
         distance.
     """
     pts = sample.points
-    n = sample.n
-    k = _as_int(k_max)
-    if k is None or not 1 <= k <= n - 1:
-        raise DomainError(f"k_max must be an integer with 1 <= k_max <= N-1 = {n - 1}, "
-                          f"got {k_max!r}")
-    k_max = k
+    k_max = _integer("k_max", k_max, 1, sample.n)
     if method == "auto":
         method = "sorted" if sample.dim == 1 else "tree"
     if method == "sorted":
@@ -272,8 +276,7 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
         raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
     if not q > 0:
         raise DomainError(f"order q must be positive, got {q}")
-    if k < 1 or k > dists.k_max:
-        raise DomainError(f"k must satisfy 1 <= k <= k_max = {dists.k_max}, got {k}")
+    k = _integer("k", k, 1, dists.k_max + 1)
     if not k > q - 1.0:
         raise DomainError(f"estimator requires k > q - 1, got k = {k}, q = {q}")
     n = dists.n
@@ -285,6 +288,8 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     s += _log_g_const(n, dim, k, q)
     # log-sum-exp with a correctly rounded sum: the same bits in any order
     s_max = float(s.max())
+    if not math.isfinite(s_max):  # a distance overflowed: EntropyEstimate rejects this
+        return s_max
     s -= s_max
     return s_max + math.log(_exact_sum(np.exp(s, out=s))) - math.log(n)
 

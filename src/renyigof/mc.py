@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import RngStream, read_table, sample, write_table
-from .special import _as_int
+from .special import _integer
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
@@ -89,12 +89,12 @@ def parse_param(value) -> float:
     return x
 
 
-def _integer(value) -> int:
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+def _whole(what: str, value, least: int, below: int | None = None) -> int:
+    # an integer config field: special._integer, with the one JSON
+    # allowance that an integral float (3.0, 1e3) counts as its integer
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(what, value, least, below)
 
 
 def _real(value) -> float:
@@ -124,12 +124,13 @@ _CONFIG_FIELDS = {
     "family": Family,
     "true_param": parse_param,
     "null_param": parse_param,
-    "dim": _integer,
-    "n_grid": _list_of(_integer),
-    "k": _integer,
-    "replicates": _integer,
+    "dim": lambda v: _whole("dim", v, 1),
+    # the upper bounds keep _stream_id one-to-one
+    "n_grid": _list_of(lambda v: _whole("each n_grid entry", v, 1, 2**31)),
+    "k": lambda v: _whole("k", v, 1),
+    "replicates": lambda v: _whole("replicates", v, 2, 2**32),
     "alpha_levels": _list_of(_real),
-    "master_seed": _integer,
+    "master_seed": lambda v: _whole("master_seed", v, 0, 2**64),
     "max_failure_rate": _real,
     "include_replicates": _boolean,
     "covariance_mode": str,
@@ -143,8 +144,8 @@ def _check(values: dict) -> tuple[dict, list[str]]:
     for key, value in values.items():
         try:
             parsed[key] = _CONFIG_FIELDS[key](value)
-        except ValueError as exc:
-            problems.append(f"{key}: {exc}")
+        except ValueError as exc:  # a DomainError, from an integer field, names it
+            problems.append(str(exc) if isinstance(exc, DomainError) else f"{key}: {exc}")
     return parsed, problems + _rule_problems(parsed)
 
 
@@ -169,11 +170,6 @@ def _rule_problems(v: dict) -> list[str]:
                 check_pearson_k(v["k"], v["null_param"])
             except DomainError as exc:
                 problems.append(str(exc))
-    for name, least in (("dim", 1), ("replicates", 2), ("k", 1)):
-        if name in v and v[name] < least:
-            problems.append(f"{name} must be >= {least}, got {v[name]}")
-    if "master_seed" in v and not 0 <= v["master_seed"] < 2**64:
-        problems.append(f"master_seed must lie in [0, 2**64), got {v['master_seed']}")
     n_grid = v.get("n_grid", ())
     if "n_grid" in v and not n_grid:
         problems.append("n_grid must be non-empty")
@@ -220,6 +216,15 @@ class ExperimentConfig:
     cancellation between the entropy estimate and the covariance term;
     published critical-value tables produced by harnesses that draw the
     constraint sample separately are only reproducible in this mode.
+
+    The integer fields are read by :func:`special._integer`, so a numpy
+    integer is its value, with one JSON allowance: an integral float
+    (3.0) counts as its integer.  `dim` and `k` are at least 1,
+    `replicates` lies in [2, 2**32), each `n_grid` entry in [1, 2**31)
+    and `master_seed` in [0, 2**64); a bool, a string or a fractional
+    number is no integer.  Every construction parses the fields, so a
+    config built from numpy integers equals, and hashes as, the one
+    built from Python ints.
     """
 
     family: Family
@@ -323,8 +328,10 @@ class McResult:
 
 def _stream_id(n: int, j: int) -> int:
     # keyed by the sample size value, not its grid index, so extending
-    # the grid never perturbs existing replicate streams
-    return ((n & 0xFFFFFFFF) << 32) | (j & 0xFFFFFFFF)
+    # the grid never perturbs existing replicate streams; the config holds
+    # n < 2**31 and j < 2**32, so no two (n, j) share an id and none sets
+    # the fresh-covariance bit
+    return (n << 32) | j
 
 
 # high bit marks the auxiliary stream used by covariance_mode="fresh"
@@ -363,12 +370,7 @@ def worker_count(workers: int | None) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    count = _as_int(workers)
-    if count is None:
-        raise DomainError(f"workers must be an integer or None, got {workers!r}")
-    if count < 1:
-        raise DomainError(f"workers must be >= 1 (None for all CPUs), got {count}")
-    return count
+    return _integer("workers", workers, 1)
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:
@@ -631,6 +633,10 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
                     for alpha, column in ALPHA_COLUMNS.items()}
     except (KeyError, ValueError) as exc:
         raise DomainError(f"{path}: unreadable summary row: {exc}") from None
+    for column, by_n in zip(ALPHA_COLUMNS.values(), critical.values()):
+        for n, value in by_n.items():
+            if not math.isfinite(value):
+                raise DomainError(f"{path}: {column} at N={n} is {value}, not a finite number")
     return config, critical
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
-from .special import _as_int
+from .special import _integer
 
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
@@ -64,8 +64,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_generator")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = _key_word("seed", seed)
-        self.stream_id = _key_word("stream_id", stream_id)
+        self.seed = _integer("seed", seed, 0, 2**64)
+        self.stream_id = _integer("stream_id", stream_id, 0, 2**64)
         self._generator = None
 
     @property
@@ -77,15 +77,6 @@ class RngStream:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def _key_word(name: str, value) -> int:
-    word = _as_int(value)
-    if word is None:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= word < 2**64:
-        raise DomainError(f"{name} must lie in [0, 2**64), got {value}")
-    return word
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,10 +122,7 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
     The result is a pure function of (spec, n, seed, stream_id) when the
     stream is freshly constructed.
     """
-    size = _as_int(n)
-    if size is None or size < 1:
-        raise DomainError(f"sample size must be an integer >= 1, got {n!r}")
-    n = size
+    n = _integer("sample size", n, 1)
     gen = rng.generator
     m = spec.dim
 

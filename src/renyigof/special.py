@@ -23,12 +23,23 @@ results equal scipy's bit for bit. That rests on Python's `math.log`
 and scipy's `std::log` being the same platform libm `log`;
 `tests/test_special.py` checks the equality against scipy on each
 machine it runs on.
+
+The module also holds the package's one integer rule, `_integer`: every
+integer argument, command-line flag and config field is read through
+it.  An integer is any value `operator.index` takes (Python and numpy
+integers) but bool and np.bool_, and it must lie in the reader's
+bounds; anything else raises one DomainError, "<what> must be an
+integer >= <least>" (or "in [<least>, <below>)"), "got <value>".  A
+float is never an integer here, not even 3.0: the config parsers alone
+add that an integral JSON float counts as its integer.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -125,9 +136,7 @@ def ln_gamma(x: float) -> float:
 
 def digamma(k: int) -> float:
     """Logarithmic derivative of the gamma function at an integer k >= 1."""
-    n = _as_int(k)
-    if n is None or n < 1:
-        raise DomainError(f"digamma requires an integer k >= 1, got {k!r}")
+    n = _integer("digamma's k", k, 1)
     if n <= 10:
         y = 0.0
         for i in range(1, n):
@@ -153,22 +162,30 @@ def ln_beta(a: float, b: float) -> float:
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
 
 
-def _as_int(value) -> int | None:
-    """`value` as an int if its type is integral (operator.index: Python
-    and numpy integers), else None; bool is not, as in configs.  A float
-    or a string with an integral value is not either: an integer argument
-    read through here is never truncated or parsed."""
-    if isinstance(value, bool):
-        return None
+def _integer(what: str, value, least: int, below: int | None = None) -> int:
+    """`value` as an int n with least <= n < below (no upper bound for
+    None): the one reader of every integer argument, flag and config
+    field.  Any value `operator.index` takes counts (Python and numpy
+    integers), but bool and np.bool_; anything else, a float or a string
+    with an integral value included, raises DomainError, "<what> must be
+    an integer >= <least>" (or "in [<least>, <below>)"), "got <value>"."""
     try:
-        return operator.index(value)
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        return None
+        n = None
+    if n is not None and least <= n and (below is None or n < below):
+        return n
+    span = f">= {least}" if below is None else f"in [{least}, {_shown(below)})"
+    raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+
+
+def _shown(bound: int) -> str:
+    # a bound in a message: 2**e for a power of two from 2**16 up
+    e = bound.bit_length() - 1
+    return f"2**{e}" if e >= 16 and bound == 1 << e else str(bound)
 
 
 def unit_ball_volume(m: int) -> float:
     """Volume pi^(m/2) / Gamma(m/2 + 1) of the unit ball in m dimensions."""
-    dim = _as_int(m)
-    if dim is None or dim < 1:
-        raise DomainError(f"dimension must be an integer >= 1, got {m!r}")
+    dim = _integer("dimension", m, 1)
     return math.exp(0.5 * dim * math.log(math.pi) - ln_gamma(0.5 * dim + 1.0))

@@ -33,6 +33,21 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+def _set_summary_field(path, column, text, n=None):
+    """Rewrite one field of a summary CSV: `column` in the row of N = n
+    (the first row for None)."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[header].split(",")
+    for i in range(header + 1, len(lines)):
+        row = lines[i].split(",")
+        if n is None or row[names.index("N")] == str(n):
+            row[names.index(column)] = text
+            lines[i] = ",".join(row)
+            break
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestSampleCommand:
     def test_writes_deterministic_csv(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -83,8 +98,11 @@ class TestSampleCommand:
         assert not path.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--dim", "0"], "--dim must be >= 1, got 0"),
-        (["--dim", "-1"], "--dim must be >= 1, got -1"),
+        # explicit ids keep these cases' names as the suite knew them
+        pytest.param(["--dim", "0"], "--dim must be an integer >= 1, got 0",
+                     id="flags0---dim must be >= 1, got 0"),
+        pytest.param(["--dim", "-1"], "--dim must be an integer >= 1, got -1",
+                     id="flags1---dim must be >= 1, got -1"),
         (["--dim", "1", "--loc", "abc"], "--loc takes numbers, got 'abc'"),
         (["--dim", "2", "--scale", "1,0;0,x"], "--scale takes numbers, got '0,x'"),
         (["--dim", "2", "--loc", "1,2,3"], "--loc needs 2 comma-separated values, got 3"),
@@ -118,7 +136,7 @@ class TestSampleCommand:
         code, out, err = _run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert f"must lie in [0, 2**64), got {value}" in err
+        assert f"must be an integer in [0, 2**64), got {value}" in err
         assert not path.exists()
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
@@ -161,6 +179,19 @@ class TestEntropyCommand:
         code, _, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", "0.5"])
         assert code == 3
         assert "duplicate points at indices 0, 1" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("q", ["0.5", "1"])
+    def test_overflowing_distance_exits_2(self, tmp_path, capsys, q):
+        # gaps of about 1e200 square to inf: the estimate once printed as
+        # NaN (q = 0.5) or Infinity (q = 1), which is not JSON, with exit 0
+        path = tmp_path / "far.csv"
+        path.write_text("x1\n1e200\n-1e200\n3e200\n5\n7e199\n")
+        code, out, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", q])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the entropy estimate is inf: a squared neighbour distance "
+                       "overflows the double range\n")
 
     def test_k_below_q_minus_one_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
@@ -263,6 +294,21 @@ class TestTestCommand:
         assert out == ""
         assert f"{stray} does not apply to --family {family}" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @pytest.mark.parametrize("nu0", ["10", "inf"])
+    def test_overflowing_distance_exits_2(self, tmp_path, capsys, nu0):
+        # the covariance of these points is finite, but the last one's
+        # nearest gap squares to inf: W once printed as NaN (nu0 = 10) or
+        # -Infinity (nu0 = inf), with exit 0
+        path = tmp_path / "far.csv"
+        path.write_text("x1\n" + "".join(f"{i}\n" for i in range(99)) + "1.345e154\n")
+        code, out, err = _run(capsys, ["test", str(path), "--family", "student",
+                                       "--nu0", nu0, "--k", "1"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the entropy estimate is inf: a squared neighbour distance "
+                       "overflows the double range\n")
+
     def test_sample_file_as_critical_table_names_it(self, tmp_path, capsys, monkeypatch):
         # a sample's `# config` line holds its draw settings, not an experiment
         # config; the error must name the table, not read like a config fault
@@ -319,6 +365,18 @@ class TestTestCommand:
         write_csv(sample(gaussian([0.0], [[1.0]]), 50, RngStream(66)), data)
         return _run(capsys, ["test", str(data), "--family", "student", *flags,
                              "--critical-table", str(table)])
+
+    @pytest.mark.parametrize("column, text", [("q05", "nan"), ("q01", "inf"),
+                                              ("q10", "1e999"), ("q05", "-inf")])
+    def test_non_finite_critical_value_exits_2(self, tmp_path, capsys, column, text):
+        # a nan q05 once gave {"critical": NaN, "reject": false} with exit 0
+        table = self._null_table(tmp_path, capsys)
+        _set_summary_field(table, column, text)
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
+                                            "--alpha", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {table}: {column} at N=50 is {float(text)}, not a finite number\n"
 
     def test_table_with_byte_order_mark_reads_alike(self, tmp_path, capsys):
         table = self._null_table(tmp_path, capsys)
@@ -460,7 +518,7 @@ class TestExperimentCommand:
         cfg_path.write_text(json.dumps(config))
         code, _, err = _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        for fragment in ("covarience_mode", "include_replicates", "dim: must be an integer"):
+        for fragment in ("covarience_mode", "include_replicates", "dim must be an integer"):
             assert fragment in err
         assert not (tmp_path / "o").exists()
 
@@ -494,7 +552,7 @@ class TestExperimentCommand:
                                        "--out-dir", str(tmp_path / "o"), "--workers", workers])
         assert code == 2
         assert out == ""
-        assert f"workers must be >= 1 (None for all CPUs), got {workers}" in err
+        assert f"workers must be an integer >= 1, got {workers}" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -632,6 +690,29 @@ class TestExperimentCommand:
                                      "--out-dir", str(tmp_path / "alt_out")])
         return code, err
 
+    def test_non_finite_power_reference_exits_2(self, tmp_path, capsys):
+        # a nan q05 would silently give a power of 0 at that N
+        null_config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [50, 60], "k": 3,
+            "replicates": 10, "master_seed": 21,
+        }
+        (tmp_path / "null.json").write_text(json.dumps(null_config))
+        code, _, _ = _run(capsys, ["experiment", str(tmp_path / "null.json"),
+                                   "--out-dir", str(tmp_path / "null_out")])
+        assert code == 0
+        reference = tmp_path / "null_out" / "summary.csv"
+        _set_summary_field(reference, "q05", "nan", n=60)
+        alt_config = dict(null_config, true_param="inf", master_seed=22,
+                          power_reference="null_out/summary.csv")
+        (tmp_path / "alt.json").write_text(json.dumps(alt_config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                       "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {reference}: q05 at N=60 is nan, not a finite number\n"
+        assert not (tmp_path / "alt_out").exists()
+
     def test_mismatched_power_reference_exits_2(self, tmp_path, capsys):
         code, err = self._power_run(tmp_path, capsys, null_param=10.0, k=4,
                                     covariance_mode="fresh")
@@ -694,7 +775,7 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         # reported in one error with the config's other problems
-        assert err == ("error: invalid experiment config: dim must be >= 1, got 0; "
+        assert err == ("error: invalid experiment config: dim must be an integer >= 1, got 0; "
                        f"power_reference must be a non-empty path string, got {reference!r}\n")
         assert not (tmp_path / "alt_out").exists()
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -370,7 +371,7 @@ class TestGEstimate:
         s = _sample([[0.0], [1.0], [3.0]])
         with pytest.raises(DomainError, match="k > q - 1"):
             renyi_estimate(s, 1, 2.5)  # k = 1 <= q - 1 = 1.5
-        with pytest.raises(DomainError, match="k <= k_max"):
+        with pytest.raises(DomainError, match=r"k must be an integer in \[1, 3\), got 3"):
             knn._log_g(knn_distances(s, 2), 1, 3, 0.5)  # k beyond k_max
 
     @pytest.mark.parametrize("m", [1, 3])
@@ -507,6 +508,38 @@ class TestShannonEstimate:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):
             shannon_estimate(_sample([[0.0], [0.0], [1.0]]), 1)
+
+
+# gaps of about 1e200: their squares pass the double range, so the
+# nearest-neighbour distances are inf in every kernel
+_FAR_LINE = [[1e200], [-1e200], [3e200], [5.0], [7e199]]
+
+
+# the sorted and brute kernels warn as they square such a gap
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+class TestOverflowingDistances:
+    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_non_finite_estimate_rejected(self, monkeypatch, method, q):
+        # unchecked, q = 0.5 gave nan and q = 1 gave inf; at q = 1.5 on two
+        # such points every term of G underflows to 0, so its log is -inf
+        monkeypatch.setattr(knn, "knn_distances", functools.partial(knn_distances, method=method))
+        s = _sample(_FAR_LINE[1:3] if q > 1 else _FAR_LINE)
+        assert np.isinf(knn_distances(s, 1, method=method).column(1)).any()
+        with pytest.raises(DomainError, match="the entropy estimate is inf: a squared "
+                                              "neighbour distance overflows the double range"):
+            shannon_estimate(s, 1) if q == 1.0 else renyi_estimate(s, 1, q)
+
+    @pytest.mark.parametrize("method", ["tree", "brute"])
+    def test_plane_and_statistic(self, monkeypatch, method):
+        # m = 2 and the goodness-of-fit statistic: W is never computed from
+        # a non-finite estimate
+        monkeypatch.setattr(knn, "knn_distances", functools.partial(knn_distances, method=method))
+        s = _sample([[x, 1.0] for (x,) in _FAR_LINE])
+        cov = sample_covariance(_sample([[0.0, 0.0], [1.0, 0.5], [0.5, 2.0]]))[1]
+        for family, null_param in ((Family.STUDENT, 10.0), (Family.STUDENT, math.inf)):
+            with pytest.raises(DomainError, match="the entropy estimate is inf"):
+                statistic(s, family, null_param, 1, constraint=cov)
 
 
 class TestStudentEntropyAgreement:

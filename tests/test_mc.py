@@ -203,16 +203,27 @@ class TestConfig:
         ("covarience_mode", "fresh", "unknown config fields: 'covarience_mode'"),
         ("include_replicates", "false", "include_replicates: must be true or false"),
         ("include_replicates", 0, "include_replicates: must be true or false"),
-        ("dim", 1.7, "dim: must be an integer, got 1.7"),
-        ("k", "3", "k: must be an integer, got '3'"),
-        ("replicates", True, "replicates: must be an integer, got True"),
-        ("n_grid", [100, 200.5], "n_grid: must be an integer, got 200.5"),
+        # explicit ids keep the integer fields' cases' names as the suite
+        # knew them
+        pytest.param("dim", 1.7, "dim must be an integer >= 1, got 1.7",
+                     id="dim-1.7-dim: must be an integer, got 1.7"),
+        pytest.param("k", "3", "k must be an integer >= 1, got '3'",
+                     id="k-3-k: must be an integer, got '3'"),
+        pytest.param("replicates", True, "replicates must be an integer in [2, 2**32), got True",
+                     id="replicates-True-replicates: must be an integer, got True"),
+        pytest.param("n_grid", [100, 200.5],
+                     "each n_grid entry must be an integer in [1, 2**31), got 200.5",
+                     id="n_grid-value6-n_grid: must be an integer, got 200.5"),
         ("n_grid", 100, "n_grid: must be a list, got 100"),
-        ("dim", [1], "dim: must be an integer, got [1]"),
-        ("master_seed", 4.2, "master_seed: must be an integer"),
+        pytest.param("dim", [1], "dim must be an integer >= 1, got [1]",
+                     id="dim-value8-dim: must be an integer, got [1]"),
+        pytest.param("master_seed", 4.2, "master_seed must be an integer",
+                     id="master_seed-4.2-master_seed: must be an integer"),
         ("alpha_levels", ["0.05"], "alpha_levels: must be a number"),
         ("null_param", "nan", "null_param: expected a number or 'inf'"),
-        ("n_grid", (100.7,), "n_grid: must be an integer, got 100.7"),
+        pytest.param("n_grid", (100.7,),
+                     "each n_grid entry must be an integer in [1, 2**31), got 100.7",
+                     id="n_grid-value12-n_grid: must be an integer, got 100.7"),
         ("true_param", -math.inf, "true_param: expected a number or 'inf', got -inf"),
         ("null_param", math.nan, "null_param: expected a number or 'inf', got nan"),
     ])
@@ -235,7 +246,7 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
         message = str(excinfo.value)
         for fragment in ("missing required fields: family", "covarience_mode",
-                         "include_replicates", "dim", "k:", "replicates:", "n_grid"):
+                         "include_replicates", "dim", "k must", "replicates must", "n_grid"):
             assert fragment in message
 
     def test_value_violations_listed_with_structural_ones(self):
@@ -247,7 +258,8 @@ class TestConfig:
             ExperimentConfig.from_dict(data)
         message = str(excinfo.value)
         for fragment in ("schema_version 99", "unknown config fields: 'covarience_mode'",
-                         "replicates must be >= 2", "n_grid repeats sample sizes 100"):
+                         "replicates must be an integer in [2, 2**32)",
+                         "n_grid repeats sample sizes 100"):
             assert fragment in message
 
     def test_every_problem_in_one_round(self):
@@ -257,8 +269,9 @@ class TestConfig:
                       n_grid=(1, 1), k=3, replicates=1)
         data = {"schema_version": 1, "family": "student", "true_param": 5.0, "null_param": 1.0,
                 "dim": 1.7, "n_grid": [1, 1], "replicates": 1}
-        found = ("dim: must be an integer, got 1.7", "null_param: Student requires nu > 2",
-                 "replicates must be >= 2, got 1", "n_grid repeats sample sizes 1")
+        found = ("dim must be an integer >= 1, got 1.7", "null_param: Student requires nu > 2",
+                 "replicates must be an integer in [2, 2**32), got 1",
+                 "n_grid repeats sample sizes 1")
         for build, also, never in (
             (lambda: ExperimentConfig.from_dict(data),
              ("config missing required fields: k",), ("too small for k", "below m+1")),
@@ -298,9 +311,48 @@ class TestConfig:
                       lambda: ExperimentConfig.from_dict(
                           dict(_config().to_dict(), master_seed=seed))):
             with pytest.raises(ExperimentError,
-                               match=rf"master_seed must lie in \[0, 2\*\*64\), got {seed}"):
+                               match=rf"master_seed must be an integer in \[0, 2\*\*64\), "
+                                     rf"got {seed}"):
                 build()
         assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+    def test_numpy_integers_accepted(self):
+        # every integer field is read by special._integer: a numpy integer
+        # is its value, in the config, its JSON form and its hash
+        numpy = _config(dim=np.int64(1), k=np.int32(3), replicates=np.uint8(10),
+                        master_seed=np.uint64(42), n_grid=[np.int64(100), np.uint16(200)])
+        assert numpy == _config()
+        assert numpy.config_hash() == _config().config_hash()
+        assert all(type(v) is int for v in (numpy.dim, numpy.k, numpy.replicates,
+                                            numpy.master_seed, *numpy.n_grid))
+        big = _config(master_seed=np.uint64(2**64 - 1))
+        assert big == _config(master_seed=2**64 - 1)
+
+    @pytest.mark.parametrize("value", [np.float32(3.0), np.float64(3.5), True, "3"],
+                             ids=["float32", "fraction", "bool", "str"])
+    @pytest.mark.parametrize("key", ["k", "replicates", "master_seed", "n_grid"])
+    def test_non_integers_rejected(self, key, value):
+        # an integral float is the one JSON allowance: a numpy float32 is
+        # not a JSON number, and 3.5, a bool or a string is no integer
+        given = [100, value] if key == "n_grid" else value
+        what = "each n_grid entry" if key == "n_grid" else key
+        for build in (lambda: _config(**{key: given}),
+                      lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **{key: given}))):
+            with pytest.raises(ExperimentError, match=re.escape(f"{what} must be an integer")):
+                build()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_grid", [100, 2**31], "each n_grid entry must be an integer in [1, 2**31), got 2147483648"),
+        ("n_grid", [0, 100], "each n_grid entry must be an integer in [1, 2**31), got 0"),
+        ("replicates", 2**32, "replicates must be an integer in [2, 2**32), got 4294967296"),
+    ])
+    def test_stream_id_bounds(self, key, value, message):
+        # N and the replicate index share one 64-bit stream id (32 bits
+        # each, the top bit kept for the fresh covariance): beyond these
+        # bounds two replicates would draw the same stream
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            _config(**{key: value})
+        assert mc._stream_id(2**31 - 1, 2**32 - 1) < mc._FRESH_COV_BIT
 
     def test_integral_floats_accepted(self):
         data = dict(_config().to_dict(), dim=1.0, k=3.0, n_grid=[100.0, 200])
@@ -374,13 +426,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(DomainError, match=f"workers must be >= 1.*got {workers}"):
+        with pytest.raises(DomainError, match=f"workers must be an integer >= 1, got {workers}"):
             run_experiment(_config(replicates=4), workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, 2.0, "2", True, False])
     def test_non_integer_workers_rejected(self, workers):
         # bool is not a count, and an integral float or string is not either
-        with pytest.raises(DomainError, match="workers must be an integer or None"):
+        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
             run_experiment(_config(replicates=4), workers=workers)
 
     def test_integer_worker_counts_accepted(self):

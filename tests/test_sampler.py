@@ -75,7 +75,7 @@ class TestRngStreamKey:
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_identifiers_outside_uint64_rejected(self, seed, stream_id):
         # they once wrapped: seed -1 drew what seed 2**64 - 1 draws
-        with pytest.raises(DomainError, match=r"must lie in \[0, 2\*\*64\)"):
+        with pytest.raises(DomainError, match=r"must be an integer in \[0, 2\*\*64\)"):
             RngStream(seed, stream_id)
 
     @pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (True, 0), ("7", 0),

@@ -1,6 +1,7 @@
 import math
 import struct
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 
 from renyigof.errors import DomainError
-from renyigof.special import digamma, ln_beta, ln_gamma, unit_ball_volume
+from renyigof import special
+from renyigof.special import _integer, digamma, ln_beta, ln_gamma, unit_ball_volume
 
 mpmath.mp.dps = 40
 
@@ -96,7 +98,7 @@ def test_infinity_and_nan():
         ln_gamma(math.nan)
     # psi is only ever taken at an integer k, so neither is an argument
     for x in (math.inf, np.float64("nan")):
-        with pytest.raises(DomainError, match="digamma requires an integer k >= 1"):
+        with pytest.raises(DomainError, match="digamma's k must be an integer >= 1"):
             digamma(x)
 
 
@@ -163,7 +165,7 @@ def test_digamma_domain():
     # integral one, and no bool, as in unit_ball_volume
     assert digamma(np.int64(12)) == digamma(12)
     for k in (2.5, 0, -2, True, np.float64(3.0), 3.0, math.inf, "3"):
-        with pytest.raises(DomainError, match="digamma requires an integer k >= 1"):
+        with pytest.raises(DomainError, match="digamma's k must be an integer >= 1"):
             digamma(k)
 
 
@@ -211,3 +213,66 @@ def test_unit_ball_volume_integral_types():
     for m in (True, False, np.float64(3.0), 3.0):
         with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
             unit_ball_volume(m)
+
+
+_INTEGRAL_TYPES = (int, np.int8, np.int16, np.int32, np.int64,
+                   np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("kind", _INTEGRAL_TYPES, ids=lambda kind: kind.__name__)
+def test_integer_reads_every_integral_type(kind):
+    # each type's own extremes, up to np.uint64's 2**64 - 1, as Python ints
+    top = 2**64 - 1 if kind is int else int(np.iinfo(kind).max)
+    least = -(2**63) if kind is int else int(np.iinfo(kind).min)
+    for value in (least, 0, 7, top):
+        n = _integer("n", kind(value), least)
+        assert n == value and type(n) is int
+    assert _integer("seed", kind(top), 0, 2**64) == top
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_, 3.0, np.float64(3.0),
+                                   np.float32(3.0), 2.5, math.inf, "3", None, [3]],
+                         ids=["True", "False", "np.True_", "np.False_", "float",
+                              "np.float64", "np.float32", "fraction", "inf", "str",
+                              "None", "list"])
+def test_integer_rejects_every_other_type(value):
+    # bool is no count, and an integral float or string is not read as one
+    with pytest.raises(DomainError) as excinfo:
+        _integer("n", value, 0)
+    assert str(excinfo.value) == f"n must be an integer >= 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value, least, below, message", [
+    (1, 1, None, None),
+    (10**30, 1, None, None),
+    (0, 1, None, "k must be an integer >= 1, got 0"),
+    (np.int64(-5), 1, None, "k must be an integer >= 1, got np.int64(-5)"),
+    (2, 2, 5, None),
+    (4, 2, 5, None),
+    (1, 2, 5, "k must be an integer in [2, 5), got 1"),
+    (5, 2, 5, "k must be an integer in [2, 5), got 5"),
+    (0, 0, 2**64, None),
+    (np.uint64(2**64 - 1), 0, 2**64, None),
+    (-1, 0, 2**64, "k must be an integer in [0, 2**64), got -1"),
+    (2**64, 0, 2**64, "k must be an integer in [0, 2**64), got 18446744073709551616"),
+    (2**31, 1, 2**31, "k must be an integer in [1, 2**31), got 2147483648"),
+    (70000, 1, 70000, "k must be an integer in [1, 70000), got 70000"),
+])
+def test_integer_bounds(value, least, below, message):
+    # at, below and above each bound; a power of two from 2**16 up is
+    # shown as one
+    if message is None:
+        assert _integer("k", value, least, below) == value
+    else:
+        with pytest.raises(DomainError) as excinfo:
+            _integer("k", value, least, below)
+        assert str(excinfo.value) == message
+
+
+def test_only_special_reads_integers():
+    # every other module reads an integer argument through special._integer
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(special.__file__).parent.glob("*.py")}
+    readers = sorted(name for name, text in sources.items()
+                     if "operator.index" in text or "__index__" in text)
+    assert readers == ["special.py"]
