@@ -20,7 +20,6 @@ _MODULE_OF = {
     "MaxEntropyResult": "distributions",
     "SpdMatrix": "distributions",
     "check_estimator_conditions": "distributions",
-    "critical_moment": "distributions",
     "density": "distributions",
     "gaussian": "distributions",
     "log_density": "distributions",

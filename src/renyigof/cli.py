@@ -179,9 +179,10 @@ def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
     against the config's directory).  A reference that is not a
     non-empty string is reported in one error with the config's other
     problems."""
+    text = "".join(read_lines(path))
     try:
-        data = json.loads("".join(read_lines(path)))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ExperimentError(f"config is not valid JSON: {exc}") from None
     power_reference, problems = None, []
     if isinstance(data, dict) and "power_reference" in data:

@@ -2,8 +2,9 @@
 
 Provides density evaluation, closed-form Renyi entropies, the
 maximum-entropy values over the class of densities with fixed mean and
-covariance, and the moment conditions under which the nearest-neighbour
-entropy estimator converges.
+covariance, and the one estimator condition the goodness-of-fit
+statistic reads: the moment side of the L2 condition under which the
+nearest-neighbour entropy estimator converges.
 
 Closed forms for the Student and Pearson II Renyi entropies follow
 Zografos and Nadarajah (2005); the maximum-entropy characterisation is
@@ -123,12 +124,6 @@ class SpdMatrix:
     @classmethod
     def identity(cls, m: int) -> "SpdMatrix":
         return cls(np.eye(m))
-
-    def scaled(self, c: float) -> "SpdMatrix":
-        """Return c * matrix as a new SpdMatrix (c > 0)."""
-        if not c > 0:
-            raise DomainError(f"scale factor must be positive, got {c}")
-        return SpdMatrix(self.matrix * c)
 
     def mahalanobis_sq(self, delta: np.ndarray) -> Union[float, np.ndarray]:
         """Quadratic form delta' M^{-1} delta via triangular solve.
@@ -384,21 +379,10 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     if family is Family.GAUSSIAN:
         q, sigma = 1.0, constraint
     elif family is Family.STUDENT:
-        q, sigma = 1.0 - 2.0 / (param + m), constraint.scaled(1.0 - 2.0 / param)
+        q, sigma = 1.0 - 2.0 / (param + m), SpdMatrix(constraint.matrix * (1.0 - 2.0 / param))
     else:
-        q, sigma = _pearson_order(param), constraint.scaled(2.0 * param + m + 2.0)
+        q, sigma = _pearson_order(param), SpdMatrix(constraint.matrix * (2.0 * param + m + 2.0))
     return MaxEntropyResult(_renyi_entropy(family, m, sigma.log_det, param, q), q, sigma)
-
-
-def critical_moment(spec: DistributionSpec) -> float:
-    """Supremum of r with E ||X||^r finite.
-
-    The Student density decays like ||x||^{-(nu+m)}, giving nu; the
-    Gaussian and the compactly supported Pearson II have all moments.
-    """
-    if spec.family is Family.STUDENT:
-        return spec.param
-    return math.inf
 
 
 @dataclass(frozen=True)
@@ -413,31 +397,31 @@ class ConditionCheck:
 
 
 def check_estimator_conditions(spec: DistributionSpec, q: float, mode: str) -> ConditionCheck:
-    """Moment conditions for convergence of the nearest-neighbour estimator.
+    """The moment side of the L2 condition for the nearest-neighbour estimator.
 
-    For 0 < q < 1, convergence in mean requires r_c(f) > m(1-q)/q and
-    convergence in L2 additionally requires q > 1/2 and
-    r_c(f) > 2m(1-q)/(2q-1), where r_c is the critical moment.  For
-    q >= 1 the moment side holds for all three families; the companion
-    requirement q < (k+1)/2 for q > 1 depends on k and is checked by the
-    caller (:func:`gof.statistic` folds it into `GofStatistic.l2_ok`).
+    The estimate at order 0 < q < 1 converges in L2 (Leonenko, Pronzato
+    and Savani 2008) when q > 1/2 and r_c > 2m(1-q)/(2q-1), where r_c,
+    the supremum of r with E ||X||^r finite, is nu for the Student (its
+    density decays like ||x||^{-(nu+m)}) and +inf for the Gaussian and
+    the compactly supported Pearson II.  For q >= 1 the moment side
+    holds for all three families; the k side, q < (k+1)/2 for q > 1,
+    depends on k and stays with the caller (:func:`gof.statistic` folds
+    it into `GofStatistic.l2_ok`).
+
+    L2 is the one condition kept: `mode` must be "L2", and anything else
+    raises DomainError.  The parameter stays only because the
+    benchmark's direct call passes it, and goes with that call.
     """
     if not q > 0:
         raise DomainError(f"order q must be positive, got {q}")
-    if mode not in ("mean", "L2"):
-        raise DomainError(f"mode must be 'mean' or 'L2', got {mode!r}")
+    if mode != "L2":
+        raise DomainError(f"mode must be 'L2', got {mode!r}")
     if q >= 1.0:
         return ConditionCheck(True)
-    m = spec.dim
-    r_c = critical_moment(spec)
-    if mode == "mean":
-        bound = m * (1.0 - q) / q
-        if r_c > bound:
-            return ConditionCheck(True)
-        return ConditionCheck(False, f"critical moment {r_c} <= m(1-q)/q = {bound}")
     if not q > 0.5:
         return ConditionCheck(False, "q <= 1/2")
-    bound = 2.0 * m * (1.0 - q) / (2.0 * q - 1.0)
+    r_c = spec.param if spec.family is Family.STUDENT else math.inf
+    bound = 2.0 * spec.dim * (1.0 - q) / (2.0 * q - 1.0)
     if r_c > bound:
         return ConditionCheck(True)
     return ConditionCheck(False, f"critical moment {r_c} <= 2m(1-q)/(2q-1) = {bound}")

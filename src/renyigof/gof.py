@@ -33,6 +33,7 @@ from .distributions import (
 from .errors import DomainError
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import Sample
+from .special import _integer
 
 
 @dataclass(frozen=True)
@@ -40,13 +41,13 @@ class GofStatistic:
     """Value of a maximum-entropy test statistic and its settings.
 
     `family` is GAUSSIAN when the null parameter is +inf (both tests
-    then coincide in their common Gaussian limit).  `l2_ok`
-    records whether both sides of the L2 condition for estimator
-    convergence (Leonenko, Pronzato and Savani 2008) hold under the
-    null: the moment side of :func:`check_estimator_conditions` and,
-    for q > 1, q < (k+1)/2.  A failing case (the boundary q = 1/2, a
-    Pearson II null with k <= 2/eta0 + 1) computes anyway and is merely
-    flagged.
+    then coincide in their common Gaussian limit).  `l2_ok` records
+    whether the one estimator condition, L2 convergence (Leonenko,
+    Pronzato and Savani 2008), holds under the null.  It has two sides:
+    the moment side is :func:`check_estimator_conditions`, and the k
+    side, q < (k+1)/2 for q > 1, is checked in :func:`statistic`
+    itself.  A failing case (the boundary q = 1/2, a Pearson II null
+    with k <= 2/eta0 + 1) computes anyway and is merely flagged.
     """
 
     value: float
@@ -85,8 +86,11 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
     q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives q = 1 + 1/eta0
     (which needs k > 1/eta0), both with the Renyi estimate; +inf gives
     the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  Any
-    other null parameter, -inf and NaN included, raises DomainError.
+    other null parameter, -inf and NaN included, raises DomainError, and
+    so does a k that is not an integer >= 1 (read first, by
+    :func:`special._integer`).
     """
+    k = _integer("k", k, 1)
     m = sample.dim
     null_spec = _standard_spec(family, null_param, m)
     if null_spec.family is Family.PEARSON2:
@@ -97,11 +101,11 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
         raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
     h_max, q, _ = max_renyi_entropy(null_spec.family, constraint, null_param)
     est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)
-    # the moment side, and for q > 1 the k side that the check leaves to its caller
+    # the L2 condition: its moment side, and for q > 1 its k side
     l2_ok = (bool(check_estimator_conditions(null_spec, q, "L2"))
              and (q <= 1.0 or q < (k + 1) / 2.0))
     return GofStatistic(
-        h_max - est.value, null_spec.family, float(null_param), q, int(k), sample.n, m, l2_ok
+        h_max - est.value, null_spec.family, float(null_param), q, k, sample.n, m, l2_ok
     )
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
-from .special import _integer, digamma, ln_gamma, unit_ball_volume
+from .special import _integer, _log_unit_ball_volume, digamma, ln_gamma
 
 _BRUTE_BLOCK = 256
 
@@ -264,7 +264,7 @@ def _exact_sum(x: np.ndarray) -> float:
 @functools.lru_cache(maxsize=256)
 def _log_g_const(n: int, dim: int, k: int, q: float) -> float:
     # zeta_i = (N-1) C_k V_m rho_i^m;  (1-q) log C_k = lnG(k) - lnG(k+1-q)
-    log_const = (1.0 - q) * (math.log(n - 1) + math.log(unit_ball_volume(dim)))
+    log_const = (1.0 - q) * (math.log(n - 1) + _log_unit_ball_volume(dim))
     return log_const + (ln_gamma(k) - ln_gamma(k + 1.0 - q))
 
 
@@ -309,7 +309,7 @@ def shannon_estimate(sample: Sample, k: int) -> EntropyEstimate:
     rho = dists.column(k)
     value = (
         m * _exact_sum(np.log(rho)) / n
-        + math.log(unit_ball_volume(m))
+        + _log_unit_ball_volume(m)
         + math.log(n - 1)
         - digamma(k)
     )

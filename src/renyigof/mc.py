@@ -621,7 +621,7 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
         raise DomainError(f"{path}: no '# config' header line")
     try:
         config = ExperimentConfig.from_dict(json.loads(configs[0]))
-    except (json.JSONDecodeError, ExperimentError) as exc:
+    except (ValueError, ExperimentError) as exc:  # ValueError: bad JSON or an over-long int
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
     table = [row for _, _, row in lines if row is not None]
     needed = ("N", *ALPHA_COLUMNS.values())

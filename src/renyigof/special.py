@@ -29,15 +29,17 @@ integer argument, command-line flag and config field is read through
 it.  An integer is any value `operator.index` takes (Python and numpy
 integers) but bool and np.bool_, and it must lie in the reader's
 bounds; anything else raises one DomainError, "<what> must be an
-integer >= <least>" (or "in [<least>, <below>)"), "got <value>".  A
-float is never an integer here, not even 3.0: the config parsers alone
-add that an integral JSON float counts as its integer.
+integer >= <least>" (or "in [<least>, <below>)"), "got <value>", where
+an int too long for `repr` is named by its bit length.  A float is
+never an integer here, not even 3.0: the config parsers alone add that
+an integral JSON float counts as its integer.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -168,7 +170,8 @@ def _integer(what: str, value, least: int, below: int | None = None) -> int:
     field.  Any value `operator.index` takes counts (Python and numpy
     integers), but bool and np.bool_; anything else, a float or a string
     with an integral value included, raises DomainError, "<what> must be
-    an integer >= <least>" (or "in [<least>, <below>)"), "got <value>"."""
+    an integer >= <least>" (or "in [<least>, <below>)"), "got <value>",
+    or "got a <b>-bit integer" for an int past Python's digit limit."""
     try:
         n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
@@ -176,7 +179,11 @@ def _integer(what: str, value, least: int, below: int | None = None) -> int:
     if n is not None and least <= n and (below is None or n < below):
         return n
     span = f">= {least}" if below is None else f"in [{least}, {_shown(below)})"
-    raise DomainError(f"{what} must be an integer {span}, got {value!r}")
+    try:
+        got = repr(value)
+    except ValueError:  # an int past Python's limit on the digits of a str
+        got = f"a {n.bit_length()}-bit integer"
+    raise DomainError(f"{what} must be an integer {span}, got {got}")
 
 
 def _shown(bound: int) -> str:
@@ -186,6 +193,21 @@ def _shown(bound: int) -> str:
 
 
 def unit_ball_volume(m: int) -> float:
-    """Volume pi^(m/2) / Gamma(m/2 + 1) of the unit ball in m dimensions."""
+    """Volume pi^(m/2) / Gamma(m/2 + 1) of the unit ball in m dimensions:
+    subnormal from m = 436 and 0.0 from m = 453."""
+    return math.exp(_ball_exponent(m))
+
+
+def _log_unit_ball_volume(m: int) -> float:
+    """log unit_ball_volume(m), finite at every m: the log of the volume
+    while that is a normal double (m <= 435, the bits the estimators have
+    always had), and the exponent 0.5 m log(pi) - lnGamma(m/2 + 1)
+    itself below, where the log of the rounded volume drifts and then
+    fails.  The two forms differ, in the last bit, at m = 1 and 11."""
+    volume = unit_ball_volume(m)
+    return math.log(volume) if volume >= sys.float_info.min else _ball_exponent(m)
+
+
+def _ball_exponent(m: int) -> float:
     dim = _integer("dimension", m, 1)
-    return math.exp(0.5 * dim * math.log(math.pi) - ln_gamma(0.5 * dim + 1.0))
+    return 0.5 * dim * math.log(math.pi) - ln_gamma(0.5 * dim + 1.0)

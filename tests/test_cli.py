@@ -582,6 +582,20 @@ class TestExperimentCommand:
         assert "config is not valid JSON" in err
         assert not (tmp_path / "o").exists()
 
+    def test_over_long_integer_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # int literal past Python's 4300-digit limit; it once ended in a traceback
+        (tmp_path / "cfg.json").write_text(
+            '{"schema_version": 1, "family": "student", "true_param": 5.0, "null_param": 5.0, '
+            '"dim": 1, "n_grid": [10], "k": 3, "replicates": 4, "master_seed": '
+            + "7" * 5000 + "}")
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: config is not valid JSON: Exceeds the limit (4300 digits)")
+        assert not (tmp_path / "o").exists()
+
     def test_fewer_than_two_valid_replicates_exits_2(self, tmp_path, capsys, monkeypatch):
         original = mc._replicate_value
 
@@ -984,6 +998,22 @@ class TestBenchmarkTracer:
             for module, attr in sites:
                 mod = importlib.import_module(f"renyigof.{module}")
                 assert callable(getattr(mod, attr, None)), (span, module, attr)
+
+    def test_direct_library_calls_run(self, monkeypatch):
+        # bench/layers.py also times two library calls directly, outside any
+        # traced span; a changed signature of check_estimator_conditions,
+        # max_renyi_entropy, sample_covariance, SpdMatrix.identity, student or
+        # pearson2 must fail here, on every workload, not in the traced run
+        monkeypatch.syspath_prepend(str(_REPO / "bench"))
+        layers = importlib.import_module("layers")
+        workloads = importlib.import_module("workloads").WORKLOADS
+        assert {w.family for w in workloads.values()} == {"student", "pearson2"}
+        for workload in workloads.values():
+            metrics = layers.distributions_calls(renyigof, workload)
+            assert sorted(metrics) == ["distributions.check_estimator_conditions_ms",
+                                       "distributions.max_renyi_entropy_ms"], workload.name
+            assert all(unit == "ms" and 0 < value < math.inf
+                       for value, unit in metrics.values()), workload.name
 
     def test_package_names_bench_reads_resolve(self):
         # bench/layers.py reads the package as `rg` (bench/run.py hands it

@@ -12,7 +12,6 @@ from renyigof.distributions import (
     Family,
     SpdMatrix,
     check_estimator_conditions,
-    critical_moment,
     density,
     gaussian,
     log_density,
@@ -76,12 +75,6 @@ class TestSpdMatrix:
         got = spd.mahalanobis_sq(batch)
         for i in range(5):
             assert got[i] == pytest.approx(batch[i] @ np.linalg.solve(mat, batch[i]), rel=1e-10)
-
-    def test_scaled(self):
-        spd = SpdMatrix([[2.0, 0.5], [0.5, 1.0]])
-        scaled = spd.scaled(3.0)
-        np.testing.assert_allclose(scaled.matrix, 3.0 * spd.matrix, rtol=1e-15)
-        assert scaled.log_det == pytest.approx(spd.log_det + 2 * math.log(3.0), rel=1e-12)
 
 
 def _bits(spd) -> list:
@@ -356,7 +349,7 @@ class TestMaxEntropy:
     @given(_covariances(), st.floats(2.0, 60.0, exclude_min=True))
     def test_student_max_equals_closed_form_at_induced_parameters(self, c, nu):
         q = 1.0 - 2.0 / (nu + c.dim)
-        spec = student(np.zeros(c.dim), c.scaled(1.0 - 2.0 / nu), nu)
+        spec = student(np.zeros(c.dim), c.matrix * (1.0 - 2.0 / nu), nu)
         assert _outcome(lambda: max_renyi_entropy(Family.STUDENT, c, nu).h_max) == \
             _outcome(lambda: renyi_entropy_closed_form(spec, q))
 
@@ -365,7 +358,7 @@ class TestMaxEntropy:
     @example(SpdMatrix(np.eye(2)), 1e-310)
     def test_pearson_max_equals_closed_form_at_induced_parameters(self, c, eta):
         q = 1.0 + 1.0 / eta
-        spec = pearson2(np.zeros(c.dim), c.scaled(2.0 * eta + c.dim + 2.0), eta)
+        spec = pearson2(np.zeros(c.dim), c.matrix * (2.0 * eta + c.dim + 2.0), eta)
         assert _outcome(lambda: max_renyi_entropy(Family.PEARSON2, c, eta).h_max) == \
             _outcome(lambda: renyi_entropy_closed_form(spec, q))
 
@@ -378,15 +371,32 @@ class TestMaxEntropy:
         assert res.h_max.hex() == renyi_entropy_closed_form(spec, 1.0).hex()
 
 
-class TestMomentConditions:
-    def test_critical_moment(self):
-        assert critical_moment(student([0.0], [[1.0]], 3.0)) == 3.0
-        assert critical_moment(gaussian([0.0], [[1.0]])) == math.inf
-        assert critical_moment(pearson2([0.0], [[1.0]], 2.0)) == math.inf
+    def test_scale_is_the_rescaled_constraint(self):
+        # Sigma = (1 - 2/nu) C for the Student maximiser, (2 eta + m + 2) C
+        # for the Pearson II one: the constraint's entries times the factor
+        c = SpdMatrix([[2.0, 0.5], [0.5, 1.0]])
+        for family, param, factor in ((Family.STUDENT, 6.0, 1.0 - 2.0 / 6.0),
+                                      (Family.PEARSON2, 1.5, 2.0 * 1.5 + 2 + 2.0)):
+            scale = max_renyi_entropy(family, c, param).scale
+            assert scale.matrix.tobytes() == (c.matrix * factor).tobytes()
+            assert scale.log_det == pytest.approx(c.log_det + 2 * math.log(factor), rel=1e-12)
 
-    def test_mean_condition_student(self):
+
+class TestMomentConditions:
+    def test_l2_critical_moment_by_family(self):
+        # the critical moment is nu for the Student and +inf for the Gaussian
+        # and Pearson II, whatever the bound 2m(1-q)/(2q-1) just above q = 1/2
+        q = 0.5 + 2.0**-40
+        check = check_estimator_conditions(student([0.0], [[1.0]], 3.0), q, "L2")
+        assert not check
+        assert check.reason.startswith("critical moment 3.0 <= 2m(1-q)/(2q-1) = ")
+        assert check_estimator_conditions(gaussian([0.0], [[1.0]]), q, "L2")
+        assert check_estimator_conditions(pearson2([0.0], [[1.0]], 2.0), q, "L2")
+
+    def test_l2_condition_student_m1(self):
+        # 2m(1-q)/(2q-1) = 0.25 < r_c = 3
         spec = student([0.0], [[1.0]], 3.0)
-        assert check_estimator_conditions(spec, 0.9, "mean")
+        assert check_estimator_conditions(spec, 0.9, "L2") == ConditionCheck(True)
 
     def test_l2_condition_student_m2(self):
         spec = student(np.zeros(2), np.eye(2), 3.0)
@@ -408,12 +418,13 @@ class TestMomentConditions:
 
     def test_q_above_one_defers_to_k(self):
         spec = pearson2([0.0], [[1.0]], 2.0)
-        assert check_estimator_conditions(spec, 1.5, "mean")
         assert check_estimator_conditions(spec, 1.5, "L2")
 
     def test_bad_mode(self):
-        with pytest.raises(DomainError):
-            check_estimator_conditions(gaussian([0.0], [[1.0]]), 0.9, "L3")
+        # L2 is the one condition; convergence in mean has no branch
+        for mode in ("L3", "mean"):
+            with pytest.raises(DomainError, match="mode must be 'L2'"):
+                check_estimator_conditions(gaussian([0.0], [[1.0]]), 0.9, mode)
 
     def test_truthiness(self):
         assert bool(ConditionCheck(True)) is True

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma as scipy_digamma
 
 from conftest import dyadic_points, random_orthogonal
 from renyigof import knn
@@ -375,15 +376,17 @@ class TestGEstimate:
             knn._log_g(knn_distances(s, 2), 1, 3, 0.5)  # k beyond k_max
 
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("k", [3.0, 2.5])
+    @pytest.mark.parametrize("k", [3.0, 2.5, "3", True])
     def test_non_integral_k_rejected(self, rng, m, k):
-        # the estimators and the statistic pass k to knn_distances as k_max
+        # the estimators pass k to knn_distances as k_max; the statistic
+        # reads k itself first, so a Pearson II null's k rule never sees "3"
         s = Sample(rng.standard_normal((30, m)))
-        for estimate in (lambda: renyi_estimate(s, k, 0.5), lambda: shannon_estimate(s, k),
-                         lambda: statistic(s, Family.STUDENT, 10.0, k),
-                         lambda: statistic(s, Family.PEARSON2, 2.0, k)):
+        for estimate in (lambda: renyi_estimate(s, k, 0.5), lambda: shannon_estimate(s, k)):
             with pytest.raises(DomainError, match="k_max must be an integer"):
                 estimate()
+        for family, null_param in ((Family.STUDENT, 10.0), (Family.PEARSON2, 2.0)):
+            with pytest.raises(DomainError, match="k must be an integer >= 1"):
+                statistic(s, family, null_param, k)
 
     def test_large_sample_gaussian_target(self):
         # G_q = exp((1-q) H_q); N=5000, k=3, q=0.9, averaged over 50 streams
@@ -508,6 +511,22 @@ class TestShannonEstimate:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointsError):
             shannon_estimate(_sample([[0.0], [0.0], [1.0]]), 1)
+
+
+class TestBeyondTheNormalBallVolume:
+    # the unit-ball volume is subnormal from m = 436 and 0.0 from m = 453;
+    # both estimates take its log as 0.5 m log(pi) - lnGamma(m/2 + 1) there
+    @pytest.mark.parametrize("m", [452, 800])
+    def test_estimates_take_the_log_volume(self, rng, m):
+        s = Sample(rng.standard_normal((20, m)))
+        n, k, q = s.n, 3, 1.5
+        log_rho = np.log(knn_distances(s, k).column(k))
+        log_v = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0)
+        shannon = m * math.fsum(log_rho) / n + log_v + math.log(n - 1) - scipy_digamma(k)
+        terms = (1.0 - q) * (m * log_rho + log_v + math.log(n - 1))
+        log_g = np.logaddexp.reduce(terms) - math.log(n) + math.lgamma(k) - math.lgamma(k + 1.0 - q)
+        assert shannon_estimate(s, k).value == pytest.approx(shannon, rel=1e-12)
+        assert renyi_estimate(s, k, q).value == pytest.approx(log_g / (1.0 - q), rel=1e-12)
 
 
 # gaps of about 1e200: their squares pass the double range, so the

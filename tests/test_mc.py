@@ -544,7 +544,11 @@ class TestOutputs:
         (lambda text: text.replace("q01", "p01"), "not a summary table"),
         (lambda text: text.replace(",100,", ",1e2,"), "unreadable summary row"),
         (lambda text: text.replace("# config {", "# config {{"), "unreadable config header"),
-    ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header"])
+        # an int literal past Python's 4300-digit limit: json.loads raises a plain ValueError
+        (lambda text: text.replace('"master_seed":42', '"master_seed":' + "1" * 5000),
+         "unreadable config header: Exceeds the limit"),
+    ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header",
+            "over-long-int-in-config-header"])
     def test_read_summary_rejects_malformed_tables(self, tmp_path, corrupt, message):
         path = tmp_path / "summary.csv"
         write_summary_csv(run_experiment(_config(replicates=4)), path)

@@ -12,7 +12,14 @@ from scipy import special as scipy_special
 
 from renyigof.errors import DomainError
 from renyigof import special
-from renyigof.special import _integer, digamma, ln_beta, ln_gamma, unit_ball_volume
+from renyigof.special import (
+    _integer,
+    _log_unit_ball_volume,
+    digamma,
+    ln_beta,
+    ln_gamma,
+    unit_ball_volume,
+)
 
 mpmath.mp.dps = 40
 
@@ -215,6 +222,35 @@ def test_unit_ball_volume_integral_types():
             unit_ball_volume(m)
 
 
+def _ball_exponent(m):
+    # the log volume written out: 0.5 m log(pi) - lnGamma(m/2 + 1)
+    return 0.5 * m * math.log(math.pi) - ln_gamma(0.5 * m + 1.0)
+
+
+def test_log_unit_ball_volume_keeps_its_bits_while_the_volume_is_normal():
+    # the log of the rounded volume, as the estimators have always taken
+    # it, bit for bit through m = 435; the exponent itself differs in the
+    # last bit at m = 1 and m = 11
+    for m in range(1, 436):
+        assert unit_ball_volume(m) >= sys.float_info.min
+        assert _log_unit_ball_volume(m).hex() == math.log(math.exp(_ball_exponent(m))).hex()
+    assert [m for m in range(1, 436) if _log_unit_ball_volume(m) != _ball_exponent(m)] == [1, 11]
+
+
+def test_log_unit_ball_volume_below_the_normal_range():
+    # the volume is subnormal from m = 436 and 0.0 from m = 453; its log
+    # is the exponent there, finite, and not the log of the rounded volume
+    assert 0.0 < unit_ball_volume(436) < sys.float_info.min
+    assert unit_ball_volume(452) > 0.0
+    assert unit_ball_volume(453) == 0.0
+    assert abs(math.log(unit_ball_volume(452)) - _ball_exponent(452)) > 0.2
+    for m in (436, 452, 453, 800, 10**6):
+        assert _log_unit_ball_volume(m) == _ball_exponent(m)
+        assert math.isfinite(_log_unit_ball_volume(m))
+    with pytest.raises(DomainError, match="dimension must be an integer >= 1"):
+        _log_unit_ball_volume(0)
+
+
 _INTEGRAL_TYPES = (int, np.int8, np.int16, np.int32, np.int64,
                    np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -257,6 +293,11 @@ def test_integer_rejects_every_other_type(value):
     (2**64, 0, 2**64, "k must be an integer in [0, 2**64), got 18446744073709551616"),
     (2**31, 1, 2**31, "k must be an integer in [1, 2**31), got 2147483648"),
     (70000, 1, 70000, "k must be an integer in [1, 70000), got 70000"),
+    # past Python's digit limit repr raises, so the bit length is shown
+    pytest.param(10**5000, 0, 2**64, "k must be an integer in [0, 2**64), got a 16610-bit integer",
+                 id="10**5000"),
+    pytest.param(-(10**5000), 0, None, "k must be an integer >= 0, got a 16610-bit integer",
+                 id="-10**5000"),
 ])
 def test_integer_bounds(value, least, below, message):
     # at, below and above each bound; a power of two from 2**16 up is
