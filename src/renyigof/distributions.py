@@ -212,15 +212,14 @@ def _standard_spec(family: Family, param: float, m: int) -> DistributionSpec:
 
 
 def tail_family(family: Family, param: float) -> Family:
-    """Family a tail parameter selects: GAUSSIAN for exactly +inf, else
-    `family`.  The one domain rule: Student nu > 2, Pearson II eta > 0;
-    anything else, -inf and NaN included, raises DomainError."""
+    """Family a tail parameter of `family`, STUDENT or PEARSON2, selects:
+    GAUSSIAN for exactly +inf, else `family`.  The one domain rule:
+    Student nu > 2, Pearson II eta > 0; anything else, -inf and NaN
+    included, raises DomainError."""
     if family is Family.STUDENT:
         valid, rule = param > 2, "Student requires nu > 2"
-    elif family is Family.PEARSON2:
-        valid, rule = param > 0, "Pearson II requires eta > 0"
     else:
-        raise DomainError(f"{family!r} has no tail parameter")
+        valid, rule = param > 0, "Pearson II requires eta > 0"
     if not valid:
         raise DomainError(f"{rule} or inf, got {param}")
     return Family.GAUSSIAN if param == math.inf else family
@@ -229,6 +228,25 @@ def tail_family(family: Family, param: float) -> Family:
 def _pearson_order(eta: float) -> float:
     # the Renyi order whose entropy maximiser is Pearson II eta
     return 1.0 + 1.0 / eta
+
+
+def _maximiser_order(family: Family, param: float, m: int) -> float:
+    """The Renyi order whose entropy maximiser in dimension m is the
+    Student (param nu) or Pearson II (param eta) member with finite
+    `param`: 1 - 2/(nu + m) or 1 + 1/eta.
+
+    A parameter so large that this order rounds to 1 (nu from about
+    2**55, eta from 2**53) raises DomainError naming it: the closed form
+    divides by 1 - q, and such a parameter is not the Gaussian limit.
+    """
+    if family is Family.STUDENT:
+        q, name = 1.0 - 2.0 / (param + m), "Student nu"
+    else:
+        q, name = _pearson_order(param), "Pearson II eta"
+    if q == 1.0:
+        raise DomainError(f"{name} = {param} is too large in m = {m}: "
+                          "the maximiser's Renyi order rounds to 1")
+    return q
 
 
 def check_pearson_k(k: int, eta: float) -> None:
@@ -366,7 +384,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     param : float
         nu > 2, eta > 0, or +inf for the Gaussian branch (see
         :func:`tail_family`).  An eta so small that q = 1 + 1/eta
-        overflows to inf raises DomainError.
+        overflows to inf raises DomainError, and so does a finite nu or
+        eta so large that q rounds to 1 (:func:`_maximiser_order`).
 
     Returns
     -------
@@ -378,10 +397,10 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         family = tail_family(family, param)
     if family is Family.GAUSSIAN:
         q, sigma = 1.0, constraint
-    elif family is Family.STUDENT:
-        q, sigma = 1.0 - 2.0 / (param + m), SpdMatrix(constraint.matrix * (1.0 - 2.0 / param))
     else:
-        q, sigma = _pearson_order(param), SpdMatrix(constraint.matrix * (2.0 * param + m + 2.0))
+        q = _maximiser_order(family, param, m)
+        factor = 1.0 - 2.0 / param if family is Family.STUDENT else 2.0 * param + m + 2.0
+        sigma = SpdMatrix(constraint.matrix * factor)
     return MaxEntropyResult(_renyi_entropy(family, m, sigma.log_det, param, q), q, sigma)
 
 

@@ -2,20 +2,26 @@
 
 Implements the Renyi entropy estimator of Leonenko, Pronzato and Savani
 (2008) and its Shannon (q -> 1) limit, the Kozachenko-Leonenko
-estimator.  Distances come from one of three interchangeable kernels
-that produce bit-identical distances:
+estimator.  Distances come from one of three kernels that produce
+bit-identical distances:
 
-- "sorted", for m = 1 only: sort the points once; the k nearest
-  neighbours of a point then lie within k places of it on either side,
-  so O(N log N + N k) work suffices.
-- "tree", a kd-tree (Friedman, Bentley and Finkel, 1977), for any m.
+- the sorted kernel, the production path at m = 1: sort the points
+  once; the k nearest neighbours of a point then lie within k places of
+  it on either side, so O(N log N + N k) work suffices.  It merges the
+  gaps on the two sides and squares only the k it keeps.
+- "tree", a kd-tree (Friedman, Bentley and Finkel, 1977), the
+  production path at m >= 2, and usable at any m.
 - "brute", an O(N^2 m) scan kept as the test oracle.
 
-Every kernel squares coordinate differences, selects the k smallest
-squared distances and takes one square root of each, so the distances
-agree bit for bit in every floating-point regime: differences beyond
-about 1e154 overflow to inf in all three, and a squared difference that
-underflows to zero is a duplicate in all three.
+:func:`knn_distances` takes "auto" (the sorted kernel at m = 1, the
+tree otherwise), "tree" or "brute".  Every kernel squares coordinate
+differences, selects the k smallest squared distances and takes one
+square root of each (the sorted kernel selects among the gaps first,
+which picks the same squares, because rounding t*t never falls as
+t >= 0 grows), so the distances agree bit for bit in every
+floating-point regime: differences beyond about 1e154 overflow to inf
+in all three, and a squared difference that underflows to zero is a
+duplicate in all three.
 
 No kernel looks for duplicates.  :func:`knn_distances` applies one rule
 to what any of them returns: a zero nearest-neighbour distance means the
@@ -123,10 +129,11 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     k_max : int
         Number of neighbour distances per point, an integer with
         1 <= k_max <= N-1, read by :func:`special._integer`.
-    method : {"auto", "sorted", "tree", "brute"}
+    method : {"auto", "tree", "brute"}
         Kernel selection; all give bit-identical distances.  "auto"
-        picks "sorted" for m = 1 and "tree" otherwise, at every N.
-        "sorted" needs m = 1; "brute" is the O(N^2) test oracle.
+        runs the sorted kernel at m = 1 and the kd-tree otherwise, at
+        every N; "tree" is the kd-tree at any m, and "brute" the O(N^2)
+        test oracle.
 
     Raises
     ------
@@ -139,14 +146,10 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     """
     pts = sample.points
     k_max = _integer("k_max", k_max, 1, sample.n)
-    if method == "auto":
-        method = "sorted" if sample.dim == 1 else "tree"
-    if method == "sorted":
-        if sample.dim != 1:
-            raise DomainError(f"the sorted kernel needs m = 1, got m = {sample.dim}")
+    if method == "auto" and sample.dim == 1:
         x = pts[:, 0]
         dists = KnnDistances(_sorted_kernel(x, k_max).T, x)
-    elif method == "tree":
+    elif method in ("auto", "tree"):
         dists = KnnDistances(_tree_kernel(pts, k_max))
     elif method == "brute":
         dists = KnnDistances(_brute_kernel(pts, k_max))
@@ -207,23 +210,23 @@ def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
     xs.sort()
     # row s of `windows` is padded[s:s + n], a view
     windows = np.ndarray((2 * k_max + 1, n), buffer=padded, strides=(padded.itemsize,) * 2)
-    # row i: the gaps to the (i+1)-th neighbour on the left, on the right;
-    # squared like the other kernels so over- and underflow agree too
-    left = windows[k_max - 1::-1] - xs
-    right = windows[k_max + 1:] - xs
-    left *= left
-    right *= right
-    # left[i] and right[i] never fall as i grows, so merging the two
+    # row i: the non-negative gaps to the (i+1)-th neighbour on the left,
+    # on the right; each row never falls as i grows, so merging the two
     # sorted lists gives the j-th smallest as
-    # min(L[j], R[j], max(L[i], R[j-1-i]), i < j); row j of `left` takes
-    # it, from the last row up, so each merge reads rows not yet replaced
+    # min(L[j], R[j], max(L[i], R[j-1-i]), i < j)
+    left = xs - windows[k_max - 1::-1]
+    right = windows[k_max + 1:] - xs
+    rho = np.empty((k_max, n))
     pair = np.empty(n)
-    for j in range(k_max - 1, -1, -1):
-        row = left[j]
-        np.minimum(row, right[j], out=row)
+    for j, row in enumerate(rho):
+        np.minimum(left[j], right[j], out=row)
         for i in range(j):
             np.minimum(row, np.maximum(left[i], right[j - 1 - i], out=pair), out=row)
-    return np.sqrt(left, out=left)
+    # squared like the other kernels, so over- and underflow agree too:
+    # t -> t*t rounded never falls for t >= 0, so squaring the selected
+    # gaps gives the squares a selection among squares would pick
+    rho *= rho
+    return np.sqrt(rho, out=rho)
 
 
 # 2**27 + 1, Veltkamp's constant: splits a double into two 26-bit halves

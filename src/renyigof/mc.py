@@ -14,6 +14,7 @@ replicates untouched.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import Family, _standard_spec, check_pearson_k, tail_family
+from .distributions import Family, _maximiser_order, _standard_spec, check_pearson_k, tail_family
 from .errors import (
     DomainError,
     DuplicatePointsError,
@@ -34,7 +35,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
-from .sampler import RngStream, read_table, sample, write_table
+from .sampler import _MAX_COORDINATES, RngStream, read_table, sample, write_table
 from .special import _integer
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
@@ -65,6 +66,11 @@ SUMMARY_COLUMNS = (
 NULL_RUN_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
 
 _QUANTILE_SCHEME = "order statistics, linear interpolation at h = (M-1)(1-alpha) + 1"
+
+# the most replicates, len(n_grid) * replicates, one config may ask for: a
+# run keeps about 210 bytes per replicate until it ends, so 2**23 of them
+# stay under 2 GiB
+_MAX_REPLICATES = 2**23
 
 
 def _format_float(x: float) -> str:
@@ -170,15 +176,28 @@ def _rule_problems(v: dict) -> list[str]:
                 check_pearson_k(v["k"], v["null_param"])
             except DomainError as exc:
                 problems.append(str(exc))
+        # a larger dim fails the coordinate limit below, and its int might
+        # not convert to a float
+        if tails.get("null_param") is family and v.get("dim", math.inf) <= _MAX_COORDINATES:
+            try:
+                _maximiser_order(family, v["null_param"], v["dim"])
+            except DomainError as exc:
+                problems.append(f"null_param: {exc}")
     n_grid = v.get("n_grid", ())
     if "n_grid" in v and not n_grid:
         problems.append("n_grid must be non-empty")
-    repeated = sorted({n for n in n_grid if n_grid.count(n) > 1})
+    repeated = sorted(n for n, count in collections.Counter(n_grid).items() if count > 1)
     if repeated:
         problems.append("n_grid repeats sample sizes " + ", ".join(map(str, repeated)))
+    if "replicates" in v and len(n_grid) * v["replicates"] > _MAX_REPLICATES:
+        problems.append(f"{len(n_grid)} sample sizes x {v['replicates']} replicates exceed "
+                        f"the limit of {_MAX_REPLICATES} replicates per run")
     for n in n_grid:
         if "dim" in v and n < v["dim"] + 1:
             problems.append(f"sample size {n} below m+1 = {v['dim'] + 1}")
+        if "dim" in v and n * v["dim"] > _MAX_COORDINATES:
+            problems.append(f"sample size {n} in m = {v['dim']} exceeds the limit of "
+                            f"{_MAX_COORDINATES} coordinates per draw")
         if "k" in v and n < v["k"] + 1:
             problems.append(f"sample size {n} too small for k = {v['k']}")
     for a in v.get("alpha_levels", ()):
@@ -222,7 +241,10 @@ class ExperimentConfig:
     (3.0) counts as its integer.  `dim` and `k` are at least 1,
     `replicates` lies in [2, 2**32), each `n_grid` entry in [1, 2**31)
     and `master_seed` in [0, 2**64); a bool, a string or a fractional
-    number is no integer.  Every construction parses the fields, so a
+    number is no integer.  Two limits bound the work: at most
+    :data:`_MAX_REPLICATES` replicates in all (len(n_grid) * replicates),
+    and at most :data:`sampler._MAX_COORDINATES` coordinates (N * dim)
+    per draw.  Every construction parses the fields, so a
     config built from numpy integers equals, and hashes as, the one
     built from Python ints.
     """

@@ -29,6 +29,11 @@ from .distributions import DistributionSpec, Family
 from .errors import DomainError
 from .special import _integer
 
+# the most coordinates, n * m, one draw may hold: its costliest use,
+# `renyigof sample` at m = 1, peaks at about 220 bytes per coordinate
+# (the draw and its CSV text), so 2**23 of them stay under 2 GiB
+_MAX_COORDINATES = 2**23
+
 
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
     """A 128-bit Philox key, handed to Philox as the seed sequence it reads.
@@ -120,11 +125,16 @@ def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
     """Draw n independent points from `spec`.
 
     The result is a pure function of (spec, n, seed, stream_id) when the
-    stream is freshly constructed.
+    stream is freshly constructed.  A draw of more than
+    :data:`_MAX_COORDINATES` coordinates (n * m) raises DomainError
+    before anything is drawn.
     """
     n = _integer("sample size", n, 1)
-    gen = rng.generator
     m = spec.dim
+    if n * m > _MAX_COORDINATES:
+        raise DomainError(f"{n} points in m = {m} are {n * m} coordinates, "
+                          f"more than one draw may hold ({_MAX_COORDINATES})")
+    gen = rng.generator
 
     # each step mixes in place, with the roundings of z * sqrt(nu / w)
     # and r * u

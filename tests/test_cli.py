@@ -77,6 +77,17 @@ class TestSampleCommand:
         assert code == 2
         assert "eta > 0" in err
 
+    @pytest.mark.parametrize("dim, n", [("1", "1073741824"), ("3", "2796203")])
+    def test_draw_beyond_the_coordinate_limit_exits_2(self, tmp_path, capsys, dim, n):
+        # 2**30 points would be one 8 GiB draw; refused before anything is drawn
+        path = tmp_path / "x.csv"
+        code, out, err = _run(capsys, ["sample", "--family", "gaussian", "--dim", dim,
+                                       "--n", n, "--seed", "1", "-o", str(path)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {n} points in m = {dim} are {int(n) * int(dim)} "
+                                    "coordinates, more than one draw may hold (8388608)"]
+        assert not path.exists()
+
     def test_missing_family_param_exits_2(self, tmp_path, capsys):
         code, _, err = _run(capsys, ["sample", "--family", "student", "--dim", "1",
                                      "--n", "10", "--seed", "1", "-o", str(tmp_path / "x.csv")])
@@ -270,6 +281,25 @@ class TestTestCommand:
         write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 100, RngStream(6)), path)
         code, out, err = _run(capsys, ["test", str(path), "--family", "student",
                                        "--nu0", "2.0000000000000004", "--k", "3"])
+        assert code == 0, err
+        assert math.isfinite(json.loads(out)["W"])
+
+    @pytest.mark.parametrize("family, flag, huge, name", [
+        ("student", "--nu0", 2**55, "Student nu"),
+        ("pearson2", "--eta0", 2**53, "Pearson II eta"),
+    ])
+    def test_null_param_whose_order_rounds_to_one_exits_2(self, tmp_path, capsys, family,
+                                                           flag, huge, name):
+        # there 1 - q is 0, and the closed form once divided by it
+        path = tmp_path / "g.csv"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        argv = ["test", str(path), "--family", family, "--k", "3", flag]
+        code, out, err = _run(capsys, [*argv, str(huge)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {name} = {float(huge)} is too large in m = 1: "
+                                    "the maximiser's Renyi order rounds to 1"]
+        # one power of two lower, q is the double next to 1 and W is computed
+        code, out, err = _run(capsys, [*argv, str(huge // 2)])
         assert code == 0, err
         assert math.isfinite(json.loads(out)["W"])
 
@@ -594,6 +624,32 @@ class TestExperimentCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: config is not valid JSON: Exceeds the limit (4300 digits)")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(null_param=2**55), "null_param: Student nu = 3.602879701896397e+16 is too large "
+                                 "in m = 1: the maximiser's Renyi order rounds to 1"),
+        (dict(n_grid=[2**30]), "sample size 1073741824 in m = 1 exceeds the limit of 8388608 "
+                               "coordinates per draw"),
+        (dict(n_grid=[100, 200], replicates=2**31), "2 sample sizes x 2147483648 replicates "
+                                                    "exceed the limit of 8388608 replicates per run"),
+    ])
+    def test_refused_before_any_replicate_runs(self, tmp_path, capsys, monkeypatch, overrides,
+                                               message):
+        # huge work, or a null parameter no replicate could use, exits 2
+        # before the pool starts or a replicate runs
+        def never(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(mc, "_replicate_outcome", never)
+        config = {"schema_version": 1, "family": "student", "true_param": 5.0,
+                  "null_param": 5.0, "dim": 1, "n_grid": [100], "k": 3, "replicates": 4,
+                  **overrides}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(tmp_path / "o"), "--workers", "2"])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: invalid experiment config: {message}"]
         assert not (tmp_path / "o").exists()
 
     def test_fewer_than_two_valid_replicates_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -1055,6 +1111,10 @@ class TestPublicSurface:
         loaded = set().union(*map(_loaded_names, sources))
         assert {"RngStream", "empirical_quantile"} <= _loaded_names(_quick_tour())
         assert sorted(set(renyigof._MODULE_OF) - loaded) == []
+
+    def test_dir_lists_the_lazy_names(self):
+        # before and after any of them loads
+        assert {"__version__", *renyigof._MODULE_OF} <= set(dir(renyigof))
 
     def test_only_the_package_lists_its_exports(self):
         # _MODULE_OF is the one list of public names: a submodule's own

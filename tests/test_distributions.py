@@ -59,6 +59,13 @@ class TestSpdMatrix:
         with pytest.raises(DomainError, match=re.escape(message)):
             SpdMatrix(mat)
 
+    def test_rejects_non_square_and_non_finite(self):
+        for a in (np.ones((2, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(DomainError, match="expected a square matrix"):
+                SpdMatrix(a)
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            SpdMatrix([[1.0, math.nan], [math.nan, 1.0]])
+
     def test_scalar_input_is_1x1(self):
         spd = SpdMatrix(4.0)
         assert spd.dim == 1
@@ -144,6 +151,11 @@ class TestSpecConstruction:
         with pytest.raises(DomainError):
             gaussian([0.0, 1.0], [[1.0]])
 
+    def test_location_must_be_finite(self):
+        for loc in ([math.nan], [math.inf]):
+            with pytest.raises(DomainError, match="location must be finite"):
+                gaussian(loc, [[1.0]])
+
 
 class TestDensity:
     def test_standard_normal_mode(self):
@@ -209,6 +221,11 @@ class TestRenyiClosedForm:
         spec = gaussian(np.zeros(2), 2.0 * np.eye(2))
         expected = math.log(2.0 * math.pi * math.e) + 0.5 * math.log(4.0)
         assert renyi_entropy_closed_form(spec, 1.0) == pytest.approx(expected, rel=1e-15)
+
+    def test_order_must_be_positive(self):
+        for q in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="Renyi order must be positive"):
+                renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), q)
 
     def test_shannon_path_gaussian_only(self):
         for spec in (student([0.0], [[1.0]], 5.0), pearson2([0.0], [[1.0]], 2.0)):
@@ -336,6 +353,23 @@ class TestMaxEntropy:
         assert nu == 2.0000000000000004
         assert math.isfinite(max_renyi_entropy(Family.STUDENT, SpdMatrix(np.eye(2)), nu).h_max)
 
+    @pytest.mark.parametrize("family, huge, name", [(Family.STUDENT, 2.0**55, "Student nu"),
+                                                    (Family.PEARSON2, 2.0**53, "Pearson II eta")])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_order_that_rounds_to_one_rejected(self, family, huge, name, m):
+        # the closed form divides by 1 - q: once that is 0, the parameter is
+        # refused by name, not read as the Gaussian limit
+        for param in (huge, 1e300):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{name} = {param} is too large in m = {m}: "
+                    "the maximiser's Renyi order rounds to 1")):
+                max_renyi_entropy(family, SpdMatrix(np.eye(m)), param)
+        # one power of two lower the order is the double next to 1
+        res = max_renyi_entropy(family, SpdMatrix(np.eye(m)), huge / 2)
+        assert res.q == (math.nextafter(1.0, 0.0) if family is Family.STUDENT
+                         else math.nextafter(1.0, 2.0))
+        assert math.isfinite(res.h_max)
+
     def test_domain_errors(self):
         for family, bad in ((Family.STUDENT, 2.0), (Family.PEARSON2, 0.0)):
             for param in (bad, -math.inf, math.nan):
@@ -415,6 +449,11 @@ class TestMomentConditions:
         check = check_estimator_conditions(spec, 0.5, "L2")
         assert not check
         assert check.reason == "q <= 1/2"
+
+    def test_order_must_be_positive(self):
+        for q in (0.0, -0.5, math.nan):
+            with pytest.raises(DomainError, match="order q must be positive"):
+                check_estimator_conditions(gaussian([0.0], [[1.0]]), q, "L2")
 
     def test_q_above_one_defers_to_k(self):
         spec = pearson2([0.0], [[1.0]], 2.0)

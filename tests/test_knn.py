@@ -20,6 +20,10 @@ def _sample(points):
     return Sample(np.asarray(points, dtype=float))
 
 
+# the sorted kernel, which method "auto" runs on these m = 1 samples
+_SORTED = pytest.param("auto", id="sorted")
+
+
 class TestKnnDistances:
     def test_three_points_on_line(self):
         d = knn_distances(_sample([[0.0], [1.0], [3.0]]), 2)
@@ -49,8 +53,6 @@ class TestKnnDistances:
             tree = knn_distances(s, k, method="tree").rho
             np.testing.assert_array_equal(brute, tree)
             np.testing.assert_array_equal(knn_distances(s, k).rho, brute)
-            if m == 1:
-                np.testing.assert_array_equal(knn_distances(s, k, method="sorted").rho, brute)
 
     def test_duplicate_points_identified(self):
         # a coincident triple and a coincident pair: every kernel lists
@@ -58,16 +60,12 @@ class TestKnnDistances:
         line = [[0.0], [1.0], [0.0], [2.0], [0.0], [1.0]]
         plane = [[x, -x] for (x,) in line]
         expected = [0, 1, 2, 4, 5]
-        for pts, methods in ((line, ("brute", "tree", "sorted")), (plane, ("brute", "tree"))):
+        for pts, methods in ((line, ("brute", "tree", "auto")), (plane, ("brute", "tree"))):
             for method in methods:
                 for k_max in (1, 3):
                     with pytest.raises(DuplicatePointsError) as excinfo:
                         knn_distances(_sample(pts), k_max, method=method)
                     assert excinfo.value.indices == expected, (method, k_max)
-
-    def test_sorted_needs_one_dimension(self):
-        with pytest.raises(DomainError):
-            knn_distances(_sample([[0.0, 0.0], [1.0, 1.0]]), 1, method="sorted")
 
     def test_k_max_bounds(self):
         s = _sample([[0.0], [1.0], [2.0]])
@@ -77,11 +75,13 @@ class TestKnnDistances:
             knn_distances(s, 0)
 
     def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            knn_distances(_sample([[0.0], [1.0]]), 1, method="fancy")
+        # "sorted" is no method: "auto" is the one route to the sorted kernel
+        for method in ("fancy", "sorted"):
+            with pytest.raises(DomainError, match="unknown method"):
+                knn_distances(_sample([[0.0], [1.0]]), 1, method=method)
 
-    @pytest.mark.parametrize("method, m", [("sorted", 1), ("tree", 1), ("tree", 3),
-                                           ("brute", 1), ("brute", 3)])
+    @pytest.mark.parametrize("method, m", [pytest.param("auto", 1, id="sorted-1"), ("tree", 1),
+                                           ("tree", 3), ("brute", 1), ("brute", 3)])
     @pytest.mark.parametrize("k_max", [3.0, 2.5, np.float64(3.0), "3", True],
                              ids=["float", "fraction", "numpy-float", "str", "bool"])
     def test_non_integral_k_max_rejected(self, rng, method, m, k_max):
@@ -90,7 +90,7 @@ class TestKnnDistances:
         with pytest.raises(DomainError, match="k_max must be an integer"):
             knn_distances(Sample(rng.standard_normal((20, m))), k_max, method=method)
 
-    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    @pytest.mark.parametrize("method", [_SORTED, "tree", "brute"])
     def test_numpy_integer_k_max(self, rng, method):
         s = Sample(rng.standard_normal((20, 1)))
         np.testing.assert_array_equal(knn_distances(s, np.int64(3), method=method).rho,
@@ -213,14 +213,14 @@ class TestKernelExactness:
     @given(_line())
     def test_line_kernels_bit_identical(self, case):
         x, k = case
-        _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "sorted")))
+        _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "auto")))
 
     def test_run_of_zero_gaps_with_a_nonzero_pair(self):
         # each squared gap of 1e-162 underflows to zero, but that of 2e-162
         # does not: the run 0, 1e-162, 2e-162 holds two duplicate pairs, not
         # three, and all three of its points are duplicates
         x = np.array([2e-162, 5.0, 0.0, 1e-162, 3.0, 5.0])
-        out = _every_kernel(x[:, None], 1, ("brute", "tree", "sorted"))
+        out = _every_kernel(x[:, None], 1, ("brute", "tree", "auto"))
         assert out["brute"] == [0, 1, 2, 3, 5]
         _assert_identical(out)
 
@@ -242,7 +242,7 @@ class TestDuplicatesAtScale:
         assert excinfo.value.indices == list(range(5000))
         assert str(excinfo.value) == "duplicate points at indices 0, 1, 2, 3, 4 and 4995 more"
 
-    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    @pytest.mark.parametrize("method", [_SORTED, "tree", "brute"])
     def test_rounded_normals(self, rng, method):
         # ties almost everywhere, but not in the tails
         x = np.round(rng.standard_normal(3000), 1)
@@ -367,6 +367,14 @@ class TestGEstimate:
             g1 = _g(Sample(pts), 2, q)
             g2 = _g(Sample(c * pts), 2, q)
             assert g2 == pytest.approx(c ** (m * (1 - q)) * g1, rel=1e-9)
+
+    def test_order_domain(self, rng):
+        s = Sample(rng.standard_normal((20, 1)))
+        with pytest.raises(DomainError, match="q = 1 is the Shannon case"):
+            renyi_estimate(s, 3, 1.0)
+        for q in (0.0, -0.5, math.nan):
+            with pytest.raises(DomainError, match="order q must be positive"):
+                renyi_estimate(s, 3, q)
 
     def test_k_vs_q_precondition(self):
         s = _sample([[0.0], [1.0], [3.0]])
@@ -537,7 +545,7 @@ _FAR_LINE = [[1e200], [-1e200], [3e200], [5.0], [7e199]]
 # the sorted and brute kernels warn as they square such a gap
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 class TestOverflowingDistances:
-    @pytest.mark.parametrize("method", ["sorted", "tree", "brute"])
+    @pytest.mark.parametrize("method", [_SORTED, "tree", "brute"])
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_non_finite_estimate_rejected(self, monkeypatch, method, q):
         # unchecked, q = 0.5 gave nan and q = 1 gave inf; at q = 1.5 on two

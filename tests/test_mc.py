@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from renyigof.distributions import Family, _standard_spec
 from renyigof.errors import DomainError, ExperimentError
 from renyigof.gof import pearson_statistic
 from renyigof.sampler import Sample
-from renyigof import mc
+from renyigof import mc, sampler
 from renyigof.mc import (
     ExperimentConfig,
     empirical_quantile,
@@ -60,6 +61,10 @@ class TestEmpiricalQuantile:
         a = empirical_quantile(values, 0.05)
         b = empirical_quantile(rng.permutation(values), 0.05)
         assert a == b
+
+    def test_level_whose_index_rounds_to_the_top(self):
+        # 1 - 1e-17 rounds to 1, so h = M: the largest value, not an index past it
+        assert empirical_quantile([3.0, 1.0, 2.0], 1e-17) == 3.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -195,6 +200,11 @@ class TestConfig:
         with pytest.raises(ExperimentError, match="schema_version"):
             ExperimentConfig.from_dict(data)
 
+    def test_not_an_object(self):
+        for data in ([1, 2], "config", None):
+            with pytest.raises(ExperimentError, match="config must be a JSON object"):
+                ExperimentConfig.from_dict(data)
+
     def test_missing_fields_listed(self):
         with pytest.raises(ExperimentError, match="true_param"):
             ExperimentConfig.from_dict({"schema_version": 1, "family": "student"})
@@ -296,6 +306,71 @@ class TestConfig:
                       lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **overrides))):
             with pytest.raises(ExperimentError, match=re.escape(message)):
                 build()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(alpha_levels=(0.05, 1.0)), "alpha level 1.0 outside (0, 1)"),
+        (dict(alpha_levels=(0.0,)), "alpha level 0.0 outside (0, 1)"),
+        (dict(max_failure_rate=1.0), "max_failure_rate 1.0 outside [0, 1)"),
+        (dict(covariance_mode="both"), "covariance_mode must be 'same' or 'fresh', got 'both'"),
+    ])
+    def test_level_rate_and_mode_rules(self, overrides, message):
+        for build in (lambda: _config(**overrides),
+                      lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **overrides))):
+            with pytest.raises(ExperimentError, match=re.escape(message)):
+                build()
+
+    @pytest.mark.parametrize("family, huge", [(Family.STUDENT, 2.0**55),
+                                              (Family.PEARSON2, 2.0**53)])
+    def test_null_param_whose_order_rounds_to_one_rejected(self, family, huge):
+        # refused with the config, so an experiment stops before any replicate
+        for build in (lambda: _config(family=family, true_param=5.0, null_param=huge),
+                      lambda: ExperimentConfig.from_dict(dict(
+                          _config().to_dict(), family=family.value, null_param=huge))):
+            with pytest.raises(ExperimentError, match=re.escape(
+                    f"null_param: {'Student nu' if family is Family.STUDENT else 'Pearson II eta'}"
+                    f" = {huge} is too large in m = 1")):
+                build()
+        # the sampled side needs no Renyi order, and half the value is a valid null
+        assert _config(family=family, true_param=huge, null_param=huge / 2).null_param == huge / 2
+
+    def test_replicate_limit(self):
+        # len(n_grid) * replicates, checked before anything is allocated
+        limit = mc._MAX_REPLICATES
+        assert _config(n_grid=(100,), replicates=limit).replicates == limit
+        for grid, replicates in (((100,), limit + 1), ((100, 200), limit // 2 + 1),
+                                 ((100, 200, 300), 2**32 - 1)):
+            message = (f"{len(grid)} sample sizes x {replicates} replicates exceed "
+                       f"the limit of {limit} replicates per run")
+            for build in (lambda: _config(n_grid=grid, replicates=replicates),
+                          lambda: ExperimentConfig.from_dict(dict(
+                              _config().to_dict(), n_grid=list(grid), replicates=replicates))):
+                with pytest.raises(ExperimentError, match=re.escape(message)):
+                    build()
+
+    def test_coordinate_limit(self):
+        # each n_grid entry times dim, the limit that sampler.sample applies
+        limit = sampler._MAX_COORDINATES
+        assert _config(n_grid=(100, limit)).n_grid == (100, limit)
+        assert _config(dim=2, n_grid=(100, limit // 2)).n_grid == (100, limit // 2)
+        for dim, n in ((1, limit + 1), (2, limit // 2 + 1), (1, 2**31 - 1), (3, 2**30)):
+            message = (f"sample size {n} in m = {dim} exceeds the limit of "
+                       f"{limit} coordinates per draw")
+            for build in (lambda: _config(dim=dim, n_grid=(100, n)),
+                          lambda: ExperimentConfig.from_dict(dict(
+                              _config().to_dict(), dim=dim, n_grid=[100, n]))):
+                with pytest.raises(ExperimentError, match=re.escape(message)):
+                    build()
+        # a dimension too large for any draw is refused without a float conversion
+        with pytest.raises(ExperimentError, match=re.escape("below m+1")):
+            _config(dim=10**400, n_grid=(100,))
+
+    def test_long_grid_checked_in_linear_time(self):
+        # the repeat rule once counted each entry over the whole grid: 40 000
+        # sizes took 18 s to check, and 100 000 about two minutes
+        start = time.perf_counter()
+        with pytest.raises(ExperimentError, match="n_grid repeats sample sizes 5, 7$"):
+            _config(n_grid=(*range(5, 100_005), 5, 7), replicates=2)
+        assert time.perf_counter() - start < 10.0
 
     def test_repeated_sample_size_rejected(self):
         for build in (lambda: _config(n_grid=(100, 200, 100, 100)),
@@ -417,6 +492,13 @@ class TestRunExperiment:
         assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
         run_experiment(_config(n_grid=(100, 200), replicates=3), workers=4)
         assert started == [3, 4]
+
+    @pytest.mark.parametrize("cpus, expected", [(6, 6), (None, 1)])
+    def test_default_worker_count_without_affinity(self, monkeypatch, cpus, expected):
+        # where os has no sched_getaffinity, all the machine's CPUs, at least 1
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+        assert mc.worker_count(None) == expected
 
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
         # the CPUs this process may run on, not all the machine's
@@ -607,6 +689,14 @@ class TestOutputs:
         expected_counts, expected_edges = np.histogram(values, bins="fd")
         np.testing.assert_array_equal(edges, expected_edges)
         np.testing.assert_array_equal(counts, expected_counts)
+
+    def test_histogram_bins_needs_two_values(self):
+        with pytest.raises(DomainError, match="need at least 2 values, got 1"):
+            histogram_bins([1.0])
+
+    def test_values_at_an_absent_size(self):
+        with pytest.raises(KeyError, match="no results for sample size 300"):
+            run_experiment(_config(replicates=4)).values_at(300)
 
     def test_json_omits_replicates_by_default(self):
         res = run_experiment(_config(replicates=8))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from renyigof import sampler
 from renyigof.distributions import gaussian, pearson2, student
 from renyigof.errors import DomainError
 from renyigof.sampler import (
@@ -212,6 +215,19 @@ class TestSampleLaws:
             Sample(np.array([[np.nan]]))
         with pytest.raises(DomainError):
             Sample(np.empty((0, 2)))
+        with pytest.raises(DomainError, match=r"an \(n, m\) matrix, got ndim=1"):
+            Sample(np.zeros(3))
+
+    @pytest.mark.parametrize("m, n", [(1, 2**23 + 1), (3, 2**23 // 3 + 1), (1, 2**30),
+                                      (2, 2**31 - 1)])
+    def test_draw_beyond_the_coordinate_limit_refused(self, m, n):
+        # refused before the stream makes its generator, so nothing is drawn
+        rng = RngStream(1)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{n} points in m = {m} are {n * m} coordinates, "
+                f"more than one draw may hold ({sampler._MAX_COORDINATES})")):
+            sample(gaussian(np.zeros(m), np.eye(m)), n, rng)
+        assert rng._generator is None
 
 
 class TestCsv:
@@ -228,6 +244,12 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(DomainError):
+            read_csv(path)
+
+    def test_rejects_header_without_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("# comment\nx1,x2\n\n")
+        with pytest.raises(DomainError, match=r"header\.csv: no data rows"):
             read_csv(path)
 
     def test_rejects_ragged_rows(self, tmp_path):
