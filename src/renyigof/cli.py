@@ -7,7 +7,10 @@ statistic (optionally against a precomputed critical-value table), and
 
 Exit codes: 0 success, 2 usage or validation error, 3 data error
 (duplicate points, degenerate covariance).  stdout carries JSON
-records; diagnostics go to stderr.
+records; diagnostics go to stderr.  A command's warnings (numpy's
+RuntimeWarnings, say) are held until it ends: a command that exits 2 or
+3 drops them, so its one error line is all it prints, and one that
+exits 0 issues them again through the caller's warning filters.
 
 numpy runs BLAS on one thread in this process and in the workers it
 starts, unless the caller has set OPENBLAS_NUM_THREADS.
@@ -19,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 # Replicates run in separate worker processes and no BLAS call here is large
@@ -40,7 +44,7 @@ from .errors import (
 )
 from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
-from .sampler import RngStream, read_csv, read_lines, sample, write_csv
+from .sampler import _MAX_COORDINATES, RngStream, read_csv, read_lines, sample, write_csv
 from .special import _integer
 
 EXIT_OK = 0
@@ -94,6 +98,9 @@ def _tail_flag(args, flags: dict[str, str]):
 def _build_spec(args):
     param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
     m = _integer("--dim", args.dim, 1)
+    if m * m > _MAX_COORDINATES:  # refused before the m x m scale is built and factored
+        raise DomainError(f"--dim {m} asks for a {m} x {m} scale matrix, more than "
+                          f"the {_MAX_COORDINATES} coordinates one draw may hold")
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
     if args.family == "gaussian":
@@ -125,11 +132,8 @@ def cmd_sample(args) -> int:
 
 def cmd_entropy(args) -> int:
     s = read_csv(args.data)
-    if args.q == 1.0:
-        est = shannon_estimate(s, args.k)
-    else:
-        est = renyi_estimate(s, args.k, args.q)
-    print(json.dumps({"value": est.value, "q": est.q, "k": est.k, "n": est.n, "dim": est.dim}))
+    est = shannon_estimate(s, args.k) if args.q == 1.0 else renyi_estimate(s, args.k, args.q)
+    print(json.dumps({"value": est.value, "q": args.q, "k": args.k, "n": s.n, "dim": s.dim}))
     return EXIT_OK
 
 
@@ -142,30 +146,31 @@ def cmd_test(args) -> int:
     null_param = _tail_flag(args, {"student": "nu0", "pearson2": "eta0"})
     s = read_csv(args.data)
     stat = statistic(s, Family(args.family), null_param, args.k)
+    null_text = mc._format_float(null_param)
     decisions = []
     if args.critical_table:
         table, critical = mc.read_summary(args.critical_table)
         # W here constrains the maximum by the sample's own covariance
-        settings = {"family": args.family, "null_param": mc._format_float(stat.null_param),
-                    "dim": stat.dim, "k": stat.k, "covariance_mode": "same"}
+        settings = {"family": args.family, "null_param": null_text,
+                    "dim": s.dim, "k": args.k, "covariance_mode": "same"}
         mc.check_null_run(args.critical_table, table, settings)
         for alpha in args.alpha or [0.05]:
             if alpha not in critical:
                 raise DomainError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
-            crit = critical[alpha].get(stat.n)
+            crit = critical[alpha].get(s.n)
             if crit is None:
-                raise DomainError(
-                    f"critical table {args.critical_table} has no row for N={stat.n}"
-                )
+                raise DomainError(f"critical table {args.critical_table} has no row for N={s.n}")
             decisions.append({"alpha": alpha, "critical": crit, "reject": stat.value > crit})
     record = {
         "W": stat.value,
+        "h_max": stat.h_max,
+        "h_hat": stat.h_hat,
         "family": args.family,
-        "null_param": mc._format_float(stat.null_param),
+        "null_param": null_text,
         "q": stat.q,
-        "k": stat.k,
-        "n": stat.n,
-        "m": stat.dim,
+        "k": args.k,
+        "n": s.n,
+        "m": s.dim,
         "l2_condition_ok": stat.l2_ok,
     }
     for line in (record, *decisions):
@@ -295,14 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (DuplicatePointsError, NotPositiveDefiniteError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DomainError, ExperimentError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args)
+        except (DuplicatePointsError, NotPositiveDefiniteError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            code = EXIT_DATA
+        except (DomainError, ExperimentError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+    # a failed command's one error line says what went wrong; a command
+    # that succeeded shows its warnings as the caller's filters ask
+    if code == EXIT_OK:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return code
 
 
 if __name__ == "__main__":

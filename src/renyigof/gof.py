@@ -38,25 +38,27 @@ from .special import _integer
 
 @dataclass(frozen=True)
 class GofStatistic:
-    """Value of a maximum-entropy test statistic and its settings.
+    """A maximum-entropy test statistic, its two terms and what it found.
 
-    `family` is GAUSSIAN when the null parameter is +inf (both tests
-    then coincide in their common Gaussian limit).  `l2_ok` records
-    whether the one estimator condition, L2 convergence (Leonenko,
-    Pronzato and Savani 2008), holds under the null.  It has two sides:
-    the moment side is :func:`check_estimator_conditions`, and the k
-    side, q < (k+1)/2 for q > 1, is checked in :func:`statistic`
-    itself.  A failing case (the boundary q = 1/2, a Pearson II null
-    with k <= 2/eta0 + 1) computes anyway and is merely flagged.
+    `value` is W = `h_max` - `h_hat`: `h_max` is H_q^max of the
+    covariance constraint S and `h_hat` the nearest-neighbour estimate,
+    so a bias can be traced to its term.  `family` is GAUSSIAN when the
+    null parameter is +inf (both tests then coincide in their common
+    Gaussian limit), and `q` is the order the null induces.  `l2_ok`
+    records whether the one estimator condition, L2 convergence
+    (Leonenko, Pronzato and Savani 2008), holds under the null.  It has
+    two sides: the moment side is :func:`check_estimator_conditions`,
+    and the k side, q < (k+1)/2 for q > 1, is checked in
+    :func:`statistic` itself.  A failing case (the boundary q = 1/2, a
+    Pearson II null with k <= 2/eta0 + 1) computes anyway and is merely
+    flagged.
     """
 
     value: float
+    h_max: float
+    h_hat: float
     family: Family
-    null_param: float
     q: float
-    k: int
-    n: int
-    dim: int
     l2_ok: bool
 
 
@@ -100,13 +102,11 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
     elif constraint.dim != m:
         raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
     h_max, q, _ = max_renyi_entropy(null_spec.family, constraint, null_param)
-    est = shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)
+    h_hat = (shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)).value
     # the L2 condition: its moment side, and for q > 1 its k side
     l2_ok = (bool(check_estimator_conditions(null_spec, q, "L2"))
              and (q <= 1.0 or q < (k + 1) / 2.0))
-    return GofStatistic(
-        h_max - est.value, null_spec.family, float(null_param), q, k, sample.n, m, l2_ok
-    )
+    return GofStatistic(h_max - h_hat, h_max, h_hat, null_spec.family, q, l2_ok)
 
 
 def student_statistic(sample: Sample, nu0: float, k: int) -> GofStatistic:

@@ -101,17 +101,13 @@ class KnnDistances:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """An entropy estimate in nats, tagged with its estimator settings.
+    """An entropy estimate in nats.
 
     The value is finite: one that is not raises DomainError, as when a
     neighbour distance beyond about 1.34e154 squares to inf in the kernel.
     """
 
     value: float
-    q: float
-    k: int
-    n: int
-    dim: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -300,20 +296,17 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
 def renyi_estimate(sample: Sample, k: int, q: float) -> EntropyEstimate:
     """Nearest-neighbour Renyi entropy estimate log(G)/(1-q) at order q != 1."""
     dists = knn_distances(sample, k)
-    value = _log_g(dists, sample.dim, k, q) / (1.0 - q)
-    return EntropyEstimate(value, float(q), int(k), sample.n, sample.dim)
+    return EntropyEstimate(_log_g(dists, sample.dim, k, q) / (1.0 - q))
 
 
 def shannon_estimate(sample: Sample, k: int) -> EntropyEstimate:
     """Kozachenko-Leonenko Shannon entropy estimate, the q -> 1 limit of
     :func:`renyi_estimate` (where C_k -> exp(-psi(k)))."""
-    dists = knn_distances(sample, k)
     n, m = sample.n, sample.dim
-    rho = dists.column(k)
-    value = (
+    rho = knn_distances(sample, k).column(k)
+    return EntropyEstimate(
         m * _exact_sum(np.log(rho)) / n
         + _log_unit_ball_volume(m)
         + math.log(n - 1)
         - digamma(k)
     )
-    return EntropyEstimate(value, 1.0, int(k), n, m)

@@ -489,17 +489,17 @@ def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
             f"need at least 3 distinct N with positive mean, got {distinct} "
             f"({len(excluded)} pairs excluded)"
         )
+    # loaded on first use, not by every process: it imports fractions and decimal
+    from statistics import linear_regression
+
     x = np.log([float(n) for n, _ in usable])
     y = np.log([w for _, w in usable])
-    x_bar = math.fsum(x) / x.size
-    y_bar = math.fsum(y) / y.size
-    sxx = math.fsum((x - x_bar) * (x - x_bar))
-    sxy = math.fsum((x - x_bar) * (y - y_bar))
-    b = sxy / sxx
-    log_a = y_bar - b * x_bar
+    # least squares of log w on log N, from fsum means and cross-products
+    b, log_a = linear_regression(x.tolist(), y.tolist())
     residual = y - (log_a + b * x)
+    y_dev = y - math.fsum(y) / y.size
     ss_res = math.fsum(residual * residual)
-    ss_tot = math.fsum((y - y_bar) * (y - y_bar))
+    ss_tot = math.fsum(y_dev * y_dev)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(log_a=log_a, b=b, r_squared=r_squared, excluded=excluded)
 

@@ -8,16 +8,18 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import renyigof
-from renyigof import mc
+from renyigof import cli, mc
 from renyigof.cli import load_config, main
-from renyigof.distributions import gaussian
+from renyigof.distributions import Family, gaussian
 from renyigof.errors import DomainError
+from renyigof.gof import statistic
 from renyigof.knn import renyi_estimate
 from renyigof.mc import ExperimentConfig
 from renyigof.sampler import RngStream, read_csv, sample, write_csv
@@ -163,6 +165,25 @@ class TestSampleCommand:
                   "--seed", "0", "-o", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("dim, ok", [(2896, True), (2897, False), (1_000_000, False)])
+    def test_dim_whose_scale_exceeds_the_coordinate_limit_exits_2(self, tmp_path, capsys,
+                                                                  monkeypatch, dim, ok):
+        # the m x m scale is refused before it is built; a scale that passes
+        # stops at its build here, so nothing large is allocated either way
+        def identity(m):
+            raise DomainError(f"built a {m} x {m} scale")
+
+        monkeypatch.setattr(cli.SpdMatrix, "identity", staticmethod(identity))
+        path = tmp_path / "d.csv"
+        code, out, err = _run(capsys, ["sample", "--family", "gaussian", "--dim", str(dim),
+                                       "--n", "2", "--seed", "1", "-o", str(path)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: built a {dim} x {dim} scale" if ok else
+            f"error: --dim {dim} asks for a {dim} x {dim} scale matrix, more than the "
+            "8388608 coordinates one draw may hold"]
+        assert not path.exists()
+
 
 class TestEntropyCommand:
     def test_matches_library_value(self, tmp_path, capsys):
@@ -191,7 +212,6 @@ class TestEntropyCommand:
         assert code == 3
         assert "duplicate points at indices 0, 1" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @pytest.mark.parametrize("q", ["0.5", "1"])
     def test_overflowing_distance_exits_2(self, tmp_path, capsys, q):
         # gaps of about 1e200 square to inf: the estimate once printed as
@@ -247,6 +267,23 @@ class TestTestCommand:
         assert record["null_param"] == "inf"
         assert record["q"] == 1.0
         assert record["m"] == 2 and record["n"] == 500
+
+    @pytest.mark.parametrize("family, flag, param", [("student", "--nu0", "7"),
+                                                     ("pearson2", "--eta0", "4"),
+                                                     ("student", "--nu0", "inf")])
+    def test_record_holds_the_two_terms(self, tmp_path, capsys, family, flag, param):
+        path = tmp_path / "pts.csv"
+        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 300, RngStream(6)), path)
+        code, out, err = _run(capsys, ["test", str(path), "--family", family, flag, param,
+                                       "--k", "3"])
+        assert code == 0, err
+        record = json.loads(out)
+        stat = statistic(read_csv(path), Family(family), float(param), 3)
+        assert list(record) == ["W", "h_max", "h_hat", "family", "null_param", "q", "k",
+                                "n", "m", "l2_condition_ok"]
+        assert (record["W"], record["h_max"], record["h_hat"]) == \
+            (stat.value, stat.h_max, stat.h_hat)
+        assert record["W"] == record["h_max"] - record["h_hat"]
 
     @pytest.mark.parametrize("eta0, k, ok", [("1", "2", False), ("2", "2", False),
                                             ("2", "3", True)])
@@ -324,7 +361,6 @@ class TestTestCommand:
         assert out == ""
         assert f"{stray} does not apply to --family {family}" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @pytest.mark.parametrize("nu0", ["10", "inf"])
     def test_overflowing_distance_exits_2(self, tmp_path, capsys, nu0):
         # the covariance of these points is finite, but the last one's
@@ -860,6 +896,41 @@ class TestExperimentCommand:
         assert out == ""
         assert err.startswith("error: invalid experiment config: power_reference must be")
         assert not (tmp_path / "alt_out").exists()
+
+
+class TestWarnings:
+    # a command's warnings are held until its exit code is known
+
+    def test_failed_command_prints_only_its_error_line(self, tmp_path, capsys):
+        # points 1e200 apart: the squared gaps (entropy) and the covariance's
+        # products (test) overflow, each with a numpy RuntimeWarning
+        path = tmp_path / "far.csv"
+        path.write_text("x1\n0\n1e200\n2e200\n3.5e200\n")
+        for argv, line in [
+            (["entropy", str(path), "--k", "1", "--q", "0.5"],
+             "error: the entropy estimate is inf: a squared neighbour distance overflows "
+             "the double range"),
+            (["test", str(path), "--family", "student", "--nu0", "5", "--k", "1"],
+             "error: matrix entries must be finite"),
+        ]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = _run(capsys, argv)
+            assert (code, out, err, caught) == (2, "", line + "\n", [])
+
+    def test_successful_command_issues_its_warnings_again(self, tmp_path, capsys, monkeypatch):
+        def cmd_entropy(args):
+            warnings.warn("an anomaly", RuntimeWarning)
+            print("{}")
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_entropy", cmd_entropy)
+        argv = ["entropy", str(tmp_path / "s.csv"), "--k", "1", "--q", "1"]
+        with pytest.warns(RuntimeWarning, match="an anomaly"):
+            assert _run(capsys, argv)[:2] == (0, "{}\n")
+        # through the caller's filters: this suite's turn it into an error
+        with pytest.raises(RuntimeWarning, match="an anomaly"):
+            main(argv)
 
 
 class TestUndecodableInput:

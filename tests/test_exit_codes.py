@@ -3,7 +3,10 @@
 `renyigof entropy`, `test` and `experiment` end in 0, 2 (usage or
 validation error) or 3 (data error) on any flags, sample file or config,
 never in a traceback; a run that does not exit 0 prints exactly one
-`error:` or `data error:` line on stderr.
+`error:` or `data error:` line on stderr and nothing else but
+argparse's usage text, no warning.  A run that exits 0 prints nothing
+on stderr: a warning it issues raises here, under the suite's
+`error::RuntimeWarning` filter.
 
 Samples and experiments stay small, so each example takes milliseconds.
 The strategies still reach the largest values the parsers accept
@@ -18,7 +21,6 @@ import io
 import json
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,8 @@ from renyigof.cli import main
 
 # the one line a failed run prints: main's own, or argparse's usage error
 _ERROR_LINE = re.compile(r"^(renyigof[\w -]*: )?(data )?error: ")
+# the first line of argparse's usage text, which precedes its error line
+_USAGE_LINE = re.compile(r"^usage: renyigof\b")
 
 # the null run of the critical table `test` and `experiment` may read
 _TABLE_CONFIG = {"schema_version": 1, "family": "student", "true_param": 10.0,
@@ -40,11 +44,7 @@ _TABLE_CONFIG = {"schema_version": 1, "family": "student", "true_param": 10.0,
 def _cli(argv):
     """(exit code, stdout, stderr) of one in-process command-line run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        # numpy's RuntimeWarnings print to stderr at the command line and stop
-        # nothing there; under this suite's filters they would raise instead
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -62,6 +62,14 @@ def _assert_contract(argv):
     else:
         assert len(errors) == 1, (argv, code, err)
         assert errors[0].startswith("data error: ") == (code == 3), (argv, code, err)
+        # before the error line, at most argparse's usage text: a first
+        # line "usage: renyigof ..." and its indented continuations
+        *usage, last = err.splitlines()
+        assert last == errors[0], (argv, err)
+        if usage:
+            assert _USAGE_LINE.match(usage[0]) and not last.startswith(("error", "data")), \
+                (argv, err)
+            assert all(line.startswith(" ") for line in usage[1:]), (argv, err)
     return code
 
 

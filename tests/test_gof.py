@@ -59,7 +59,6 @@ class TestStudentStatistic:
         stat = student_statistic(s, 8.0, 3)
         assert stat.q == pytest.approx(1.0 - 2.0 / 10.0, rel=1e-15)
         assert stat.family is Family.STUDENT
-        assert (stat.n, stat.dim, stat.k) == (100, 2, 3)
 
     def test_nu0_domain(self, rng):
         # only +inf means Gaussian; -inf and NaN are invalid
@@ -198,6 +197,16 @@ class TestStatistic:
         with pytest.raises(DomainError, match="student or pearson2"):
             statistic(s, Family.GAUSSIAN, math.inf, 3)
 
+    def test_holds_its_two_terms(self, rng):
+        # W is H_max of the constraint minus the estimate, formed once
+        s = Sample(rng.standard_normal((120, 2)))
+        for family, null_param in _BRANCHES:
+            stat = statistic(s, family, null_param, 3)
+            h_max, q, _ = max_renyi_entropy(family, sample_covariance(s)[1], null_param)
+            h_hat = shannon_estimate(s, 3) if q == 1.0 else renyi_estimate(s, 3, q)
+            assert (stat.h_max, stat.h_hat, stat.q) == (h_max, h_hat.value, q)
+            assert stat.value == stat.h_max - stat.h_hat
+
     def test_own_covariance_is_the_default_constraint(self, rng):
         for m in (1, 2, 3):
             s = Sample(rng.standard_normal((120, m)))
@@ -215,7 +224,8 @@ class TestStatistic:
             shift = (max_renyi_entropy(family, other, null_param).h_max
                      - max_renyi_entropy(family, sample_covariance(s)[1], null_param).h_max)
             assert fresh.value - base.value == pytest.approx(shift, abs=1e-12)
-            assert (fresh.q, fresh.family, fresh.l2_ok) == (base.q, base.family, base.l2_ok)
+            assert (fresh.h_hat, fresh.q, fresh.family, fresh.l2_ok) == \
+                (base.h_hat, base.q, base.family, base.l2_ok)
 
     @pytest.mark.parametrize("family, param, ok", [
         (Family.STUDENT, 3.0, False), (Family.STUDENT, 10.0, True),
@@ -249,12 +259,6 @@ def _null_case(draw):
     return points, family, null_param, draw(st.integers(1, 5)), gen
 
 
-def _entropy_at(points, stat):
-    """The entropy estimate the statistic used: Shannon at q = 1, else Renyi."""
-    s = Sample(points)
-    return shannon_estimate(s, stat.k) if stat.q == 1.0 else renyi_estimate(s, stat.k, stat.q)
-
-
 class TestStatisticInvariance:
     @settings(max_examples=150)
     @given(_null_case())
@@ -263,7 +267,7 @@ class TestStatisticInvariance:
         base = statistic(Sample(points), family, null_param, k)
         shuffled = points[gen.permutation(len(points))]
         moved = statistic(Sample(shuffled), family, null_param, k)
-        assert _entropy_at(shuffled, moved).value == _entropy_at(points, base).value
+        assert moved.h_hat == base.h_hat
         assert abs(moved.value - base.value) <= 1e-12
 
     @settings(max_examples=150)

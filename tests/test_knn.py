@@ -231,6 +231,49 @@ class TestKernelExactness:
         _assert_identical(_every_kernel(points, k, ("brute", "tree")))
 
 
+@st.composite
+def _points_and_k_max(draw):
+    """(points, k_max): normal points in m = 1 (the sorted kernel) or
+    m = 2, 3 (the kd-tree) at any scale, half of them with one point
+    copied onto another, and a neighbour count up to 8."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = gen.standard_normal((n, m)) * draw(st.sampled_from(_SCALES))
+    if draw(st.booleans()):
+        points[draw(st.integers(0, n - 1))] = points[draw(st.integers(0, n - 1))]
+    return points, draw(st.integers(1, min(8, n - 1)))
+
+
+def _distances_or_report(s, k_max):
+    """knn_distances(s, k_max), or the coincident points it reports."""
+    # squared gaps past about 1e154 overflow to inf, alike at every k_max
+    with np.errstate(over="ignore"):
+        try:
+            return knn_distances(s, k_max)
+        except DuplicatePointsError as exc:
+            return exc.indices
+
+
+class TestOneKMax:
+    # the distances computed once at k_max serve every k <= k_max: column
+    # k is that of a call at k_max = k, bit for bit and in the same order
+
+    @settings(max_examples=200)
+    @given(_points_and_k_max())
+    def test_column_k_does_not_depend_on_k_max(self, case):
+        points, k_max = case
+        s = Sample(points)
+        full = _distances_or_report(s, k_max)
+        for k in range(1, k_max + 1):
+            own = _distances_or_report(s, k)
+            assert type(own) is type(full)
+            if isinstance(full, list):
+                assert own == full == _coincident(points)
+            else:
+                assert own.column(k).tobytes() == full.column(k).tobytes()
+
+
 class TestDuplicatesAtScale:
     # the report lists points, not pairs: a constant column of N = 5000
     # holds 12.5 million coincident pairs but only 5000 coincident points

@@ -134,6 +134,22 @@ class TestRateFit:
         fit = fit_convergence_rate([(100, 1.0), (100, 1.0), (200, 0.5), (400, 0.25)])
         assert fit.b == pytest.approx(-1.0, abs=1e-12)
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(2, 2**31 - 1),
+                              st.one_of(st.floats(1e-300, 1e300), st.floats(-1.0, 0.0))),
+                    min_size=3, max_size=12).filter(
+        lambda pairs: len({n for n, w in pairs if w > 0}) >= 3))
+    def test_slope_and_intercept_are_the_written_out_formula(self, pairs):
+        # least squares from fsum means and fsum cross-products, bit for bit
+        usable = [(n, w) for n, w in pairs if w > 0]
+        x = np.log([float(n) for n, _ in usable])
+        y = np.log([w for _, w in usable])
+        x_bar = math.fsum(x) / x.size
+        y_bar = math.fsum(y) / y.size
+        b = math.fsum((x - x_bar) * (y - y_bar)) / math.fsum((x - x_bar) * (x - x_bar))
+        fit = fit_convergence_rate(pairs)
+        assert (fit.b, fit.log_a) == (b, y_bar - b * x_bar)
+
 
 class TestSummarize:
     def test_examples(self):
