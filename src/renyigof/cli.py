@@ -149,11 +149,10 @@ def cmd_test(args) -> int:
     null_text = mc._format_float(null_param)
     decisions = []
     if args.critical_table:
-        table, critical = mc.read_summary(args.critical_table)
         # W here constrains the maximum by the sample's own covariance
-        settings = {"family": args.family, "null_param": null_text,
-                    "dim": s.dim, "k": args.k, "covariance_mode": "same"}
-        mc.check_null_run(args.critical_table, table, settings)
+        critical = mc.read_summary(args.critical_table, {
+            "family": args.family, "null_param": null_text, "dim": s.dim, "k": args.k,
+            "covariance_mode": "same"})
         for alpha in args.alpha or [0.05]:
             if alpha not in critical:
                 raise DomainError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
@@ -221,9 +220,7 @@ def cmd_experiment(args) -> int:
     config, power_reference = load_config(Path(args.config))
     critical_by_n = None
     if power_reference is not None:
-        reference, critical = mc.read_summary(power_reference)
-        mc.check_null_run(power_reference, reference, config.to_dict())
-        critical_by_n = critical[0.05]
+        critical_by_n = mc.read_summary(power_reference, config.to_dict())[0.05]
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)  # before the run, which an unusable path would waste
 

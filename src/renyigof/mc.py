@@ -626,15 +626,22 @@ def write_histogram_csv(result: McResult, n: int, path) -> None:
                 ("bin_left", "bin_right", "count"), rows)
 
 
-def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]:
-    """The config and the critical values of a summary CSV written by
-    :func:`write_summary_csv`, read in one pass: (config, {alpha: {N:
-    critical value}}) at each level of :data:`ALPHA_COLUMNS`.
+def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
+    """The critical values of the null-run summary CSV at `path`, written
+    by :func:`write_summary_csv`, that may judge a statistic computed
+    under `settings` (in :meth:`ExperimentConfig.to_dict` form): {alpha:
+    {N: critical value}} at each level of :data:`ALPHA_COLUMNS`.
 
-    The file is read through :func:`sampler.read_table`.  The config
-    comes from the `# config` header line; a file that does not decode,
-    has no such line or no valid experiment config on it, or has no
-    well-formed table raises DomainError naming the file.
+    The file is read once, through :func:`sampler.read_table`, and its
+    run's config comes from the `# config` header line.  DomainError,
+    naming the file, is raised for a file that does not decode, has no
+    such line or no valid experiment config on it, or has no
+    well-formed table; for a row whose N repeats an earlier row's or
+    lies outside the config's `n_grid`, or whose critical value is not
+    finite; for a run that is not a null run (one whose true_param
+    equals its null_param); and for `settings` that differ from the run
+    on a key of :data:`NULL_RUN_KEYS`, naming each such key.  A table
+    may lack a row of its `n_grid`.
     """
     lines = list(read_table(path))
     prefix = "# " + _CONFIG_COMMENT
@@ -649,26 +656,22 @@ def read_summary(path) -> tuple[ExperimentConfig, dict[float, dict[int, float]]]
     needed = ("N", *ALPHA_COLUMNS.values())
     if not table or not set(needed) <= set(table[0]):
         raise DomainError(f"{path}: not a summary table (needs columns {', '.join(needed)})")
-    rows = [dict(zip(table[0], row)) for row in table[1:]]
-    try:
-        critical = {alpha: {int(row["N"]): float(row[column]) for row in rows}
-                    for alpha, column in ALPHA_COLUMNS.items()}
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"{path}: unreadable summary row: {exc}") from None
-    for column, by_n in zip(ALPHA_COLUMNS.values(), critical.values()):
-        for n, value in by_n.items():
+    critical = {alpha: {} for alpha in ALPHA_COLUMNS}
+    grid = set(config.n_grid)
+    for row in (dict(zip(table[0], cells)) for cells in table[1:]):
+        try:
+            n, values = int(row["N"]), [float(row[column]) for column in ALPHA_COLUMNS.values()]
+        except (KeyError, ValueError) as exc:
+            raise DomainError(f"{path}: unreadable summary row: {exc}") from None
+        if n in critical[0.05] or n not in grid:
+            where = "a second row" if n in grid else "a row outside its n_grid"
+            raise DomainError(f"critical table {path} has {where} for N={n}")
+        for (alpha, column), value in zip(ALPHA_COLUMNS.items(), values):
             if not math.isfinite(value):
                 raise DomainError(f"{path}: {column} at N={n} is {value}, not a finite number")
-    return config, critical
-
-
-def check_null_run(path, table: ExperimentConfig, settings: dict) -> None:
-    """Raise DomainError unless `table`, the run that wrote the critical
-    table at `path`, is a null run (true_param equal to null_param), and
-    naming each key of :data:`NULL_RUN_KEYS` on which `settings` (in
-    :meth:`ExperimentConfig.to_dict` form) differ from it."""
-    theirs = table.to_dict()
-    if table.true_param != table.null_param:
+            critical[alpha][n] = value
+    theirs = config.to_dict()
+    if config.true_param != config.null_param:
         raise DomainError(f"critical table {path} is not from a null run: true_param "
                           f"{theirs['true_param']!r}, null_param {theirs['null_param']!r}")
     differ = [key for key in NULL_RUN_KEYS if settings[key] != theirs[key]]
@@ -677,3 +680,4 @@ def check_null_run(path, table: ExperimentConfig, settings: dict) -> None:
             f"critical table {path} comes from a different null run: "
             + ", ".join(f"{key} {theirs[key]!r} there, {settings[key]!r} here" for key in differ)
         )
+    return critical

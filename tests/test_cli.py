@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import runpy
 import shlex
 import shutil
 import subprocess
@@ -443,6 +444,18 @@ class TestTestCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {table}: {column} at N=50 is {float(text)}, not a finite number\n"
+
+    def test_table_that_repeats_an_n_exits_2(self, tmp_path, capsys):
+        # the later of two N = 50 rows, with q05 = 99.0, must not decide
+        table = self._null_table(tmp_path, capsys)
+        text = table.read_text()
+        _set_summary_field(table, "q05", "99.0")
+        table.write_text(text + table.read_text().splitlines()[-1] + "\n")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
+                                            "--alpha", "0.05")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: critical table {table} has a second row for N=50\n"
 
     def test_table_with_byte_order_mark_reads_alike(self, tmp_path, capsys):
         table = self._null_table(tmp_path, capsys)
@@ -1023,6 +1036,8 @@ class TestPaperScaleDecisions:
 
 
 _REPO = Path(__file__).resolve().parent.parent
+# the benchmark's workloads by name; bench/ holds scripts, not a package
+_WORKLOADS = runpy.run_path(str(_REPO / "bench" / "workloads.py"))["WORKLOADS"]
 
 
 class TestShippedConfigs:
@@ -1141,6 +1156,24 @@ class TestBenchmarkTracer:
                                        "distributions.max_renyi_entropy_ms"], workload.name
             assert all(unit == "ms" and 0 < value < math.inf
                        for value, unit in metrics.values()), workload.name
+
+    @pytest.mark.parametrize("name", sorted(_WORKLOADS))
+    def test_every_span_fires(self, tmp_path, monkeypatch, name):
+        # a call site that the engine stops using still resolves, but its
+        # span then reads zero in `bench/run.py --trace 1`; a tiny traced
+        # run of the workload's config, as bench/layers.py replays it, must
+        # fire every span
+        monkeypatch.syspath_prepend(str(_REPO / "bench"))
+        layers = importlib.import_module("layers")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_WORKLOADS[name].config(1, 0, replicates=2)))
+        modules = {module: importlib.import_module(f"renyigof.{module}")
+                   for sites in layers.SPANS.values() for module, _ in sites}
+        tracer = layers.Tracer()
+        with tracer.installed(modules):
+            assert main(["experiment", str(config), "--out-dir", str(tmp_path / "out"),
+                         "--workers", "1"]) == 0
+        assert sorted(set(layers.SPANS) - {span[0] for span in tracer.spans}) == []
 
     def test_package_names_bench_reads_resolve(self):
         # bench/layers.py reads the package as `rg` (bench/run.py hands it

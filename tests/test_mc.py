@@ -631,8 +631,7 @@ class TestOutputs:
         assert "# master_seed 42" in text
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == ",".join(mc.SUMMARY_COLUMNS)
-        config, critical = read_summary(path)
-        assert config == cfg
+        critical = read_summary(path, cfg.to_dict())
         assert set(critical) == set(mc.ALPHA_COLUMNS)
         for alpha, crit in critical.items():
             assert crit == {n: empirical_quantile(res.values_at(n), alpha) for n in (100, 200)}
@@ -645,14 +644,20 @@ class TestOutputs:
         # an int literal past Python's 4300-digit limit: json.loads raises a plain ValueError
         (lambda text: text.replace('"master_seed":42', '"master_seed":' + "1" * 5000),
          "unreadable config header: Exceeds the limit"),
+        # a table that contradicts itself: neither of its rows may decide
+        (lambda text: text + text.splitlines()[-2] + "\n",
+         r"summary.csv has a second row for N=100$"),
+        (lambda text: text.replace(",5.0,200,", ",5.0,300,"),
+         r"summary.csv has a row outside its n_grid for N=300$"),
     ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header",
-            "over-long-int-in-config-header"])
+            "over-long-int-in-config-header", "repeated-n", "n-outside-n-grid"])
     def test_read_summary_rejects_malformed_tables(self, tmp_path, corrupt, message):
         path = tmp_path / "summary.csv"
-        write_summary_csv(run_experiment(_config(replicates=4)), path)
+        config = _config(replicates=4)
+        write_summary_csv(run_experiment(config), path)
         path.write_text(corrupt(path.read_text()))
         with pytest.raises(DomainError, match=message):
-            read_summary(path)
+            read_summary(path, config.to_dict())
 
     def test_self_power_column_near_alpha(self, tmp_path):
         cfg = _config(replicates=200)
