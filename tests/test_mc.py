@@ -635,6 +635,9 @@ class TestOutputs:
         assert set(critical) == set(mc.ALPHA_COLUMNS)
         for alpha, crit in critical.items():
             assert crit == {n: empirical_quantile(res.values_at(n), alpha) for n in (100, 200)}
+        # the run's config is read back from the header and judges the settings
+        with pytest.raises(DomainError, match=r"different null run: k 3 there, 4 here$"):
+            read_summary(path, dict(cfg.to_dict(), k=4))
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda text: text.replace("# config ", "# settings "), "no '# config' header"),
