@@ -26,10 +26,9 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .special import ln_beta, ln_gamma
+from .special import _reals, ln_beta, ln_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
-_NOT_FINITE = "matrix entries must be finite"
 _SYM_OVERFLOW = "matrix entries too large: (A + A')/2 is not finite"
 # a + b cannot overflow when neither exceeds this in magnitude
 _HALF_MAX = float(np.finfo(float).max) / 2.0
@@ -51,10 +50,11 @@ class SpdMatrix:
     """Symmetric positive definite matrix with a cached Cholesky factor.
 
     Input is symmetrised as (A + A')/2 before factorisation; sample
-    covariances carry rounding asymmetry.  Construction fails if an
-    entry of the input or of (A + A')/2 is not finite, if the input is
-    visibly asymmetric, or if any Cholesky pivot is not strictly
-    positive (tiny pivots below 1e-300 are treated as zero).
+    covariances carry rounding asymmetry.  The input is read by
+    :func:`special._reals`, so it must hold finite real numbers.
+    Construction also fails if an entry of (A + A')/2 is not finite, if
+    the input is visibly asymmetric, or if any Cholesky pivot is not
+    strictly positive (tiny pivots below 1e-300 are treated as zero).
 
     Attributes
     ----------
@@ -69,15 +69,13 @@ class SpdMatrix:
     __slots__ = ("matrix", "chol", "dim", "log_det")
 
     def __init__(self, matrix) -> None:
-        a = np.atleast_2d(np.asarray(matrix, dtype=float))
+        a = np.atleast_2d(_reals("matrix entries", matrix))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
         if a.shape == (1, 1):
             self._factor_1x1(a)
             return
         scale = np.abs(a).max()
-        if not np.isfinite(scale):
-            raise DomainError(_NOT_FINITE)
         with np.errstate(over="ignore"):  # entries past _HALF_MAX may give inf: see below
             asymmetry = np.abs(a - a.T).max()
             sym = (a + a.T) / 2.0
@@ -103,8 +101,6 @@ class SpdMatrix:
         # the path above without LAPACK, bit for bit: the Cholesky factor
         # of [[s]] is the correctly rounded sqrt(s), and LAPACK fails
         # exactly when s <= 0; a 1x1 matrix is always symmetric
-        if not math.isfinite(a[0, 0]):
-            raise DomainError(_NOT_FINITE)
         if abs(a[0, 0]) > _HALF_MAX:
             raise DomainError(_SYM_OVERFLOW)
         sym = (a + a) / 2.0
@@ -150,6 +146,7 @@ class DistributionSpec:
     shape exponent for Pearson II, and None for the Gaussian.  Infinite
     Student/Pearson parameters are canonicalised to the Gaussian by the
     factory functions; use those rather than this constructor.
+    `location` is read by :func:`special._reals` as finite real numbers.
 
     `unit_scale`, set at construction, is true when the Cholesky factor
     of `scale` is exactly the identity and no entry of `location` is
@@ -163,13 +160,11 @@ class DistributionSpec:
     unit_scale: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        loc = np.asarray(self.location, dtype=float).reshape(-1)
+        loc = _reals("location", self.location).reshape(-1)
         if loc.shape[0] != self.scale.dim:
             raise DomainError(
                 f"location has dimension {loc.shape[0]}, scale has {self.scale.dim}"
             )
-        if not np.isfinite(loc).all():
-            raise DomainError("location must be finite")
         object.__setattr__(self, "location", loc)
         unit = np.array_equal(self.scale.chol, np.eye(loc.shape[0]))
         object.__setattr__(self, "unit_scale", unit and not np.signbit(loc[loc == 0.0]).any())
@@ -181,7 +176,7 @@ class DistributionSpec:
 
 def gaussian(location, scale) -> DistributionSpec:
     """Gaussian N_m(a, Sigma)."""
-    return DistributionSpec(Family.GAUSSIAN, np.asarray(location, float), _as_spd(scale))
+    return DistributionSpec(Family.GAUSSIAN, location, _as_spd(scale))
 
 
 def student(location, scale, nu: float) -> DistributionSpec:
@@ -189,7 +184,7 @@ def student(location, scale, nu: float) -> DistributionSpec:
     Sigma / (1 - 2/nu) exists.  nu = inf yields the Gaussian."""
     if tail_family(Family.STUDENT, nu) is Family.GAUSSIAN:
         return gaussian(location, scale)
-    return DistributionSpec(Family.STUDENT, np.asarray(location, float), _as_spd(scale), float(nu))
+    return DistributionSpec(Family.STUDENT, location, _as_spd(scale), float(nu))
 
 
 def pearson2(location, scale, eta: float) -> DistributionSpec:
@@ -197,7 +192,7 @@ def pearson2(location, scale, eta: float) -> DistributionSpec:
     ellipsoid (x-a)' Sigma^{-1} (x-a) <= 1.  eta = inf yields the Gaussian."""
     if tail_family(Family.PEARSON2, eta) is Family.GAUSSIAN:
         return gaussian(location, scale)
-    return DistributionSpec(Family.PEARSON2, np.asarray(location, float), _as_spd(scale), float(eta))
+    return DistributionSpec(Family.PEARSON2, location, _as_spd(scale), float(eta))
 
 
 @functools.lru_cache(maxsize=64)

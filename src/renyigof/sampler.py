@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
-from .special import _integer
+from .special import _integer, _reals
 
 # the most coordinates, n * m, one draw may hold: its costliest use,
 # `renyigof sample` at m = 1, peaks at about 220 bytes per coordinate
@@ -86,18 +86,17 @@ class RngStream:
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """An N x m matrix of observation points."""
+    """An N x m matrix of observation points: finite real numbers, read
+    by :func:`special._reals`."""
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = _reals("sample points", self.points)
         if pts.ndim != 2:
             raise DomainError(f"sample points must be an (n, m) matrix, got ndim={pts.ndim}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DomainError(f"sample must be non-empty, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise DomainError("sample points must be finite")
         object.__setattr__(self, "points", pts)
 
     @property

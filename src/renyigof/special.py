@@ -33,6 +33,10 @@ integer >= <least>" (or "in [<least>, <below>)"), "got <value>", where
 an int too long for `repr` is named by its bit length.  A float is
 never an integer here, not even 3.0: the config parsers alone add that
 an integral JSON float counts as its integer.
+
+Beside it, `_reals` is the one reader of real-valued input (sample
+points, a location, matrix entries): an array of integers or floats,
+returned as float64, every entry finite.
 """
 
 from __future__ import annotations
@@ -184,6 +188,25 @@ def _integer(what: str, value, least: int, below: int | None = None) -> int:
     except ValueError:  # an int past Python's limit on the digits of a str
         got = f"a {n.bit_length()}-bit integer"
     raise DomainError(f"{what} must be an integer {span}, got {got}")
+
+
+def _reals(what: str, value) -> np.ndarray:
+    """`value` as a float64 array, every entry finite: the one reader of
+    real-valued input.  An array, list or scalar whose numpy dtype is an
+    integer or floating type counts (integers give the float64 values
+    `np.asarray(value, dtype=float)` gives); bool, str, bytes, complex,
+    object and any other dtype raise DomainError, "<what> must be real
+    numbers, got dtype <name>", and a non-finite entry raises "<what>
+    must be finite".  The rule reads the dtype numpy infers, so a list
+    that numpy itself promotes to float, such as a bool beside a float,
+    passes as those floats."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, got dtype {a.dtype.name}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite")
+    return a
 
 
 def _shown(bound: int) -> str:

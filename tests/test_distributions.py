@@ -66,6 +66,23 @@ class TestSpdMatrix:
         with pytest.raises(DomainError, match="matrix entries must be finite"):
             SpdMatrix([[1.0, math.nan], [math.nan, 1.0]])
 
+    @pytest.mark.parametrize("matrix, dtype", [
+        (True, "bool"),
+        ("4.0", "str96"),
+        (b"4.0", "bytes24"),
+        ([[4.0 + 0j]], "complex128"),
+        (np.array([[2.0, 0.5], [0.5, 1.0]], dtype=object), "object"),
+        ([[4, 1], [1, 3]], None),
+    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
+    def test_entries_must_be_real_numbers(self, matrix, dtype):
+        # read by special._reals; integers build what their floats build
+        if dtype is None:
+            assert _bits(SpdMatrix(matrix)) == _bits(SpdMatrix(np.asarray(matrix, dtype=float)))
+            return
+        with pytest.raises(DomainError, match=re.escape(
+                f"matrix entries must be real numbers, got dtype {dtype}")):
+            SpdMatrix(matrix)
+
     def test_scalar_input_is_1x1(self):
         spd = SpdMatrix(4.0)
         assert spd.dim == 1
@@ -155,6 +172,24 @@ class TestSpecConstruction:
         for loc in ([math.nan], [math.inf]):
             with pytest.raises(DomainError, match="location must be finite"):
                 gaussian(loc, [[1.0]])
+
+
+    @pytest.mark.parametrize("location, dtype", [
+        ([True], "bool"),
+        (["1.5"], "str96"),
+        ([b"1.5"], "bytes24"),
+        ([1.5 + 0j], "complex128"),
+        (np.array([1.5], dtype=object), "object"),
+        (np.array([3], dtype=np.int32), None),
+    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
+    def test_location_must_be_real_numbers(self, location, dtype):
+        if dtype is None:
+            loc = student(location, [[2.0]], 5.0).location
+            assert loc.dtype == np.float64 and loc.tolist() == [3.0]
+            return
+        with pytest.raises(DomainError, match=re.escape(
+                f"location must be real numbers, got dtype {dtype}")):
+            student(location, [[2.0]], 5.0)
 
 
 class TestDensity:

@@ -478,6 +478,19 @@ class TestRunExperiment:
         parallel = result_to_json(run_experiment(cfg, workers=2), include_replicates=True)
         assert serial == parallel
 
+    @pytest.mark.parametrize("shape", [
+        dict(family=Family.STUDENT, true_param=10.0, null_param=10.0, dim=1,
+             covariance_mode="fresh"),
+        dict(family=Family.PEARSON2, true_param=2.0, null_param=math.inf, dim=3,
+             covariance_mode="same"),
+    ], ids=["crit-m1-fresh", "power-m3-n5000"])
+    def test_worker_count_does_not_change_bytes_at_workload_shape(self, shape):
+        # each benchmark workload's family, m and covariance mode at small N
+        cfg = _config(n_grid=(100, 200), replicates=12, **shape)
+        serial = result_to_json(run_experiment(cfg, workers=1), include_replicates=True)
+        parallel = result_to_json(run_experiment(cfg, workers=2), include_replicates=True)
+        assert serial == parallel
+
     def test_outcomes_land_at_their_n_and_j(self):
         # 9 replicates on 2 workers run in chunks of 2, so chunks straddle
         # the N boundaries; each N still gets its own replicates in order

@@ -218,6 +218,26 @@ class TestSampleLaws:
         with pytest.raises(DomainError, match=r"an \(n, m\) matrix, got ndim=1"):
             Sample(np.zeros(3))
 
+    @pytest.mark.parametrize("points, dtype", [
+        ([[True], [False], [True]], "bool"),
+        ([["1.5"], ["2.5"]], "str96"),
+        ([[b"1.5"], [b"2.5"]], "bytes24"),
+        ([[1.5 + 0j], [2.5 + 1j]], "complex128"),
+        (np.array([[1.5], [2.5]], dtype=object), "object"),
+        (np.array([[1, -2], [3, 2**53 + 1]]), None),
+    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
+    def test_points_must_be_real_numbers(self, points, dtype):
+        # read by special._reals: integers give the floats
+        # np.asarray(points, dtype=float) gives, any other kind is refused
+        if dtype is None:
+            got = Sample(points).points
+            want = np.asarray(points, dtype=float)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            return
+        with pytest.raises(DomainError, match=re.escape(
+                f"sample points must be real numbers, got dtype {dtype}")):
+            Sample(points)
+
     @pytest.mark.parametrize("m, n", [(1, 2**23 + 1), (3, 2**23 // 3 + 1), (1, 2**30),
                                       (2, 2**31 - 1)])
     def test_draw_beyond_the_coordinate_limit_refused(self, m, n):
