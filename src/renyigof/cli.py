@@ -35,7 +35,7 @@ import numpy as np
 
 from ._version import __version__
 from . import mc
-from .distributions import Family, SpdMatrix, gaussian, pearson2, student
+from .distributions import DistributionSpec, Family, SpdMatrix
 from .errors import (
     DomainError,
     DuplicatePointsError,
@@ -103,10 +103,7 @@ def _build_spec(args):
                           f"the {_MAX_COORDINATES} coordinates one draw may hold")
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
-    if args.family == "gaussian":
-        return gaussian(loc, scale)
-    make = student if args.family == "student" else pearson2
-    return make(loc, scale, param)
+    return DistributionSpec(Family(args.family), loc, scale, param)
 
 
 def cmd_sample(args) -> int:

@@ -38,8 +38,10 @@ def _pivot_underflow(min_pivot_sq: float) -> str:
     return f"Cholesky pivot underflow (min pivot {min_pivot_sq:.3e})"
 
 
-class Family(str, enum.Enum):
-    """Distribution family tag."""
+class Family(enum.Enum):
+    """Distribution family tag.  A member is never equal to its value's
+    string, so a string is not taken for a member anywhere, caches
+    included."""
 
     GAUSSIAN = "gaussian"
     STUDENT = "student"
@@ -70,7 +72,7 @@ class SpdMatrix:
 
     def __init__(self, matrix) -> None:
         a = np.atleast_2d(_reals("matrix entries", matrix))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
         if a.shape == (1, 1):
             self._factor_1x1(a)
@@ -142,11 +144,17 @@ class SpdMatrix:
 class DistributionSpec:
     """A member of one of the three elliptical families.
 
-    `param` is the tail parameter: degrees of freedom for Student,
-    shape exponent for Pearson II, and None for the Gaussian.  Infinite
-    Student/Pearson parameters are canonicalised to the Gaussian by the
-    factory functions; use those rather than this constructor.
-    `location` is read by :func:`special._reals` as finite real numbers.
+    Every law is built here, and construction checks it, in this order:
+
+    - `family` and `param`: GAUSSIAN takes `param` None; any other pair
+      is read by :func:`tail_family`, so `family` must be the member
+      STUDENT (`param` nu) or PEARSON2 (`param` eta), +inf turns the
+      spec into the Gaussian with `param` None, and a finite `param` is
+      stored as a float.  A string family, a Gaussian with a parameter
+      and a Student or Pearson II law without one raise DomainError.
+    - `scale`: an SpdMatrix, or anything :class:`SpdMatrix` accepts.
+    - `location`: read by :func:`special._reals` as finite real numbers,
+      of the scale's dimension.
 
     `unit_scale`, set at construction, is true when the Cholesky factor
     of `scale` is exactly the identity and no entry of `location` is
@@ -160,6 +168,13 @@ class DistributionSpec:
     unit_scale: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.family is not Family.GAUSSIAN or self.param is not None:
+            family = tail_family(self.family, self.param)
+            object.__setattr__(self, "family", family)
+            object.__setattr__(self, "param", None if family is Family.GAUSSIAN
+                               else float(self.param))
+        if not isinstance(self.scale, SpdMatrix):
+            object.__setattr__(self, "scale", SpdMatrix(self.scale))
         loc = _reals("location", self.location).reshape(-1)
         if loc.shape[0] != self.scale.dim:
             raise DomainError(
@@ -175,47 +190,47 @@ class DistributionSpec:
 
 
 def gaussian(location, scale) -> DistributionSpec:
-    """Gaussian N_m(a, Sigma)."""
-    return DistributionSpec(Family.GAUSSIAN, location, _as_spd(scale))
+    """Gaussian N_m(a, Sigma): :class:`DistributionSpec` with family GAUSSIAN."""
+    return DistributionSpec(Family.GAUSSIAN, location, scale)
 
 
 def student(location, scale, nu: float) -> DistributionSpec:
     """Student T_m(a, Sigma, nu), requiring nu > 2 so the covariance
-    Sigma / (1 - 2/nu) exists.  nu = inf yields the Gaussian."""
-    if tail_family(Family.STUDENT, nu) is Family.GAUSSIAN:
-        return gaussian(location, scale)
-    return DistributionSpec(Family.STUDENT, location, _as_spd(scale), float(nu))
+    Sigma / (1 - 2/nu) exists.  nu = inf yields the Gaussian
+    (:class:`DistributionSpec`'s rule)."""
+    return DistributionSpec(Family.STUDENT, location, scale, nu)
 
 
 def pearson2(location, scale, eta: float) -> DistributionSpec:
     """Pearson type II P_m(a, Sigma, eta) with eta > 0, supported on the
-    ellipsoid (x-a)' Sigma^{-1} (x-a) <= 1.  eta = inf yields the Gaussian."""
-    if tail_family(Family.PEARSON2, eta) is Family.GAUSSIAN:
-        return gaussian(location, scale)
-    return DistributionSpec(Family.PEARSON2, location, _as_spd(scale), float(eta))
+    ellipsoid (x-a)' Sigma^{-1} (x-a) <= 1.  eta = inf yields the Gaussian
+    (:class:`DistributionSpec`'s rule)."""
+    return DistributionSpec(Family.PEARSON2, location, scale, eta)
 
 
 @functools.lru_cache(maxsize=64)
 def _standard_spec(family: Family, param: float, m: int) -> DistributionSpec:
-    """The location-0, scale-I member of the Student or Pearson II family
-    with tail parameter `param` in dimension m (+inf gives the Gaussian),
-    built once per process and key.  Any other family raises DomainError."""
-    make = {Family.STUDENT: student, Family.PEARSON2: pearson2}.get(family)
-    if make is None:
-        raise DomainError(f"family must be student or pearson2, got {family!r}")
-    return make(np.zeros(m), SpdMatrix.identity(m), param)
+    """The location-0, scale-I :class:`DistributionSpec` of `family`
+    with tail parameter `param` in dimension m, built once per process
+    and key; it checks (family, param) by the spec's rule, so +inf gives
+    the Gaussian and a string family raises DomainError."""
+    return DistributionSpec(family, np.zeros(m), SpdMatrix.identity(m), param)
 
 
 def tail_family(family: Family, param: float) -> Family:
-    """Family a tail parameter of `family`, STUDENT or PEARSON2, selects:
-    GAUSSIAN for exactly +inf, else `family`.  The one domain rule:
-    Student nu > 2, Pearson II eta > 0; anything else, -inf and NaN
-    included, raises DomainError."""
+    """Family a tail parameter of `family` selects: GAUSSIAN for exactly
+    +inf, else `family`.  The one reader of a (family, param) pair:
+    `family` must be the member STUDENT or PEARSON2 (compared by
+    identity, so a string is refused), and the one domain rule is
+    Student nu > 2, Pearson II eta > 0.  Anything else, None, -inf and
+    NaN included, raises DomainError."""
     if family is Family.STUDENT:
-        valid, rule = param > 2, "Student requires nu > 2"
+        bound, rule = 2, "Student requires nu > 2"
+    elif family is Family.PEARSON2:
+        bound, rule = 0, "Pearson II requires eta > 0"
     else:
-        valid, rule = param > 0, "Pearson II requires eta > 0"
-    if not valid:
+        raise DomainError(f"family must be student or pearson2, got {family!r}")
+    if param is None or not param > bound:
         raise DomainError(f"{rule} or inf, got {param}")
     return Family.GAUSSIAN if param == math.inf else family
 
@@ -256,22 +271,18 @@ def check_pearson_k(k: int, eta: float) -> None:
         raise DomainError(f"estimator requires k > 1/eta0 = {1.0 / eta}, got k = {k}")
 
 
-def _as_spd(scale) -> SpdMatrix:
-    return scale if isinstance(scale, SpdMatrix) else SpdMatrix(scale)
-
-
 def log_density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
     """Log density at x (an m-vector or an (n, m) batch).
 
-    Pearson II returns -inf outside its ellipsoidal support.
+    `x` is read by :func:`special._reals` as finite real numbers, and
+    any other shape raises DomainError.  Pearson II returns -inf
+    outside its ellipsoidal support.
     """
-    pts = np.asarray(x, dtype=float)
+    pts = _reals("points", x)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != spec.dim:
-        raise DomainError(f"points have dimension {pts.shape[1]}, expected {spec.dim}")
-    q = spec.scale.mahalanobis_sq(pts - spec.location)
-    q = np.atleast_1d(q)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != spec.dim:
+        raise DomainError(f"points have shape {pts.shape}, not ({spec.dim},) or (n, {spec.dim})")
+    q = np.atleast_1d(spec.scale.mahalanobis_sq(pts - spec.location))
     m = spec.dim
     half_logdet = 0.5 * spec.scale.log_det
 
@@ -372,8 +383,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     Parameters
     ----------
     family : Family
-        STUDENT interprets `param` as nu, PEARSON2 as eta.  GAUSSIAN
-        ignores `param`.
+        STUDENT interprets `param` as nu, PEARSON2 as eta; any other
+        family raises DomainError (:func:`tail_family` reads the pair).
     constraint : SpdMatrix
         Covariance constraint C.
     param : float
@@ -388,8 +399,7 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         (maximum entropy, maximising order q, rescaled scale matrix).
     """
     m = constraint.dim
-    if family is not Family.GAUSSIAN:
-        family = tail_family(family, param)
+    family = tail_family(family, param)
     if family is Family.GAUSSIAN:
         q, sigma = 1.0, constraint
     else:

@@ -84,7 +84,9 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
 
     S, the covariance constraint of the maximum, is `constraint` when
     given (an independent draw's covariance, say) and the sample's own
-    :func:`sample_covariance` otherwise.  Student nu0 > 2 gives
+    :func:`sample_covariance` otherwise.  `family` is the member
+    Family.STUDENT or Family.PEARSON2; any other value, a string such as
+    "student" included, raises DomainError.  Student nu0 > 2 gives
     q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives q = 1 + 1/eta0
     (which needs k > 1/eta0), both with the Renyi estimate; +inf gives
     the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  Any
@@ -101,7 +103,7 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
         _, constraint = sample_covariance(sample)
     elif constraint.dim != m:
         raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
-    h_max, q, _ = max_renyi_entropy(null_spec.family, constraint, null_param)
+    h_max, q, _ = max_renyi_entropy(family, constraint, null_param)
     h_hat = (shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)).value
     # the L2 condition: its moment side, and for q > 1 its k side
     l2_ok = (bool(check_estimator_conditions(null_spec, q, "L2"))

@@ -199,8 +199,12 @@ def _reals(what: str, value) -> np.ndarray:
     numbers, got dtype <name>", and a non-finite entry raises "<what>
     must be finite".  The rule reads the dtype numpy infers, so a list
     that numpy itself promotes to float, such as a bool beside a float,
-    passes as those floats."""
-    a = np.asarray(value)
+    passes as those floats.  A ragged list raises "<what> must be real
+    numbers in a rectangular array"."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        raise DomainError(f"{what} must be real numbers in a rectangular array") from None
     if a.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got dtype {a.dtype.name}")
     a = a.astype(float, copy=False)

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from renyigof.distributions import (
     ConditionCheck,
+    DistributionSpec,
     Family,
     SpdMatrix,
     check_estimator_conditions,
@@ -20,6 +21,7 @@ from renyigof.distributions import (
     renyi_entropy_closed_form,
     student,
 )
+from renyigof.distributions import _renyi_constant, _standard_spec
 from renyigof.errors import DomainError, NotPositiveDefiniteError
 
 
@@ -60,27 +62,28 @@ class TestSpdMatrix:
             SpdMatrix(mat)
 
     def test_rejects_non_square_and_non_finite(self):
-        for a in (np.ones((2, 3)), np.ones((2, 2, 2))):
+        for a in (np.ones((2, 3)), np.ones((2, 2, 2)), np.zeros((0, 0))):
             with pytest.raises(DomainError, match="expected a square matrix"):
                 SpdMatrix(a)
         with pytest.raises(DomainError, match="matrix entries must be finite"):
             SpdMatrix([[1.0, math.nan], [math.nan, 1.0]])
 
-    @pytest.mark.parametrize("matrix, dtype", [
-        (True, "bool"),
-        ("4.0", "str96"),
-        (b"4.0", "bytes24"),
-        ([[4.0 + 0j]], "complex128"),
-        (np.array([[2.0, 0.5], [0.5, 1.0]], dtype=object), "object"),
+    @pytest.mark.parametrize("matrix, refusal", [
+        (True, ", got dtype bool"),
+        ("4.0", ", got dtype str96"),
+        (b"4.0", ", got dtype bytes24"),
+        ([[4.0 + 0j]], ", got dtype complex128"),
+        (np.array([[2.0, 0.5], [0.5, 1.0]], dtype=object), ", got dtype object"),
+        ([[1.0, 0.0], [0.0]], " in a rectangular array"),
         ([[4, 1], [1, 3]], None),
-    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
-    def test_entries_must_be_real_numbers(self, matrix, dtype):
+    ], ids=["bool", "str", "bytes", "complex", "object", "ragged", "int"])
+    def test_entries_must_be_real_numbers(self, matrix, refusal):
         # read by special._reals; integers build what their floats build
-        if dtype is None:
+        if refusal is None:
             assert _bits(SpdMatrix(matrix)) == _bits(SpdMatrix(np.asarray(matrix, dtype=float)))
             return
         with pytest.raises(DomainError, match=re.escape(
-                f"matrix entries must be real numbers, got dtype {dtype}")):
+                f"matrix entries must be real numbers{refusal}")):
             SpdMatrix(matrix)
 
     def test_scalar_input_is_1x1(self):
@@ -174,22 +177,82 @@ class TestSpecConstruction:
                 gaussian(loc, [[1.0]])
 
 
-    @pytest.mark.parametrize("location, dtype", [
-        ([True], "bool"),
-        (["1.5"], "str96"),
-        ([b"1.5"], "bytes24"),
-        ([1.5 + 0j], "complex128"),
-        (np.array([1.5], dtype=object), "object"),
+    @pytest.mark.parametrize("location, refusal", [
+        ([True], ", got dtype bool"),
+        (["1.5"], ", got dtype str96"),
+        ([b"1.5"], ", got dtype bytes24"),
+        ([1.5 + 0j], ", got dtype complex128"),
+        (np.array([1.5], dtype=object), ", got dtype object"),
+        ([[0.0], [0.0, 1.0]], " in a rectangular array"),
         (np.array([3], dtype=np.int32), None),
-    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
-    def test_location_must_be_real_numbers(self, location, dtype):
-        if dtype is None:
+    ], ids=["bool", "str", "bytes", "complex", "object", "ragged", "int"])
+    def test_location_must_be_real_numbers(self, location, refusal):
+        if refusal is None:
             loc = student(location, [[2.0]], 5.0).location
             assert loc.dtype == np.float64 and loc.tolist() == [3.0]
             return
         with pytest.raises(DomainError, match=re.escape(
-                f"location must be real numbers, got dtype {dtype}")):
+                f"location must be real numbers{refusal}")):
             student(location, [[2.0]], 5.0)
+
+
+# a family and a tail parameter as a caller may give them: the members,
+# a string and None; valid, infinite, NaN and out-of-domain parameters
+_FAMILIES = st.sampled_from([Family.STUDENT, Family.PEARSON2, Family.GAUSSIAN, "student", None])
+_PARAMS = (st.none()
+           | st.sampled_from([math.inf, -math.inf, math.nan, 2.0, math.nextafter(2.0, 3.0),
+                              0.0, 5e-324, -1.0, 1e300])
+           | st.floats(-10.0, 1e6))
+
+
+def _law(build):
+    """The (family, param) a construction gives, or DomainError."""
+    try:
+        spec = build()
+    except DomainError:
+        return DomainError
+    # a Gaussian holds no parameter, any other law a finite float
+    if spec.family is Family.GAUSSIAN:
+        assert spec.param is None
+    else:
+        assert spec.family in (Family.STUDENT, Family.PEARSON2)
+        assert type(spec.param) is float and math.isfinite(spec.param)
+    return spec.family, spec.param
+
+
+class TestOneRule:
+    @settings(max_examples=300)
+    @given(_FAMILIES, _PARAMS, st.integers(1, 3))
+    def test_every_way_to_build_a_law_applies_one_rule(self, family, param, m):
+        loc, scale = np.zeros(m), SpdMatrix.identity(m)
+        builds = [lambda: DistributionSpec(family, loc, scale, param),
+                  lambda: _standard_spec(family, param, m)]
+        if family is Family.STUDENT:
+            builds.append(lambda: student(loc, scale, param))
+        elif family is Family.PEARSON2:
+            builds.append(lambda: pearson2(loc, scale, param))
+        elif family is Family.GAUSSIAN and param is None:
+            builds.append(lambda: gaussian(loc, scale))
+        laws = {_law(build) for build in builds}
+        assert len(laws) == 1, laws
+        if laws == {DomainError}:
+            with pytest.raises(DomainError):
+                max_renyi_entropy(family, SpdMatrix.identity(m), param)
+
+    def test_string_family_does_not_reach_the_entropy_cache(self):
+        # a string once shared a member's cache key, so one call with it
+        # left the Pearson II constant under Student's key
+        _renyi_constant.cache_clear()
+        with pytest.raises(DomainError, match="family must be student or pearson2"):
+            renyi_entropy_closed_form(
+                DistributionSpec("student", np.zeros(1), SpdMatrix(np.eye(1)), 5.0), 0.9)
+        with pytest.raises(DomainError, match="family must be student or pearson2"):
+            max_renyi_entropy("student", SpdMatrix(np.eye(1)), 5.0)
+        got = renyi_entropy_closed_form(student(np.zeros(1), np.eye(1), 5.0), 0.9)
+        assert got.hex() == (1.6745318212803268).hex()
+
+    def test_family_is_not_its_string(self):
+        assert Family.STUDENT != "student" and Family("student") is Family.STUDENT
 
 
 class TestDensity:
@@ -217,6 +280,21 @@ class TestDensity:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             density(gaussian([0.0], [[1.0]]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("points, message", [
+        ([math.inf], "points must be finite"),
+        ([[0.0], [math.nan]], "points must be finite"),
+        ([True], "points must be real numbers, got dtype bool"),
+        ([[0.0], [0.0, 1.0]], "points must be real numbers in a rectangular array"),
+        (np.zeros((2, 2, 1)), "points have shape (2, 2, 1), not (1,) or (n, 1)"),
+        (0.0, "points have shape (), not (1,) or (n, 1)"),
+    ], ids=["inf", "nan", "bool", "ragged", "3d", "scalar"])
+    def test_points_are_an_m_vector_or_an_n_by_m_array(self, points, message):
+        # read by special._reals, so no non-finite point reaches the solve
+        for spec in (gaussian([0.0], [[1.0]]), student([0.0], [[1.0]], 5.0),
+                     pearson2([0.0], [[1.0]], 2.0)):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                log_density(spec, points)
 
     @pytest.mark.parametrize("spec", [
         student([0.0], [[1.0]], 3.0),

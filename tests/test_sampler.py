@@ -218,24 +218,25 @@ class TestSampleLaws:
         with pytest.raises(DomainError, match=r"an \(n, m\) matrix, got ndim=1"):
             Sample(np.zeros(3))
 
-    @pytest.mark.parametrize("points, dtype", [
-        ([[True], [False], [True]], "bool"),
-        ([["1.5"], ["2.5"]], "str96"),
-        ([[b"1.5"], [b"2.5"]], "bytes24"),
-        ([[1.5 + 0j], [2.5 + 1j]], "complex128"),
-        (np.array([[1.5], [2.5]], dtype=object), "object"),
+    @pytest.mark.parametrize("points, refusal", [
+        ([[True], [False], [True]], ", got dtype bool"),
+        ([["1.5"], ["2.5"]], ", got dtype str96"),
+        ([[b"1.5"], [b"2.5"]], ", got dtype bytes24"),
+        ([[1.5 + 0j], [2.5 + 1j]], ", got dtype complex128"),
+        (np.array([[1.5], [2.5]], dtype=object), ", got dtype object"),
+        ([[1.0], [1.0, 2.0]], " in a rectangular array"),
         (np.array([[1, -2], [3, 2**53 + 1]]), None),
-    ], ids=["bool", "str", "bytes", "complex", "object", "int"])
-    def test_points_must_be_real_numbers(self, points, dtype):
+    ], ids=["bool", "str", "bytes", "complex", "object", "ragged", "int"])
+    def test_points_must_be_real_numbers(self, points, refusal):
         # read by special._reals: integers give the floats
         # np.asarray(points, dtype=float) gives, any other kind is refused
-        if dtype is None:
+        if refusal is None:
             got = Sample(points).points
             want = np.asarray(points, dtype=float)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             return
         with pytest.raises(DomainError, match=re.escape(
-                f"sample points must be real numbers, got dtype {dtype}")):
+                f"sample points must be real numbers{refusal}")):
             Sample(points)
 
     @pytest.mark.parametrize("m, n", [(1, 2**23 + 1), (3, 2**23 // 3 + 1), (1, 2**30),
