@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +9,14 @@ from hypothesis import settings
 # max_examples on top of this profile.
 settings.register_profile("renyigof", derandomize=True, database=None, deadline=None)
 settings.load_profile("renyigof")
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name an enum member in a test id by its value, so a `Family`
+    member reads "student", as the command line's --family does."""
+    if isinstance(val, enum.Enum):
+        return str(val.value)
+    return None
 
 
 @pytest.fixture
