@@ -26,7 +26,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .special import _reals, ln_beta, ln_gamma
+from .special import _order, _real, _reals, ln_beta, ln_gamma
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _SYM_OVERFLOW = "matrix entries too large: (A + A')/2 is not finite"
@@ -140,6 +140,12 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim}, log_det={self.log_det:.6g})"
 
 
+def _spd(matrix) -> SpdMatrix:
+    """`matrix` itself if it is an SpdMatrix, else ``SpdMatrix(matrix)``:
+    the one reader of a scale or covariance argument."""
+    return matrix if isinstance(matrix, SpdMatrix) else SpdMatrix(matrix)
+
+
 @dataclass(frozen=True, eq=False)
 class DistributionSpec:
     """A member of one of the three elliptical families.
@@ -150,9 +156,11 @@ class DistributionSpec:
       is read by :func:`tail_family`, so `family` must be the member
       STUDENT (`param` nu) or PEARSON2 (`param` eta), +inf turns the
       spec into the Gaussian with `param` None, and a finite `param` is
-      stored as a float.  A string family, a Gaussian with a parameter
-      and a Student or Pearson II law without one raise DomainError.
-    - `scale`: an SpdMatrix, or anything :class:`SpdMatrix` accepts.
+      stored as the float :func:`special._real` reads.  A string
+      family, a Gaussian with a parameter and a Student or Pearson II
+      law without one raise DomainError.
+    - `scale`: an SpdMatrix, or anything :class:`SpdMatrix` accepts
+      (:func:`_spd`).
     - `location`: read by :func:`special._reals` as finite real numbers,
       of the scale's dimension.
 
@@ -169,12 +177,10 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         if self.family is not Family.GAUSSIAN or self.param is not None:
-            family = tail_family(self.family, self.param)
+            family, param = tail_family(self.family, self.param)
             object.__setattr__(self, "family", family)
-            object.__setattr__(self, "param", None if family is Family.GAUSSIAN
-                               else float(self.param))
-        if not isinstance(self.scale, SpdMatrix):
-            object.__setattr__(self, "scale", SpdMatrix(self.scale))
+            object.__setattr__(self, "param", None if family is Family.GAUSSIAN else param)
+        object.__setattr__(self, "scale", _spd(self.scale))
         loc = _reals("location", self.location).reshape(-1)
         if loc.shape[0] != self.scale.dim:
             raise DomainError(
@@ -217,22 +223,25 @@ def _standard_spec(family: Family, param: float, m: int) -> DistributionSpec:
     return DistributionSpec(family, np.zeros(m), SpdMatrix.identity(m), param)
 
 
-def tail_family(family: Family, param: float) -> Family:
-    """Family a tail parameter of `family` selects: GAUSSIAN for exactly
-    +inf, else `family`.  The one reader of a (family, param) pair:
-    `family` must be the member STUDENT or PEARSON2 (compared by
-    identity, so a string is refused), and the one domain rule is
-    Student nu > 2, Pearson II eta > 0.  Anything else, None, -inf and
-    NaN included, raises DomainError."""
+def tail_family(family: Family, param: float) -> tuple[Family, float]:
+    """The family a tail parameter of `family` selects, GAUSSIAN for
+    exactly +inf and else `family`, and the parameter as a float.  The
+    one reader of a (family, param) pair: `family` must be the member
+    STUDENT or PEARSON2 (compared by identity, so a string is refused),
+    `param` is read by :func:`special._real` (so a bool, a string, None
+    or NaN is refused as "Student nu" or "Pearson II eta"), and the one
+    domain rule is Student nu > 2, Pearson II eta > 0, which refuses
+    -inf.  Anything else raises DomainError."""
     if family is Family.STUDENT:
-        bound, rule = 2, "Student requires nu > 2"
+        name, bound, rule = "Student nu", 2, "Student requires nu > 2"
     elif family is Family.PEARSON2:
-        bound, rule = 0, "Pearson II requires eta > 0"
+        name, bound, rule = "Pearson II eta", 0, "Pearson II requires eta > 0"
     else:
         raise DomainError(f"family must be student or pearson2, got {family!r}")
-    if param is None or not param > bound:
+    param = _real(name, param)
+    if not param > bound:
         raise DomainError(f"{rule} or inf, got {param}")
-    return Family.GAUSSIAN if param == math.inf else family
+    return Family.GAUSSIAN if param == math.inf else family, param
 
 
 def _pearson_order(eta: float) -> float:
@@ -276,13 +285,17 @@ def log_density(spec: DistributionSpec, x) -> Union[float, np.ndarray]:
 
     `x` is read by :func:`special._reals` as finite real numbers, and
     any other shape raises DomainError.  Pearson II returns -inf
-    outside its ellipsoidal support.
+    outside its ellipsoidal support, and every family returns -inf at a
+    point whose offset from the location overflows the double range.
     """
     pts = _reals("points", x)
     single = pts.ndim == 1
     if pts.ndim not in (1, 2) or pts.shape[-1] != spec.dim:
         raise DomainError(f"points have shape {pts.shape}, not ({spec.dim},) or (n, {spec.dim})")
-    q = np.atleast_1d(spec.scale.mahalanobis_sq(pts - spec.location))
+    with np.errstate(over="ignore"):  # such a point is infinitely far: q = inf below
+        delta = np.atleast_2d(pts - spec.location)
+    far = ~np.isfinite(delta).all(axis=1)
+    q = np.where(far, np.inf, spec.scale.mahalanobis_sq(np.where(far[:, None], 0.0, delta)))
     m = spec.dim
     half_logdet = 0.5 * spec.scale.log_det
 
@@ -345,14 +358,14 @@ def _renyi_entropy(family: Family, m: int, log_det: float, param, q: float) -> f
 
 
 def renyi_entropy_closed_form(spec: DistributionSpec, q: float) -> float:
-    """Renyi entropy of finite order q > 0 in nats.
+    """Renyi entropy of finite order q > 0 in nats (q read by
+    :func:`special._order`).
 
     At q = 1 this is the Shannon entropy, which has a closed form here
     for the Gaussian only, log[(2 pi e)^{m/2} |Sigma|^{1/2}]; a Student
     or Pearson II spec at q = 1 raises DomainError.
     """
-    if not q > 0:
-        raise DomainError(f"Renyi order must be positive, got {q}")
+    q = _order(q)
     if q == 1.0 and spec.family is not Family.GAUSSIAN:
         raise DomainError("q = 1 (Shannon) has a closed form for the Gaussian only")
     return _renyi_entropy(spec.family, spec.dim, spec.scale.log_det, spec.param, q)
@@ -386,7 +399,8 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
         STUDENT interprets `param` as nu, PEARSON2 as eta; any other
         family raises DomainError (:func:`tail_family` reads the pair).
     constraint : SpdMatrix
-        Covariance constraint C.
+        Covariance constraint C: an SpdMatrix, or anything
+        :class:`SpdMatrix` accepts (:func:`_spd`).
     param : float
         nu > 2, eta > 0, or +inf for the Gaussian branch (see
         :func:`tail_family`).  An eta so small that q = 1 + 1/eta
@@ -398,8 +412,9 @@ def max_renyi_entropy(family: Family, constraint: SpdMatrix, param: float) -> Ma
     MaxEntropyResult
         (maximum entropy, maximising order q, rescaled scale matrix).
     """
+    constraint = _spd(constraint)
     m = constraint.dim
-    family = tail_family(family, param)
+    family, param = tail_family(family, param)
     if family is Family.GAUSSIAN:
         q, sigma = 1.0, constraint
     else:
@@ -436,8 +451,7 @@ def check_estimator_conditions(spec: DistributionSpec, q: float, mode: str) -> C
     raises DomainError.  The parameter stays only because the
     benchmark's direct call passes it, and goes with that call.
     """
-    if not q > 0:
-        raise DomainError(f"order q must be positive, got {q}")
+    q = _order(q)
     if mode != "L2":
         raise DomainError(f"mode must be 'L2', got {mode!r}")
     if q >= 1.0:

@@ -25,10 +25,12 @@ import numpy as np
 from .distributions import (
     Family,
     SpdMatrix,
+    _spd,
     _standard_spec,
     check_estimator_conditions,
     check_pearson_k,
     max_renyi_entropy,
+    tail_family,
 )
 from .errors import DomainError
 from .knn import renyi_estimate, shannon_estimate
@@ -83,32 +85,33 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
     """W = H_q^max(S) - H_hat_{N,k,q} for the null "sample ~ family(null_param)".
 
     S, the covariance constraint of the maximum, is `constraint` when
-    given (an independent draw's covariance, say) and the sample's own
+    given (an independent draw's covariance, say: an SpdMatrix or
+    anything :class:`SpdMatrix` accepts) and the sample's own
     :func:`sample_covariance` otherwise.  `family` is the member
     Family.STUDENT or Family.PEARSON2; any other value, a string such as
     "student" included, raises DomainError.  Student nu0 > 2 gives
     q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives q = 1 + 1/eta0
     (which needs k > 1/eta0), both with the Renyi estimate; +inf gives
-    the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  Any
-    other null parameter, -inf and NaN included, raises DomainError, and
-    so does a k that is not an integer >= 1 (read first, by
+    the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  The
+    pair is read by :func:`distributions.tail_family`, so any other null
+    parameter, a bool, -inf and NaN included, raises DomainError, and so
+    does a k that is not an integer >= 1 (read first, by
     :func:`special._integer`).
     """
     k = _integer("k", k, 1)
     m = sample.dim
-    null_spec = _standard_spec(family, null_param, m)
-    if null_spec.family is Family.PEARSON2:
+    null_family, null_param = tail_family(family, null_param)  # a float for the cache below
+    if null_family is Family.PEARSON2:
         check_pearson_k(k, null_param)
-    if constraint is None:
-        _, constraint = sample_covariance(sample)
-    elif constraint.dim != m:
+    constraint = sample_covariance(sample)[1] if constraint is None else _spd(constraint)
+    if constraint.dim != m:
         raise DomainError(f"constraint has dimension {constraint.dim}, sample has {m}")
     h_max, q, _ = max_renyi_entropy(family, constraint, null_param)
     h_hat = (shannon_estimate(sample, k) if q == 1.0 else renyi_estimate(sample, k, q)).value
     # the L2 condition: its moment side, and for q > 1 its k side
-    l2_ok = (bool(check_estimator_conditions(null_spec, q, "L2"))
+    l2_ok = (bool(check_estimator_conditions(_standard_spec(family, null_param, m), q, "L2"))
              and (q <= 1.0 or q < (k + 1) / 2.0))
-    return GofStatistic(h_max - h_hat, h_max, h_hat, null_spec.family, q, l2_ok)
+    return GofStatistic(h_max - h_hat, h_max, h_hat, null_family, q, l2_ok)
 
 
 def student_statistic(sample: Sample, nu0: float, k: int) -> GofStatistic:

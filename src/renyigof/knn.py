@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicatePointsError
 from .sampler import Sample
-from .special import _integer, _log_unit_ball_volume, digamma, ln_gamma
+from .special import _integer, _log_unit_ball_volume, _order, digamma, ln_gamma
 
 _BRUTE_BLOCK = 256
 
@@ -270,11 +270,8 @@ def _log_g_const(n: int, dim: int, k: int, q: float) -> float:
 def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
     """log G, with G the estimate of the integral of f^q: the sample mean
     of zeta_i^{1-q}, where zeta_i = (N-1) C_k V_m rho_{k,i}^m and
-    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}.  Requires k > q - 1."""
-    if q == 1.0:
-        raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
-    if not q > 0:
-        raise DomainError(f"order q must be positive, got {q}")
+    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}.  Requires k > q - 1, and a
+    float q > 0 other than 1 (:func:`renyi_estimate` reads it)."""
     k = _integer("k", k, 1, dists.k_max + 1)
     if not k > q - 1.0:
         raise DomainError(f"estimator requires k > q - 1, got k = {k}, q = {q}")
@@ -294,7 +291,11 @@ def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
 
 
 def renyi_estimate(sample: Sample, k: int, q: float) -> EntropyEstimate:
-    """Nearest-neighbour Renyi entropy estimate log(G)/(1-q) at order q != 1."""
+    """Nearest-neighbour Renyi entropy estimate log(G)/(1-q) at order q,
+    q > 0 other than 1, read by :func:`special._order`."""
+    q = _order(q)
+    if q == 1.0:
+        raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
     dists = knn_distances(sample, k)
     return EntropyEstimate(_log_g(dists, sample.dim, k, q) / (1.0 - q))
 

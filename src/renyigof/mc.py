@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import _MAX_COORDINATES, RngStream, read_table, sample, write_table
-from .special import _integer
+from .special import _integer, _real, _reals
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
@@ -82,15 +82,15 @@ def parse_param(value) -> float:
     """A tail parameter from a number or the string "inf" ("infinity").
 
     The one parser for tail parameters in configs and on the command
-    line.  Raises ValueError for anything else, NaN and -inf included.
+    line: a string is turned into a number by float(), and the number is
+    read by :func:`special._real`.  Raises ValueError for anything else,
+    NaN and -inf included.
     """
-    x = math.nan
-    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (ValueError, OverflowError):
-            pass
-    if math.isnan(x) or x == -math.inf:
+    try:
+        x = _real("tail parameter", float(value) if isinstance(value, str) else value)
+    except ValueError:  # a string float() refuses, or special._real's DomainError
+        x = -math.inf
+    if x == -math.inf:
         raise ValueError(f"expected a number or 'inf', got {value!r}")
     return x
 
@@ -101,12 +101,6 @@ def _whole(what: str, value, least: int, below: int | None = None) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     return _integer(what, value, least, below)
-
-
-def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
 
 
 def _list_of(parse):
@@ -135,9 +129,9 @@ _CONFIG_FIELDS = {
     "n_grid": _list_of(lambda v: _whole("each n_grid entry", v, 1, 2**31)),
     "k": lambda v: _whole("k", v, 1),
     "replicates": lambda v: _whole("replicates", v, 2, 2**32),
-    "alpha_levels": _list_of(_real),
+    "alpha_levels": _list_of(lambda v: _real("each alpha_levels entry", v)),
     "master_seed": lambda v: _whole("master_seed", v, 0, 2**64),
-    "max_failure_rate": _real,
+    "max_failure_rate": lambda v: _real("max_failure_rate", v),
     "include_replicates": _boolean,
     "covariance_mode": str,
 }
@@ -150,7 +144,7 @@ def _check(values: dict) -> tuple[dict, list[str]]:
     for key, value in values.items():
         try:
             parsed[key] = _CONFIG_FIELDS[key](value)
-        except ValueError as exc:  # a DomainError, from an integer field, names it
+        except ValueError as exc:  # a DomainError, from a number field, names it
             problems.append(str(exc) if isinstance(exc, DomainError) else f"{key}: {exc}")
     return parsed, problems + _rule_problems(parsed)
 
@@ -168,7 +162,7 @@ def _rule_problems(v: dict) -> list[str]:
         for name in ("true_param", "null_param"):
             if name in v:
                 try:
-                    tails[name] = tail_family(family, v[name])
+                    tails[name] = tail_family(family, v[name])[0]
                 except DomainError as exc:
                     problems.append(f"{name}: {exc}")
         if tails.get("null_param") is Family.PEARSON2 and "k" in v:
@@ -238,15 +232,18 @@ class ExperimentConfig:
 
     The integer fields are read by :func:`special._integer`, so a numpy
     integer is its value, with one JSON allowance: an integral float
-    (3.0) counts as its integer.  `dim` and `k` are at least 1,
+    (3.0) counts as its integer.  The real fields, `alpha_levels`
+    entries and `max_failure_rate`, are read by :func:`special._real`,
+    and the tail parameters by :func:`parse_param`, so a numpy scalar
+    there is its value too.  `dim` and `k` are at least 1,
     `replicates` lies in [2, 2**32), each `n_grid` entry in [1, 2**31)
     and `master_seed` in [0, 2**64); a bool, a string or a fractional
     number is no integer.  Two limits bound the work: at most
     :data:`_MAX_REPLICATES` replicates in all (len(n_grid) * replicates),
     and at most :data:`sampler._MAX_COORDINATES` coordinates (N * dim)
     per draw.  Every construction parses the fields, so a
-    config built from numpy integers equals, and hashes as, the one
-    built from Python ints.
+    config built from numpy scalars equals, and hashes as, the one
+    built from Python numbers.
     """
 
     family: Family
@@ -435,16 +432,26 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     return McResult(config=config, per_n=tuple(per_n))
 
 
+def _values(values, least: int) -> np.ndarray:
+    """Replicate values as a float64 array: the one reader of the
+    summary helpers' values, by :func:`special._reals` (finite real
+    numbers), then one size rule, a 1-d array of at least `least`."""
+    vals = _reals("values", values)
+    if vals.ndim != 1 or vals.size < least:
+        raise DomainError(f"values need shape (M,) with M >= {least}, got {vals.shape}")
+    return vals
+
+
 def empirical_quantile(values: Sequence[float], alpha: float) -> float:
     """Upper-tail critical value: the empirical (1-alpha) quantile.
 
     Uses order statistics with linear interpolation at index
-    h = (M-1)(1-alpha) + 1 (one-based).
+    h = (M-1)(1-alpha) + 1 (one-based).  `values` are read by
+    :func:`_values`, and `alpha` by :func:`special._real`.
     """
-    vals = np.sort(np.asarray(values, dtype=float))
+    vals = np.sort(_values(values, 2))
     m_rep = vals.size
-    if m_rep < 2:
-        raise DomainError(f"need at least 2 values, got {m_rep}")
+    alpha = _real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     h = (m_rep - 1) * (1.0 - alpha) + 1.0
@@ -455,11 +462,10 @@ def empirical_quantile(values: Sequence[float], alpha: float) -> float:
 
 
 def estimate_power(values: Sequence[float], critical_value: float) -> float:
-    """Proportion of values strictly exceeding the critical value."""
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 1:
-        raise DomainError("need at least 1 value")
-    return float(np.mean(vals > critical_value))
+    """Proportion of values strictly exceeding the critical value: the
+    values read by :func:`_values`, the critical value, which may be
+    +-inf, by :func:`special._real`."""
+    return float(np.mean(_values(values, 1) > _real("critical value", critical_value)))
 
 
 @dataclass(frozen=True)
@@ -475,14 +481,17 @@ class RateFit:
 def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
     """Convergence-rate estimate from (N, replicate mean) pairs.
 
-    Pairs with non-positive mean are excluded (and reported in the
-    result) rather than folded in via absolute values: sign flips occur
-    where the statistic has essentially converged and carry no rate
-    information.  At least 3 usable pairs with distinct N are required.
+    Each N is read by :func:`special._integer` (N >= 1) and each mean by
+    :func:`special._real`.  Pairs whose mean is not positive and finite
+    are excluded (and reported in the result) rather than folded in via
+    absolute values: sign flips occur where the statistic has
+    essentially converged and carry no rate information, and an
+    infinite mean has no logarithm to fit.  At least 3 usable pairs
+    with distinct N are required.
     """
-    pairs = list(pairs)
-    usable = [(n, w) for n, w in pairs if w > 0]
-    excluded = tuple((n, w) for n, w in pairs if not w > 0)
+    pairs = [(_integer("N", n, 1), _real("mean", w)) for n, w in pairs]
+    usable = [(n, w) for n, w in pairs if 0 < w < math.inf]
+    excluded = tuple((n, w) for n, w in pairs if not 0 < w < math.inf)
     distinct = len({n for n, _ in usable})
     if distinct < 3:
         raise DomainError(
@@ -492,8 +501,7 @@ def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
     # loaded on first use, not by every process: it imports fractions and decimal
     from statistics import linear_regression
 
-    x = np.log([float(n) for n, _ in usable])
-    y = np.log([w for _, w in usable])
+    x, y = np.log(np.array(usable, dtype=float).T)  # log N, log mean
     # least squares of log w on log N, from fsum means and cross-products
     b, log_a = linear_regression(x.tolist(), y.tolist())
     residual = y - (log_a + b * x)
@@ -505,22 +513,19 @@ def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
 
 
 def summarize(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and standard error s/sqrt(M) with the unbiased divisor."""
-    vals = np.asarray(values, dtype=float)
+    """Mean and standard error s/sqrt(M) with the unbiased divisor, of
+    the values read by :func:`_values`."""
+    vals = _values(values, 2)
     m_rep = vals.size
-    if m_rep < 2:
-        raise DomainError(f"need at least 2 values, got {m_rep}")
     mean = math.fsum(vals) / m_rep
     var = math.fsum((vals - mean) * (vals - mean)) / (m_rep - 1)
     return mean, math.sqrt(var / m_rep)
 
 
 def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, counts) with Freedman-Diaconis bin width."""
-    vals = np.asarray(values, dtype=float)
-    if vals.size < 2:
-        raise DomainError(f"need at least 2 values, got {vals.size}")
-    counts, edges = np.histogram(vals, bins="fd")
+    """(edges, counts) with Freedman-Diaconis bin width, of the values
+    read by :func:`_values`."""
+    counts, edges = np.histogram(_values(values, 2), bins="fd")
     return edges, counts
 
 

@@ -30,13 +30,17 @@ it.  An integer is any value `operator.index` takes (Python and numpy
 integers) but bool and np.bool_, and it must lie in the reader's
 bounds; anything else raises one DomainError, "<what> must be an
 integer >= <least>" (or "in [<least>, <below>)"), "got <value>", where
-an int too long for `repr` is named by its bit length.  A float is
+an int past the double range is named by its bit length.  A float is
 never an integer here, not even 3.0: the config parsers alone add that
 an integral JSON float counts as its integer.
 
-Beside it, `_reals` is the one reader of real-valued input (sample
-points, a location, matrix entries): an array of integers or floats,
-returned as float64, every entry finite.
+Beside it, `_real` is the one reader of a real number (a tail
+parameter, a Renyi order, a level, a critical value): a Python or numpy
+integer or float, or a 0-d array of one, but not a bool, returned as a
+float that is not NaN (`_order` adds q > 0 for a Renyi order).
+`_reals` is the one reader of real-valued arrays (sample points, a
+location, matrix entries, replicate values): an array of integers or
+floats, returned as float64, every entry finite.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ def _integer(what: str, value, least: int, below: int | None = None) -> int:
     integers), but bool and np.bool_; anything else, a float or a string
     with an integral value included, raises DomainError, "<what> must be
     an integer >= <least>" (or "in [<least>, <below>)"), "got <value>",
-    or "got a <b>-bit integer" for an int past Python's digit limit."""
+    or "got a <b>-bit integer" for an int past the double range."""
     try:
         n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
@@ -183,11 +187,34 @@ def _integer(what: str, value, least: int, below: int | None = None) -> int:
     if n is not None and least <= n and (below is None or n < below):
         return n
     span = f">= {least}" if below is None else f"in [{least}, {_shown(below)})"
+    raise DomainError(f"{what} must be an integer {span}, got {_got(value)}")
+
+
+def _real(what: str, value) -> float:
+    """`value` as a float: the one reader of a real-number argument, flag
+    and config field.  A Python or numpy integer or float counts, and so
+    does a 0-d array of one, but bool and np.bool_ do not; +-inf passes,
+    for the caller's own domain rule.  Anything else, NaN, a string,
+    complex, None and a sequence included, raises DomainError, "<what>
+    must be a real number, got <value>", and so does an int past the
+    double range, named by its bit length."""
+    v = value[()] if isinstance(value, np.ndarray) else value  # a 0-d array gives its scalar
     try:
-        got = repr(value)
-    except ValueError:  # an int past Python's limit on the digits of a str
-        got = f"a {n.bit_length()}-bit integer"
-    raise DomainError(f"{what} must be an integer {span}, got {got}")
+        x = float(v) if isinstance(v, (int, float, np.integer, np.floating)) else math.nan
+    except OverflowError:  # an int past the double range
+        x = math.nan
+    if isinstance(v, bool) or math.isnan(x):
+        raise DomainError(f"{what} must be a real number, got {_got(value)}")
+    return x
+
+
+def _order(q) -> float:
+    """A Renyi order: a real number (:func:`_real`) q > 0, +inf included;
+    anything else raises DomainError, "order q must be ..."."""
+    q = _real("order q", q)
+    if not q > 0:
+        raise DomainError(f"order q must be positive, got {q}")
+    return q
 
 
 def _reals(what: str, value) -> np.ndarray:
@@ -211,6 +238,13 @@ def _reals(what: str, value) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError(f"{what} must be finite")
     return a
+
+
+def _got(value) -> str:
+    # a value in a message: an int past the double range by its bit length
+    # (its repr may pass Python's limit on the digits of a str), else its repr
+    big = isinstance(value, int) and value.bit_length() > 1024
+    return f"a {value.bit_length()}-bit integer" if big else repr(value)
 
 
 def _shown(bound: int) -> str:

@@ -296,6 +296,24 @@ class TestDensity:
             with pytest.raises(DomainError, match=re.escape(message)):
                 log_density(spec, points)
 
+    @pytest.mark.parametrize("family, param", [(Family.GAUSSIAN, None), (Family.STUDENT, 5.0),
+                                               (Family.PEARSON2, 2.0)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_offset_past_the_double_range_has_density_zero(self, family, param, m):
+        # a finite point minus a finite location overflows: the point is
+        # infinitely far, so the density is 0, with no warning (an error here)
+        location = np.zeros(m)
+        location[0] = -1e308
+        spec = DistributionSpec(family, location, np.eye(m), param)
+        far = np.zeros(m)
+        far[0] = 1e308
+        assert log_density(spec, far) == -math.inf
+        assert density(spec, far) == 0.0
+        # in a batch, only the far point's row is -inf
+        batch = log_density(spec, np.stack([far, location]))
+        assert batch[0] == -math.inf
+        assert batch[1] == log_density(spec, location) > -math.inf
+
     @pytest.mark.parametrize("spec", [
         student([0.0], [[1.0]], 3.0),
         student([0.0], [[1.0]], 5.0),
@@ -336,9 +354,12 @@ class TestRenyiClosedForm:
         assert renyi_entropy_closed_form(spec, 1.0) == pytest.approx(expected, rel=1e-15)
 
     def test_order_must_be_positive(self):
-        for q in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError, match="Renyi order must be positive"):
+        # read by special._order: a real number, then q > 0
+        for q in (0.0, -1.0):
+            with pytest.raises(DomainError, match="order q must be positive"):
                 renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), q)
+        with pytest.raises(DomainError, match="order q must be a real number, got nan"):
+            renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), math.nan)
 
     def test_shannon_path_gaussian_only(self):
         for spec in (student([0.0], [[1.0]], 5.0), pearson2([0.0], [[1.0]], 2.0)):
@@ -564,9 +585,11 @@ class TestMomentConditions:
         assert check.reason == "q <= 1/2"
 
     def test_order_must_be_positive(self):
-        for q in (0.0, -0.5, math.nan):
+        for q in (0.0, -0.5):
             with pytest.raises(DomainError, match="order q must be positive"):
                 check_estimator_conditions(gaussian([0.0], [[1.0]]), q, "L2")
+        with pytest.raises(DomainError, match="order q must be a real number, got nan"):
+            check_estimator_conditions(gaussian([0.0], [[1.0]]), math.nan, "L2")
 
     def test_q_above_one_defers_to_k(self):
         spec = pearson2([0.0], [[1.0]], 2.0)

@@ -237,6 +237,26 @@ class TestStatistic:
         for k in (1, 2, 5):
             assert statistic(s, family, param, k).l2_ok is ok
 
+    def test_constraint_read_like_a_scale(self, rng):
+        # an SpdMatrix, or anything SpdMatrix accepts, as DistributionSpec
+        # reads its scale: the same W and the same maximum either way
+        s = Sample(rng.standard_normal((50, 1)))
+        for family, null_param in _BRANCHES:
+            spd = SpdMatrix(np.eye(1) * 2.0)
+            for constraint in (np.eye(1) * 2.0, [[2.0]], [[2]]):
+                assert (statistic(s, family, null_param, 3, constraint=constraint)
+                        == statistic(s, family, null_param, 3, constraint=spd))
+                got = max_renyi_entropy(family, constraint, null_param)
+                want = max_renyi_entropy(family, spd, null_param)
+                assert (got.h_max, got.q) == (want.h_max, want.q)
+                np.testing.assert_array_equal(got.scale.matrix, want.scale.matrix)
+        for bad, message in (([["2"]], "matrix entries must be real numbers"),
+                             ([[math.nan]], "matrix entries must be finite")):
+            with pytest.raises(DomainError, match=message):
+                statistic(s, Family.STUDENT, 7.0, 3, constraint=bad)
+            with pytest.raises(DomainError, match=message):
+                max_renyi_entropy(Family.STUDENT, bad, 7.0)
+
     def test_constraint_dimension_checked(self, rng):
         s = Sample(rng.standard_normal((50, 2)))
         with pytest.raises(DomainError, match="dimension"):

@@ -121,6 +121,13 @@ class TestRateFit:
         assert fit.excluded == ((800, -0.01), (1600, 0.0))
         assert fit.b == pytest.approx(-1.0, abs=1e-12)
 
+    def test_infinite_means_excluded_and_reported(self):
+        # log(inf) has nothing to fit; both infinities are reported
+        pairs = [(100, 1.0), (200, math.inf), (400, 0.25), (800, 0.125), (1600, -math.inf)]
+        fit = fit_convergence_rate(pairs)
+        assert fit.excluded == ((200, math.inf), (1600, -math.inf))
+        assert fit.b == pytest.approx(-1.0, abs=1e-12)
+
     def test_too_few_usable(self):
         with pytest.raises(DomainError):
             fit_convergence_rate([(100, 1.0), (200, 0.5), (400, -1.0)])
@@ -245,7 +252,9 @@ class TestConfig:
                      id="dim-value8-dim: must be an integer, got [1]"),
         pytest.param("master_seed", 4.2, "master_seed must be an integer",
                      id="master_seed-4.2-master_seed: must be an integer"),
-        ("alpha_levels", ["0.05"], "alpha_levels: must be a number"),
+        pytest.param("alpha_levels", ["0.05"],
+                     "each alpha_levels entry must be a real number, got '0.05'",
+                     id="alpha_levels-value10-alpha_levels: must be a number"),
         ("null_param", "nan", "null_param: expected a number or 'inf'"),
         pytest.param("n_grid", (100.7,),
                      "each n_grid entry must be an integer in [1, 2**31), got 100.7",
@@ -408,16 +417,27 @@ class TestConfig:
         assert _config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_numpy_integers_accepted(self):
-        # every integer field is read by special._integer: a numpy integer
-        # is its value, in the config, its JSON form and its hash
+        # every integer field is read by special._integer, and every real
+        # one by special._real (the tail parameters through parse_param): a
+        # numpy scalar in any numeric field is its value, in the config, its
+        # JSON form and its hash
+        python = _config(alpha_levels=(0.25, 0.5), max_failure_rate=0.25, null_param=7.0)
         numpy = _config(dim=np.int64(1), k=np.int32(3), replicates=np.uint8(10),
-                        master_seed=np.uint64(42), n_grid=[np.int64(100), np.uint16(200)])
-        assert numpy == _config()
-        assert numpy.config_hash() == _config().config_hash()
+                        master_seed=np.uint64(42), n_grid=[np.int64(100), np.uint16(200)],
+                        true_param=np.int64(5), null_param=np.float64(7.0),
+                        alpha_levels=[np.float32(0.25), np.float64(0.5)],
+                        max_failure_rate=np.float32(0.25))
+        assert numpy == python
+        assert hash(numpy) == hash(python)
+        assert numpy.canonical_json() == python.canonical_json()
+        assert numpy.config_hash() == python.config_hash()
         assert all(type(v) is int for v in (numpy.dim, numpy.k, numpy.replicates,
                                             numpy.master_seed, *numpy.n_grid))
+        assert all(type(v) is float for v in (numpy.true_param, numpy.null_param,
+                                              numpy.max_failure_rate, *numpy.alpha_levels))
         big = _config(master_seed=np.uint64(2**64 - 1))
         assert big == _config(master_seed=2**64 - 1)
+        assert _config(true_param=np.float64(5.0), null_param=np.int32(5)) == _config()
 
     @pytest.mark.parametrize("value", [np.float32(3.0), np.float64(3.5), True, "3"],
                              ids=["float32", "fraction", "bool", "str"])
@@ -728,7 +748,8 @@ class TestOutputs:
         np.testing.assert_array_equal(counts, expected_counts)
 
     def test_histogram_bins_needs_two_values(self):
-        with pytest.raises(DomainError, match="need at least 2 values, got 1"):
+        with pytest.raises(DomainError, match=re.escape("values need shape (M,) with M >= 2, "
+                                                        "got (1,)")):
             histogram_bins([1.0])
 
     def test_values_at_an_absent_size(self):

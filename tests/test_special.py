@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 from pathlib import Path
@@ -6,14 +7,27 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as scipy_special
 
-from renyigof.errors import DomainError
-from renyigof import special
+from renyigof.distributions import (
+    DistributionSpec,
+    Family,
+    check_estimator_conditions,
+    max_renyi_entropy,
+    pearson2,
+    renyi_entropy_closed_form,
+    student,
+)
+from renyigof.errors import DomainError, ExperimentError
+from renyigof.gof import statistic
+from renyigof.knn import renyi_estimate
+from renyigof import mc, special
+from renyigof.sampler import Sample
 from renyigof.special import (
     _integer,
+    _real,
     _log_unit_ball_volume,
     digamma,
     ln_beta,
@@ -293,7 +307,8 @@ def test_integer_rejects_every_other_type(value):
     (2**64, 0, 2**64, "k must be an integer in [0, 2**64), got 18446744073709551616"),
     (2**31, 1, 2**31, "k must be an integer in [1, 2**31), got 2147483648"),
     (70000, 1, 70000, "k must be an integer in [1, 70000), got 70000"),
-    # past Python's digit limit repr raises, so the bit length is shown
+    # an int past the double range (here also past Python's digit limit,
+    # where repr raises) is shown by its bit length
     pytest.param(10**5000, 0, 2**64, "k must be an integer in [0, 2**64), got a 16610-bit integer",
                  id="10**5000"),
     pytest.param(-(10**5000), 0, None, "k must be an integer >= 0, got a 16610-bit integer",
@@ -317,3 +332,160 @@ def test_only_special_reads_integers():
     readers = sorted(name for name, text in sources.items()
                      if "operator.index" in text or "__index__" in text)
     assert readers == ["special.py"]
+
+
+# -- the real-number rule ----------------------------------------------------
+
+_SAMPLE = Sample(np.random.default_rng(7).standard_normal((40, 1)))
+_VALUES = np.random.default_rng(8).standard_normal(30)
+
+
+def _config(**overrides):
+    return mc.ExperimentConfig(**{**dict(family=Family.STUDENT, true_param=5.0, null_param=5.0,
+                                         dim=1, n_grid=(100,), k=3, replicates=10), **overrides})
+
+
+def _law(spec):
+    return spec.family, spec.param
+
+
+# each real-number parameter: how to pass it a value, and the start of
+# the message that refuses a value that is no real number.  The tail
+# parameters of configs and the command line go through parse_param,
+# which also takes text and refuses -inf.
+_REAL_SITES = {
+    "student nu": (lambda v: _law(student([0.0], [[1.0]], v)), "Student nu"),
+    "pearson2 eta": (lambda v: _law(pearson2([0.0], [[1.0]], v)), "Pearson II eta"),
+    "DistributionSpec param": (
+        lambda v: _law(DistributionSpec(Family.PEARSON2, [0.0], [[1.0]], v)), "Pearson II eta"),
+    "max_renyi_entropy param": (
+        lambda v: max_renyi_entropy(Family.STUDENT, [[2.0]], v)[:2], "Student nu"),
+    "statistic Student null_param": (
+        lambda v: statistic(_SAMPLE, Family.STUDENT, v, 3), "Student nu"),
+    "statistic Pearson II null_param": (
+        lambda v: statistic(_SAMPLE, Family.PEARSON2, v, 3), "Pearson II eta"),
+    "renyi_entropy_closed_form q": (
+        lambda v: renyi_entropy_closed_form(student([0.0], [[1.0]], 7.0), v), "order q"),
+    "check_estimator_conditions q": (
+        lambda v: check_estimator_conditions(student([0.0], [[1.0]], 7.0), v, "L2"), "order q"),
+    "renyi_estimate q": (lambda v: renyi_estimate(_SAMPLE, 3, v), "order q"),
+    "empirical_quantile alpha": (lambda v: mc.empirical_quantile(_VALUES, v), "alpha"),
+    "estimate_power critical value": (
+        lambda v: mc.estimate_power(_VALUES, v), "critical value"),
+    "fit_convergence_rate mean": (
+        lambda v: mc.fit_convergence_rate([(100, v), (200, 0.5), (400, 0.25)]), "mean"),
+    "config alpha_levels entry": (
+        lambda v: _config(alpha_levels=(0.05, v)), "each alpha_levels entry"),
+    "config max_failure_rate": (lambda v: _config(max_failure_rate=v), "max_failure_rate"),
+    "config true_param": (lambda v: _config(true_param=v), "true_param: expected a number"),
+    "config null_param": (lambda v: _config(null_param=v), "null_param: expected a number"),
+    "parse_param": (mc.parse_param, "expected a number"),
+}
+_PARSED = {"config true_param", "config null_param", "parse_param"}
+
+# an int, a float, a numpy scalar or a 0-d array of one, +-inf included
+_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).flatmap(
+        lambda n: st.sampled_from([n, np.int64(n), np.int32(n), np.array(n)])),
+    st.integers(2**63, 2**1000),
+    st.floats(-1e6, 1e6).flatmap(
+        lambda x: st.sampled_from([x, np.float64(x), np.float32(x), np.array(x),
+                                   np.array(x, dtype=np.float32)])),
+    st.sampled_from([math.inf, -math.inf, np.float64(math.inf), np.array(-math.inf)]),
+)
+
+# everything else: bools, text, complex, None, sequences, NaN in each
+# form, and ints past the double range
+_NOT_REAL = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_, np.array(True), None, np.complex128(5.0),
+                     np.array([5.0, 6.0]), np.zeros(1), math.nan, np.float64(math.nan),
+                     np.float32(math.nan), np.array(math.nan), 2**1024 - 1, 10**400]),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False),
+    st.lists(st.floats(-1e6, 1e6), max_size=2),
+    st.integers(2**1024, 2**1100).map(lambda n: -n),
+)
+
+
+def _outcome(read, value):
+    # a result, or the error it raises and its message
+    try:
+        return read(value)
+    except (ValueError, ExperimentError) as exc:  # DomainError is a ValueError
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(_REAL_SITES)), _NUMBERS)
+def test_a_real_number_reads_as_its_float(site, value):
+    # special._real: an int, float, numpy scalar or 0-d array gives what
+    # its float gives, result or error (parse_param refuses -inf naming
+    # the value as given, so -inf is left out there)
+    assume(site not in _PARSED or float(value) != -math.inf)
+    read, _ = _REAL_SITES[site]
+    assert _outcome(read, value) == _outcome(read, float(value))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(_REAL_SITES)), _NOT_REAL)
+def test_anything_else_is_refused_naming_the_parameter(site, value):
+    read, name = _REAL_SITES[site]
+    if site in _PARSED:
+        assume(not isinstance(value, str))  # text is what parse_param parses
+        error = ExperimentError if site.startswith("config") else ValueError
+        message = f"{name} or 'inf', got "
+    else:
+        error = ExperimentError if site.startswith("config") else DomainError
+        message = f"{name} must be a real number, got "
+    with pytest.raises(error) as excinfo:
+        read(value)
+    assert message in str(excinfo.value)
+    if error is DomainError and isinstance(value, int) and value.bit_length() > 1024:
+        assert str(excinfo.value).endswith(f"got a {value.bit_length()}-bit integer")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pearson2([0.0], [[1.0]], True), "Pearson II eta must be a real number, got True"),
+    (lambda: statistic(_SAMPLE, Family.PEARSON2, True, 3),
+     "Pearson II eta must be a real number, got True"),
+    (lambda: renyi_estimate(_SAMPLE, 3, "0.5"), "order q must be a real number, got '0.5'"),
+    (lambda: statistic(_SAMPLE, Family.STUDENT, [5.0], 3),
+     "Student nu must be a real number, got [5.0]"),
+    (lambda: mc.estimate_power(_VALUES, math.nan), "critical value must be a real number, got nan"),
+    (lambda: mc.summarize([1, math.inf]), "values must be finite"),
+    (lambda: mc.histogram_bins(["1", "2"]), "values must be real numbers, got dtype str"),
+    (lambda: mc.fit_convergence_rate([("100", 1.0), (200, 0.5), (400, 0.25)]),
+     "N must be an integer >= 1, got '100'"),
+    (lambda: mc.summarize([[1.0, 2.0]]), "values need shape (M,) with M >= 2, got (1, 2)"),
+], ids=["pearson2-bool", "statistic-bool", "renyi_estimate-str", "statistic-list",
+        "estimate_power-nan", "summarize-inf", "histogram_bins-str", "rate-str-N",
+        "summarize-2d"])
+def test_calls_that_once_passed_or_raised_another_error(call, message):
+    # each once built a law, gave a number or raised a TypeError
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("value, expected", [
+    (5, 5.0), (-3, -3.0), (2.5, 2.5), (np.int64(7), 7.0), (np.uint64(2**64 - 1), 2.0**64),
+    (np.float32(0.1), float(np.float32(0.1))), (np.array(2.0), 2.0), (np.array(4), 4.0),
+    (math.inf, math.inf), (-math.inf, -math.inf), (2**1023, 2.0**1023),
+], ids=["int", "negative int", "float", "np.int64", "np.uint64", "np.float32", "0-d float array",
+        "0-d int array", "inf", "-inf", "2**1023"])
+def test_real_reads_numbers(value, expected):
+    x = _real("x", value)
+    assert type(x) is float and x == expected
+
+
+@pytest.mark.parametrize("value, shown", [
+    (True, "True"), (np.False_, "np.False_"), ("1", "'1'"), (1j, "1j"), (None, "None"),
+    ([1.0], "[1.0]"), (np.array([1.0, 2.0]), "array([1., 2.])"), (math.nan, "nan"),
+    (2**1024, "a 1025-bit integer"), (-(10**5000), "a 16610-bit integer"),
+], ids=["bool", "np.bool_", "str", "complex", "None", "list", "array", "nan", "2**1024",
+        "-10**5000"])
+def test_real_refuses_everything_else(value, shown):
+    with pytest.raises(DomainError) as excinfo:
+        _real("x", value)
+    assert str(excinfo.value) == f"x must be a real number, got {shown}"
