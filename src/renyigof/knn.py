@@ -29,12 +29,14 @@ point coincides with another, and it raises with the list of those
 points, so the report grows with N, not with the number of coincident
 pairs.
 
-The estimators reduce N terms with :func:`_exact_sum`, a correctly
-rounded sum, so an estimate does not depend on the order of the points.
-They read one column of distances through :meth:`KnnDistances.column`,
-which promises no row order, and never ask for point order: the sorted
-kernel returns its rows in ascending-x order, and only
-:attr:`KnnDistances.rho` puts them back in point order, on first access.
+Every kernel returns one layout, the one the estimators read: a
+(k_max, N) array whose row j-1 holds each point's j-th neighbour
+distance, its points in the kernel's own order.  That is point order for
+the kd-tree and brute force, and ascending x for the sorted kernel, and
+nothing puts it back in point order: the estimators reduce one row with
+:func:`_exact_sum`, a correctly rounded sum, so an estimate does not
+depend on the order of the points.  Only the duplicate rule names
+points, and only when it raises.
 """
 
 from __future__ import annotations
@@ -55,39 +57,27 @@ _BRUTE_BLOCK = 256
 class KnnDistances:
     """Exact neighbour distances, read as the matrix rho or by column.
 
-    rho[i, j-1] is the Euclidean distance from point i to its j-th
-    nearest neighbour among the other N-1 points, so rows are
-    non-decreasing left to right.
-
-    Given the points `x` (m = 1), `rho` holds its rows in
-    ascending-x order, as the sorted kernel leaves them: the `rho`
-    property puts them back in point order on first access (an argsort
-    and one scatter per column) and caches them, reading `x`, which must
-    not have changed since.  :meth:`column` promises no row order and
-    costs nothing; the estimators reduce it with order-free sums and
-    never ask for point order.
+    rho[i, j-1] is the Euclidean distance from the i-th point, in the
+    kernel's order, to its j-th nearest neighbour among the other N-1
+    points, so rows are non-decreasing left to right.  The kd-tree and
+    brute force give the points in point order, the sorted kernel (m = 1)
+    in ascending-x order.  The distances are the kernel's (k_max, N)
+    array, held as it came: :meth:`column` is one of its rows and `rho`
+    its transpose, both views, and no reference to the sample is kept.
     """
 
-    __slots__ = ("_columns", "_x", "_rho")
+    __slots__ = ("_columns",)
 
-    def __init__(self, rho: np.ndarray, x: np.ndarray | None = None) -> None:
-        self._columns = rho.T
-        self._x = x
-        self._rho = rho if x is None else None
+    def __init__(self, columns: np.ndarray) -> None:
+        self._columns = columns
 
     @property
     def rho(self) -> np.ndarray:
-        if self._rho is None:
-            order = np.argsort(self._x)
-            rho = np.empty_like(self._columns)
-            for to, row in zip(rho, self._columns):
-                to[order] = row  # a 1-d scatter per row is faster than one 2-d one
-            self._rho = rho.T
-        return self._rho
+        return self._columns.T
 
     def column(self, k: int) -> np.ndarray:
         """The distance of every point to its k-th nearest neighbour, in
-        no promised order (point order, or ascending x)."""
+        the kernel's order (point order, or ascending x)."""
         return self._columns[k - 1]
 
     @property
@@ -129,7 +119,9 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
         Kernel selection; all give bit-identical distances.  "auto"
         runs the sorted kernel at m = 1 and the kd-tree otherwise, at
         every N; "tree" is the kd-tree at any m, and "brute" the O(N^2)
-        test oracle.
+        test oracle.  The result lists the points in the kernel's order:
+        point order for "tree" and "brute", ascending x for the sorted
+        kernel.
 
     Raises
     ------
@@ -142,20 +134,22 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     """
     pts = sample.points
     k_max = _integer("k_max", k_max, 1, sample.n)
-    if method == "auto" and sample.dim == 1:
-        x = pts[:, 0]
-        dists = KnnDistances(_sorted_kernel(x, k_max).T, x)
+    x_order = method == "auto" and sample.dim == 1  # the sorted kernel
+    if x_order:
+        columns = _sorted_kernel(pts[:, 0], k_max)
     elif method in ("auto", "tree"):
-        dists = KnnDistances(_tree_kernel(pts, k_max))
+        columns = _tree_kernel(pts, k_max)
     elif method == "brute":
-        dists = KnnDistances(_brute_kernel(pts, k_max))
+        columns = _brute_kernel(pts, k_max)
     else:
         raise DomainError(f"unknown method {method!r}")
-    if not dists.column(1).all():
-        # only here is point order needed: the sorted kernel's argsort
-        # runs on this error path alone
-        raise DuplicatePointsError(np.flatnonzero(dists.rho[:, 0] == 0.0).tolist())
-    return dists
+    if not columns[0].all():
+        # the one place that needs point order: the sorted kernel's r-th
+        # distance is that of the point of rank r in x
+        at_zero = columns[0] == 0.0
+        points = np.argsort(pts[:, 0])[at_zero] if x_order else np.flatnonzero(at_zero)
+        raise DuplicatePointsError(sorted(points.tolist()))
+    return KnnDistances(columns)
 
 
 def _pairwise_sq(block: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -179,7 +173,7 @@ def _brute_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
         part = np.partition(d2, k_max - 1, axis=1)[:, :k_max]
         part.sort(axis=1)
         rho[start:stop] = np.sqrt(part)
-    return rho
+    return rho.T
 
 
 def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
@@ -188,13 +182,12 @@ def _tree_kernel(pts: np.ndarray, k_max: int) -> np.ndarray:
     dist, _ = cKDTree(pts).query(pts, k=k_max + 1)
     # column 0 is the query point itself, or a point that coincides with
     # it: then column 1 is zero too, which knn_distances reports
-    return dist[:, 1:]
+    return dist[:, 1:].T
 
 
 def _sorted_kernel(x: np.ndarray, k_max: int) -> np.ndarray:
     # row j-1 of the result holds the j-th neighbour distances in
-    # ascending-x order; the estimators' sums do not depend on order, so
-    # no argsort or scatter back to point order happens here
+    # ascending-x order
     n = x.size
     # the k_max neighbours on either side in sorted order, padded with
     # +-inf past the ends, hold the k_max nearest: gaps grow outward

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import _MAX_COORDINATES, RngStream, read_table, sample, write_table
-from .special import _integer, _real, _reals
+from .special import _got, _integer, _real, _reals
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
@@ -91,7 +91,7 @@ def parse_param(value) -> float:
     except ValueError:  # a string float() refuses, or special._real's DomainError
         x = -math.inf
     if x == -math.inf:
-        raise ValueError(f"expected a number or 'inf', got {value!r}")
+        raise ValueError(f"expected a number or 'inf', got {_got(value)}")
     return x
 
 
@@ -106,7 +106,7 @@ def _whole(what: str, value, least: int, below: int | None = None) -> int:
 def _list_of(parse):
     def parse_list(value) -> tuple:
         if not isinstance(value, (list, tuple)):
-            raise ValueError(f"must be a list, got {value!r}")
+            raise ValueError(f"must be a list, got {_got(value)}")
         return tuple(parse(v) for v in value)
 
     return parse_list
@@ -114,14 +114,31 @@ def _list_of(parse):
 
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+        raise ValueError(f"must be true or false, got {_got(value)}")
+    return value
+
+
+def _family(value) -> Family:
+    # a Family member or its string, of one of the two tested families
+    try:
+        family = Family(value)
+    except ValueError:
+        family = None
+    if family not in (Family.STUDENT, Family.PEARSON2):
+        raise DomainError(f"family must be student or pearson2, got {_got(value)}")
+    return family
+
+
+def _covariance_mode(value) -> str:
+    if not (isinstance(value, str) and value in ("same", "fresh")):
+        raise DomainError(f"covariance_mode must be 'same' or 'fresh', got {_got(value)}")
     return value
 
 
 # config key -> parser of its value, run on every construction (tuples stand
 # for JSON lists, a Family for its string)
 _CONFIG_FIELDS = {
-    "family": Family,
+    "family": _family,
     "true_param": parse_param,
     "null_param": parse_param,
     "dim": lambda v: _whole("dim", v, 1),
@@ -133,7 +150,7 @@ _CONFIG_FIELDS = {
     "master_seed": lambda v: _whole("master_seed", v, 0, 2**64),
     "max_failure_rate": lambda v: _real("max_failure_rate", v),
     "include_replicates": _boolean,
-    "covariance_mode": str,
+    "covariance_mode": _covariance_mode,
 }
 
 
@@ -144,7 +161,7 @@ def _check(values: dict) -> tuple[dict, list[str]]:
     for key, value in values.items():
         try:
             parsed[key] = _CONFIG_FIELDS[key](value)
-        except ValueError as exc:  # a DomainError, from a number field, names it
+        except ValueError as exc:  # a DomainError names its field
             problems.append(str(exc) if isinstance(exc, DomainError) else f"{key}: {exc}")
     return parsed, problems + _rule_problems(parsed)
 
@@ -155,9 +172,7 @@ def _rule_problems(v: dict) -> list[str]:
     against a stand-in value."""
     problems: list[str] = []
     family = v.get("family")
-    if "family" in v and family not in (Family.STUDENT, Family.PEARSON2):
-        problems.append(f"family must be student or pearson2, got {family.value!r}")
-    elif "family" in v:
+    if "family" in v:
         tails = {}
         for name in ("true_param", "null_param"):
             if name in v:
@@ -188,21 +203,17 @@ def _rule_problems(v: dict) -> list[str]:
                         f"the limit of {_MAX_REPLICATES} replicates per run")
     for n in n_grid:
         if "dim" in v and n < v["dim"] + 1:
-            problems.append(f"sample size {n} below m+1 = {v['dim'] + 1}")
+            problems.append(f"sample size {n} below m+1 = {_got(v['dim'] + 1)}")
         if "dim" in v and n * v["dim"] > _MAX_COORDINATES:
-            problems.append(f"sample size {n} in m = {v['dim']} exceeds the limit of "
+            problems.append(f"sample size {n} in m = {_got(v['dim'])} exceeds the limit of "
                             f"{_MAX_COORDINATES} coordinates per draw")
         if "k" in v and n < v["k"] + 1:
-            problems.append(f"sample size {n} too small for k = {v['k']}")
+            problems.append(f"sample size {n} too small for k = {_got(v['k'])}")
     for a in v.get("alpha_levels", ()):
         if not 0.0 < a < 1.0:
             problems.append(f"alpha level {a} outside (0, 1)")
     if "max_failure_rate" in v and not 0.0 <= v["max_failure_rate"] < 1.0:
         problems.append(f"max_failure_rate {v['max_failure_rate']} outside [0, 1)")
-    if "covariance_mode" in v and v["covariance_mode"] not in ("same", "fresh"):
-        problems.append(
-            f"covariance_mode must be 'same' or 'fresh', got {v['covariance_mode']!r}"
-        )
     return problems
 
 
@@ -241,7 +252,10 @@ class ExperimentConfig:
     number is no integer.  Two limits bound the work: at most
     :data:`_MAX_REPLICATES` replicates in all (len(n_grid) * replicates),
     and at most :data:`sampler._MAX_COORDINATES` coordinates (N * dim)
-    per draw.  Every construction parses the fields, so a
+    per draw.  The other fields state their own rule, `family` student
+    or pearson2, `covariance_mode` "same" or "fresh", the lists and
+    `include_replicates` their type, and name a rejected value by
+    :func:`special._got`.  Every construction parses the fields, so a
     config built from numpy scalars equals, and hashes as, the one
     built from Python numbers.
     """

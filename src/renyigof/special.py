@@ -35,7 +35,8 @@ never an integer here, not even 3.0: the config parsers alone add that
 an integral JSON float counts as its integer.
 
 Beside it, `_real` is the one reader of a real number (a tail
-parameter, a Renyi order, a level, a critical value): a Python or numpy
+parameter, a Renyi order, a level, a critical value, the arguments of
+`ln_gamma` and `ln_beta`): a Python or numpy
 integer or float, or a 0-d array of one, but not a bool, returned as a
 float that is not NaN (`_order` adds q > 0 for a Renyi order).
 `_reals` is the one reader of real-valued arrays (sample points, a
@@ -104,8 +105,9 @@ _EULER = 0.577215664901532860606512090082402431
 
 
 def ln_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function, for x > 0."""
-    x = float(x)
+    """Natural logarithm of the gamma function, for a real number x > 0
+    (read by :func:`_real`), +inf included."""
+    x = _real("ln_gamma's x", x)
     if not x > 0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     if x == math.inf:
@@ -166,7 +168,9 @@ def digamma(k: int) -> float:
 
 
 def ln_beta(a: float, b: float) -> float:
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), for
+    real numbers a, b > 0 (read by :func:`_real`)."""
+    a, b = _real("ln_beta's a", a), _real("ln_beta's b", b)
     if not (a > 0 and b > 0):
         raise DomainError(f"ln_beta requires positive arguments, got ({a}, {b})")
     return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)

@@ -39,3 +39,13 @@ def dyadic_points(gen, n, m, scale=8.0, bits=20):
 def random_orthogonal(gen, m):
     q, r = np.linalg.qr(gen.standard_normal((m, m)))
     return q * np.sign(np.diag(r))
+
+
+def kernel_order(points, method):
+    """The order in which `knn_distances(Sample(points), k, method)` lists
+    the points: ascending x for the sorted kernel ("auto" at m = 1) and
+    point order for every other kernel.  Indexing a point-order result,
+    such as brute force's rho, with it puts both in one row order."""
+    if method == "auto" and points.shape[1] == 1:
+        return np.argsort(points[:, 0], kind="stable")
+    return np.arange(points.shape[0])

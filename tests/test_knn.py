@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import digamma as scipy_digamma
 
-from conftest import dyadic_points, random_orthogonal
+from conftest import dyadic_points, kernel_order, random_orthogonal
 from renyigof import knn
 from renyigof.distributions import Family, gaussian, renyi_entropy_closed_form, student
 from renyigof.errors import DomainError, DuplicatePointsError
@@ -52,7 +52,8 @@ class TestKnnDistances:
             brute = knn_distances(s, k, method="brute").rho
             tree = knn_distances(s, k, method="tree").rho
             np.testing.assert_array_equal(brute, tree)
-            np.testing.assert_array_equal(knn_distances(s, k).rho, brute)
+            np.testing.assert_array_equal(knn_distances(s, k).rho,
+                                          brute[kernel_order(s.points, "auto")])
 
     def test_duplicate_points_identified(self):
         # a coincident triple and a coincident pair: every kernel lists
@@ -114,9 +115,9 @@ class TestRouting:
 
     def test_m1_estimators_compute_no_point_order(self, monkeypatch, rng):
         # the sorted kernel's rows stay in ascending-x order: the order-free
-        # sums need no argsort back to point order, and only .rho pays for it
+        # sums need no argsort back to point order, and neither does .rho
         def forbidden(*args, **kwargs):
-            raise AssertionError("np.argsort ran on the m = 1 estimator path")
+            raise AssertionError("np.argsort ran on the m = 1 path")
 
         monkeypatch.setattr(np, "argsort", forbidden)
         kept = []
@@ -128,10 +129,22 @@ class TestRouting:
             for family, null_param in ((Family.STUDENT, 10.0), (Family.PEARSON2, math.inf)):
                 statistic(s, family, null_param, 3)
                 statistic(s, family, null_param, 3, constraint=cov)
-            kept.append((s, knn_distances(s, 3)))
+            kept.append((s, knn_distances(s, 3).rho))
         monkeypatch.undo()
-        for s, dists in kept:
-            np.testing.assert_array_equal(dists.rho, knn_distances(s, 3, method="brute").rho)
+        for s, rho in kept:
+            brute = knn_distances(s, 3, method="brute").rho
+            np.testing.assert_array_equal(rho, brute[kernel_order(s.points, "auto")])
+
+    def test_m1_result_outlives_a_change_to_the_sample(self, rng):
+        # the result keeps no reference to the points: writing to the
+        # sample's array after the call changes neither rho nor a column
+        points = rng.standard_normal((50, 1))
+        dists = knn_distances(Sample(points), 3)
+        expected = knn_distances(Sample(points.copy()), 3)
+        points *= -1.0  # reverses the order of x
+        assert dists.rho.tobytes() == expected.rho.tobytes()
+        for k in (1, 2, 3):
+            assert dists.column(k).tobytes() == expected.column(k).tobytes()
 
 
 _SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
@@ -165,14 +178,15 @@ def _every_kernel(points, k, methods):
     return out
 
 
-def _assert_identical(out):
+def _assert_identical(out, points):
     oracle = out["brute"]
     for method, got in out.items():
         assert type(got) is type(oracle), method
         if isinstance(oracle, list):
             assert got == oracle, method
         else:
-            np.testing.assert_array_equal(got, oracle, err_msg=method)
+            np.testing.assert_array_equal(got, oracle[kernel_order(points, method)],
+                                          err_msg=method)
 
 
 @st.composite
@@ -213,7 +227,7 @@ class TestKernelExactness:
     @given(_line())
     def test_line_kernels_bit_identical(self, case):
         x, k = case
-        _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "auto")))
+        _assert_identical(_every_kernel(x[:, None], k, ("brute", "tree", "auto")), x[:, None])
 
     def test_run_of_zero_gaps_with_a_nonzero_pair(self):
         # each squared gap of 1e-162 underflows to zero, but that of 2e-162
@@ -222,13 +236,13 @@ class TestKernelExactness:
         x = np.array([2e-162, 5.0, 0.0, 1e-162, 3.0, 5.0])
         out = _every_kernel(x[:, None], 1, ("brute", "tree", "auto"))
         assert out["brute"] == [0, 1, 2, 3, 5]
-        _assert_identical(out)
+        _assert_identical(out, x[:, None])
 
     @settings(max_examples=200)
     @given(_grid_points())
     def test_tree_and_brute_report_same_duplicates(self, case):
         points, k = case
-        _assert_identical(_every_kernel(points, k, ("brute", "tree")))
+        _assert_identical(_every_kernel(points, k, ("brute", "tree")), points)
 
 
 @st.composite

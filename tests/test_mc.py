@@ -344,6 +344,32 @@ class TestConfig:
             with pytest.raises(ExperimentError, match=re.escape(message)):
                 build()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_grid", 10**5000, "n_grid: must be a list, got a 16610-bit integer"),
+        ("alpha_levels", 10**5000, "alpha_levels: must be a list, got a 16610-bit integer"),
+        ("include_replicates", 10**5000,
+         "include_replicates: must be true or false, got a 16610-bit integer"),
+        ("family", 10**5000, "family must be student or pearson2, got a 16610-bit integer"),
+        ("family", 3, "family must be student or pearson2, got 3"),
+        ("covariance_mode", 10**5000,
+         "covariance_mode must be 'same' or 'fresh', got a 16610-bit integer"),
+        ("covariance_mode", 3, "covariance_mode must be 'same' or 'fresh', got 3"),
+        ("true_param", 10**5000, "true_param: expected a number or 'inf', got a 16610-bit integer"),
+        ("null_param", 10**5000, "null_param: expected a number or 'inf', got a 16610-bit integer"),
+        ("dim", 10**5000, "sample size 100 in m = a 16610-bit integer exceeds the limit"),
+        ("k", 10**5000, "sample size 100 too small for k = a 16610-bit integer"),
+    ], ids=["n_grid-huge", "alpha_levels-huge", "include_replicates-huge", "family-huge",
+            "family-3", "covariance_mode-huge", "covariance_mode-3", "true_param-huge",
+            "null_param-huge", "dim-huge", "k-huge"])
+    def test_rejected_value_named_by_the_field_rule(self, key, value, message):
+        # an int past Python's 4300-digit limit has no repr: it is named
+        # by its bit length, and nothing is coerced to a string first
+        for build in (lambda: _config(**{key: value}),
+                      lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **{key: value}))):
+            with pytest.raises(ExperimentError) as excinfo:
+                build()
+            assert message in str(excinfo.value)
+
     @pytest.mark.parametrize("family, huge", [(Family.STUDENT, 2.0**55),
                                               (Family.PEARSON2, 2.0**53)])
     def test_null_param_whose_order_rounds_to_one_rejected(self, family, huge):

@@ -380,6 +380,7 @@ _REAL_SITES = {
     "config true_param": (lambda v: _config(true_param=v), "true_param: expected a number"),
     "config null_param": (lambda v: _config(null_param=v), "null_param: expected a number"),
     "parse_param": (mc.parse_param, "expected a number"),
+    "ln_gamma x": (ln_gamma, "ln_gamma's x"),
 }
 _PARSED = {"config true_param", "config null_param", "parse_param"}
 
@@ -459,9 +460,13 @@ def test_anything_else_is_refused_naming_the_parameter(site, value):
     (lambda: mc.fit_convergence_rate([("100", 1.0), (200, 0.5), (400, 0.25)]),
      "N must be an integer >= 1, got '100'"),
     (lambda: mc.summarize([[1.0, 2.0]]), "values need shape (M,) with M >= 2, got (1, 2)"),
+    (lambda: ln_gamma("3"), "ln_gamma's x must be a real number, got '3'"),
+    (lambda: ln_gamma(True), "ln_gamma's x must be a real number, got True"),
+    (lambda: ln_beta(True, 2.0), "ln_beta's a must be a real number, got True"),
+    (lambda: ln_beta(2.0, "1"), "ln_beta's b must be a real number, got '1'"),
 ], ids=["pearson2-bool", "statistic-bool", "renyi_estimate-str", "statistic-list",
         "estimate_power-nan", "summarize-inf", "histogram_bins-str", "rate-str-N",
-        "summarize-2d"])
+        "summarize-2d", "ln_gamma-str", "ln_gamma-bool", "ln_beta-bool", "ln_beta-str"])
 def test_calls_that_once_passed_or_raised_another_error(call, message):
     # each once built a law, gave a number or raised a TypeError
     with pytest.raises(DomainError, match=re.escape(message)):
