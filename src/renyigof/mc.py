@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -68,8 +67,8 @@ NULL_RUN_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
 _QUANTILE_SCHEME = "order statistics, linear interpolation at h = (M-1)(1-alpha) + 1"
 
 # the most replicates, len(n_grid) * replicates, one config may ask for: a
-# run keeps about 210 bytes per replicate until it ends, so 2**23 of them
-# stay under 2 GiB
+# run keeps 8 bytes per replicate, but writing replicates.json peaks at
+# about 190 bytes per replicate, so 2**23 of them stay under 2 GiB
 _MAX_REPLICATES = 2**23
 
 
@@ -329,21 +328,36 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class NResult:
-    """Replicate statistic values at one sample size (None marks a
-    replicate whose estimator preconditions failed)."""
+    """Replicate statistic values at one sample size: `array` holds
+    replicate j's value at index j, in one float64 array with NaN at
+    each replicate whose estimator preconditions failed, and `failures`
+    the (j, "<ErrorType>: <message>") pair of each such replicate, in
+    order of j.  Two results are equal when their N, `values` and
+    failures are."""
 
     n: int
-    values: tuple
+    array: np.ndarray
     failures: tuple
 
     @property
+    def values(self) -> tuple:
+        """Every replicate's value as a Python float, None at a failed one."""
+        failed = {j for j, _ in self.failures}
+        return tuple(None if j in failed else w for j, w in enumerate(self.array.tolist()))
+
+    @property
     def valid_values(self) -> np.ndarray:
-        return np.asarray([v for v in self.values if v is not None], dtype=float)
+        return np.delete(self.array, [j for j, _ in self.failures])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NResult) and (self.n, self.values, self.failures) == (
+            other.n, other.values, other.failures)
 
 
 @dataclass(frozen=True)
 class McResult:
-    """Full outcome of a Monte Carlo experiment."""
+    """Full outcome of a Monte Carlo experiment: one :class:`NResult`
+    per sample size, in grid order."""
 
     config: ExperimentConfig
     per_n: tuple[NResult, ...]
@@ -386,13 +400,22 @@ def _fresh_cov_statistic(config: ExperimentConfig, s, s_cov) -> float:
     return statistic(s, config.family, config.null_param, config.k, constraint=cov).value
 
 
-def _replicate_outcome(config: ExperimentConfig, n: int, j: int) -> tuple:
-    # (W, None), or (None, "<ErrorType>: <message>") for a replicate whose
-    # estimator preconditions failed
-    try:
-        return _replicate_value(config, n, j), None
-    except (DomainError, DuplicatePointsError, NotPositiveDefiniteError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
+# replicates per task: a fixed unit of work, whatever the worker count
+_BLOCK = 25
+
+
+def _block(config: ExperimentConfig, n: int, start: int) -> tuple[np.ndarray, list]:
+    """Replicates [start, start + _BLOCK) at N = n, capped at M: their
+    values as a float64 array, NaN at a replicate whose estimator
+    preconditions failed, and the failures as (j, "<ErrorType>:
+    <message>") pairs."""
+    values, failures = np.full(min(_BLOCK, config.replicates - start), math.nan), []
+    for j in range(start, start + values.size):
+        try:
+            values[j - start] = _replicate_value(config, n, j)
+        except (DomainError, DuplicatePointsError, NotPositiveDefiniteError) as exc:
+            failures.append((j, f"{type(exc).__name__}: {exc}"))
+    return values, failures
 
 
 def worker_count(workers: int | None) -> int:
@@ -406,44 +429,54 @@ def worker_count(workers: int | None) -> int:
     return _integer("workers", workers, 1)
 
 
+def _blocks(config: ExperimentConfig, tasks: list, workers: int) -> Iterator[tuple]:
+    # _block over the (n, start) tasks, in their order, in this process or a pool's
+    if workers <= 1:
+        yield from (_block(config, *task) for task in tasks)
+        return
+    if config.dim > 1:
+        # the kd-tree's import, paid once here rather than in every forked worker
+        import scipy.spatial  # noqa: F401
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a few blocks in flight per worker, so the parent holds none of the rest
+        window = collections.deque()
+        for task in tasks:
+            window.append(pool.submit(_block, config, *task))
+            if len(window) > 4 * workers:
+                yield window.popleft().result()
+        yield from (future.result() for future in window)
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResult:
     """Run every replicate of the experiment, optionally in parallel.
 
-    `workers` counts as in :func:`worker_count`, capped at the number of
-    replicates.  Results are bit-identical for any worker count.  Raises
-    ExperimentError if the fraction of failed replicates at any sample
-    size exceeds config.max_failure_rate, or leaves fewer than 2 valid
-    replicates.
+    Each N's replicates run as tasks of :data:`_BLOCK` consecutive
+    indices (:func:`_block`), in grid order, and land in one float64
+    array per N.  `workers` counts as in :func:`worker_count`, capped at
+    the number of blocks.  Results are bit-identical for any worker
+    count.  Raises ExperimentError if the fraction of failed replicates
+    at any sample size exceeds config.max_failure_rate, or leaves fewer
+    than 2 valid replicates.
     """
     m_rep = config.replicates
-    ns, js = zip(*itertools.product(config.n_grid, range(m_rep)))
+    tasks = [(n, start) for n in config.n_grid for start in range(0, m_rep, _BLOCK)]
     # the pool forks all its workers at the first submit, so start no idle ones
-    workers = min(worker_count(workers), len(ns))
-    configs = itertools.repeat(config)
-    if workers <= 1:
-        outcomes = list(map(_replicate_outcome, configs, ns, js))
-    else:
-        if config.dim > 1:
-            # the kd-tree's import, paid once here rather than in every forked worker
-            import scipy.spatial  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = -(-m_rep // (4 * workers))
-            outcomes = list(pool.map(_replicate_outcome, configs, ns, js, chunksize=chunksize))
-
-    per_n = []
-    # map keeps submission order, so each N's outcomes are one slice
-    for start, n in zip(range(0, len(outcomes), m_rep), config.n_grid):
-        at_n = outcomes[start:start + m_rep]
-        values = tuple(v for v, _ in at_n)
-        failures = tuple((j, err) for j, (_, err) in enumerate(at_n) if err is not None)
+    workers = min(worker_count(workers), len(tasks))
+    arrays = {n: np.empty(m_rep) for n in config.n_grid}
+    failed_at = {n: [] for n in config.n_grid}
+    # strict: the pool is shut down once the last block is read
+    for (n, start), (values, failed) in zip(tasks, _blocks(config, tasks, workers), strict=True):
+        arrays[n][start:start + values.size] = values
+        failed_at[n] += failed
+    for n, failures in failed_at.items():
         # the summaries need at least 2 values, whatever the budget allows
         if len(failures) > config.max_failure_rate * m_rep or m_rep - len(failures) < 2:
             raise ExperimentError(
                 f"{len(failures)}/{m_rep} replicates failed at N={n} (allowed: a share of "
                 f"{config.max_failure_rate}, leaving at least 2); first failure: {failures[0][1]}"
             )
-        per_n.append(NResult(n=n, values=values, failures=failures))
-    return McResult(config=config, per_n=tuple(per_n))
+    return McResult(config=config, per_n=tuple(
+        NResult(n=n, array=arrays[n], failures=tuple(failed_at[n])) for n in config.n_grid))
 
 
 def _values(values, least: int) -> np.ndarray:
@@ -585,7 +618,7 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
     for entry, _, mean, stderr, quantiles in _per_n_rows(result, result.config.alpha_levels):
         item = {
             "n": entry.n,
-            "replicates": len(entry.values),
+            "replicates": entry.array.size,
             "failed": len(entry.failures),
             "mean": mean,
             "std_error": stderr,

@@ -169,11 +169,39 @@ def digamma(k: int) -> float:
 
 def ln_beta(a: float, b: float) -> float:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), for
-    real numbers a, b > 0 (read by :func:`_real`)."""
+    real numbers a, b > 0 (read by :func:`_real`).
+
+    It is never NaN.  It is -inf when a or b is +inf.  Where
+    log Gamma(a+b) overflows at large arguments (a + b above 2.556e305,
+    so the larger argument exceeds 1.2e305), Stirling's series for the
+    larger argument, whose corrections are below 1e-305 there, folds the
+    three terms into one sum of moderate terms; a value below the double
+    range is -inf.  Below a + b = 1e-300, where log Gamma overflows at
+    arguments under 5.6e-309, it is log(a+b) - log a - log b, which
+    leaves out only terms below 1e-300.  Above it, a smaller argument
+    under 5.6e-309 gives +inf, as in `scipy.special.betaln`.
+    """
     a, b = _real("ln_beta's a", a), _real("ln_beta's b", b)
     if not (a > 0 and b > 0):
         raise DomainError(f"ln_beta requires positive arguments, got ({a}, {b})")
-    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+    if a + b < 1e-300:  # B(a, b) = (a+b)/(ab) Gamma(1+a) Gamma(1+b) / Gamma(1+a+b)
+        return math.log(a + b) - math.log(a) - math.log(b)
+    if a + b <= _MAXLGM:
+        return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+    a, b = max(a, b), min(a, b)
+    if a == math.inf:
+        return -math.inf
+    # Stirling's series at a and a+b: log Gamma(a+b) - log Gamma(a) =
+    # b log a - b + (a + b - 1/2) log1p(b/a), so log B = head - that last
+    # term, with head = log Gamma(b) - b log a + b; above 1e8 head takes
+    # log Gamma(b) from the same series, as ln_gamma does, so that no term
+    # overflows and a+b is never formed
+    r = b / a
+    if b > 1.0e8:
+        head = b * math.log(r) - 0.5 * math.log(b) + _LS2PI
+    else:
+        head = ln_gamma(b) - b * math.log(a) + b
+    return head - a * math.log1p(r) - (b - 0.5) * math.log1p(r)
 
 
 def _integer(what: str, value, least: int, below: int | None = None) -> int:

@@ -690,7 +690,7 @@ class TestExperimentCommand:
         def never(*args):
             raise AssertionError("a replicate ran")
 
-        monkeypatch.setattr(mc, "_replicate_outcome", never)
+        monkeypatch.setattr(mc, "_replicate_value", never)
         config = {"schema_version": 1, "family": "student", "true_param": 5.0,
                   "null_param": 5.0, "dim": 1, "n_grid": [100], "k": 3, "replicates": 4,
                   **overrides}

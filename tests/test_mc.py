@@ -2,6 +2,8 @@ import json
 import math
 import re
 import time
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -538,14 +540,22 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_outcomes_land_at_their_n_and_j(self):
-        # 9 replicates on 2 workers run in chunks of 2, so chunks straddle
-        # the N boundaries; each N still gets its own replicates in order
-        cfg = _config(n_grid=(100, 200, 300), replicates=9)
-        result = run_experiment(cfg, workers=2)
-        for entry in result.per_n:
-            assert entry.values == tuple(mc._replicate_value(cfg, entry.n, j) for j in range(9))
+        # M just below, at and above one and two blocks, on 1 to 3 workers:
+        # a short last block and blocks that finish out of order still put
+        # each N's replicates at their j, in the same bytes
+        b = mc._BLOCK
+        for m_rep in (b - 1, b, b + 1, 2 * b + 1):
+            cfg = _config(n_grid=(100, 200, 300), replicates=m_rep)
+            serial = run_experiment(cfg, workers=1)
+            for entry in serial.per_n:
+                assert entry.values == tuple(mc._replicate_value(cfg, entry.n, j)
+                                             for j in range(m_rep)), m_rep
+            expected = result_to_json(serial, include_replicates=True)
+            for workers in (2, 3):
+                result = run_experiment(cfg, workers=workers)
+                assert result_to_json(result, include_replicates=True) == expected, (m_rep, workers)
 
-    def test_no_more_workers_than_replicates(self, monkeypatch):
+    def test_no_more_workers_than_blocks(self, monkeypatch):
         # the pool forks every worker it is given at the first submit
         started = []
 
@@ -559,14 +569,36 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
-        cfg = _config(n_grid=(100,), replicates=3)
+        cfg = _config(n_grid=(100,), replicates=2 * mc._BLOCK + 1)  # 3 blocks
         assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
-        run_experiment(_config(n_grid=(100, 200), replicates=3), workers=4)
-        assert started == [3, 4]
+        run_experiment(_config(n_grid=(100, 200), replicates=3), workers=4)  # 2 blocks
+        run_experiment(_config(n_grid=(100,), replicates=3), workers=4)  # 1 block: no pool
+        assert started == [3, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_memory_per_replicate(self, monkeypatch, workers):
+        # tracemalloc's peak in the parent over a run of a constant double:
+        # each N's values are one float64 array of 8 bytes a replicate, and
+        # a few blocks per worker are in flight.  Measured 11.7 (1 worker)
+        # and 17.6 (2 workers) bytes a replicate, against 165-167 while each
+        # replicate kept an outcome tuple until the run ended; the bound is
+        # 30 bytes
+        m_rep = 20_000
+        monkeypatch.setattr(mc, "_replicate_value", lambda config, n, j: 1.5)
+        cfg = _config(n_grid=(20,), replicates=m_rep)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m_rep < 30
 
     @pytest.mark.parametrize("cpus, expected", [(6, 6), (None, 1)])
     def test_default_worker_count_without_affinity(self, monkeypatch, cpus, expected):
@@ -637,6 +669,7 @@ class TestRunExperiment:
         assert same.per_n[0].values != fresh.per_n[0].values
 
     def test_failures_recorded(self, monkeypatch):
+        # a forked worker inherits the double, so its failure lands at its j too
         original = mc._replicate_value
 
         def flaky(config, n, j):
@@ -646,15 +679,19 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "_replicate_value", flaky)
         cfg = _config(replicates=200, max_failure_rate=0.01)
-        res = run_experiment(cfg, workers=1)
-        for entry in res.per_n:
-            assert entry.failures == ((3, "DomainError: synthetic failure"),)
-            assert entry.values[3] is None
-            assert len(entry.valid_values) == 199
-        for item in json.loads(result_to_json(res, include_replicates=True))["per_n"]:
-            assert item["failed"] == 1
-            assert item["failures"] == [{"replicate": 3, "error": "DomainError: synthetic failure"}]
-            assert item["values"][3] is None
+        for workers in (1, 2):
+            res = run_experiment(cfg, workers=workers)
+            for entry in res.per_n:
+                assert entry.failures == ((3, "DomainError: synthetic failure"),)
+                assert entry.values[3] is None
+                assert math.isnan(entry.array[3])
+                assert len(entry.valid_values) == 199
+                assert np.array_equal(entry.valid_values, np.delete(entry.array, 3))
+            for item in json.loads(result_to_json(res, include_replicates=True))["per_n"]:
+                assert item["failed"] == 1
+                assert item["failures"] == [{"replicate": 3,
+                                             "error": "DomainError: synthetic failure"}]
+                assert item["values"][3] is None
 
     def test_failure_budget_enforced(self, monkeypatch):
         def broken(config, n, j):

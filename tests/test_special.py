@@ -204,6 +204,35 @@ def test_ln_beta_symmetry_and_domain():
         ln_beta(1.0, -2.0)
 
 
+def test_ln_beta_at_infinite_and_overflowing_arguments():
+    # B(a, b) -> 0 as either argument grows, so +inf gives -inf
+    for a, b in ((math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf), (math.inf, 1e-300)):
+        assert ln_beta(a, b) == -math.inf
+    assert ln_beta(1e306, 2.0) == scipy_special.betaln(1e306, 2.0) == -1409.182076912356
+    # where log Gamma(a+b) overflows, against mpmath at enough digits to
+    # carry the three terms' cancellation: measured at most 1.8e-16 relative
+    with mpmath.workdps(340):
+        for a, b in ((1e306, 2.0), (3e305, 3e305), (1.3e305, 1.3e305), (1e308, 1e-300),
+                     (2.56e305, 12.5), (1e306, 99999999.0), (1e306, 1e9), (1e306, 1e200),
+                     (1e307, 1e305), (1e308, 1e308), (sys.float_info.max, 2.0)):
+            exact = float(mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(
+                mpmath.mpf(a) + b))
+            assert ln_beta(a, b) == ln_beta(b, a) == pytest.approx(exact, rel=1e-15), (a, b)
+    # below the double range
+    assert ln_beta(1.7e308, 1.7e308) == -math.inf
+    # where log Gamma overflows at small arguments, B(a, b) is (a+b)/(ab)
+    # to within a factor 1 + O(a + b)
+    for a, b in ((5e-324, 5e-324), (1e-310, 3e-309), (1e-301, 2e-301)):
+        exact = float(mpmath.log(mpmath.beta(a, b)))
+        assert ln_beta(a, b) == ln_beta(b, a) == pytest.approx(exact, rel=1e-15), (a, b)
+
+
+@settings(max_examples=200)
+@given(_POSITIVE, _POSITIVE)
+def test_ln_beta_never_nan(a, b):
+    assert not math.isnan(ln_beta(a, b))
+
+
 def test_unit_ball_volume_examples():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-14)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-14)
