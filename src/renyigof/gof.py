@@ -44,11 +44,11 @@ class GofStatistic:
 
     `value` is W = `h_max` - `h_hat`: `h_max` is H_q^max of the
     covariance constraint S and `h_hat` the nearest-neighbour estimate,
-    so a bias can be traced to its term.  `family` is GAUSSIAN when the
-    null parameter is +inf (both tests then coincide in their common
-    Gaussian limit), and `q` is the order the null induces.  `l2_ok`
-    records whether the one estimator condition, L2 convergence
-    (Leonenko, Pronzato and Savani 2008), holds under the null.  It has
+    so a bias can be traced to its term.  `q` is the order the null
+    induces: 1.0 exactly when the null parameter is +inf, where both
+    tests coincide in their common Gaussian limit.  `l2_ok` records
+    whether the one estimator condition, L2 convergence (Leonenko,
+    Pronzato and Savani 2008), holds under the null.  It has
     two sides: the moment side is :func:`check_estimator_conditions`,
     and the k side, q < (k+1)/2 for q > 1, is checked in
     :func:`statistic` itself.  A failing case (the boundary q = 1/2, a
@@ -59,7 +59,6 @@ class GofStatistic:
     value: float
     h_max: float
     h_hat: float
-    family: Family
     q: float
     l2_ok: bool
 
@@ -92,8 +91,8 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
     "student" included, raises DomainError.  Student nu0 > 2 gives
     q = 1 - 2/(nu0+m) and Pearson II eta0 > 0 gives q = 1 + 1/eta0
     (which needs k > 1/eta0), both with the Renyi estimate; +inf gives
-    the Gaussian branch (family GAUSSIAN, q = 1, Shannon estimate).  The
-    pair is read by :func:`distributions.tail_family`, so any other null
+    the Gaussian branch (q = 1, Shannon estimate).  The pair is read by
+    :func:`distributions.tail_family`, so any other null
     parameter, a bool, -inf and NaN included, raises DomainError, and so
     does a k that is not an integer >= 1 (read first, by
     :func:`special._integer`).
@@ -111,7 +110,7 @@ def statistic(sample: Sample, family: Family, null_param: float, k: int,
     # the L2 condition: its moment side, and for q > 1 its k side
     l2_ok = (bool(check_estimator_conditions(_standard_spec(family, null_param, m), q, "L2"))
              and (q <= 1.0 or q < (k + 1) / 2.0))
-    return GofStatistic(h_max - h_hat, h_max, h_hat, null_family, q, l2_ok)
+    return GofStatistic(h_max - h_hat, h_max, h_hat, q, l2_ok)
 
 
 def student_statistic(sample: Sample, nu0: float, k: int) -> GofStatistic:

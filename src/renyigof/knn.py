@@ -35,8 +35,10 @@ distance, its points in the kernel's own order.  That is point order for
 the kd-tree and brute force, and ascending x for the sorted kernel, and
 nothing puts it back in point order: the estimators reduce one row with
 :func:`_exact_sum`, a correctly rounded sum, so an estimate does not
-depend on the order of the points.  Only the duplicate rule names
-points, and only when it raises.
+depend on the order of the points.  :class:`KnnDistances` shows the
+array through one view, its transpose `rho`, so that row k-1 is the
+column rho[:, k-1].  Only the duplicate rule names points, and only
+when it raises.
 """
 
 from __future__ import annotations
@@ -55,15 +57,16 @@ _BRUTE_BLOCK = 256
 
 
 class KnnDistances:
-    """Exact neighbour distances, read as the matrix rho or by column.
+    """Exact neighbour distances, the matrix rho.
 
     rho[i, j-1] is the Euclidean distance from the i-th point, in the
     kernel's order, to its j-th nearest neighbour among the other N-1
     points, so rows are non-decreasing left to right.  The kd-tree and
     brute force give the points in point order, the sorted kernel (m = 1)
     in ascending-x order.  The distances are the kernel's (k_max, N)
-    array, held as it came: :meth:`column` is one of its rows and `rho`
-    its transpose, both views, and no reference to the sample is kept.
+    array, held as it came, and `rho` is its transpose, a view: rho[:, k-1],
+    every point's k-th neighbour distance, is one of that array's rows.
+    No reference to the sample is kept.
     """
 
     __slots__ = ("_columns",)
@@ -74,19 +77,6 @@ class KnnDistances:
     @property
     def rho(self) -> np.ndarray:
         return self._columns.T
-
-    def column(self, k: int) -> np.ndarray:
-        """The distance of every point to its k-th nearest neighbour, in
-        the kernel's order (point order, or ascending x)."""
-        return self._columns[k - 1]
-
-    @property
-    def n(self) -> int:
-        return self._columns.shape[1]
-
-    @property
-    def k_max(self) -> int:
-        return self._columns.shape[0]
 
 
 @dataclass(frozen=True)
@@ -126,13 +116,16 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     Raises
     ------
     DomainError
-        If k_max is not such an integer, or for an unknown or unfit method.
+        If the sample has one point, which has no neighbour, if k_max is
+        not such an integer, or for an unknown or unfit method.
     DuplicatePointsError
         If two points coincide (zero squared distance), listing in
         ascending order every point whose nearest neighbour is at zero
         distance.
     """
     pts = sample.points
+    if sample.n == 1:
+        raise DomainError("a sample of N = 1 point has no nearest neighbour")
     k_max = _integer("k_max", k_max, 1, sample.n)
     x_order = method == "auto" and sample.dim == 1  # the sorted kernel
     if x_order:
@@ -260,16 +253,16 @@ def _log_g_const(n: int, dim: int, k: int, q: float) -> float:
     return log_const + (ln_gamma(k) - ln_gamma(k + 1.0 - q))
 
 
-def _log_g(dists: KnnDistances, dim: int, k: int, q: float) -> float:
+def _log_g(rho: np.ndarray, dim: int, k: int, q: float) -> float:
     """log G, with G the estimate of the integral of f^q: the sample mean
     of zeta_i^{1-q}, where zeta_i = (N-1) C_k V_m rho_{k,i}^m and
-    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}.  Requires k > q - 1, and a
-    float q > 0 other than 1 (:func:`renyi_estimate` reads it)."""
-    k = _integer("k", k, 1, dists.k_max + 1)
+    C_k = [Gamma(k)/Gamma(k+1-q)]^{1/(1-q)}.  `rho` holds every point's
+    k-th neighbour distance, from :func:`knn_distances`, which has read k
+    as k_max, an integer 1 <= k <= N-1.  Requires k > q - 1, and a float
+    q > 0 other than 1 (:func:`renyi_estimate` reads it)."""
     if not k > q - 1.0:
         raise DomainError(f"estimator requires k > q - 1, got k = {k}, q = {q}")
-    n = dists.n
-    rho = dists.column(k)
+    n = rho.size
     # the terms in one buffer, each step in place: the bits of
     # exp((1 - q) * dim * log(rho) + const - max)
     s = np.log(rho)
@@ -289,15 +282,15 @@ def renyi_estimate(sample: Sample, k: int, q: float) -> EntropyEstimate:
     q = _order(q)
     if q == 1.0:
         raise DomainError("q = 1 is the Shannon case; use shannon_estimate")
-    dists = knn_distances(sample, k)
-    return EntropyEstimate(_log_g(dists, sample.dim, k, q) / (1.0 - q))
+    rho = knn_distances(sample, k).rho[:, k - 1]
+    return EntropyEstimate(_log_g(rho, sample.dim, k, q) / (1.0 - q))
 
 
 def shannon_estimate(sample: Sample, k: int) -> EntropyEstimate:
     """Kozachenko-Leonenko Shannon entropy estimate, the q -> 1 limit of
     :func:`renyi_estimate` (where C_k -> exp(-psi(k)))."""
     n, m = sample.n, sample.dim
-    rho = knn_distances(sample, k).column(k)
+    rho = knn_distances(sample, k).rho[:, k - 1]
     return EntropyEstimate(
         m * _exact_sum(np.log(rho)) / n
         + _log_unit_ball_volume(m)

@@ -326,38 +326,29 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NResult:
     """Replicate statistic values at one sample size: `array` holds
     replicate j's value at index j, in one float64 array with NaN at
     each replicate whose estimator preconditions failed, and `failures`
     the (j, "<ErrorType>: <message>") pair of each such replicate, in
-    order of j.  Two results are equal when their N, `values` and
-    failures are."""
+    order of j.  The array is the one copy of the values: results
+    compare by identity, and two runs agree when their arrays do, or the
+    bytes :func:`result_to_json` writes of them."""
 
     n: int
     array: np.ndarray
     failures: tuple
 
     @property
-    def values(self) -> tuple:
-        """Every replicate's value as a Python float, None at a failed one."""
-        failed = {j for j, _ in self.failures}
-        return tuple(None if j in failed else w for j, w in enumerate(self.array.tolist()))
-
-    @property
     def valid_values(self) -> np.ndarray:
         return np.delete(self.array, [j for j, _ in self.failures])
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NResult) and (self.n, self.values, self.failures) == (
-            other.n, other.values, other.failures)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McResult:
     """Full outcome of a Monte Carlo experiment: one :class:`NResult`
-    per sample size, in grid order."""
+    per sample size, in grid order, compared by identity like them."""
 
     config: ExperimentConfig
     per_n: tuple[NResult, ...]
@@ -628,7 +619,9 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
         if entry.failures:
             item["failures"] = [{"replicate": j, "error": msg} for j, msg in entry.failures]
         if include_replicates:
-            item["values"] = list(entry.values)
+            item["values"] = values = entry.array.tolist()
+            for j, _ in entry.failures:
+                values[j] = None
         per_n.append(item)
     doc = {
         "tool": "renyigof",

@@ -213,6 +213,16 @@ class TestEntropyCommand:
         assert code == 3
         assert "duplicate points at indices 0, 1" in err
 
+    @pytest.mark.parametrize("q", ["0.8", "1"])
+    def test_one_point_exits_2(self, tmp_path, capsys, q):
+        # once "k_max must be an integer in [1, 1), got 1", an empty range
+        path = tmp_path / "one.csv"
+        path.write_text("x1\n0.5\n")
+        code, out, err = _run(capsys, ["entropy", str(path), "--k", "1", "--q", q])
+        assert code == 2
+        assert out == ""
+        assert err == "error: a sample of N = 1 point has no nearest neighbour\n"
+
     @pytest.mark.parametrize("q", ["0.5", "1"])
     def test_overflowing_distance_exits_2(self, tmp_path, capsys, q):
         # gaps of about 1e200 square to inf: the estimate once printed as

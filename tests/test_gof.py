@@ -58,7 +58,7 @@ class TestStudentStatistic:
         s = Sample(rng.standard_normal((100, 2)))
         stat = student_statistic(s, 8.0, 3)
         assert stat.q == pytest.approx(1.0 - 2.0 / 10.0, rel=1e-15)
-        assert stat.family is Family.STUDENT
+        assert stat.q < 1.0  # the Student side of the Gaussian q = 1
 
     def test_nu0_domain(self, rng):
         # only +inf means Gaussian; -inf and NaN are invalid
@@ -73,7 +73,7 @@ class TestStudentStatistic:
         s = Sample(rng.standard_normal((100, 1)))
         stat = student_statistic(s, math.inf, 3)
         assert stat.q == 1.0
-        assert stat.family is Family.GAUSSIAN
+        assert stat.h_hat == shannon_estimate(s, 3).value
 
     def test_l2_flag_boundary(self, rng):
         # nu0=3, m=1 gives q = 1/2 exactly: computed, but flagged
@@ -137,7 +137,7 @@ class TestPearsonStatistic:
         s = Sample(rng.standard_normal((100, 2)))
         stat = pearson_statistic(s, 4.0, 3)
         assert stat.q == pytest.approx(1.25, rel=1e-15)
-        assert stat.family is Family.PEARSON2
+        assert stat.q > 1.0  # the Pearson II side of the Gaussian q = 1
 
     def test_eta0_domain(self, rng):
         s = Sample(rng.standard_normal((50, 1)))
@@ -224,8 +224,7 @@ class TestStatistic:
             shift = (max_renyi_entropy(family, other, null_param).h_max
                      - max_renyi_entropy(family, sample_covariance(s)[1], null_param).h_max)
             assert fresh.value - base.value == pytest.approx(shift, abs=1e-12)
-            assert (fresh.h_hat, fresh.q, fresh.family, fresh.l2_ok) == \
-                (base.h_hat, base.q, base.family, base.l2_ok)
+            assert (fresh.h_hat, fresh.q, fresh.l2_ok) == (base.h_hat, base.q, base.l2_ok)
 
     @pytest.mark.parametrize("family, param, ok", [
         (Family.STUDENT, 3.0, False), (Family.STUDENT, 10.0, True),

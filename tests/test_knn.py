@@ -75,6 +75,14 @@ class TestKnnDistances:
         with pytest.raises(DomainError):
             knn_distances(s, 0)
 
+    @pytest.mark.parametrize("method", [_SORTED, "tree", "brute"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_point_has_no_neighbour(self, method, m):
+        # the k_max range [1, N) is empty at N = 1: say why, not "in [1, 1)"
+        with pytest.raises(DomainError, match=r"^a sample of N = 1 point has no nearest "
+                                              r"neighbour$"):
+            knn_distances(Sample(np.zeros((1, m))), 1, method=method)
+
     def test_unknown_method(self):
         # "sorted" is no method: "auto" is the one route to the sorted kernel
         for method in ("fancy", "sorted"):
@@ -144,7 +152,7 @@ class TestRouting:
         points *= -1.0  # reverses the order of x
         assert dists.rho.tobytes() == expected.rho.tobytes()
         for k in (1, 2, 3):
-            assert dists.column(k).tobytes() == expected.column(k).tobytes()
+            assert dists.rho[:, k - 1].tobytes() == expected.rho[:, k - 1].tobytes()
 
 
 _SCALES = (1e-170, 2.0**-30, 1.0, 1e8, 1e155)
@@ -285,7 +293,7 @@ class TestOneKMax:
             if isinstance(full, list):
                 assert own == full == _coincident(points)
             else:
-                assert own.column(k).tobytes() == full.column(k).tobytes()
+                assert own.rho[:, k - 1].tobytes() == full.rho[:, k - 1].tobytes()
 
 
 class TestDuplicatesAtScale:
@@ -409,9 +417,9 @@ class TestGEstimate:
     def test_collinear_hand_value(self):
         # {0, 1, 3}, k=1, q=1/2, frozen from a 40-digit scalar evaluation
         s = _sample([[0.0], [1.0], [3.0]])
-        dists = knn_distances(s, 1)
-        assert math.exp(knn._log_g(dists, 1, 1, 0.5)) == pytest.approx(2.5683516371978372,
-                                                                       rel=1e-12)
+        rho = knn_distances(s, 1).rho[:, 0]
+        assert math.exp(knn._log_g(rho, 1, 1, 0.5)) == pytest.approx(2.5683516371978372,
+                                                                     rel=1e-12)
         assert renyi_estimate(s, 1, 0.5).value == pytest.approx(1.886528613653193, rel=1e-12)
 
     def test_scaling_homogeneity(self, rng):
@@ -439,8 +447,6 @@ class TestGEstimate:
         s = _sample([[0.0], [1.0], [3.0]])
         with pytest.raises(DomainError, match="k > q - 1"):
             renyi_estimate(s, 1, 2.5)  # k = 1 <= q - 1 = 1.5
-        with pytest.raises(DomainError, match=r"k must be an integer in \[1, 3\), got 3"):
-            knn._log_g(knn_distances(s, 2), 1, 3, 0.5)  # k beyond k_max
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("k", [3.0, 2.5, "3", True])
@@ -587,7 +593,7 @@ class TestBeyondTheNormalBallVolume:
     def test_estimates_take_the_log_volume(self, rng, m):
         s = Sample(rng.standard_normal((20, m)))
         n, k, q = s.n, 3, 1.5
-        log_rho = np.log(knn_distances(s, k).column(k))
+        log_rho = np.log(knn_distances(s, k).rho[:, k - 1])
         log_v = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0)
         shannon = m * math.fsum(log_rho) / n + log_v + math.log(n - 1) - scipy_digamma(k)
         terms = (1.0 - q) * (m * log_rho + log_v + math.log(n - 1))
@@ -611,7 +617,7 @@ class TestOverflowingDistances:
         # such points every term of G underflows to 0, so its log is -inf
         monkeypatch.setattr(knn, "knn_distances", functools.partial(knn_distances, method=method))
         s = _sample(_FAR_LINE[1:3] if q > 1 else _FAR_LINE)
-        assert np.isinf(knn_distances(s, 1, method=method).column(1)).any()
+        assert np.isinf(knn_distances(s, 1, method=method).rho[:, 0]).any()
         with pytest.raises(DomainError, match="the entropy estimate is inf: a squared "
                                               "neighbour distance overflows the double range"):
             shannon_estimate(s, 1) if q == 1.0 else renyi_estimate(s, 1, q)

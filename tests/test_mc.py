@@ -548,8 +548,8 @@ class TestRunExperiment:
             cfg = _config(n_grid=(100, 200, 300), replicates=m_rep)
             serial = run_experiment(cfg, workers=1)
             for entry in serial.per_n:
-                assert entry.values == tuple(mc._replicate_value(cfg, entry.n, j)
-                                             for j in range(m_rep)), m_rep
+                expected = [mc._replicate_value(cfg, entry.n, j) for j in range(m_rep)]
+                assert entry.array.tobytes() == np.array(expected).tobytes(), m_rep
             expected = result_to_json(serial, include_replicates=True)
             for workers in (2, 3):
                 result = run_experiment(cfg, workers=workers)
@@ -576,7 +576,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
         cfg = _config(n_grid=(100,), replicates=2 * mc._BLOCK + 1)  # 3 blocks
-        assert run_experiment(cfg, workers=8) == run_experiment(cfg, workers=1)
+        assert (result_to_json(run_experiment(cfg, workers=8), include_replicates=True)
+                == result_to_json(run_experiment(cfg, workers=1), include_replicates=True))
         run_experiment(_config(n_grid=(100, 200), replicates=3), workers=4)  # 2 blocks
         run_experiment(_config(n_grid=(100,), replicates=3), workers=4)  # 1 block: no pool
         assert started == [3, 2]
@@ -632,7 +633,7 @@ class TestRunExperiment:
     def test_grid_extension_preserves_existing_streams(self):
         short = run_experiment(_config(n_grid=(100,), replicates=8))
         longer = run_experiment(_config(n_grid=(100, 300), replicates=8))
-        assert short.per_n[0].values == longer.per_n[0].values
+        assert short.per_n[0].array.tobytes() == longer.per_n[0].array.tobytes()
 
     @settings(max_examples=100)
     @given(st.sampled_from((Family.STUDENT, Family.PEARSON2)),
@@ -649,9 +650,9 @@ class TestRunExperiment:
                       replicates=3, covariance_mode=mode)
         short = run_experiment(_config(n_grid=tuple(grid), **params))
         longer = run_experiment(_config(n_grid=tuple(extended), **params))
-        values = {entry.n: entry.values for entry in longer.per_n}
+        values = {entry.n: entry.array.tobytes() for entry in longer.per_n}
         for entry in short.per_n:
-            assert entry.values == values[entry.n]
+            assert entry.array.tobytes() == values[entry.n]
 
     def test_true_spec_built_once_per_config(self):
         _standard_spec.cache_clear()
@@ -666,7 +667,7 @@ class TestRunExperiment:
     def test_covariance_mode_changes_values(self):
         same = run_experiment(_config(replicates=8))
         fresh = run_experiment(_config(replicates=8, covariance_mode="fresh"))
-        assert same.per_n[0].values != fresh.per_n[0].values
+        assert not np.array_equal(same.per_n[0].array, fresh.per_n[0].array)
 
     def test_failures_recorded(self, monkeypatch):
         # a forked worker inherits the double, so its failure lands at its j too
@@ -681,17 +682,19 @@ class TestRunExperiment:
         cfg = _config(replicates=200, max_failure_rate=0.01)
         for workers in (1, 2):
             res = run_experiment(cfg, workers=workers)
-            for entry in res.per_n:
+            doc = json.loads(result_to_json(res, include_replicates=True))
+            for entry, item in zip(res.per_n, doc["per_n"], strict=True):
                 assert entry.failures == ((3, "DomainError: synthetic failure"),)
-                assert entry.values[3] is None
                 assert math.isnan(entry.array[3])
                 assert len(entry.valid_values) == 199
                 assert np.array_equal(entry.valid_values, np.delete(entry.array, 3))
-            for item in json.loads(result_to_json(res, include_replicates=True))["per_n"]:
                 assert item["failed"] == 1
                 assert item["failures"] == [{"replicate": 3,
                                              "error": "DomainError: synthetic failure"}]
-                assert item["values"][3] is None
+                # null exactly at the failed j, and array[j] bit for bit elsewhere
+                assert [j for j, w in enumerate(item["values"]) if w is None] == [3]
+                kept = np.array([w for w in item["values"] if w is not None])
+                assert kept.tobytes() == np.delete(entry.array, 3).tobytes()
 
     def test_failure_budget_enforced(self, monkeypatch):
         def broken(config, n, j):
