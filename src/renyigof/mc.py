@@ -526,25 +526,30 @@ def fit_convergence_rate(pairs: Iterable[tuple[int, float]]) -> RateFit:
     absolute values: sign flips occur where the statistic has
     essentially converged and carry no rate information, and an
     infinite mean has no logarithm to fit.  At least 3 usable pairs
-    with distinct N are required.
+    with distinct N, counted as float64 log N, are required.
+
+    The fit is least squares of log w on log N from fsum means and fsum
+    cross-products, the arithmetic of ``statistics.linear_regression``
+    up to Python 3.11 (3.12 rewrote it on ``math.sumprod``), so its bits
+    do not depend on the Python version.
     """
     pairs = [(_integer("N", n, 1), _real("mean", w)) for n, w in pairs]
     usable = [(n, w) for n, w in pairs if 0 < w < math.inf]
     excluded = tuple((n, w) for n, w in pairs if not 0 < w < math.inf)
-    distinct = len({n for n, _ in usable})
+    x, y = np.log(np.array(usable, dtype=float).reshape(-1, 2).T)  # log N, log mean
+    distinct = len(set(x.tolist()))
     if distinct < 3:
         raise DomainError(
             f"need at least 3 distinct N with positive mean, got {distinct} "
             f"({len(excluded)} pairs excluded)"
         )
-    # loaded on first use, not by every process: it imports fractions and decimal
-    from statistics import linear_regression
-
-    x, y = np.log(np.array(usable, dtype=float).T)  # log N, log mean
-    # least squares of log w on log N, from fsum means and cross-products
-    b, log_a = linear_regression(x.tolist(), y.tolist())
+    x_bar = math.fsum(x) / x.size
+    y_bar = math.fsum(y) / y.size
+    x_dev = x - x_bar
+    y_dev = y - y_bar
+    b = math.fsum(x_dev * y_dev) / math.fsum(x_dev * x_dev)
+    log_a = y_bar - b * x_bar
     residual = y - (log_a + b * x)
-    y_dev = y - math.fsum(y) / y.size
     ss_res = math.fsum(residual * residual)
     ss_tot = math.fsum(y_dev * y_dev)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot

@@ -62,23 +62,17 @@ class RngStream:
     with an integral value included.  Reconstructing a stream with the
     same identifiers replays the same byte sequence; distinct stream_ids
     share no state.
-    A stream is single-owner: draws advance it, so pass each consumer
-    its own.
+    A stream is single-owner: draws from its `generator` advance it, so
+    pass each consumer its own.
     """
 
-    __slots__ = ("seed", "stream_id", "_generator")
+    __slots__ = ("seed", "stream_id", "generator")
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = _integer("seed", seed, 0, 2**64)
         self.stream_id = _integer("stream_id", stream_id, 0, 2**64)
-        self._generator = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-        return self._generator
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

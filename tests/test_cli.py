@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import runpy
 import shlex
 import shutil
@@ -1076,16 +1077,18 @@ class TestShippedConfigs:
 
 
 # the tools/output_digest.py totals (of result_to_json, and of the summary and
-# histogram tables), recorded with numpy 2.4.6: numpy's Philox stream and
-# float kernels set these bytes as much as the program does
+# histogram tables), recorded with Python 3.11.7 and numpy 2.4.6: numpy's
+# Philox stream and float kernels set these bytes as much as the program does
 _DIGEST_TOTAL = "7c4222418b2ed5648cf5b0dec3805cfa8575ffef291399444c2b3aab30874bf7"
 _TABLES_TOTAL = "b20c4ed58ffae7b4e2a68bf7903b41fa3c996876c4216613ebfe7d89c6b15892"
+_DIGEST_PYTHON = "3.11.7"
 _DIGEST_NUMPY = "2.4.6"
 
 
 def _toolchain_note() -> str:
-    return (f"recorded with numpy {_DIGEST_NUMPY}, running numpy {np.__version__}; "
-            "under another numpy the bytes may differ without a program fault")
+    return (f"recorded with Python {_DIGEST_PYTHON} and numpy {_DIGEST_NUMPY}, running "
+            f"Python {platform.python_version()} and numpy {np.__version__}; under "
+            "another toolchain the bytes may differ without a program fault")
 
 
 class TestOutputBytes:
@@ -1356,6 +1359,16 @@ import renyigof.cli
 print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
 """, blas_threads="2")
         assert threads == "2"
+
+    def test_rate_fit_loads_no_statistics(self):
+        # the fit is written out in fsum sums; statistics would bring in
+        # fractions and decimal too, and np.unique numpy.ma (1.7 MB)
+        loaded = self._probe("""
+from renyigof.mc import fit_convergence_rate
+fit_convergence_rate([(100, 1.0), (200, 0.5), (400, 0.25)])
+print(json.dumps(sorted({"statistics", "fractions", "decimal", "numpy.ma"} & set(sys.modules))))
+""")
+        assert loaded == []
 
     def test_every_public_name_resolves(self):
         unlisted, missing = self._probe("""

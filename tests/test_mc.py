@@ -99,6 +99,24 @@ class TestEstimatePower:
             estimate_power([], 0.0)
 
 
+def _fsum_least_squares(pairs):
+    """(b, log a, r²) of log w on log N: the 3.10/3.11 arithmetic of
+    statistics.linear_regression in Python floats, on numpy's float64
+    logarithms, and r² from the same deviations of log w."""
+    x = np.log([float(n) for n, _ in pairs]).tolist()
+    y = np.log([w for _, w in pairs]).tolist()
+    x_bar = math.fsum(x) / len(x)
+    y_bar = math.fsum(y) / len(y)
+    dx = [xi - x_bar for xi in x]
+    dy = [yi - y_bar for yi in y]
+    b = math.fsum(u * v for u, v in zip(dx, dy)) / math.fsum(u * u for u in dx)
+    log_a = y_bar - b * x_bar
+    residual = [yi - (log_a + b * xi) for xi, yi in zip(x, y)]
+    ss_res = math.fsum(r * r for r in residual)
+    ss_tot = math.fsum(v * v for v in dy)
+    return b, log_a, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 class TestRateFit:
     def test_exact_power_law(self):
         pairs = [(n, 2.0 * n**-0.5) for n in range(100, 1100, 100)]
@@ -149,15 +167,25 @@ class TestRateFit:
                     min_size=3, max_size=12).filter(
         lambda pairs: len({n for n, w in pairs if w > 0}) >= 3))
     def test_slope_and_intercept_are_the_written_out_formula(self, pairs):
-        # least squares from fsum means and fsum cross-products, bit for bit
-        usable = [(n, w) for n, w in pairs if w > 0]
-        x = np.log([float(n) for n, _ in usable])
-        y = np.log([w for _, w in usable])
-        x_bar = math.fsum(x) / x.size
-        y_bar = math.fsum(y) / y.size
-        b = math.fsum((x - x_bar) * (y - y_bar)) / math.fsum((x - x_bar) * (x - x_bar))
+        # repeated N and excluded means: the fit is that of the usable pairs
         fit = fit_convergence_rate(pairs)
-        assert (fit.b, fit.log_a) == (b, y_bar - b * x_bar)
+        assert (fit.b, fit.log_a, fit.r_squared) == \
+            _fsum_least_squares([(n, w) for n, w in pairs if w > 0])
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(1, 2**31 - 1), min_size=3, max_size=20, unique=True).flatmap(
+        lambda ns: st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                            min_size=len(ns), max_size=len(ns)).map(lambda ws: list(zip(ns, ws)))))
+    def test_fit_is_the_fsum_least_squares(self, pairs):
+        # distinct N and every positive finite mean, subnormal and huge ones too
+        fit = fit_convergence_rate(pairs)
+        assert (fit.b, fit.log_a, fit.r_squared, fit.excluded) == \
+            (*_fsum_least_squares(pairs), ())
+
+    def test_n_beyond_float_precision_is_not_a_rate(self):
+        # distinct integers with one float64 log N leave nothing to fit
+        with pytest.raises(DomainError, match="need at least 3 distinct N.*got 1"):
+            fit_convergence_rate([(10**17 + i, 0.5**i) for i in range(3)])
 
 
 class TestSummarize:

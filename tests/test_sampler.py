@@ -184,7 +184,7 @@ class TestSampleLaws:
 
         for loc in (np.zeros(m), -np.zeros(m), np.full(m, -0.25)):
             stream = RngStream(1)
-            stream._generator = Planted()
+            stream.generator = Planted()
             got = sample(gaussian(loc, np.eye(m)), core.shape[0], stream).points
             assert got.tobytes() == (core @ np.eye(m) + loc).tobytes(), loc
 
@@ -242,13 +242,14 @@ class TestSampleLaws:
     @pytest.mark.parametrize("m, n", [(1, 2**23 + 1), (3, 2**23 // 3 + 1), (1, 2**30),
                                       (2, 2**31 - 1)])
     def test_draw_beyond_the_coordinate_limit_refused(self, m, n):
-        # refused before the stream makes its generator, so nothing is drawn
+        # refused before anything is drawn: the stream stays where it started
         rng = RngStream(1)
         with pytest.raises(DomainError, match=re.escape(
                 f"{n} points in m = {m} are {n * m} coordinates, "
                 f"more than one draw may hold ({sampler._MAX_COORDINATES})")):
             sample(gaussian(np.zeros(m), np.eye(m)), n, rng)
-        assert rng._generator is None
+        assert _same_state(rng.generator.bit_generator.state,
+                           RngStream(1).generator.bit_generator.state)
 
 
 class TestCsv:

@@ -4,9 +4,11 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 from setuptools.config.pyprojecttoml import read_configuration
 
 from renyigof import __version__
+from renyigof.mc import fit_convergence_rate
 
 _REPO = Path(__file__).resolve().parent.parent
 
@@ -66,3 +68,21 @@ def test_tier1_record_parses_pytest_output(monkeypatch):
         "passed": 3, "failed": 1, "errors": 0, "failures": ["tests/test_a.py::TestB::test_f"],
         "slowest": [{"seconds": 7.21, "phase": "call", "test": "tests/test_a.py::TestB::test_c[1]"},
                     {"seconds": 0.5, "phase": "setup", "test": "tests/test_d.py::test_e"}]}
+
+
+def test_rate_fit_crosscheck_computes_the_package_fit(monkeypatch, capsys):
+    # the stdlib script's fit is the package's, bit for bit, so what it reports
+    # against statistics.linear_regression holds for fit_convergence_rate
+    monkeypatch.syspath_prepend(str(_REPO / "tools"))
+    crosscheck = importlib.import_module("rate_fit_crosscheck")
+    rng = np.random.default_rng(35)
+    for size in (3, 7, 14, 19):
+        ns = np.sort(rng.choice(np.arange(1, 10_000), size, replace=False))
+        means = 1.5 / ns * np.exp(rng.normal(0.0, 0.1, size))
+        fit = fit_convergence_rate(list(zip(ns.tolist(), means.tolist())))
+        x, y = np.log(ns.astype(float)).tolist(), np.log(means).tolist()
+        assert crosscheck.fsum_fit(x, y) == (fit.b, fit.log_a)
+    assert crosscheck.main(["--fits", "50"]) == 0
+    assert re.fullmatch(r"Python \S+: 50 fits, \d+ slopes and \d+ intercepts differ from "
+                        r"linear_regression; fsum fits sha256 [0-9a-f]{64}\n",
+                        capsys.readouterr().out)
