@@ -234,7 +234,7 @@ def cmd_experiment(args) -> int:
         written.append(str(hist_path))
     if config.include_replicates or args.replicates_json:
         replicates_path = out_dir / "replicates.json"
-        replicates_path.write_text(mc.result_to_json(result, include_replicates=True) + "\n")
+        mc.write_replicates_json(result, replicates_path)
         written.append(str(replicates_path))
     print(json.dumps({"written": written, "config_hash": config.config_hash()}))
     return EXIT_OK

@@ -67,8 +67,10 @@ NULL_RUN_KEYS = ("family", "null_param", "dim", "k", "covariance_mode")
 _QUANTILE_SCHEME = "order statistics, linear interpolation at h = (M-1)(1-alpha) + 1"
 
 # the most replicates, len(n_grid) * replicates, one config may ask for: a
-# run keeps 8 bytes per replicate, but writing replicates.json peaks at
-# about 190 bytes per replicate, so 2**23 of them stay under 2 GiB
+# run keeps 8 bytes per replicate, and one that writes replicates.json
+# peaks at about 58 (peak RSS of `experiment --workers 2 --replicates-json`
+# at N = 20, 50 000 against 250 000 replicates), so 2**23 of them stay
+# near 0.5 GiB
 _MAX_REPLICATES = 2**23
 
 
@@ -566,10 +568,42 @@ def summarize(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / m_rep)
 
 
+# the most histogram bins per replicate value: the 96-config digest grid
+# asks for at most 2.125, while a range huge against the IQR asks for any
+# number (about 1e13 for 1001 values)
+_BINS_PER_VALUE = 4
+
+
 def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(edges, counts) with Freedman-Diaconis bin width, of the values
-    read by :func:`_values`."""
-    counts, edges = np.histogram(_values(values, 2), bins="fd")
+    read by :func:`_values`.
+
+    The width is 2 IQR M^(-1/3) (Freedman & Diaconis 1981), with the
+    quartiles taken by :func:`empirical_quantile`, and the M values get
+    ceil(range / width) equal bins between their least and greatest: at
+    least 1, at most :data:`_BINS_PER_VALUE` per value, and 1 where the
+    width is 0 (widened by 1/2 on each side if all values are equal).
+    Bin i counts the values in [edges[i], edges[i+1]), and the last bin
+    also its right edge.  Edges may coincide where the range is only a
+    few ulps wide.  A range that overflows a double raises DomainError.
+    """
+    vals = _values(values, 2)
+    lo, hi = float(vals.min()), float(vals.max())
+    if hi - lo == math.inf:
+        raise DomainError(f"values span {lo!r} to {hi!r}, a range that overflows a double")
+    iqr = empirical_quantile(vals, 0.25) - empirical_quantile(vals, 0.75)
+    width = 2.0 * iqr * vals.size ** (-1.0 / 3.0)
+    bins = 1
+    if width:  # 0 for a zero IQR; inf, and so 1 bin, where 2 IQR overflows
+        bins = max(1, math.ceil(min((hi - lo) / width, _BINS_PER_VALUE * vals.size)))
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    # near the double range, linspace's last step may overflow before it
+    # sets the last edge to hi
+    with np.errstate(over="ignore"):
+        edges = np.linspace(lo, hi, bins + 1)
+    # the edges, not their count: numpy refuses a count whose edges coincide
+    counts, edges = np.histogram(vals, bins=edges)
     return edges, counts
 
 
@@ -603,14 +637,7 @@ def _rate_or_none(pairs: list[tuple[int, float]]) -> float | None:
         return None
 
 
-def result_to_json(result: McResult, include_replicates: bool | None = None) -> str:
-    """Serialise a result deterministically.
-
-    Replicate arrays are included when requested (default: the config's
-    include_replicates flag); summaries are always present.
-    """
-    if include_replicates is None:
-        include_replicates = result.config.include_replicates
+def _json_document(result: McResult, include_replicates: bool) -> dict:
     per_n = []
     for entry, _, mean, stderr, quantiles in _per_n_rows(result, result.config.alpha_levels):
         item = {
@@ -628,7 +655,7 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
             for j, _ in entry.failures:
                 values[j] = None
         per_n.append(item)
-    doc = {
+    return {
         "tool": "renyigof",
         "version": __version__,
         "config": result.config.to_dict(),
@@ -637,11 +664,38 @@ def result_to_json(result: McResult, include_replicates: bool | None = None) -> 
         "rate_b": _rate_or_none([(item["n"], item["mean"]) for item in per_n]),
         "per_n": per_n,
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+# the one encoder of a result's JSON, as a string and as replicates.json
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+
+
+def result_to_json(result: McResult, include_replicates: bool | None = None) -> str:
+    """Serialise a result deterministically, as one string.
+
+    Replicate arrays are included when requested (default: the config's
+    include_replicates flag), with null at each failed replicate;
+    summaries are always present.  :func:`write_replicates_json` writes
+    the same text with replicates to a file, chunk by chunk.
+    """
+    if include_replicates is None:
+        include_replicates = result.config.include_replicates
+    return _JSON_ENCODER.encode(_json_document(result, include_replicates))
+
+
+def write_replicates_json(result: McResult, path) -> None:
+    """Write :func:`result_to_json`'s text with replicate arrays, and a
+    final LF, as UTF-8 to `path`.  The encoder's chunks go to the file
+    as they are made, so the whole text is never held in memory."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_JSON_ENCODER.iterencode(_json_document(result, True)))
+        fh.write("\n")
 
 
 def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | None = None) -> None:
-    """Write the per-N summary table.
+    """Write the per-N summary table (:data:`SUMMARY_COLUMNS`, one row
+    per N in grid order) with :func:`sampler.write_table`, critical
+    values by :func:`empirical_quantile`.
 
     `power_at_005` is the rejection rate against `critical_by_n` when a
     reference (null-run) critical table is supplied, and empty at an N
@@ -669,7 +723,9 @@ def write_summary_csv(result: McResult, path, critical_by_n: dict[int, float] | 
 
 
 def write_histogram_csv(result: McResult, n: int, path) -> None:
-    """Write Freedman-Diaconis histogram bins of the replicate values at N=n."""
+    """Write the :func:`histogram_bins` of the valid replicate values at
+    N=n as a table (:func:`sampler.write_table`): one row per bin,
+    `bin_left`, `bin_right` and `count`."""
     edges, counts = histogram_bins(result.values_at(n))
     rows = ([_format_float(left), _format_float(right), str(int(count))]
             for left, right, count in zip(edges[:-1], edges[1:], counts))

@@ -585,6 +585,35 @@ class TestExperimentCommand:
         for name in ("summary.csv", "hist_100.csv", "replicates.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_replicates_json_is_result_to_json(self, tmp_path, capsys, monkeypatch, workers):
+        # the file holds result_to_json's text and one LF, byte for byte, with
+        # null at each failed j; a forked worker inherits the double
+        original = mc._replicate_value
+
+        def flaky(config, n, j):
+            if j in (3, 30):
+                raise DomainError("synthetic failure")
+            return original(config, n, j)
+
+        monkeypatch.setattr(mc, "_replicate_value", flaky)
+        config = {
+            "schema_version": 1, "family": "student", "true_param": 5.0,
+            "null_param": 5.0, "dim": 1, "n_grid": [40, 80], "k": 3,
+            "replicates": 60, "master_seed": 4, "max_failure_rate": 0.05,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code, _, err = _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(out_dir),
+                                     "--workers", workers, "--replicates-json"])
+        assert code == 0, err
+        result = mc.run_experiment(ExperimentConfig.from_dict(config))
+        data = (out_dir / "replicates.json").read_bytes()
+        assert data == (mc.result_to_json(result, include_replicates=True) + "\n").encode()
+        for item in json.loads(data)["per_n"]:
+            assert [j for j, w in enumerate(item["values"]) if w is None] == [3, 30]
+
     def test_schema_violations_all_listed(self, tmp_path, capsys):
         config = {
             "schema_version": 1, "family": "student", "true_param": 1.0,
@@ -1369,6 +1398,23 @@ fit_convergence_rate([(100, 1.0), (200, 0.5), (400, 0.25)])
 print(json.dumps(sorted({"statistics", "fractions", "decimal", "numpy.ma"} & set(sys.modules))))
 """)
         assert loaded == []
+
+    def test_experiment_loads_no_numpy_ma(self, tmp_path):
+        # histogram_bins takes its quartiles from empirical_quantile; numpy's
+        # bins="fd" took them from np.percentile, which loaded numpy.ma
+        # (1.9 MB) into every experiment
+        loaded = _fresh_python("""
+import json, sys
+from renyigof.cli import main
+config = {"schema_version": 1, "family": "student", "true_param": 10.0,
+          "null_param": 10.0, "dim": 1, "n_grid": [40, 80], "k": 3, "replicates": 30}
+with open("m1.json", "w") as fh:
+    json.dump(config, fh)
+code = main(["experiment", "m1.json", "--out-dir", "out", "--workers", "1",
+             "--replicates-json"])
+print(json.dumps([code, "numpy.ma" in sys.modules]))
+""", cwd=tmp_path)
+        assert loaded == [0, False]
 
     def test_every_public_name_resolves(self):
         unlisted, missing = self._probe("""

@@ -841,6 +841,45 @@ class TestOutputs:
         np.testing.assert_array_equal(edges, expected_edges)
         np.testing.assert_array_equal(counts, expected_counts)
 
+    def test_histogram_bins_capped_on_range_huge_against_iqr(self):
+        # a Freedman-Diaconis width of about 1e-10 over a range of 1e3:
+        # numpy's bins="fd" asks for about 1e13 edges (72.6 TiB)
+        values = np.concatenate([np.zeros(500), np.linspace(0.0, 1e-9, 500), [1e3]])
+        edges, counts = histogram_bins(values)
+        assert counts.size == mc._BINS_PER_VALUE * values.size
+        assert counts.sum() == values.size
+        assert edges[0] == 0.0 and edges[-1] == 1e3
+
+    def test_histogram_bins_overflowing_range_raises(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "values span -1e+308 to 1e+308, a range that overflows a double")):
+            histogram_bins([-1e308, 0.0, 1e308])
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=60),
+        # ties and ranges a few ulps wide, at any magnitude
+        st.tuples(st.floats(-1e308, 1e308), st.lists(st.integers(-3, 3), min_size=2,
+                                                     max_size=60)).map(
+            lambda spec: [spec[0] + k * float(np.spacing(spec[0])) for k in spec[1]]),
+        st.lists(st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e300, -1e300, 1.7e308]),
+                 min_size=2, max_size=60),
+    ))
+    def test_histogram_bins_bounded_on_any_spread(self, values):
+        # finite values of any spread: at most _BINS_PER_VALUE bins a value,
+        # every value counted once, finite non-decreasing edges; or, where
+        # the range overflows a double, DomainError
+        if max(values) - min(values) == math.inf:
+            with pytest.raises(DomainError, match="overflows a double"):
+                histogram_bins(values)
+            return
+        edges, counts = histogram_bins(values)
+        assert 1 <= counts.size <= mc._BINS_PER_VALUE * len(values)
+        assert edges.size == counts.size + 1
+        assert counts.sum() == len(values)
+        assert np.isfinite(edges).all() and (np.diff(edges) >= 0).all()
+        assert edges[0] <= min(values) and max(values) <= edges[-1]
+
     def test_histogram_bins_needs_two_values(self):
         with pytest.raises(DomainError, match=re.escape("values need shape (M,) with M >= 2, "
                                                         "got (1,)")):
@@ -856,6 +895,29 @@ class TestOutputs:
         assert "values" not in doc["per_n"][0]
         doc_full = json.loads(result_to_json(res, include_replicates=True))
         assert len(doc_full["per_n"][0]["values"]) == 8
+
+    def test_replicates_json_memory_per_value(self, tmp_path):
+        # tracemalloc's peak while write_replicates_json writes 200 000
+        # values: measured 40 bytes a value, the Python floats of
+        # array.tolist(), since the encoder's chunks go to the file as they
+        # are made; writing result_to_json's whole string took 138.  The
+        # bound is 60 bytes
+        m_rep = 200_000
+        config = _config(n_grid=(20,), replicates=m_rep)
+        values = np.random.default_rng(1).standard_normal(m_rep)
+        values[7] = math.nan
+        res = mc.McResult(config, (mc.NResult(20, values, ((7, "DomainError: x"),)),))
+        path = tmp_path / "replicates.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mc.write_replicates_json(res, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / m_rep < 60
+        assert path.read_bytes() == (result_to_json(res, include_replicates=True)
+                                     + "\n").encode()
 
 
 class TestScaleBehaviour:
