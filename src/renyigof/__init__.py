@@ -50,7 +50,6 @@ _MODULE_OF = {
     "histogram_bins": "mc",
     "run_experiment": "mc",
     "summarize": "mc",
-    "RngStream": "sampler",
     "Sample": "sampler",
     "sample": "sampler",
     "digamma": "special",

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
-from .sampler import _MAX_COORDINATES, RngStream, read_csv, read_lines, sample, write_csv
+from .sampler import _MAX_COORDINATES, read_csv, read_lines, sample, write_csv
 from .special import _integer
 
 EXIT_OK = 0
@@ -108,7 +108,7 @@ def _build_spec(args):
 
 def cmd_sample(args) -> int:
     spec = _build_spec(args)
-    s = sample(spec, args.n, RngStream(args.seed, args.stream))
+    s = sample(spec, args.n, args.seed, args.stream)
     resolved = {
         "family": args.family, "dim": args.dim,
         "nu": None if args.nu is None else mc._format_float(args.nu),

@@ -34,7 +34,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
-from .sampler import _MAX_COORDINATES, RngStream, read_table, sample, write_table
+from .sampler import _MAX_COORDINATES, read_table, sample, write_table
 from .special import _got, _integer, _real, _reals
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
@@ -316,10 +316,9 @@ class ExperimentConfig:
         if unknown:
             problems.append("unknown config fields: " + ", ".join(map(repr, unknown)))
         given = {key: data[key] for key in _CONFIG_FIELDS if key in data}
-        problems += _check(given)[1]
-        if problems:
-            raise _invalid(problems)
-        return cls(**given)
+        if problems:  # joined by the value problems, in one error
+            raise _invalid(problems + _check(given)[1])
+        return cls(**given)  # __post_init__ parses and checks each value
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -380,10 +379,10 @@ _FRESH_COV_BIT = 1 << 63
 
 def _replicate_value(config: ExperimentConfig, n: int, j: int) -> float:
     true_spec = _standard_spec(config.family, config.true_param, config.dim)
-    s = sample(true_spec, n, RngStream(config.master_seed, _stream_id(n, j)))
+    s = sample(true_spec, n, config.master_seed, _stream_id(n, j))
     if config.covariance_mode == "fresh":
-        cov_stream = RngStream(config.master_seed, _stream_id(n, j) | _FRESH_COV_BIT)
-        return _fresh_cov_statistic(config, s, sample(true_spec, n, cov_stream))
+        s_cov = sample(true_spec, n, config.master_seed, _stream_id(n, j) | _FRESH_COV_BIT)
+        return _fresh_cov_statistic(config, s, s_cov)
     gof_statistic = student_statistic if config.family is Family.STUDENT else pearson_statistic
     return gof_statistic(s, config.null_param, config.k).value
 
@@ -602,8 +601,10 @@ def histogram_bins(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     # sets the last edge to hi
     with np.errstate(over="ignore"):
         edges = np.linspace(lo, hi, bins + 1)
-    # the edges, not their count: numpy refuses a count whose edges coincide
-    counts, edges = np.histogram(vals, bins=edges)
+    # np.histogram's counts, from one sorted copy: bin i holds the values
+    # from the first at or above edges[i] to the first at or above
+    # edges[i+1], and the last edge is hi, so the last bin runs to the end
+    counts = np.diff(np.searchsorted(np.sort(vals), edges[:-1]), append=vals.size)
     return edges, counts
 
 

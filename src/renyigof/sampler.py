@@ -1,8 +1,10 @@
 """Seeded, replayable sampling from the three elliptical families.
 
-Streams are keyed by (seed, stream_id) through a counter-based Philox
-generator, so distinct replicates of a Monte Carlo experiment can be
-drawn in any order, on any number of workers, with identical results.
+A draw is a pure function of (spec, n, seed, stream_id): :func:`sample`
+keys a counter-based Philox generator by (seed, stream_id) and holds no
+state between calls, so distinct replicates of a Monte Carlo experiment
+can be drawn in any order, on any number of workers, with identical
+results.
 
 Student vectors use the classical normal/chi-square variance mixture
 X = a + L Z sqrt(nu/W); Pearson II vectors use the stochastic
@@ -54,28 +56,11 @@ class _PhiloxKey(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-class RngStream:
-    """An independent random stream identified by (seed, stream_id).
-
-    Both identifiers are integers in [0, 2**64), of any integral type
-    but bool; anything else raises DomainError, a float or a string
-    with an integral value included.  Reconstructing a stream with the
-    same identifiers replays the same byte sequence; distinct stream_ids
-    share no state.
-    A stream is single-owner: draws from its `generator` advance it, so
-    pass each consumer its own.
-    """
-
-    __slots__ = ("seed", "stream_id", "generator")
-
-    def __init__(self, seed: int, stream_id: int = 0) -> None:
-        self.seed = _integer("seed", seed, 0, 2**64)
-        self.stream_id = _integer("stream_id", stream_id, 0, 2**64)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+def _generator(seed: int, stream_id: int) -> np.random.Generator:
+    # the Philox generator keyed by (seed, stream_id), both already read
+    # as integers in [0, 2**64)
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,20 +99,24 @@ def _sphere_block(m: int, n: int, gen: np.random.Generator) -> np.ndarray:
     return u
 
 
-def sample(spec: DistributionSpec, n: int, rng: RngStream) -> Sample:
-    """Draw n independent points from `spec`.
+def sample(spec: DistributionSpec, n: int, seed: int, stream_id: int = 0) -> Sample:
+    """Draw n independent points from `spec`, from the Philox stream keyed
+    by (seed, stream_id): a pure function of (spec, n, seed, stream_id).
 
-    The result is a pure function of (spec, n, seed, stream_id) when the
-    stream is freshly constructed.  A draw of more than
-    :data:`_MAX_COORDINATES` coordinates (n * m) raises DomainError
-    before anything is drawn.
+    Both key parts are integers in [0, 2**64), of any integral type but
+    bool; distinct stream ids share no state.  A bad seed, stream id or
+    sample size, or a draw of more than :data:`_MAX_COORDINATES`
+    coordinates (n * m), raises DomainError, in that order, before
+    anything is drawn.
     """
+    seed = _integer("seed", seed, 0, 2**64)
+    stream_id = _integer("stream_id", stream_id, 0, 2**64)
     n = _integer("sample size", n, 1)
     m = spec.dim
     if n * m > _MAX_COORDINATES:
         raise DomainError(f"{n} points in m = {m} are {n * m} coordinates, "
                           f"more than one draw may hold ({_MAX_COORDINATES})")
-    gen = rng.generator
+    gen = _generator(seed, stream_id)
 
     # each step mixes in place, with the roundings of z * sqrt(nu / w)
     # and r * u

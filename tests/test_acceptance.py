@@ -35,7 +35,7 @@ from renyigof.mc import (
     summarize,
     write_summary_csv,
 )
-from renyigof.sampler import RngStream, Sample, sample
+from renyigof.sampler import Sample, sample
 
 WORKERS = 2
 
@@ -101,7 +101,7 @@ class TestCriterion2EstimatorConsistency:
         start = time.perf_counter()
         renyi_vals, shannon_vals = [], []
         for j in range(50):
-            s = sample(spec, 5000, RngStream(2025081101, j))
+            s = sample(spec, 5000, 2025081101, j)
             renyi_vals.append(renyi_estimate(s, 3, 0.9).value)
             shannon_vals.append(shannon_estimate(s, 3).value)
         elapsed = time.perf_counter() - start
@@ -353,7 +353,7 @@ class TestCriterion11SamplerLaws:
     def test_pearson_radial_law(self):
         worst_p = 1.0
         for m, eta, seed in ((2, 1.0, 31), (3, 2.5, 32)):
-            s = sample(pearson2(np.zeros(m), np.eye(m), eta), 10_000, RngStream(2025081124, seed))
+            s = sample(pearson2(np.zeros(m), np.eye(m), eta), 10_000, 2025081124, seed)
             r2 = (s.points**2).sum(axis=1)
             p = stats.kstest(r2, stats.beta(m / 2.0, eta + 1.0).cdf).pvalue
             worst_p = min(worst_p, p)
@@ -362,7 +362,7 @@ class TestCriterion11SamplerLaws:
 
     def test_student_density_agreement(self):
         nu = 4.0
-        s = sample(student([0.0], [[1.0]], nu), 100_000, RngStream(2025081125))
+        s = sample(student([0.0], [[1.0]], nu), 100_000, 2025081125)
         edges = stats.t(nu).ppf(np.linspace(0.0, 1.0, 31))
         counts, _ = np.histogram(s.points[:, 0], bins=edges)
         expected = 100_000 / 30.0

@@ -24,7 +24,7 @@ from renyigof.errors import DomainError
 from renyigof.gof import statistic
 from renyigof.knn import renyi_estimate
 from renyigof.mc import ExperimentConfig
-from renyigof.sampler import RngStream, read_csv, sample, write_csv
+from renyigof.sampler import read_csv, sample, write_csv
 
 
 # sha256 of the file that TestSampleCommand.test_writes_deterministic_csv writes
@@ -139,7 +139,7 @@ class TestSampleCommand:
                                    "--seed", "3", "--loc", "1,-2", "--scale", "2,0.5;0.5,1",
                                    "-o", str(path)])
         assert code == 0
-        expected = sample(gaussian([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]), 20, RngStream(3))
+        expected = sample(gaussian([1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]), 20, 3)
         np.testing.assert_array_equal(read_csv(path).points, expected.points)
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2**64)),
@@ -199,7 +199,7 @@ class TestEntropyCommand:
 
     def test_q_one_takes_shannon_path(self, tmp_path, capsys, rng):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(5)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 5), path)
         code, out, _ = _run(capsys, ["entropy", str(path), "--k", "3", "--q", "1"])
         assert code == 0
         h1 = json.loads(out)["value"]
@@ -271,7 +271,7 @@ class TestEntropyCommand:
 class TestTestCommand:
     def test_record_fields(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 500, RngStream(6)), path)
+        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 500, 6), path)
         code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
                                      "--nu0", "inf", "--k", "3"])
         assert code == 0
@@ -285,7 +285,7 @@ class TestTestCommand:
                                                      ("student", "--nu0", "inf")])
     def test_record_holds_the_two_terms(self, tmp_path, capsys, family, flag, param):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 300, RngStream(6)), path)
+        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 300, 6), path)
         code, out, err = _run(capsys, ["test", str(path), "--family", family, flag, param,
                                        "--k", "3"])
         assert code == 0, err
@@ -302,7 +302,7 @@ class TestTestCommand:
     def test_l2_condition_covers_k_side(self, tmp_path, capsys, eta0, k, ok):
         # a Pearson II null has q = 1 + 1/eta0 > 1, where L2 also needs q < (k+1)/2
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, out, _ = _run(capsys, ["test", str(path), "--family", "pearson2",
                                      "--eta0", eta0, "--k", k])
         assert code == 0
@@ -310,7 +310,7 @@ class TestTestCommand:
 
     def test_alpha_without_table_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, _, err = _run(capsys, ["test", str(path), "--family", "student",
                                      "--nu0", "inf", "--k", "3", "--alpha", "0.05"])
         assert code == 2
@@ -318,7 +318,7 @@ class TestTestCommand:
 
     def test_invalid_nu0_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, _, _ = _run(capsys, ["test", str(path), "--family", "student",
                                    "--nu0", "2", "--k", "3"])
         assert code == 2
@@ -327,7 +327,7 @@ class TestTestCommand:
         # the config accepts this nu0, so the statistic must compute: at the
         # maximiser b1 is (nu0 - 2)/2, not the q(nu0+m)/2 - m/2 that rounds to 0
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 100, RngStream(6)), path)
+        write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 100, 6), path)
         code, out, err = _run(capsys, ["test", str(path), "--family", "student",
                                        "--nu0", "2.0000000000000004", "--k", "3"])
         assert code == 0, err
@@ -341,7 +341,7 @@ class TestTestCommand:
                                                            flag, huge, name):
         # there 1 - q is 0, and the closed form once divided by it
         path = tmp_path / "g.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         argv = ["test", str(path), "--family", family, "--k", "3", flag]
         code, out, err = _run(capsys, [*argv, str(huge)])
         assert (code, out) == (2, "")
@@ -355,7 +355,7 @@ class TestTestCommand:
     @pytest.mark.parametrize("family, flag", [("student", "--nu0"), ("pearson2", "--eta0")])
     def test_missing_null_param_exits_2(self, tmp_path, capsys, family, flag):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, _, err = _run(capsys, ["test", str(path), "--family", family, "--k", "3"])
         assert code == 2
         assert f"{flag} is required for --family {family}" in err
@@ -366,7 +366,7 @@ class TestTestCommand:
     ])
     def test_other_family_null_param_exits_2(self, tmp_path, capsys, family, flags, stray):
         path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, out, err = _run(capsys, ["test", str(path), "--family", family, *flags,
                                        "--k", "3"])
         assert code == 2
@@ -413,7 +413,7 @@ class TestTestCommand:
         assert code == 0
 
         data = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 500, RngStream(66)), data)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 500, 66), data)
         code, out, _ = _run(capsys, ["test", str(data), "--family", "student",
                                      "--nu0", "inf", "--k", "3",
                                      "--critical-table", str(out_dir / "summary.csv"),
@@ -440,7 +440,7 @@ class TestTestCommand:
 
     def _test_against(self, tmp_path, capsys, table, *flags):
         data = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 50, RngStream(66)), data)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 50, 66), data)
         return _run(capsys, ["test", str(data), "--family", "student", *flags,
                              "--critical-table", str(table)])
 
@@ -544,7 +544,7 @@ class TestTestCommand:
         out_dir = tmp_path / "out"
         _run(capsys, ["experiment", str(cfg_path), "--out-dir", str(out_dir)])
         data = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 500, RngStream(66)), data)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 500, 66), data)
         code, _, err = _run(capsys, ["test", str(data), "--family", "student",
                                      "--nu0", "inf", "--k", "3",
                                      "--critical-table", str(out_dir / "summary.csv"),
@@ -1023,7 +1023,7 @@ class TestUndecodableInput:
 
     def test_critical_table(self, tmp_path, capsys, binary):
         path = tmp_path / "ok.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, RngStream(6)), path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         self._assert_exit_2(capsys, ["test", str(path), "--family", "student", "--nu0", "10",
                                      "--k", "3", "--critical-table", str(binary)], binary)
 
@@ -1036,7 +1036,7 @@ class TestPaperScaleDecisions:
         below = 0
         spec = gaussian([0.0], [[1.0]])
         for seed in range(100):
-            s = sample(spec, 5000, RngStream(12000, seed))
+            s = sample(spec, 5000, 12000, seed)
             path = tmp_path / "pts.csv"
             write_csv(s, path)
             code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
@@ -1062,7 +1062,7 @@ class TestPaperScaleDecisions:
         rejects = 0
         spec = gaussian([0.0], [[1.0]])
         for seed in range(100):
-            s = sample(spec, 5000, RngStream(12000, seed))
+            s = sample(spec, 5000, 12000, seed)
             path = tmp_path / "pts.csv"
             write_csv(s, path)
             code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
@@ -1171,6 +1171,17 @@ class TestReadmeCommands:
         assert set(json.loads(decisions[0])) == {"alpha", "critical", "reject"}
 
 
+    def test_library_quick_tour_runs_as_written(self, monkeypatch):
+        # the README's quick-tour block, run in this process with at most
+        # 2 worker processes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        tour: dict = {}
+        exec(compile(_quick_tour(), "README.md", "exec"), tour)
+        assert tour["s"].points.tobytes() == sample(tour["spec"], 5000, 1).points.tobytes()
+        assert [e.n for e in tour["result"].per_n] == [500, 1000, 2000]
+        assert math.isfinite(tour["crit"])
+
+
 class TestBenchmarkTracer:
     def test_traced_call_sites_resolve(self, monkeypatch):
         # bench/layers.py wraps these functions by name for its per-layer
@@ -1255,7 +1266,7 @@ class TestPublicSurface:
                  *(_REPO / "bench").glob("*.py"), _REPO / "tests" / "test_acceptance.py"]
         sources = [p.read_text(encoding="utf-8") for p in paths] + [_quick_tour()]
         loaded = set().union(*map(_loaded_names, sources))
-        assert {"RngStream", "empirical_quantile"} <= _loaded_names(_quick_tour())
+        assert {"sample", "empirical_quantile"} <= _loaded_names(_quick_tour())
         assert sorted(set(renyigof._MODULE_OF) - loaded) == []
 
     def test_dir_lists_the_lazy_names(self):

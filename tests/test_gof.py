@@ -13,7 +13,7 @@ from renyigof.gof import pearson_statistic, sample_covariance, statistic, studen
 from renyigof.knn import renyi_estimate, shannon_estimate
 from renyigof.mc import ExperimentConfig, run_experiment
 from renyigof.distributions import Family
-from renyigof.sampler import RngStream, Sample, sample
+from renyigof.sampler import Sample, sample
 
 
 def _sample(points):
@@ -105,7 +105,7 @@ class TestStudentStatistic:
         vals = []
         spec = student([0.0], [[1.0]], 10.0)
         for j in range(100):
-            s = sample(spec, 5000, RngStream(9001, j))
+            s = sample(spec, 5000, 9001, j)
             vals.append(student_statistic(s, 10.0, 3).value)
         assert 0.0 < np.mean(vals) < 0.05
 
@@ -124,7 +124,7 @@ class TestStudentStatistic:
         vals = []
         spec = gaussian([0.0], [[1.0]])
         for j in range(100):
-            s = sample(spec, 5000, RngStream(9002, j))
+            s = sample(spec, 5000, 9002, j)
             vals.append(student_statistic(s, 3.0, 3).value)
         mean = np.mean(vals)
         # strictly positive limit, approached from above (small-N bias)
@@ -322,7 +322,7 @@ class TestCovarianceTermOracle:
     @pytest.mark.parametrize("m,n", [(1, 30), (1, 100), (3, 30), (3, 100)])
     def test_max_entropy_bias_matches_wishart(self, m, n):
         draws = 10_000
-        pts = sample(gaussian(np.zeros(m), np.eye(m)), n * draws, RngStream(9200, 10 * m + n))
+        pts = sample(gaussian(np.zeros(m), np.eye(m)), n * draws, 9200, 10 * m + n)
         blocks = pts.points.reshape(draws, n, m)
         oracle = 0.5 * (
             sum(digamma((n - i) / 2.0) for i in range(1, m + 1)) - m * math.log((n - 1) / 2.0)
@@ -333,6 +333,28 @@ class TestCovarianceTermOracle:
             bias = np.array([max_renyi_entropy(family, c, param).h_max - ref for c in covs])
             se = bias.std(ddof=1) / math.sqrt(draws)
             assert abs(bias.mean() - oracle) <= 3.0 * se, (family, bias.mean(), oracle, se)
+
+
+class TestAlternativeLimit:
+    def test_gaussian_data_against_nu0_5_converges_in_mean_square(self):
+        # L2 consistency under an alternative: on Gaussian data, W tends
+        # in mean square to H_q^max of the Student nu0 = 5 null at the
+        # data's covariance minus H_q of the data, at q = 2/3 (at nu0 = 3,
+        # q = 1/2 exactly, where the L2 condition fails)
+        from renyigof.distributions import renyi_entropy_closed_form
+
+        top = max_renyi_entropy(Family.STUDENT, SpdMatrix.identity(1), 5.0)
+        delta = top.h_max - renyi_entropy_closed_form(gaussian([0.0], [[1.0]]), top.q)
+        assert top.q == pytest.approx(2.0 / 3.0) and delta == pytest.approx(0.049117, abs=1e-6)
+        assert student_statistic(sample(gaussian([0.0], [[1.0]]), 100, 9300), 5.0, 3).l2_ok
+        cfg = ExperimentConfig(
+            family=Family.STUDENT, true_param=math.inf, null_param=5.0, dim=1,
+            n_grid=(500, 1000, 2000, 5000), k=3, replicates=200, master_seed=9300,
+        )
+        result = run_experiment(cfg, workers=1)
+        mse = [np.mean((result.values_at(n) - delta) ** 2) for n in cfg.n_grid]
+        assert all(later < earlier for earlier, later in zip(mse, mse[1:])), mse
+        assert mse[-1] < mse[0] / 4, mse
 
 
 class TestNullShape:

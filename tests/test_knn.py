@@ -13,7 +13,7 @@ from renyigof.distributions import Family, gaussian, renyi_entropy_closed_form, 
 from renyigof.errors import DomainError, DuplicatePointsError
 from renyigof.gof import sample_covariance, statistic
 from renyigof.knn import knn_distances, renyi_estimate, shannon_estimate
-from renyigof.sampler import RngStream, Sample, sample
+from renyigof.sampler import Sample, sample
 
 
 def _sample(points):
@@ -466,7 +466,7 @@ class TestGEstimate:
         spec = gaussian([0.0], [[1.0]])
         q = 0.9
         target = math.exp((1 - q) * renyi_entropy_closed_form(spec, q))
-        vals = [_g(sample(spec, 5000, RngStream(8001, j)), 3, q) for j in range(50)]
+        vals = [_g(sample(spec, 5000, 8001, j), 3, q) for j in range(50)]
         assert np.mean(vals) == pytest.approx(target, abs=0.02)
 
 
@@ -527,7 +527,7 @@ class TestRenyiEstimate:
     def test_gaussian_consistency(self):
         spec = gaussian([0.0], [[1.0]])
         vals = [
-            renyi_estimate(sample(spec, 5000, RngStream(8002, j)), 3, 0.9).value
+            renyi_estimate(sample(spec, 5000, 8002, j), 3, 0.9).value
             for j in range(50)
         ]
         assert np.mean(vals) == pytest.approx(1.4457411114938043, abs=0.03)
@@ -541,7 +541,7 @@ class TestRenyiEstimate:
         errs = {}
         for n in (500, 5000):
             sq = [
-                (_g(sample(spec, n, RngStream(8003, j)), 3, q) - target) ** 2
+                (_g(sample(spec, n, 8003, j), 3, q) - target) ** 2
                 for j in range(100)
             ]
             errs[n] = np.mean(sq)
@@ -559,7 +559,7 @@ class TestShannonEstimate:
     def test_gaussian_consistency(self):
         spec = gaussian([0.0], [[1.0]])
         vals = [
-            shannon_estimate(sample(spec, 5000, RngStream(8004, j)), 3).value
+            shannon_estimate(sample(spec, 5000, 8004, j), 3).value
             for j in range(50)
         ]
         assert np.mean(vals) == pytest.approx(1.4189385332046727, abs=0.03)
@@ -641,7 +641,7 @@ class TestStudentEntropyAgreement:
         q = 1.0 - 2.0 / 7.0
         target = renyi_entropy_closed_form(spec, q)
         vals = [
-            renyi_estimate(sample(spec, 5000, RngStream(8005, j)), 3, q).value
+            renyi_estimate(sample(spec, 5000, 8005, j), 3, q).value
             for j in range(50)
         ]
         assert np.mean(vals) == pytest.approx(target, abs=0.03)

@@ -327,6 +327,16 @@ class TestConfig:
                          "n_grid repeats sample sizes 100"):
             assert fragment in message
 
+    def test_from_dict_parses_each_value_once(self, monkeypatch):
+        # a valid config goes through each parser once, on construction,
+        # and not first to collect problems that are not there
+        data = _config().to_dict()
+        parse_k, calls = mc._CONFIG_FIELDS["k"], []
+        monkeypatch.setitem(mc._CONFIG_FIELDS, "k", lambda v: calls.append(v) or parse_k(v))
+        for _ in range(3):
+            assert ExperimentConfig.from_dict(data).k == 3
+        assert calls == [3, 3, 3]
+
     def test_every_problem_in_one_round(self):
         # a missing field, a wrong type and out-of-range values in one config:
         # each is reported, and no rule runs on a field that did not parse
@@ -867,8 +877,9 @@ class TestOutputs:
     ))
     def test_histogram_bins_bounded_on_any_spread(self, values):
         # finite values of any spread: at most _BINS_PER_VALUE bins a value,
-        # every value counted once, finite non-decreasing edges; or, where
-        # the range overflows a double, DomainError
+        # every value counted once, np.histogram's counts for the edges,
+        # finite non-decreasing edges; or, where the range overflows a
+        # double, DomainError
         if max(values) - min(values) == math.inf:
             with pytest.raises(DomainError, match="overflows a double"):
                 histogram_bins(values)
@@ -879,6 +890,7 @@ class TestOutputs:
         assert counts.sum() == len(values)
         assert np.isfinite(edges).all() and (np.diff(edges) >= 0).all()
         assert edges[0] <= min(values) and max(values) <= edges[-1]
+        assert counts.tolist() == np.histogram(values, bins=edges)[0].tolist()
 
     def test_histogram_bins_needs_two_values(self):
         with pytest.raises(DomainError, match=re.escape("values need shape (M,) with M >= 2, "

@@ -10,7 +10,6 @@ from renyigof import sampler
 from renyigof.distributions import gaussian, pearson2, student
 from renyigof.errors import DomainError
 from renyigof.sampler import (
-    RngStream,
     Sample,
     read_csv,
     read_table,
@@ -21,26 +20,10 @@ from renyigof.sampler import (
 )
 
 
-class TestRngStream:
-    def test_same_key_replays_identically(self):
-        a = RngStream(42, 7).generator.standard_normal(100)
-        b = RngStream(42, 7).generator.standard_normal(100)
-        np.testing.assert_array_equal(a, b)
-
-    def test_distinct_streams_differ(self):
-        a = RngStream(42, 0).generator.standard_normal(100)
-        b = RngStream(42, 1).generator.standard_normal(100)
-        assert not np.array_equal(a, b)
-
-    def test_order_independence(self):
-        # consuming stream 5 first does not change stream 9
-        s9_alone = sample(gaussian([0.0], [[1.0]]), 50, RngStream(1, 9))
-        _ = sample(gaussian([0.0], [[1.0]]), 50, RngStream(1, 5))
-        s9_after = sample(gaussian([0.0], [[1.0]]), 50, RngStream(1, 9))
-        np.testing.assert_array_equal(s9_alone.points, s9_after.points)
-
-
 _UINT64 = st.integers(0, 2**64 - 1) | st.sampled_from((0, 1, 2**63, 2**64 - 1))
+_SPECS = [gaussian(np.zeros(2), np.eye(2)), student(np.zeros(2), np.eye(2), 4.0),
+          pearson2(np.zeros(2), np.eye(2), 2.0)]
+_SPEC_IDS = ["gaussian", "student", "pearson2"]
 
 
 def _same_state(a, b):
@@ -52,71 +35,113 @@ def _same_state(a, b):
     return type(a) is type(b) and a == b
 
 
+def _keyed_philox(seed, stream_id):
+    """numpy's own Philox generator keyed by (seed, stream_id)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+
+
+def _no_generator(seed, stream_id):
+    raise AssertionError(f"a generator was keyed by ({seed}, {stream_id})")
+
+
+class TestRngStream:
+    # the Philox stream a (seed, stream_id) key selects, seen through sample
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(_SPECS), _UINT64, _UINT64,
+           st.lists(st.tuples(st.sampled_from(_SPECS), _UINT64, _UINT64), max_size=3))
+    def test_same_key_replays_identically(self, spec, seed, stream_id, before):
+        # the same key gives the same bytes, whatever was drawn before
+        first = sample(spec, 30, seed, stream_id).points.tobytes()
+        for other_spec, other_seed, other_stream in before:
+            sample(other_spec, 30, other_seed, other_stream)
+        assert sample(spec, 30, seed, stream_id).points.tobytes() == first
+
+    def test_distinct_streams_differ(self):
+        spec = gaussian([0.0], [[1.0]])
+        assert not np.array_equal(sample(spec, 100, 42, 0).points, sample(spec, 100, 42, 1).points)
+        assert not np.array_equal(sample(spec, 100, 42, 0).points, sample(spec, 100, 43, 0).points)
+
+    def test_order_independence(self):
+        # drawing stream 5 first does not change stream 9
+        s9_alone = sample(gaussian([0.0], [[1.0]]), 50, 1, 9)
+        _ = sample(gaussian([0.0], [[1.0]]), 50, 1, 5)
+        s9_after = sample(gaussian([0.0], [[1.0]]), 50, 1, 9)
+        np.testing.assert_array_equal(s9_alone.points, s9_after.points)
+
+    def test_stream_id_defaults_to_zero(self):
+        spec = student(np.zeros(2), np.eye(2), 4.0)
+        assert sample(spec, 50, 9).points.tobytes() == sample(spec, 50, 9, 0).points.tobytes()
+
+
 class TestRngStreamKey:
     @settings(max_examples=200)
-    @given(_UINT64, _UINT64)
-    def test_same_generator_as_keyed_philox(self, seed, stream_id):
-        ours = RngStream(seed, stream_id).generator
-        ref = np.random.Generator(
-            np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
-        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
-        for draw in (lambda g: g.standard_normal(7), lambda g: g.chisquare(3.5, 7),
-                     lambda g: g.beta(0.5, 3.0, 7)):
-            np.testing.assert_array_equal(draw(ours), draw(ref))
-        assert _same_state(ours.bit_generator.state, ref.bit_generator.state)
-
-    def test_streams_own_their_generators(self):
-        # interleaved draws from two live streams match each drawn alone
-        a, b = RngStream(3, 1), RngStream(3, 2)
-        mixed = [(a.generator.standard_normal(), b.generator.standard_normal())
-                 for _ in range(5)]
-        np.testing.assert_array_equal([x for x, _ in mixed],
-                                      RngStream(3, 1).generator.standard_normal(5))
-        np.testing.assert_array_equal([y for _, y in mixed],
-                                      RngStream(3, 2).generator.standard_normal(5))
+    @given(_UINT64, _UINT64, st.integers(1, 40), st.integers(1, 3))
+    def test_same_generator_as_keyed_philox(self, seed, stream_id, n, m):
+        # at location 0 and identity scale a draw is numpy's keyed Philox
+        # normals, but for the location add, which turns a drawn -0.0
+        # into +0.0
+        got = sample(gaussian(np.zeros(m), np.eye(m)), n, seed, stream_id).points
+        want = _keyed_philox(seed, stream_id).standard_normal((n, m)) + 0.0
+        assert got.tobytes() == want.tobytes()
+        assert _same_state(sampler._generator(seed, stream_id).bit_generator.state,
+                           _keyed_philox(seed, stream_id).bit_generator.state)
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
-    def test_identifiers_outside_uint64_rejected(self, seed, stream_id):
+    def test_identifiers_outside_uint64_rejected(self, monkeypatch, seed, stream_id):
         # they once wrapped: seed -1 drew what seed 2**64 - 1 draws
-        with pytest.raises(DomainError, match=r"must be an integer in \[0, 2\*\*64\)"):
-            RngStream(seed, stream_id)
+        monkeypatch.setattr(sampler, "_generator", _no_generator)
+        what = "seed" if seed != 0 else "stream_id"  # the part that is not 0
+        with pytest.raises(DomainError, match=re.escape(
+                f"{what} must be an integer in [0, 2**64), got ")):
+            sample(gaussian([0.0], [[1.0]]), 5, seed, stream_id)
 
     @pytest.mark.parametrize("seed, stream_id", [(1.5, 0), (True, 0), ("7", 0),
                                                  (0, 2.0), (0, False), (0, "1")],
                              ids=["float-seed", "bool-seed", "str-seed",
                                   "float-stream", "bool-stream", "str-stream"])
-    def test_non_integer_identifiers_rejected(self, seed, stream_id):
+    def test_non_integer_identifiers_rejected(self, monkeypatch, seed, stream_id):
         # int() would read 1.5 and True as 1 and "7" as 7
-        with pytest.raises(DomainError, match="must be an integer"):
-            RngStream(seed, stream_id)
+        monkeypatch.setattr(sampler, "_generator", _no_generator)
+        what = "seed" if seed != 0 else "stream_id"  # the part that is not 0
+        with pytest.raises(DomainError, match=f"{what} must be an integer"):
+            sample(gaussian([0.0], [[1.0]]), 5, seed, stream_id)
+
+    @pytest.mark.parametrize("seed, stream_id, n, refusal", [
+        (-1, -1, 0, "seed must be"),
+        (0, -1, 0, "stream_id must be"),
+        (0, 0, 0, "sample size must be an integer >= 1, got 0"),
+    ], ids=["seed-first", "stream-before-size", "size"])
+    def test_key_read_before_size(self, monkeypatch, seed, stream_id, n, refusal):
+        monkeypatch.setattr(sampler, "_generator", _no_generator)
+        with pytest.raises(DomainError, match=re.escape(refusal)):
+            sample(gaussian([0.0], [[1.0]]), n, seed, stream_id)
 
     def test_numpy_integer_identifiers(self):
-        stream = RngStream(np.uint64(2**64 - 1), np.int32(5))
-        assert (stream.seed, stream.stream_id) == (2**64 - 1, 5)
-        assert type(stream.seed) is int and type(stream.stream_id) is int
-        np.testing.assert_array_equal(stream.generator.standard_normal(5),
-                                      RngStream(2**64 - 1, 5).generator.standard_normal(5))
+        spec = gaussian([0.0], [[1.0]])
+        got = sample(spec, 5, np.uint64(2**64 - 1), np.int32(5)).points
+        assert got.tobytes() == sample(spec, 5, 2**64 - 1, 5).points.tobytes()
 
 
 class TestSphere:
     def test_unit_norm(self):
         for m in (1, 2, 3, 7):
-            u = _sphere_block(m, 100, RngStream(3, m).generator)
+            u = _sphere_block(m, 100, sampler._generator(3, m))
             assert u.shape == (100, m)
             assert (np.abs(np.linalg.norm(u, axis=1) - 1.0) <= 1e-12).all()
 
     def test_m1_is_sign_flip(self):
-        vals = _sphere_block(1, 10_000, RngStream(11).generator)[:, 0]
+        vals = _sphere_block(1, 10_000, sampler._generator(11, 0))[:, 0]
         assert set(np.unique(vals)) == {-1.0, 1.0}
         assert 0.47 <= np.mean(vals > 0) <= 0.53
 
     def test_m3_coordinates_centered(self):
-        u = _sphere_block(3, 10_000, RngStream(12).generator)
+        u = _sphere_block(3, 10_000, sampler._generator(12, 0))
         np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-12)
         assert (np.abs(u.mean(axis=0)) <= 0.02).all()
 
     def test_m2_angle_uniform(self):
-        gen = RngStream(14).generator
+        gen = sampler._generator(14, 0)
         from renyigof.sampler import _sphere_block
 
         u = _sphere_block(2, 10_000, gen)
@@ -128,18 +153,18 @@ class TestSphere:
 
 class TestSampleLaws:
     def test_gaussian_moments(self):
-        s = sample(gaussian([0.0], [[1.0]]), 100_000, RngStream(21))
+        s = sample(gaussian([0.0], [[1.0]]), 100_000, 21)
         assert abs(s.points.mean()) <= 0.02
         assert 0.98 <= s.points.var(ddof=1) <= 1.02
 
     def test_student_covariance_relation(self):
         # Cov = Sigma / (1 - 2/nu) = 5/3 for nu = 5
-        s = sample(student([0.0], [[1.0]], 5.0), 100_000, RngStream(22))
+        s = sample(student([0.0], [[1.0]], 5.0), 100_000, 22)
         assert s.points.var(ddof=1) == pytest.approx(5.0 / 3.0, abs=0.1)
 
     def test_pearson_support_and_radial_law(self):
         spec = pearson2(np.zeros(2), np.eye(2), 1.0)
-        s = sample(spec, 10_000, RngStream(23))
+        s = sample(spec, 10_000, 23)
         r2 = (s.points**2).sum(axis=1)
         assert (r2 <= 1.0).all()
         ks = stats.kstest(r2, stats.beta(1.0, 2.0).cdf)
@@ -148,7 +173,7 @@ class TestSampleLaws:
     def test_student_histogram_matches_density(self):
         # 30 equal-probability bins against the exact t(4) law
         nu = 4.0
-        s = sample(student([0.0], [[1.0]], nu), 100_000, RngStream(24))
+        s = sample(student([0.0], [[1.0]], nu), 100_000, 24)
         edges = stats.t(nu).ppf(np.linspace(0.0, 1.0, 31))
         counts, _ = np.histogram(s.points[:, 0], bins=edges)
         expected = 100_000 / 30.0
@@ -167,13 +192,13 @@ class TestSampleLaws:
                     lambda l, s: student(l, s, 6.0),
                     lambda l, s: pearson2(l, s, 2.0),
                 ):
-                    shifted = sample(spec_at(loc, scale), 200, RngStream(31, m))
-                    base = sample(spec_at(np.zeros(m), np.eye(m)), 200, RngStream(31, m))
+                    shifted = sample(spec_at(loc, scale), 200, 31, m)
+                    base = sample(spec_at(np.zeros(m), np.eye(m)), 200, 31, m)
                     chol = np.linalg.cholesky(scale)
                     assert shifted.points.tobytes() == (base.points @ chol.T + loc).tobytes()
 
     @pytest.mark.parametrize("m", (1, 2, 3))
-    def test_identity_scale_keeps_signed_zeros(self, m):
+    def test_identity_scale_keeps_signed_zeros(self, monkeypatch, m):
         # skipping core @ I keeps the bytes of core @ I + location even
         # for a signed zero in the draw and for a -0.0 location
         core = np.array([[-0.0] * m, [0.0] * m, [-0.0] + [3.0] * (m - 1), [-1.5] * m])
@@ -182,35 +207,31 @@ class TestSampleLaws:
             def standard_normal(self, size):
                 return core.copy()
 
+        monkeypatch.setattr(sampler, "_generator", lambda seed, stream_id: Planted())
         for loc in (np.zeros(m), -np.zeros(m), np.full(m, -0.25)):
-            stream = RngStream(1)
-            stream.generator = Planted()
-            got = sample(gaussian(loc, np.eye(m)), core.shape[0], stream).points
+            got = sample(gaussian(loc, np.eye(m)), core.shape[0], 1).points
             assert got.tobytes() == (core @ np.eye(m) + loc).tobytes(), loc
 
     def test_determinism_bit_identical(self):
         spec = student(np.zeros(3), np.eye(3), 4.0)
-        a = sample(spec, 500, RngStream(77, 3))
-        b = sample(spec, 500, RngStream(77, 3))
+        a = sample(spec, 500, 77, 3)
+        b = sample(spec, 500, 77, 3)
         np.testing.assert_array_equal(a.points, b.points)
 
-    @pytest.mark.parametrize("spec", [gaussian(np.zeros(2), np.eye(2)),
-                                      student(np.zeros(2), np.eye(2), 4.0),
-                                      pearson2(np.zeros(2), np.eye(2), 2.0)],
-                             ids=["gaussian", "student", "pearson2"])
+    @pytest.mark.parametrize("spec", _SPECS, ids=_SPEC_IDS)
     def test_sample_size_must_be_an_integer(self, spec):
         # an integral type is a size; a float, bool or string never is,
         # even with an integral value
-        want = sample(spec, 3, RngStream(5)).points
+        want = sample(spec, 3, 5).points
         for n in (np.int64(3), np.int32(3)):
-            assert sample(spec, n, RngStream(5)).points.tobytes() == want.tobytes()
+            assert sample(spec, n, 5).points.tobytes() == want.tobytes()
         for n in (2.5, 3.0, np.float64(3.0), True, "3", None, 0, -1):
             with pytest.raises(DomainError, match="sample size must be an integer >= 1"):
-                sample(spec, n, RngStream(5))
+                sample(spec, n, 5)
 
     def test_sample_validation(self):
         with pytest.raises(DomainError):
-            sample(gaussian([0.0], [[1.0]]), 0, RngStream(1))
+            sample(gaussian([0.0], [[1.0]]), 0, 1)
         with pytest.raises(DomainError):
             Sample(np.array([[np.nan]]))
         with pytest.raises(DomainError):
@@ -241,15 +262,13 @@ class TestSampleLaws:
 
     @pytest.mark.parametrize("m, n", [(1, 2**23 + 1), (3, 2**23 // 3 + 1), (1, 2**30),
                                       (2, 2**31 - 1)])
-    def test_draw_beyond_the_coordinate_limit_refused(self, m, n):
-        # refused before anything is drawn: the stream stays where it started
-        rng = RngStream(1)
+    def test_draw_beyond_the_coordinate_limit_refused(self, monkeypatch, m, n):
+        # refused before anything is drawn: no generator is even keyed
+        monkeypatch.setattr(sampler, "_generator", _no_generator)
         with pytest.raises(DomainError, match=re.escape(
                 f"{n} points in m = {m} are {n * m} coordinates, "
                 f"more than one draw may hold ({sampler._MAX_COORDINATES})")):
-            sample(gaussian(np.zeros(m), np.eye(m)), n, rng)
-        assert _same_state(rng.generator.bit_generator.state,
-                           RngStream(1).generator.bit_generator.state)
+            sample(gaussian(np.zeros(m), np.eye(m)), n, 1)
 
 
 class TestCsv:
