@@ -87,6 +87,15 @@ class TestRngStreamKey:
         assert _same_state(sampler._generator(seed, stream_id).bit_generator.state,
                            _keyed_philox(seed, stream_id).bit_generator.state)
 
+    def test_streams_own_their_generators(self):
+        # interleaved draws from two keyed generators match each drawn alone
+        a, b = sampler._generator(3, 1), sampler._generator(3, 2)
+        mixed = [(a.standard_normal(), b.standard_normal()) for _ in range(5)]
+        np.testing.assert_array_equal([x for x, _ in mixed],
+                                      sampler._generator(3, 1).standard_normal(5))
+        np.testing.assert_array_equal([y for _, y in mixed],
+                                      sampler._generator(3, 2).standard_normal(5))
+
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_identifiers_outside_uint64_rejected(self, monkeypatch, seed, stream_id):
         # they once wrapped: seed -1 drew what seed 2**64 - 1 draws
