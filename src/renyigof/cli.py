@@ -2,8 +2,10 @@
 
 Subcommands: `sample` draws a seeded sample to CSV, `entropy` runs the
 nearest-neighbour estimator on a CSV, `test` evaluates a goodness-of-fit
-statistic (optionally against a precomputed critical-value table), and
-`experiment` runs a full Monte Carlo experiment from a JSON config.
+statistic (and, given a null run's critical-value table, decides at
+every level the table carries), and `experiment` runs a full Monte Carlo
+experiment from a JSON config.  A tail parameter has one flag, read as
+nu or eta by the family: `sample --param`, `test --null-param`.
 
 Exit codes: 0 success, 2 usage or validation error, 3 data error
 (duplicate points, degenerate covariance).  stdout carries JSON
@@ -80,30 +82,17 @@ def _parse_matrix(text: str, m: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _tail_flag(args, flags: dict[str, str]):
-    """The value of the tail-parameter flag of `args.family` among `flags`
-    (family -> flag name; None for a family with no flag).  A missing
-    own flag, or a flag of another family, raises DomainError."""
-    for family, flag in flags.items():
-        if family != args.family and getattr(args, flag) is not None:
-            raise DomainError(f"--{flag} does not apply to --family {args.family}")
-    own = flags.get(args.family)
-    if own is None:
-        return None
-    if getattr(args, own) is None:
-        raise DomainError(f"--{own} is required for --family {args.family}")
-    return getattr(args, own)
-
-
 def _build_spec(args):
-    param = _tail_flag(args, {"student": "nu", "pearson2": "eta"})
+    if (args.param is None) != (args.family == "gaussian"):
+        need = "is required for" if args.param is None else "does not apply to"
+        raise DomainError(f"--param {need} --family {args.family}")
     m = _integer("--dim", args.dim, 1)
     if m * m > _MAX_COORDINATES:  # refused before the m x m scale is built and factored
         raise DomainError(f"--dim {m} asks for a {m} x {m} scale matrix, more than "
                           f"the {_MAX_COORDINATES} coordinates one draw may hold")
     loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
     scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
-    return DistributionSpec(Family(args.family), loc, scale, param)
+    return DistributionSpec(Family(args.family), loc, scale, args.param)
 
 
 def cmd_sample(args) -> int:
@@ -111,8 +100,7 @@ def cmd_sample(args) -> int:
     s = sample(spec, args.n, args.seed, args.stream)
     resolved = {
         "family": args.family, "dim": args.dim,
-        "nu": None if args.nu is None else mc._format_float(args.nu),
-        "eta": None if args.eta is None else mc._format_float(args.eta),
+        "param": None if args.param is None else mc._format_float(args.param),
         "n": args.n, "seed": args.seed, "stream": args.stream,
         "loc": args.loc, "scale": args.scale,
     }
@@ -135,28 +123,19 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if args.alpha and not args.critical_table:
-        raise DomainError(
-            "--alpha needs --critical-table; run `renyigof experiment` on the "
-            "null configuration to produce one"
-        )
-    null_param = _tail_flag(args, {"student": "nu0", "pearson2": "eta0"})
     s = read_csv(args.data)
-    stat = statistic(s, Family(args.family), null_param, args.k)
-    null_text = mc._format_float(null_param)
+    stat = statistic(s, Family(args.family), args.null_param, args.k)
+    null_text = mc._format_float(args.null_param)
     decisions = []
     if args.critical_table:
         # W here constrains the maximum by the sample's own covariance
         critical = mc.read_summary(args.critical_table, {
             "family": args.family, "null_param": null_text, "dim": s.dim, "k": args.k,
             "covariance_mode": "same"})
-        for alpha in args.alpha or [0.05]:
-            if alpha not in critical:
-                raise DomainError(f"critical tables carry alpha in {sorted(critical)}, got {alpha}")
-            crit = critical[alpha].get(s.n)
-            if crit is None:
-                raise DomainError(f"critical table {args.critical_table} has no row for N={s.n}")
-            decisions.append({"alpha": alpha, "critical": crit, "reject": stat.value > crit})
+        if s.n not in critical[0.05]:
+            raise DomainError(f"critical table {args.critical_table} has no row for N={s.n}")
+        decisions = [{"alpha": alpha, "critical": by_n[s.n], "reject": stat.value > by_n[s.n]}
+                     for alpha, by_n in critical.items()]
     record = {
         "W": stat.value,
         "h_max": stat.h_max,
@@ -251,8 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a seeded sample to CSV")
     p.add_argument("--family", choices=["gaussian", "student", "pearson2"], required=True)
-    p.add_argument("--nu", type=_param, help="Student degrees of freedom (> 2 or inf)")
-    p.add_argument("--eta", type=_param, help="Pearson II shape (> 0 or inf)")
+    p.add_argument("--param", type=_param,
+                   help="tail parameter: Student nu (> 2) or Pearson II eta (> 0), or inf; "
+                        "not for gaussian")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -271,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="goodness-of-fit statistic for a CSV sample")
     p.add_argument("data")
     p.add_argument("--family", choices=["student", "pearson2"], required=True)
-    p.add_argument("--nu0", type=_param, help="Student null parameter (> 2 or inf)")
-    p.add_argument("--eta0", type=_param, help="Pearson II null parameter (> 0 or inf)")
+    p.add_argument("--null-param", type=_param, required=True,
+                   help="null's tail parameter: Student nu0 (> 2) or Pearson II eta0 (> 0); "
+                        "inf for the Gaussian limit")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--critical-table", help="summary CSV from a null-configuration experiment")
-    p.add_argument("--alpha", type=float, action="append",
-                   help="significance level(s) to decide at (needs --critical-table)")
+    p.add_argument("--critical-table",
+                   help="summary CSV from a null-configuration experiment; a decision "
+                        "record follows for each level it tabulates")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a JSON config")

@@ -28,7 +28,7 @@ from renyigof.sampler import read_csv, sample, write_csv
 
 
 # sha256 of the file that TestSampleCommand.test_writes_deterministic_csv writes
-_SAMPLE_SHA256 = "7e7c9bb2deaa0fae470fd963748f29002c81cc6d756016f8cb4b027ae1df135c"
+_SAMPLE_SHA256 = "59fb245a3422ef54b087d2747b2e63ead0b9358f14708177682ced82a33506f9"
 
 
 def _run(capsys, argv):
@@ -55,7 +55,7 @@ def _set_summary_field(path, column, text, n=None):
 class TestSampleCommand:
     def test_writes_deterministic_csv(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
-        argv = ["sample", "--family", "student", "--nu", "5", "--dim", "2",
+        argv = ["sample", "--family", "student", "--param", "5", "--dim", "2",
                 "--n", "1000", "--seed", "7", "-o", str(path)]
         code, out, _ = _run(capsys, argv)
         assert code == 0
@@ -75,7 +75,7 @@ class TestSampleCommand:
         assert hashlib.sha256(first).hexdigest() == _SAMPLE_SHA256, _toolchain_note()
 
     def test_invalid_eta_exits_2(self, tmp_path, capsys):
-        code, _, err = _run(capsys, ["sample", "--family", "pearson2", "--eta", "-1",
+        code, _, err = _run(capsys, ["sample", "--family", "pearson2", "--param", "-1",
                                      "--dim", "1", "--n", "10", "--seed", "1",
                                      "-o", str(tmp_path / "x.csv")])
         assert code == 2
@@ -96,21 +96,26 @@ class TestSampleCommand:
         code, _, err = _run(capsys, ["sample", "--family", "student", "--dim", "1",
                                      "--n", "10", "--seed", "1", "-o", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "--nu" in err
+        assert "--param is required for --family student" in err
 
-    @pytest.mark.parametrize("family, flags, stray", [
-        ("student", ["--nu", "5", "--eta", "2"], "--eta"),
-        ("pearson2", ["--eta", "2", "--nu", "5"], "--nu"),
-        ("gaussian", ["--nu", "5"], "--nu"),
-        ("gaussian", ["--eta", "inf"], "--eta"),
-    ])
-    def test_other_family_param_exits_2(self, tmp_path, capsys, family, flags, stray):
+    @pytest.mark.parametrize("value", ["5", "inf"])
+    def test_gaussian_param_exits_2(self, tmp_path, capsys, value):
         path = tmp_path / "x.csv"
-        code, _, err = _run(capsys, ["sample", "--family", family, *flags, "--dim", "1",
-                                     "--n", "10", "--seed", "1", "-o", str(path)])
-        assert code == 2
-        assert f"{stray} does not apply to --family {family}" in err
+        code, out, err = _run(capsys, ["sample", "--family", "gaussian", "--param", value,
+                                       "--dim", "1", "--n", "10", "--seed", "1", "-o", str(path)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: --param does not apply to --family gaussian"]
         assert not path.exists()
+
+    @pytest.mark.parametrize("flag", ["--nu", "--eta"])
+    def test_retired_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        # one flag, --param, names the tail parameter of every family
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--family", "student", "--param", "5", flag, "5", "--dim", "1",
+                  "--n", "10", "--seed", "1", "-o", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 5\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flags, message", [
         # explicit ids keep these cases' names as the suite knew them
@@ -156,7 +161,7 @@ class TestSampleCommand:
 
     def test_nan_parameter_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["sample", "--family", "student", "--nu", "nan", "--dim", "1", "--n", "5",
+            main(["sample", "--family", "student", "--param", "nan", "--dim", "1", "--n", "5",
                   "--seed", "0", "-o", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
         assert "expected a number or 'inf', got 'nan'" in capsys.readouterr().err
@@ -273,21 +278,24 @@ class TestTestCommand:
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 500, 6), path)
         code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
-                                     "--nu0", "inf", "--k", "3"])
+                                     "--null-param", "inf", "--k", "3"])
         assert code == 0
         record = json.loads(out)
         assert record["null_param"] == "inf"
         assert record["q"] == 1.0
         assert record["m"] == 2 and record["n"] == 500
 
-    @pytest.mark.parametrize("family, flag, param", [("student", "--nu0", "7"),
-                                                     ("pearson2", "--eta0", "4"),
-                                                     ("student", "--nu0", "inf")])
-    def test_record_holds_the_two_terms(self, tmp_path, capsys, family, flag, param):
+    @pytest.mark.parametrize("family, param", [
+        # explicit ids keep these cases' names as the suite knew them
+        pytest.param("student", "7", id="student---nu0-7"),
+        pytest.param("pearson2", "4", id="pearson2---eta0-4"),
+        pytest.param("student", "inf", id="student---nu0-inf"),
+    ])
+    def test_record_holds_the_two_terms(self, tmp_path, capsys, family, param):
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 300, 6), path)
-        code, out, err = _run(capsys, ["test", str(path), "--family", family, flag, param,
-                                       "--k", "3"])
+        code, out, err = _run(capsys, ["test", str(path), "--family", family,
+                                       "--null-param", param, "--k", "3"])
         assert code == 0, err
         record = json.loads(out)
         stat = statistic(read_csv(path), Family(family), float(param), 3)
@@ -304,23 +312,15 @@ class TestTestCommand:
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, out, _ = _run(capsys, ["test", str(path), "--family", "pearson2",
-                                     "--eta0", eta0, "--k", k])
+                                     "--null-param", eta0, "--k", k])
         assert code == 0
         assert f'"l2_condition_ok": {str(ok).lower()}' in out
-
-    def test_alpha_without_table_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "pts.csv"
-        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
-        code, _, err = _run(capsys, ["test", str(path), "--family", "student",
-                                     "--nu0", "inf", "--k", "3", "--alpha", "0.05"])
-        assert code == 2
-        assert "experiment" in err
 
     def test_invalid_nu0_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
         code, _, _ = _run(capsys, ["test", str(path), "--family", "student",
-                                   "--nu0", "2", "--k", "3"])
+                                   "--null-param", "2", "--k", "3"])
         assert code == 2
 
     def test_nu0_one_ulp_above_two_at_m2(self, tmp_path, capsys):
@@ -329,20 +329,22 @@ class TestTestCommand:
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian(np.zeros(2), np.eye(2)), 100, 6), path)
         code, out, err = _run(capsys, ["test", str(path), "--family", "student",
-                                       "--nu0", "2.0000000000000004", "--k", "3"])
+                                       "--null-param", "2.0000000000000004", "--k", "3"])
         assert code == 0, err
         assert math.isfinite(json.loads(out)["W"])
 
-    @pytest.mark.parametrize("family, flag, huge, name", [
-        ("student", "--nu0", 2**55, "Student nu"),
-        ("pearson2", "--eta0", 2**53, "Pearson II eta"),
+    @pytest.mark.parametrize("family, huge, name", [
+        pytest.param("student", 2**55, "Student nu",
+                     id="student---nu0-36028797018963968-Student nu"),
+        pytest.param("pearson2", 2**53, "Pearson II eta",
+                     id="pearson2---eta0-9007199254740992-Pearson II eta"),
     ])
     def test_null_param_whose_order_rounds_to_one_exits_2(self, tmp_path, capsys, family,
-                                                           flag, huge, name):
+                                                           huge, name):
         # there 1 - q is 0, and the closed form once divided by it
         path = tmp_path / "g.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
-        argv = ["test", str(path), "--family", family, "--k", "3", flag]
+        argv = ["test", str(path), "--family", family, "--k", "3", "--null-param"]
         code, out, err = _run(capsys, [*argv, str(huge)])
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {name} = {float(huge)} is too large in m = 1: "
@@ -352,26 +354,30 @@ class TestTestCommand:
         assert code == 0, err
         assert math.isfinite(json.loads(out)["W"])
 
-    @pytest.mark.parametrize("family, flag", [("student", "--nu0"), ("pearson2", "--eta0")])
-    def test_missing_null_param_exits_2(self, tmp_path, capsys, family, flag):
+    @pytest.mark.parametrize("family", [pytest.param("student", id="student---nu0"),
+                                        pytest.param("pearson2", id="pearson2---eta0")])
+    def test_missing_null_param_exits_2(self, tmp_path, capsys, family):
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
-        code, _, err = _run(capsys, ["test", str(path), "--family", family, "--k", "3"])
-        assert code == 2
-        assert f"{flag} is required for --family {family}" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["test", str(path), "--family", family, "--k", "3"])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith("error: the following arguments are required: --null-param\n")
 
-    @pytest.mark.parametrize("family, flags, stray", [
-        ("student", ["--nu0", "5", "--eta0", "3"], "--eta0"),
-        ("pearson2", ["--eta0", "3", "--nu0", "5"], "--nu0"),
-    ])
-    def test_other_family_null_param_exits_2(self, tmp_path, capsys, family, flags, stray):
+    @pytest.mark.parametrize("flag", ["--nu0", "--eta0", "--alpha"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, flag):
+        # the null's parameter has one flag, and a table decides at every level it holds
         path = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
-        code, out, err = _run(capsys, ["test", str(path), "--family", family, *flags,
-                                       "--k", "3"])
-        assert code == 2
-        assert out == ""
-        assert f"{stray} does not apply to --family {family}" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["test", str(path), "--family", "student", "--null-param", "5", "--k", "3",
+                  flag, "0.05"])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f"error: unrecognized arguments: {flag} 0.05\n")
 
     @pytest.mark.parametrize("nu0", ["10", "inf"])
     def test_overflowing_distance_exits_2(self, tmp_path, capsys, nu0):
@@ -381,7 +387,7 @@ class TestTestCommand:
         path = tmp_path / "far.csv"
         path.write_text("x1\n" + "".join(f"{i}\n" for i in range(99)) + "1.345e154\n")
         code, out, err = _run(capsys, ["test", str(path), "--family", "student",
-                                       "--nu0", nu0, "--k", "1"])
+                                       "--null-param", nu0, "--k", "1"])
         assert code == 2
         assert out == ""
         assert err == ("error: the entropy estimate is inf: a squared neighbour distance "
@@ -391,10 +397,10 @@ class TestTestCommand:
         # a sample's `# config` line holds its draw settings, not an experiment
         # config; the error must name the table, not read like a config fault
         monkeypatch.chdir(tmp_path)
-        code, _, _ = _run(capsys, ["sample", "--family", "student", "--nu", "5", "--dim", "1",
+        code, _, _ = _run(capsys, ["sample", "--family", "student", "--param", "5", "--dim", "1",
                                    "--n", "50", "--seed", "1", "-o", "d.csv"])
         assert code == 0
-        code, out, err = _run(capsys, ["test", "d.csv", "--family", "student", "--nu0", "5",
+        code, out, err = _run(capsys, ["test", "d.csv", "--family", "student", "--null-param", "5",
                                        "--k", "3", "--critical-table", "d.csv"])
         assert code == 2
         assert out == ""
@@ -415,15 +421,18 @@ class TestTestCommand:
         data = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 500, 66), data)
         code, out, _ = _run(capsys, ["test", str(data), "--family", "student",
-                                     "--nu0", "inf", "--k", "3",
-                                     "--critical-table", str(out_dir / "summary.csv"),
-                                     "--alpha", "0.05", "--alpha", "0.1"])
+                                     "--null-param", "inf", "--k", "3",
+                                     "--critical-table", str(out_dir / "summary.csv")])
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        for line in lines[1:]:
-            row = json.loads(line)
-            assert set(row) == {"alpha", "critical", "reject"}
+        record, *lines = out.strip().splitlines()
+        settings = ExperimentConfig.from_dict(config).to_dict()
+        critical = mc.read_summary(out_dir / "summary.csv", settings)
+        w = json.loads(record)["W"]
+        # one record per tabulated level, in the table's column order
+        assert [json.loads(line) for line in lines] == [
+            {"alpha": alpha, "critical": by_n[500], "reject": w > by_n[500]}
+            for alpha, by_n in critical.items()]
+        assert [json.loads(line)["alpha"] for line in lines] == list(mc.ALPHA_COLUMNS)
 
     def _null_table(self, tmp_path, capsys, **overrides):
         """Summary CSV of a small null run: Student nu = nu0 = 5, m = 1, k = 3, N = 50."""
@@ -450,8 +459,8 @@ class TestTestCommand:
         # a nan q05 once gave {"critical": NaN, "reject": false} with exit 0
         table = self._null_table(tmp_path, capsys)
         _set_summary_field(table, column, text)
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
-                                            "--alpha", "0.05")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "5",
+                                            "--k", "3")
         assert code == 2
         assert out == ""
         assert err == f"error: {table}: {column} at N=50 is {float(text)}, not a finite number\n"
@@ -462,8 +471,8 @@ class TestTestCommand:
         text = table.read_text()
         _set_summary_field(table, "q05", "99.0")
         table.write_text(text + table.read_text().splitlines()[-1] + "\n")
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
-                                            "--alpha", "0.05")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "5",
+                                            "--k", "3")
         assert code == 2
         assert out == ""
         assert err == f"error: critical table {table} has a second row for N=50\n"
@@ -472,7 +481,7 @@ class TestTestCommand:
         table = self._null_table(tmp_path, capsys)
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
-        outs = [self._test_against(tmp_path, capsys, path, "--nu0", "5", "--k", "3")
+        outs = [self._test_against(tmp_path, capsys, path, "--null-param", "5", "--k", "3")
                 for path in (table, marked)]
         assert outs[0][0] == 0
         assert outs[1] == outs[0]
@@ -481,7 +490,8 @@ class TestTestCommand:
         # a nu0 = 10, "fresh" table cannot judge W against nu0 = 3
         table = self._null_table(tmp_path, capsys, true_param=10.0, null_param=10.0,
                                  covariance_mode="fresh")
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "3", "--k", "3")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "3",
+                                            "--k", "3")
         assert code == 2
         assert out == ""
         assert "null_param '10.0' there, '3.0' here" in err
@@ -492,7 +502,8 @@ class TestTestCommand:
     ])
     def test_each_table_key_checked(self, tmp_path, capsys, key, value):
         table = self._null_table(tmp_path, capsys, **{key: value})
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "5",
+                                            "--k", "3")
         assert code == 2
         assert out == ""
         assert f"{key} " in err
@@ -502,8 +513,8 @@ class TestTestCommand:
     def test_table_from_non_null_run_exits_2(self, tmp_path, capsys):
         # a power run's quantiles are those of W under its alternative
         table = self._null_table(tmp_path, capsys, true_param="inf")
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
-                                            "--alpha", "0.05")
+        code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "5",
+                                            "--k", "3")
         assert code == 2
         assert out == ""
         assert "is not from a null run: true_param 'inf', null_param '5.0'" in err
@@ -512,7 +523,7 @@ class TestTestCommand:
         path = tmp_path / "bare.csv"
         path.write_text("1.5\n2.5\n3.7\n4.1\n5.9\n")
         code, out, err = _run(capsys, ["test", str(path), "--family", "student",
-                                       "--nu0", "5", "--k", "3"])
+                                       "--null-param", "5", "--k", "3"])
         assert code == 2
         assert out == ""
         assert f"{path}:1: expected a header line" in err
@@ -520,18 +531,10 @@ class TestTestCommand:
     def test_table_without_config_header_exits_2(self, tmp_path, capsys):
         (tmp_path / "bare.csv").write_text("N,q05\n50,0.1\n")
         code, out, err = self._test_against(tmp_path, capsys, tmp_path / "bare.csv",
-                                            "--nu0", "5", "--k", "3")
+                                            "--null-param", "5", "--k", "3")
         assert code == 2
         assert out == ""
         assert "no '# config' header" in err
-
-    def test_untabulated_alpha_exits_2(self, tmp_path, capsys):
-        table = self._null_table(tmp_path, capsys)
-        code, out, err = self._test_against(tmp_path, capsys, table, "--nu0", "5", "--k", "3",
-                                            "--alpha", "0.2")
-        assert code == 2
-        assert out == ""
-        assert "got 0.2" in err
 
     def test_missing_table_row_exits_2(self, tmp_path, capsys):
         config = {
@@ -546,9 +549,8 @@ class TestTestCommand:
         data = tmp_path / "pts.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 500, 66), data)
         code, _, err = _run(capsys, ["test", str(data), "--family", "student",
-                                     "--nu0", "inf", "--k", "3",
-                                     "--critical-table", str(out_dir / "summary.csv"),
-                                     "--alpha", "0.05"])
+                                     "--null-param", "inf", "--k", "3",
+                                     "--critical-table", str(out_dir / "summary.csv")])
         assert code == 2
         assert "N=500" in err
 
@@ -963,7 +965,7 @@ class TestWarnings:
             (["entropy", str(path), "--k", "1", "--q", "0.5"],
              "error: the entropy estimate is inf: a squared neighbour distance overflows "
              "the double range"),
-            (["test", str(path), "--family", "student", "--nu0", "5", "--k", "1"],
+            (["test", str(path), "--family", "student", "--null-param", "5", "--k", "1"],
              "error: matrix entries must be finite"),
         ]:
             with warnings.catch_warnings(record=True) as caught:
@@ -1019,13 +1021,14 @@ class TestUndecodableInput:
 
     def test_test_data(self, capsys, binary):
         self._assert_exit_2(capsys, ["test", str(binary), "--family", "student",
-                                     "--nu0", "10", "--k", "3"], binary)
+                                     "--null-param", "10", "--k", "3"], binary)
 
     def test_critical_table(self, tmp_path, capsys, binary):
         path = tmp_path / "ok.csv"
         write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), path)
-        self._assert_exit_2(capsys, ["test", str(path), "--family", "student", "--nu0", "10",
-                                     "--k", "3", "--critical-table", str(binary)], binary)
+        self._assert_exit_2(capsys, ["test", str(path), "--family", "student",
+                                     "--null-param", "10", "--k", "3",
+                                     "--critical-table", str(binary)], binary)
 
 
 class TestPaperScaleDecisions:
@@ -1040,7 +1043,7 @@ class TestPaperScaleDecisions:
             path = tmp_path / "pts.csv"
             write_csv(s, path)
             code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
-                                         "--nu0", "inf", "--k", "3"])
+                                         "--null-param", "inf", "--k", "3"])
             assert code == 0
             if json.loads(out)["W"] < 0.030:
                 below += 1
@@ -1066,11 +1069,11 @@ class TestPaperScaleDecisions:
             path = tmp_path / "pts.csv"
             write_csv(s, path)
             code, out, _ = _run(capsys, ["test", str(path), "--family", "student",
-                                         "--nu0", "3", "--k", "3",
-                                         "--critical-table", str(out_dir / "summary.csv"),
-                                         "--alpha", "0.05"])
+                                         "--null-param", "3", "--k", "3",
+                                         "--critical-table", str(out_dir / "summary.csv")])
             assert code == 0
             decision = json.loads(out.strip().splitlines()[1])
+            assert decision["alpha"] == 0.05
             rejects += bool(decision["reject"])
         assert rejects >= 95
 
@@ -1167,8 +1170,8 @@ class TestReadmeCommands:
         assert "--critical-table" in argv
         record, *decisions = out.strip().splitlines()
         assert json.loads(record)["n"] == 200
-        assert len(decisions) == 1
-        assert set(json.loads(decisions[0])) == {"alpha", "critical", "reject"}
+        assert [json.loads(line)["alpha"] for line in decisions] == list(mc.ALPHA_COLUMNS)
+        assert all(set(json.loads(line)) == {"alpha", "critical", "reject"} for line in decisions)
 
 
     def test_library_quick_tour_runs_as_written(self, monkeypatch):
@@ -1332,12 +1335,12 @@ class TestLazyImports:
         loaded = self._run_script(tmp_path, """
 loaded = {"import": scipy_modules()}
 codes = [
-    main(["sample", "--family", "student", "--nu", "10", "--dim", "1", "--n", "60",
+    main(["sample", "--family", "student", "--param", "10", "--dim", "1", "--n", "60",
           "--seed", "1", "-o", "s.csv"]),
     main(["entropy", "s.csv", "--k", "3", "--q", "0.8"]),
     main(["entropy", "s.csv", "--k", "3", "--q", "1"]),
-    main(["test", "s.csv", "--family", "student", "--nu0", "10", "--k", "3"]),
-    main(["test", "s.csv", "--family", "pearson2", "--eta0", "inf", "--k", "3"]),
+    main(["test", "s.csv", "--family", "student", "--null-param", "10", "--k", "3"]),
+    main(["test", "s.csv", "--family", "pearson2", "--null-param", "inf", "--k", "3"]),
 ]
 with open("tied.csv", "w") as fh:
     fh.write("x1\\n0.5\\n2.0\\n0.5\\n1.0\\n")

@@ -148,19 +148,14 @@ def _entropy_argv(draw, path):
 def _test_argv(draw, path, files):
     family = draw(st.sampled_from(["student", "pearson2"] * 4 + ["gaussian"]))
     argv = ["test", path, "--family", family]
-    own = {"student": "--nu0", "pearson2": "--eta0"}.get(family)
-    for flag in ("--nu0", "--eta0"):
-        if draw(_GIVEN) == (flag == own):
-            argv += [flag, draw(_TAIL)]
+    if draw(_GIVEN):
+        argv += ["--null-param", draw(_TAIL)]
     if draw(_GIVEN):
         argv += ["--k", draw(_K)]
     if draw(st.booleans()):
         argv += ["--critical-table", files[draw(st.sampled_from(sorted(files)))]]
-        for alpha in draw(st.lists(st.sampled_from(["0.05", "0.01", "0.1", "0.5", "nan", "x"]),
-                                   max_size=2)):
-            argv += ["--alpha", alpha]
-    elif not draw(_GIVEN):
-        argv += ["--alpha", "0.05"]
+    if not draw(_GIVEN):  # a flag the command does not take
+        argv += [draw(st.sampled_from(["--nu0", "--eta0", "--alpha"])), draw(_TAIL)]
     return argv
 
 
