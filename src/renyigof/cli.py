@@ -6,6 +6,8 @@ statistic (and, given a null run's critical-value table, decides at
 every level the table carries), and `experiment` runs a full Monte Carlo
 experiment from a JSON config.  A tail parameter has one flag, read as
 nu or eta by the family: `sample --param`, `test --null-param`.
+Flags are taken only as spelled in full (or as `--flag=value`); a
+prefix of one, such as `--null` for `--null-param`, is a usage error.
 
 Exit codes: 0 success, 2 usage or validation error, 3 data error
 (duplicate points, degenerate covariance).  stdout carries JSON
@@ -220,15 +222,19 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every parser takes its long flags spelled in full: with argparse's
+    # abbreviations on, each unique prefix would be a second name for a
+    # flag, and a flag added later could change what an old line means
     parser = argparse.ArgumentParser(
         prog="renyigof",
+        allow_abbrev=False,
         description="Nearest-neighbour Renyi entropy estimation and "
         "maximum-entropy goodness-of-fit tests.",
     )
     parser.add_argument("--version", action="version", version=f"renyigof {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="draw a seeded sample to CSV")
+    p = sub.add_parser("sample", allow_abbrev=False, help="draw a seeded sample to CSV")
     p.add_argument("--family", choices=["gaussian", "student", "pearson2"], required=True)
     p.add_argument("--param", type=_param,
                    help="tail parameter: Student nu (> 2) or Pearson II eta (> 0), or inf; "
@@ -242,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("entropy", help="estimate entropy of a CSV sample")
+    p = sub.add_parser("entropy", allow_abbrev=False, help="estimate entropy of a CSV sample")
     p.add_argument("data")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=float, required=True, help="Renyi order; 1 selects Shannon")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("test", help="goodness-of-fit statistic for a CSV sample")
+    p = sub.add_parser("test", allow_abbrev=False,
+                       help="goodness-of-fit statistic for a CSV sample")
     p.add_argument("data")
     p.add_argument("--family", choices=["student", "pearson2"], required=True)
     p.add_argument("--null-param", type=_param, required=True,
@@ -260,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "record follows for each level it tabulates")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("experiment", help="run a Monte Carlo experiment from a JSON config")
+    p = sub.add_parser("experiment", allow_abbrev=False,
+                       help="run a Monte Carlo experiment from a JSON config")
     p.add_argument("config")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=None,

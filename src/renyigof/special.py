@@ -10,7 +10,9 @@ that importing this package loads no scipy module:
 - `ln_gamma` is Cephes `lgam` (S. L. Moshier, Cephes Math Library
   `gamma.c`): a recurrence into [2, 3) and a rational fit below 13,
   Stirling's series with a five-term correction below 1000, a three-term
-  correction below 1e8 and none above.
+  correction below 1e8 and none above.  Below about 5.56e-309, where the
+  recurrence's 1/x overflows and lgam returns +inf, it returns -log x,
+  which is log Gamma(x) to within gamma x < 4e-309.
 - `digamma` is Cephes `psi` at the integers k >= 1 only, the one
   argument the Kozachenko-Leonenko estimator needs: the harmonic sum for
   k up to 10 and the asymptotic series `psi_asy` above.  Any other
@@ -19,7 +21,7 @@ that importing this package loads no scipy module:
 
 Each port keeps the original's order of float operations (Horner through
 `_polevl`, the same loops and the same constants), so its
-results equal scipy's bit for bit. That rests on Python's `math.log`
+results equal scipy's bit for bit, but for that one range. That rests on Python's `math.log`
 and scipy's `std::log` being the same platform libm `log`;
 `tests/test_special.py` checks the equality against scipy on each
 machine it runs on.
@@ -113,6 +115,8 @@ def ln_gamma(x: float) -> float:
     if x == math.inf:
         return x
     if x < 13.0:
+        if 1.0 / x == math.inf:  # below about 5.56e-309 the recurrence's 1/x overflows:
+            return -math.log(x)  # log Gamma(x) = -log x - gamma x + O(x^2), gamma x < 4e-309
         z = 1.0
         p = 0.0
         u = x
@@ -176,10 +180,8 @@ def ln_beta(a: float, b: float) -> float:
     so the larger argument exceeds 1.2e305), Stirling's series for the
     larger argument, whose corrections are below 1e-305 there, folds the
     three terms into one sum of moderate terms; a value below the double
-    range is -inf.  Below a + b = 1e-300, where log Gamma overflows at
-    arguments under 5.6e-309, it is log(a+b) - log a - log b, which
-    leaves out only terms below 1e-300.  Above it, a smaller argument
-    under 5.6e-309 gives +inf, as in `scipy.special.betaln`.
+    range is -inf.  Below a + b = 1e-300 it is log(a+b) - log a - log b,
+    which leaves out only terms below 1e-300.
     """
     a, b = _real("ln_beta's a", a), _real("ln_beta's b", b)
     if not (a > 0 and b > 0):

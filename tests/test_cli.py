@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import importlib
@@ -951,6 +952,65 @@ class TestExperimentCommand:
         assert out == ""
         assert err.startswith("error: invalid experiment config: power_reference must be")
         assert not (tmp_path / "alt_out").exists()
+
+
+def _long_flag_prefixes():
+    """(command, prefix, flag, takes_value) for every proper prefix of three
+    or more characters of a long flag of the top parser (command None) or
+    of a subparser, that is not itself a flag of that parser; a prefix of
+    several flags is listed once, with the first of them."""
+    top = cli.build_parser()
+    [sub] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for command, parser in [(None, top), *sub.choices.items()]:
+        flags = {s: a.nargs != 0 for a in parser._actions for s in a.option_strings}
+        prefixes = {}
+        for flag, takes_value in flags.items():
+            for i in range(3, len(flag)):
+                if flag.startswith("--") and flag[:i] not in flags:
+                    prefixes.setdefault(flag[:i], (flag, takes_value))
+        cases += [(command, prefix, *first) for prefix, first in prefixes.items()]
+    return cases
+
+
+class TestFlagSpelling:
+    """A long flag is taken only as spelled in full: a prefix of one is a
+    usage error, not a second name for it, on every parser and for every
+    flag the parser defines now or later."""
+
+    def _argv(self, tmp_path, command):
+        data, out = tmp_path / "in" / "g.csv", tmp_path / "out"
+        if not data.exists():
+            data.parent.mkdir()
+            write_csv(sample(gaussian([0.0], [[1.0]]), 50, 1), data)
+        return {
+            "sample": ["sample", "--family", "student", "--param", "5", "--dim", "1",
+                       "--n", "10", "--seed", "1", "-o", str(out / "s.csv")],
+            "entropy": ["entropy", str(data), "--k", "3", "--q", "1"],
+            "test": ["test", str(data), "--family", "student", "--null-param", "5",
+                     "--k", "3"],
+            "experiment": ["experiment", str(_REPO / "configs" / "smoke.json"),
+                           "--out-dir", str(out), "--workers", "1"],
+        }[command or "entropy"]
+
+    @pytest.mark.parametrize(
+        "command, prefix, flag, takes_value",
+        [pytest.param(*case, id=f"{case[0] or 'renyigof'}-{case[1]}")
+         for case in _long_flag_prefixes()])
+    def test_prefix_is_a_usage_error(self, tmp_path, capsys, command, prefix, flag,
+                                     takes_value):
+        argv = self._argv(tmp_path, command)
+        # the value the line gives the full flag, or one a flag takes alone
+        value = [argv[argv.index(flag) + 1] if flag in argv else "1"] if takes_value else []
+        argv = [prefix, *argv] if command is None else [*argv, prefix, *value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert out.out == ""
+        assert out.err.startswith("usage: renyigof")
+        assert "Traceback" not in out.err
+        assert not (tmp_path / "out").exists()
 
 
 class TestWarnings:

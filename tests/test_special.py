@@ -59,6 +59,21 @@ def _same(a: float, b: float) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+def _overflows(x: float) -> bool:
+    """Whether 1/x overflows, as it does below about 5.56e-309: there
+    scipy's gammaln (Cephes lgam) returns +inf and ln_gamma -log x."""
+    return 1.0 / x == math.inf
+
+
+def _check_ln_gamma(x: float) -> None:
+    """ln_gamma(x) is scipy's gammaln bit for bit, and log Gamma(x) to
+    1e-15 relative where gammaln's 1/x overflows."""
+    if _overflows(x):
+        assert ln_gamma(x) == pytest.approx(float(mpmath.loggamma(mpmath.mpf(x))), rel=1e-15)
+    else:
+        assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
+
+
 # psi's branch edges as integers: the harmonic sum up to 10, the
 # asymptotic series above, without its correction from 1e17 on
 _PSI_EDGES = [*range(1, 12), 10**17 - 1, 10**17, 10**17 + 1, 2**60, 10**300]
@@ -66,7 +81,7 @@ _PSI_EDGES = [*range(1, 12), 10**17 - 1, 10**17, 10**17 + 1, 2**60, 10**300]
 
 @pytest.mark.parametrize("x", _EDGES)
 def test_ports_match_scipy_at_branch_edges(x):
-    assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
+    _check_ln_gamma(x)
     if x.is_integer():
         assert _same(digamma(int(x)), float(scipy_special.psi(x)))
 
@@ -80,7 +95,7 @@ def test_digamma_matches_scipy_at_integer_edges(k):
 @given(_POSITIVE)
 @example(math.nextafter(13.0, 0.0))
 def test_ln_gamma_is_scipy_gammaln_bit_for_bit(x):
-    assert _same(ln_gamma(x), float(scipy_special.gammaln(x)))
+    _check_ln_gamma(x)
 
 
 @settings(max_examples=1000)
@@ -99,6 +114,10 @@ def test_ports_match_scipy_on_a_seeded_sweep(rng):
     bits = rng.integers(1, 0x7FF0000000000000, 40_000, dtype=np.int64).view(np.float64)
     xs = np.concatenate([bits, rng.uniform(0.0, 20.0, 40_000)])
     xs = xs[xs > 0.0]
+    tiny = np.array([_overflows(x) for x in xs.tolist()])
+    for x in xs[tiny].tolist():
+        _check_ln_gamma(x)
+    xs = xs[~tiny]
     ours = np.array([ln_gamma(x) for x in xs.tolist()])
     assert ours.tobytes() == scipy_special.gammaln(xs).tobytes()
     ks = [*range(1, 10_001), *map(int, np.floor(bits[bits >= 1.0]).tolist())]
@@ -220,6 +239,11 @@ def test_ln_beta_at_infinite_and_overflowing_arguments():
             assert ln_beta(a, b) == ln_beta(b, a) == pytest.approx(exact, rel=1e-15), (a, b)
     # below the double range
     assert ln_beta(1.7e308, 1.7e308) == -math.inf
+    # a tiny argument beside a moderate one, where gammaln overflows:
+    # log B(a, 1) = -log a, so ln_beta(5e-324, 1.0) is 744.44, not +inf
+    for a, b in ((5e-324, 1.0), (1e-310, 2.5)):
+        exact = float(mpmath.log(mpmath.beta(a, b)))
+        assert ln_beta(a, b) == ln_beta(b, a) == pytest.approx(exact, rel=1e-15), (a, b)
     # where log Gamma overflows at small arguments, B(a, b) is (a+b)/(ab)
     # to within a factor 1 + O(a + b)
     for a, b in ((5e-324, 5e-324), (1e-310, 3e-309), (1e-301, 2e-301)):
