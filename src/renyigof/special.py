@@ -20,9 +20,9 @@ that importing this package loads no scipy module:
   DomainError, so no recurrence or rational fit is kept.
 
 Each port keeps the original's order of float operations (Horner through
-`_polevl`, the same loops and the same constants), so its
-results equal scipy's bit for bit, but for that one range. That rests on Python's `math.log`
-and scipy's `std::log` being the same platform libm `log`;
+`_polevl`, the same loops and the same constants), so its results equal
+scipy's bit for bit, but for that one range.  That rests on Python's
+`math.log` and scipy's `std::log` being the same platform libm `log`;
 `tests/test_special.py` checks the equality against scipy on each
 machine it runs on.
 
@@ -180,14 +180,11 @@ def ln_beta(a: float, b: float) -> float:
     so the larger argument exceeds 1.2e305), Stirling's series for the
     larger argument, whose corrections are below 1e-305 there, folds the
     three terms into one sum of moderate terms; a value below the double
-    range is -inf.  Below a + b = 1e-300 it is log(a+b) - log a - log b,
-    which leaves out only terms below 1e-300.
+    range is -inf.
     """
     a, b = _real("ln_beta's a", a), _real("ln_beta's b", b)
     if not (a > 0 and b > 0):
         raise DomainError(f"ln_beta requires positive arguments, got ({a}, {b})")
-    if a + b < 1e-300:  # B(a, b) = (a+b)/(ab) Gamma(1+a) Gamma(1+b) / Gamma(1+a+b)
-        return math.log(a + b) - math.log(a) - math.log(b)
     if a + b <= _MAXLGM:
         return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
     a, b = max(a, b), min(a, b)

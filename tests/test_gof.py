@@ -389,9 +389,9 @@ class TestExactNullMean:
     # tools/exact_mean.py gives E[W] at a Gaussian null, m = 1, by
     # quadrature (within 1e-5 relative), the same in both covariance
     # modes.  The engine's mean must lie within 4 standard errors of it.
-    # M = 5000 takes 0.7-1.2 s per mode on 2 workers.  Over 20 other
-    # seeds (9230-9249, both modes, these three N) the 120 z-scores had
-    # mean 0.01, sd 0.97 and |z| at most 2.68.
+    # M = 5000 takes 0.7-1.2 s per mode on 2 workers.  Over master seeds
+    # 9230-9249 (this test's and 19 more; both modes, these three N) the
+    # 120 z-scores had mean 0.01, sd 0.97 and |z| at most 2.68.
     @pytest.mark.parametrize("mode", ["same", "fresh"])
     def test_engine_mean_matches_the_exact_mean(self, monkeypatch, mode):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))

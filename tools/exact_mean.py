@@ -91,7 +91,11 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=160,
                         help="quadrature nodes in each of x and p")
     args = parser.parse_args(argv)
-    means = [(n, exact_mean(n, args.k, args.nodes)) for n in args.n]
+    if not 1 <= args.k < min(args.n):
+        parser.error("--k must be at least 1 and below every N")
+    if not 2 <= args.nodes <= 360:  # numpy's Gauss-Hermite weights overflow from about 380
+        parser.error("--nodes must lie in [2, 360]")
+    means =[(n, exact_mean(n, args.k, args.nodes)) for n in args.n]
     for n, w in means:
         print(f"{n:6d}  {w:.10e}  {n * w:.6f}")
     if len(means) >= 3:
