@@ -285,6 +285,9 @@ class TestTestCommand:
         assert record["null_param"] == "inf"
         assert record["q"] == 1.0
         assert record["m"] == 2 and record["n"] == 500
+        # a full flag may carry its value after "=" (no prefix may)
+        assert _run(capsys, ["test", str(path), "--family=student", "--null-param=inf",
+                             "--k=3"]) == (0, out, "")
 
     @pytest.mark.parametrize("family, param", [
         # explicit ids keep these cases' names as the suite knew them
