@@ -1,14 +1,14 @@
 """The exact mean of W under a Gaussian null at m = 1, by quadrature.
 
-    python3 tools/exact_mean.py          # k = 3
-    python3 tools/exact_mean.py --k 4
+    python3 tools/exact_mean.py
 
 Run from anywhere; the program is imported from `src/` of the checkout
-that holds this file, and nothing is installed.  It prints one line per
-N of criterion 7's grid, "N  E[W]  N E[W]", and then the least-squares
-rate b of log E[W] on log N from `mc.fit_convergence_rate`, the fit
-criterion 7 makes of the engine's means: the value its b tends to as
-the replicates grow.
+that holds this file, and nothing is installed.  For criterion 7's
+case, k = 3 on its grid of N, it prints one line per N, "N  E[W]
+N E[W]", and then the least-squares rate b of log E[W] on log N from
+`mc.fit_convergence_rate`, the fit criterion 7 makes of the engine's
+means: the value its b tends to as the replicates grow.  Other k and N
+are `exact_mean(n, k)`.
 
 At a Gaussian null (null parameter +inf) and m = 1, W = H_max(S) - H_hat
 is linear in log S and in the log rho_k:
@@ -47,8 +47,9 @@ from scipy.special import betaincinv, digamma, ndtr
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from renyigof import mc  # noqa: E402
 
-# criterion 7's grid (tests/test_acceptance.py, TestCriterion7Table1Rates)
+# criterion 7's grid and neighbour (tests/test_acceptance.py, TestCriterion7Table1Rates)
 GRID = (*range(100, 1000, 100), *range(1000, 6000, 1000))
+K = 3
 BISECTIONS = 110  # halvings of [0, |x| + 40]: r to within 1e-31
 # Quadrature nodes in each of x and p.  Against 300 Hermite x 1000
 # Legendre nodes, E[W] at N = 30 and on GRID is within 8.2e-6 relative
@@ -87,16 +88,12 @@ def exact_mean(n: int, k: int) -> float:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--k", type=int, default=3)
-    args = parser.parse_args(argv)
-    if not 1 <= args.k < min(GRID):
-        parser.error(f"--k must lie in [1, {min(GRID) - 1}]")
-    means = [(n, exact_mean(n, args.k)) for n in GRID]
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    means = [(n, exact_mean(n, K)) for n in GRID]
     for n, w in means:
         print(f"{n:6d}  {w:.10e}  {n * w:.6f}")
     fit = mc.fit_convergence_rate(means)
-    print(f"b = {fit.b:.4f} (r2 = {fit.r_squared:.4f}), k = {args.k}")
+    print(f"b = {fit.b:.4f} (r2 = {fit.r_squared:.4f}), k = {K}")
     return 0
 
 
