@@ -4,8 +4,10 @@ Subcommands: `sample` draws a seeded sample to CSV, `entropy` runs the
 nearest-neighbour estimator on a CSV, `test` evaluates a goodness-of-fit
 statistic (and, given a null run's critical-value table, decides at
 every level the table carries), and `experiment` runs a full Monte Carlo
-experiment from a JSON config.  A tail parameter has one flag, read as
-nu or eta by the family: `sample --param`, `test --null-param`.
+experiment from a JSON config (and, given such a table, measures power
+against it).  Both name the table by `--critical-table PATH`.  A tail
+parameter has one flag, read as nu or eta by the family: `sample
+--param`, `test --null-param`.
 Flags are taken only as spelled in full (or as `--flag=value`); a
 prefix of one, such as `--null` for `--null-param`, is a usage error.
 
@@ -155,33 +157,15 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def load_config(path: Path) -> tuple[mc.ExperimentConfig, Path | None]:
-    """An experiment config file (JSON, read by :func:`sampler.read_lines`)
-    and its optional `power_reference` (a null-run summary CSV, resolved
-    against the config's directory).  A reference that is not a
-    non-empty string is reported in one error with the config's other
-    problems."""
-    text = "".join(read_lines(path))
+def load_config(path: Path) -> mc.ExperimentConfig:
+    """An experiment config file: JSON, read by :func:`sampler.read_lines`,
+    built by :meth:`mc.ExperimentConfig.from_dict`.  A number past the
+    double range is refused as JSON, not read as +-inf."""
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        data = json.loads("".join(read_lines(path)), parse_float=mc._finite_json_float)
+    except ValueError as exc:  # a JSONDecodeError, an int past Python's digit limit, or 1e999
         raise ExperimentError(f"config is not valid JSON: {exc}") from None
-    power_reference, problems = None, []
-    if isinstance(data, dict) and "power_reference" in data:
-        power_reference = data.pop("power_reference")
-        if not isinstance(power_reference, str) or not power_reference:
-            problems.append(
-                f"power_reference must be a non-empty path string, got {power_reference!r}"
-            )
-    try:
-        config = mc.ExperimentConfig.from_dict(data)
-    except ExperimentError as exc:
-        raise ExperimentError("; ".join([str(exc), *problems])) from None
-    if problems:
-        raise mc._invalid(problems)
-    if power_reference is None:
-        return config, None
-    return config, path.parent / power_reference
+    return mc.ExperimentConfig.from_dict(data)
 
 
 def _check_out_dir(out_dir: Path) -> None:
@@ -195,10 +179,10 @@ def _check_out_dir(out_dir: Path) -> None:
 
 
 def cmd_experiment(args) -> int:
-    config, power_reference = load_config(Path(args.config))
+    config = load_config(Path(args.config))
     critical_by_n = None
-    if power_reference is not None:
-        critical_by_n = mc.read_summary(power_reference, config.to_dict())[0.05]
+    if args.critical_table:  # read before the run, which a bad table would waste
+        critical_by_n = mc.read_summary(args.critical_table, config.to_dict())[0.05]
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)  # before the run, which an unusable path would waste
 
@@ -276,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "results identical for any count")
     p.add_argument("--replicates-json", action="store_true",
                    help="also write full replicate arrays as JSON")
+    p.add_argument("--critical-table",
+                   help="summary CSV from a null-configuration experiment; power_at_005 "
+                        "is the rejection rate against its 5%% critical values")
     p.set_defaults(func=cmd_experiment)
     return parser
 

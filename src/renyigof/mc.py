@@ -84,15 +84,29 @@ def parse_param(value) -> float:
 
     The one parser for tail parameters in configs and on the command
     line: a string is turned into a number by float(), and the number is
-    read by :func:`special._real`.  Raises ValueError for anything else,
-    NaN and -inf included.
+    read by :func:`special._real`.  A string gives +inf only when it
+    spells inf or infinity; a decimal that float() rounds to +-inf, such
+    as "1e999", is refused, not read as the Gaussian limit.  Raises
+    ValueError for anything else, NaN and -inf included.
     """
     try:
         x = _real("tail parameter", float(value) if isinstance(value, str) else value)
     except ValueError:  # a string float() refuses, or special._real's DomainError
-        x = -math.inf
-    if x == -math.inf:
-        raise ValueError(f"expected a number or 'inf', got {_got(value)}")
+        x = math.nan
+    past = math.isinf(x) and isinstance(value, str) \
+        and value.strip().lstrip("+-").lower() not in ("inf", "infinity")
+    if past or not x > -math.inf:
+        raise ValueError(f"expected a number or 'inf', got {_got(value)}"
+                         + (", a number past the double range" if past else ""))
+    return x
+
+
+def _finite_json_float(text: str) -> float:
+    # json's parse_float for config text: a number past the double range is
+    # refused, not read as +-inf (the Gaussian limit is spelled "inf")
+    x = float(text)
+    if math.isinf(x):
+        raise ValueError(f"number {text} lies past the double range")
     return x
 
 
@@ -757,8 +771,9 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     if not configs:
         raise DomainError(f"{path}: no '# config' header line")
     try:
-        config = ExperimentConfig.from_dict(json.loads(configs[0]))
-    except (ValueError, ExperimentError) as exc:  # ValueError: bad JSON or an over-long int
+        config = ExperimentConfig.from_dict(json.loads(configs[0],
+                                                       parse_float=_finite_json_float))
+    except (ValueError, ExperimentError) as exc:  # ValueError: bad JSON, an over-long int, 1e999
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
     table = [row for _, _, row in lines if row is not None]
     needed = ("N", *ALPHA_COLUMNS.values())

@@ -358,6 +358,36 @@ class TestTestCommand:
         assert code == 0, err
         assert math.isfinite(json.loads(out)["W"])
 
+    @pytest.mark.parametrize("command, line", [
+        ("sample", "error: argument --param: expected a number or 'inf', got '1e999', "
+                   "a number past the double range"),
+        ("test", "error: argument --null-param: expected a number or 'inf', got '1e999', "
+                 "a number past the double range"),
+        ("experiment", "error: config is not valid JSON: number 1e999 lies past the double "
+                       "range"),
+    ], ids=["sample", "test", "experiment"])
+    def test_tail_parameter_past_double_range_exits_2(self, tmp_path, capsys, command, line):
+        # float() and json.loads read 1e999 as inf, but the Gaussian limit
+        # is spelled "inf": each command line refuses it and names it
+        data, config = tmp_path / "g.csv", tmp_path / "cfg.json"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), data)
+        config.write_text('{"schema_version": 1, "family": "student", "true_param": 5.0, '
+                          '"null_param": 1e999, "dim": 1, "n_grid": [10], "k": 3, '
+                          '"replicates": 4}')
+        argv = {"sample": ["sample", "--family", "student", "--param", "1e999", "--dim", "1",
+                           "--n", "5", "--seed", "0", "-o", str(tmp_path / "o")],
+                "test": ["test", str(data), "--family", "student", "--null-param", "1e999",
+                         "--k", "3"],
+                "experiment": ["experiment", str(config), "--out-dir", str(tmp_path / "o")]}
+        try:
+            code = main(argv[command])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out) == (2, "")
+        assert out.err.splitlines()[-1].endswith(line)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("family", [pytest.param("student", id="student---nu0"),
                                         pytest.param("pearson2", id="pearson2---eta0")])
     def test_missing_null_param_exits_2(self, tmp_path, capsys, family):
@@ -728,6 +758,8 @@ class TestExperimentCommand:
                                "coordinates per draw"),
         (dict(n_grid=[100, 200], replicates=2**31), "2 sample sizes x 2147483648 replicates "
                                                     "exceed the limit of 8388608 replicates per run"),
+        (dict(null_param="1e999"), "null_param: expected a number or 'inf', got '1e999', "
+                                   "a number past the double range"),
     ])
     def test_refused_before_any_replicate_runs(self, tmp_path, capsys, monkeypatch, overrides,
                                                message):
@@ -822,11 +854,11 @@ class TestExperimentCommand:
         _run(capsys, ["experiment", str(tmp_path / "null.json"),
                       "--out-dir", str(tmp_path / "null_out")])
 
-        alt_config = dict(null_config, true_param="inf", master_seed=22,
-                          power_reference="null_out/summary.csv")
+        alt_config = dict(null_config, true_param="inf", master_seed=22)
         (tmp_path / "alt.json").write_text(json.dumps(alt_config))
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                   "--out-dir", str(tmp_path / "alt_out")])
+                                   "--out-dir", str(tmp_path / "alt_out"),
+                                   "--critical-table", str(tmp_path / "null_out" / "summary.csv")])
         assert code == 0
         rows = [l for l in (tmp_path / "alt_out" / "summary.csv").read_text().splitlines()
                 if not l.startswith("#")]
@@ -838,7 +870,7 @@ class TestExperimentCommand:
         assert power > 0.05
 
     def _power_run(self, tmp_path, capsys, **alt):
-        """Exit code and stderr of a power run whose reference is a small null run."""
+        """Exit code and stderr of a power run whose critical table is a small null run's."""
         null_config = {
             "schema_version": 1, "family": "student", "true_param": 5.0,
             "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
@@ -848,11 +880,11 @@ class TestExperimentCommand:
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "null.json"),
                                    "--out-dir", str(tmp_path / "null_out")])
         assert code == 0
-        alt_config = dict(null_config, true_param="inf", master_seed=22,
-                          power_reference="null_out/summary.csv", **alt)
+        alt_config = dict(null_config, true_param="inf", master_seed=22, **alt)
         (tmp_path / "alt.json").write_text(json.dumps(alt_config))
         code, _, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                     "--out-dir", str(tmp_path / "alt_out")])
+                                     "--out-dir", str(tmp_path / "alt_out"),
+                                     "--critical-table", str(tmp_path / "null_out" / "summary.csv")])
         return code, err
 
     def test_non_finite_power_reference_exits_2(self, tmp_path, capsys):
@@ -868,11 +900,11 @@ class TestExperimentCommand:
         assert code == 0
         reference = tmp_path / "null_out" / "summary.csv"
         _set_summary_field(reference, "q05", "nan", n=60)
-        alt_config = dict(null_config, true_param="inf", master_seed=22,
-                          power_reference="null_out/summary.csv")
+        alt_config = dict(null_config, true_param="inf", master_seed=22)
         (tmp_path / "alt.json").write_text(json.dumps(alt_config))
         code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                       "--out-dir", str(tmp_path / "alt_out")])
+                                       "--out-dir", str(tmp_path / "alt_out"),
+                                       "--critical-table", str(reference)])
         assert code == 2
         assert out == ""
         assert err == f"error: {reference}: q05 at N=60 is nan, not a finite number\n"
@@ -899,10 +931,11 @@ class TestExperimentCommand:
         code, _, _ = _run(capsys, ["experiment", str(tmp_path / "power.json"),
                                    "--out-dir", str(tmp_path / "power_out")])
         assert code == 0
-        again = dict(power, master_seed=22, power_reference="power_out/summary.csv")
-        (tmp_path / "again.json").write_text(json.dumps(again))
+        (tmp_path / "again.json").write_text(json.dumps(dict(power, master_seed=22)))
         code, out, err = _run(capsys, ["experiment", str(tmp_path / "again.json"),
-                                       "--out-dir", str(tmp_path / "again_out")])
+                                       "--out-dir", str(tmp_path / "again_out"),
+                                       "--critical-table",
+                                       str(tmp_path / "power_out" / "summary.csv")])
         assert code == 2
         assert out == ""
         assert "is not from a null run: true_param 'inf', null_param '5.0'" in err
@@ -919,42 +952,30 @@ class TestExperimentCommand:
         config = {
             "schema_version": 1, "family": "student", "true_param": "inf",
             "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3,
-            "replicates": 10, "master_seed": 22, "power_reference": "bare.csv",
+            "replicates": 10, "master_seed": 22,
         }
         (tmp_path / "alt.json").write_text(json.dumps(config))
         code, _, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                     "--out-dir", str(tmp_path / "alt_out")])
+                                     "--out-dir", str(tmp_path / "alt_out"),
+                                     "--critical-table", str(tmp_path / "bare.csv")])
         assert code == 2
         assert "no '# config' header" in err
 
-    @pytest.mark.parametrize("reference", [5, "", None])
-    def test_power_reference_not_a_path_string_exits_2(self, tmp_path, capsys, reference):
-        config = {
-            "schema_version": 1, "family": "student", "true_param": "inf",
-            "null_param": 5.0, "dim": 0, "n_grid": [50], "k": 3,
-            "replicates": 10, "master_seed": 22, "power_reference": reference,
-        }
-        (tmp_path / "alt.json").write_text(json.dumps(config))
-        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                       "--out-dir", str(tmp_path / "alt_out")])
-        assert code == 2
-        assert out == ""
-        # reported in one error with the config's other problems
-        assert err == ("error: invalid experiment config: dim must be an integer >= 1, got 0; "
-                       f"power_reference must be a non-empty path string, got {reference!r}\n")
-        assert not (tmp_path / "alt_out").exists()
-
-    @pytest.mark.parametrize("reference", [5, "", None])
-    def test_power_reference_alone_exits_2(self, tmp_path, capsys, reference):
-        config = dict(json.loads((_REPO / "configs" / "smoke.json").read_text()),
-                      power_reference=reference)
-        (tmp_path / "alt.json").write_text(json.dumps(config))
-        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                       "--out-dir", str(tmp_path / "alt_out")])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: invalid experiment config: power_reference must be")
-        assert not (tmp_path / "alt_out").exists()
+    def test_power_reference_key_is_an_unknown_field(self, tmp_path, capsys):
+        # a config names no table: the key older configs used for one is
+        # refused like any unknown field, alone or with other problems
+        smoke = json.loads((_REPO / "configs" / "smoke.json").read_text())
+        for overrides, message in [
+            ({}, "unknown config fields: 'power_reference'"),
+            ({"dim": 0}, "unknown config fields: 'power_reference'; "
+                         "dim must be an integer >= 1, got 0"),
+        ]:
+            config = dict(smoke, power_reference="summary.csv", **overrides)
+            (tmp_path / "alt.json").write_text(json.dumps(config))
+            code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                           "--out-dir", str(tmp_path / "alt_out")])
+            assert (code, out, err) == (2, "", f"error: invalid experiment config: {message}\n")
+            assert not (tmp_path / "alt_out").exists()
 
 
 def _long_flag_prefixes():
@@ -1072,11 +1093,9 @@ class TestUndecodableInput:
         assert sorted(tmp_path.iterdir()) == [binary]
 
     def test_power_reference(self, tmp_path, capsys, binary):
-        config = dict(json.loads((_REPO / "configs" / "smoke.json").read_text()),
-                      power_reference=binary.name)
-        (tmp_path / "alt.json").write_text(json.dumps(config))
-        self._assert_exit_2(capsys, ["experiment", str(tmp_path / "alt.json"), "--out-dir",
-                                     str(tmp_path / "o"), "--workers", "1"], binary)
+        self._assert_exit_2(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
+                                     "--out-dir", str(tmp_path / "o"), "--workers", "1",
+                                     "--critical-table", str(binary)], binary)
         assert not (tmp_path / "o").exists()
 
     def test_entropy_data(self, capsys, binary):
@@ -1156,12 +1175,19 @@ class TestShippedConfigs:
         load_config(path)
 
     def test_power_config_matches_its_reference(self):
-        # the shipped power run is judged against the shipped null run's table
-        power, reference = load_config(_REPO / "configs" / "power_gaussian_vs_nu0_10_m1.json")
-        null, _ = load_config(_REPO / "configs" / "critical_values_nu10_m1.json")
-        assert reference.name == "summary.csv"
-        for key in ("family", "null_param", "dim", "k", "covariance_mode"):
-            assert getattr(power, key) == getattr(null, key), key
+        # the README runs the shipped power config against the table the
+        # shipped null config writes, and the two runs share W's null law
+        args = {Path(a.config).name: a for a in map(cli.build_parser().parse_args,
+                                                    _readme_commands())
+                if a.command == "experiment"}
+        null = args["critical_values_nu10_m1.json"]
+        power = args["power_gaussian_vs_nu0_10_m1.json"]
+        assert power.critical_table == f"{null.out_dir}/summary.csv"
+        null_run, power_run = (load_config(_REPO / "configs" / name).to_dict()
+                               for name in ("critical_values_nu10_m1.json",
+                                            "power_gaussian_vs_nu0_10_m1.json"))
+        for key in mc.NULL_RUN_KEYS:
+            assert power_run[key] == null_run[key], key
 
     def test_benchmark_workload_configs_load(self, monkeypatch):
         monkeypatch.syspath_prepend(str(_REPO / "bench"))
@@ -1214,8 +1240,23 @@ class TestOutputBytes:
                     f"{workload.name} seed {seed}: {_toolchain_note()}"
 
 
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each `renyigof` line in the README's sh blocks, a
+    backslash-newline joining a line to the next."""
+    text = (_REPO / "README.md").read_text()
+    lines = [line for block in text.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines()]
+    return [argv[1:] for argv in map(shlex.split, lines) if argv[:1] == ["renyigof"]]
+
+
 class TestReadmeCommands:
     def test_command_line_block_runs_as_written(self, tmp_path, capsys, monkeypatch):
+        # every renyigof line of the README parses, the shipped-config
+        # block's too, which is not run here (its null run takes seconds)
+        commands = _readme_commands()
+        assert len(commands) >= 7
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
         # the README's command-line block, run line by line from a directory
         # holding the config it names; it ends with a decision against a table
         text = (_REPO / "README.md").read_text()

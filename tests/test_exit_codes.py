@@ -131,7 +131,7 @@ _Q = st.one_of(st.sampled_from(["1", "0.5", "0.9", "1.5", "2", "1e-320"]), st.fl
 _TAIL = st.one_of(st.sampled_from(["inf", "3", "10", "2.0000000000000004", "1e300",
                                    str(2**55), str(2**53)]),
                   st.floats(0.0, 1e300).map(repr),
-                  st.sampled_from(["nan", "-inf", "2", "0", "-1", "abc", ""]))
+                  st.sampled_from(["nan", "-inf", "2", "0", "-1", "abc", "", "1e999"]))
 
 
 @st.composite
@@ -184,13 +184,12 @@ _FIELDS = {
     "max_failure_rate": st.one_of(st.floats(), _anything()),
     "include_replicates": _anything(),
     "covariance_mode": st.one_of(st.sampled_from(["same", "fresh"]), _anything()),
-    "power_reference": st.one_of(st.sampled_from(["table", "text", "missing"]), _anything()),
     "unknown_field": _anything(),
 }
 
 
 @st.composite
-def _config_bytes(draw, files):
+def _config_bytes(draw):
     """The table's null run with one to three fields replaced or removed,
     or text that is no config object at all."""
     kind = draw(st.sampled_from(range(20)))
@@ -203,17 +202,18 @@ def _config_bytes(draw, files):
             config.pop(key, None)
         else:
             config[key] = draw(_FIELDS[key])
-    reference = config.get("power_reference")
-    if isinstance(reference, str) and reference in files:
-        config["power_reference"] = files[reference]
     data = json.dumps(config).encode()
     return b"\xef\xbb\xbf" + data if kind == 1 else data
 
 
 @st.composite
-def _experiment_argv(draw, config, out_dir, csv):
-    return ["experiment", config, "--out-dir", draw(st.sampled_from([out_dir] * 4 + [csv])),
+def _experiment_argv(draw, config, out_dir, files):
+    argv = ["experiment", config, "--out-dir",
+            draw(st.sampled_from([out_dir] * 4 + [files["text"]])),
             "--workers", draw(st.sampled_from(["1"] * 7 + ["0", "-1", "x"]))]
+    if draw(st.booleans()):
+        argv += ["--critical-table", files[draw(st.sampled_from(sorted(files)))]]
+    return argv
 
 
 class TestExitCodeContract:
@@ -239,6 +239,6 @@ class TestExitCodeContract:
     def test_experiment(self, files, data):
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "config.json"
-            config.write_bytes(data.draw(_config_bytes(files)))
+            config.write_bytes(data.draw(_config_bytes()))
             _assert_contract(data.draw(_experiment_argv(str(config), str(Path(tmp) / "out"),
-                                                        files["text"])))
+                                                        files)))

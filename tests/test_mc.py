@@ -541,11 +541,14 @@ class TestParseParam:
     @pytest.mark.parametrize("value, expected", [
         ("inf", math.inf), ("Infinity", math.inf), (" inf ", math.inf),
         (5, 5.0), (2.5, 2.5), ("10.0", 10.0), ("-1", -1.0),
+        ("+Infinity", math.inf), ("1e308", 1e308),
     ])
     def test_accepts_numbers_and_inf(self, value, expected):
         assert mc.parse_param(value) == expected
 
-    @pytest.mark.parametrize("value", ["nan", "-inf", "abc", "", True, None, [5.0], math.nan])
+    @pytest.mark.parametrize("value", ["nan", "-inf", "abc", "", True, None, [5.0], math.nan,
+                                       # a decimal past the double range is not "inf"
+                                       "1e999", "-1e999", " 1E400 "])
     def test_rejects_everything_else(self, value):
         with pytest.raises(ValueError, match="expected a number or 'inf'"):
             mc.parse_param(value)
@@ -789,8 +792,12 @@ class TestOutputs:
          r"summary.csv has a second row for N=100$"),
         (lambda text: text.replace(",5.0,200,", ",5.0,300,"),
          r"summary.csv has a row outside its n_grid for N=300$"),
+        # a number past the double range is refused, not read as +inf
+        (lambda text: text.replace('"null_param":"5.0"', '"null_param":1e999'),
+         "unreadable config header: number 1e999 lies past the double range"),
     ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header",
-            "over-long-int-in-config-header", "repeated-n", "n-outside-n-grid"])
+            "over-long-int-in-config-header", "repeated-n", "n-outside-n-grid",
+            "number-past-double-range-in-config-header"])
     def test_read_summary_rejects_malformed_tables(self, tmp_path, corrupt, message):
         path = tmp_path / "summary.csv"
         config = _config(replicates=4)

@@ -17,9 +17,10 @@ speed-up, a refactor) prints the same totals before and after it.
 
 The grid: both families with a finite and an infinite parameter on the
 true or the null side, m = 1, 2, 3, both covariance modes, k = 1 and 3,
-master seeds 1 and 2026, and N = 30, 199, 200, 201, 1000 (both sides of
-the exact sum's size switch), 8 replicates each: 96 configs,
-run in one process.
+master seeds 1 and 2026, and N = 30, 199, 200, 201, 1000, 8 replicates
+each: 96 configs, run in one process.  N = 199, 200 and 201 straddle
+N = 200, where the exact sum once started; it starts at N = 300
+(`knn._EXACT_SUM_MIN_N`), so only N = 1000 takes it now.
 """
 
 from __future__ import annotations
