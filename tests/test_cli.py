@@ -961,22 +961,35 @@ class TestExperimentCommand:
         assert code == 2
         assert "no '# config' header" in err
 
-    def test_power_reference_key_is_an_unknown_field(self, tmp_path, capsys):
-        # a config names no table: the key older configs used for one is
-        # refused like any unknown field, alone or with other problems
-        smoke = json.loads((_REPO / "configs" / "smoke.json").read_text())
-        for overrides, message in [
-            ({}, "unknown config fields: 'power_reference'"),
-            ({"dim": 0}, "unknown config fields: 'power_reference'; "
-                         "dim must be an integer >= 1, got 0"),
-        ]:
-            config = dict(smoke, power_reference="summary.csv", **overrides)
-            (tmp_path / "alt.json").write_text(json.dumps(config))
-            code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
-                                           "--out-dir", str(tmp_path / "alt_out")])
-            assert (code, out, err) == (2, "", f"error: invalid experiment config: {message}\n")
-            assert not (tmp_path / "alt_out").exists()
+    @pytest.mark.parametrize("reference", [5, "", None])
+    def test_power_reference_not_a_path_string_exits_2(self, tmp_path, capsys, reference):
+        # a config names no table: the key older configs used for one is an
+        # unknown field, whatever its value, reported with the other problems
+        config = {
+            "schema_version": 1, "family": "student", "true_param": "inf",
+            "null_param": 5.0, "dim": 0, "n_grid": [50], "k": 3,
+            "replicates": 10, "master_seed": 22, "power_reference": reference,
+        }
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                       "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: invalid experiment config: unknown config fields: "
+                       "'power_reference'; dim must be an integer >= 1, got 0\n")
+        assert not (tmp_path / "alt_out").exists()
 
+    @pytest.mark.parametrize("reference", [5, "", None])
+    def test_power_reference_alone_exits_2(self, tmp_path, capsys, reference):
+        config = dict(json.loads((_REPO / "configs" / "smoke.json").read_text()),
+                      power_reference=reference)
+        (tmp_path / "alt.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
+                                       "--out-dir", str(tmp_path / "alt_out")])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid experiment config: unknown config fields: 'power_reference'\n"
+        assert not (tmp_path / "alt_out").exists()
 
 def _long_flag_prefixes():
     """(command, prefix, flag, takes_value) for every proper prefix of three
