@@ -29,7 +29,6 @@ _MODULE_OF = {
     "student": "distributions",
     "DomainError": "errors",
     "DuplicatePointsError": "errors",
-    "ExperimentError": "errors",
     "NotPositiveDefiniteError": "errors",
     "GofStatistic": "gof",
     "pearson_statistic": "gof",

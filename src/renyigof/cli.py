@@ -11,7 +11,8 @@ parameter has one flag, read as nu or eta by the family: `sample
 Flags are taken only as spelled in full (or as `--flag=value`); a
 prefix of one, such as `--null` for `--null-param`, is a usage error.
 
-Exit codes: 0 success, 2 usage or validation error, 3 data error
+Exit codes: 0 success, 2 usage or validation error (an empty path and
+a --scale that is not positive definite among them), 3 data error
 (duplicate points, degenerate covariance).  stdout carries JSON
 records; diagnostics go to stderr.  A command's warnings (numpy's
 RuntimeWarnings, say) are held until it ends: a command that exits 2 or
@@ -42,12 +43,7 @@ import numpy as np
 from ._version import __version__
 from . import mc
 from .distributions import DistributionSpec, Family, SpdMatrix
-from .errors import (
-    DomainError,
-    DuplicatePointsError,
-    ExperimentError,
-    NotPositiveDefiniteError,
-)
+from .errors import DomainError, DuplicatePointsError, NotPositiveDefiniteError
 from .gof import statistic
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import _MAX_COORDINATES, read_csv, read_lines, sample, write_csv
@@ -65,6 +61,13 @@ def _param(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _path(text: str) -> str:
+    # every path argument's type: Path("") would name the working directory
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _floats(text: str, flag: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
@@ -79,11 +82,14 @@ def _parse_vector(text: str, m: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _parse_matrix(text: str, m: int) -> np.ndarray:
+def _parse_matrix(text: str, m: int) -> SpdMatrix:
     rows = [_floats(row, "--scale") for row in text.split(";")]
     if len(rows) != m or any(len(r) != m for r in rows):
         raise DomainError(f"--scale needs an {m}x{m} matrix as 'r1c1,r1c2;r2c1,...'")
-    return np.asarray(rows)
+    try:
+        return SpdMatrix(np.asarray(rows))
+    except (DomainError, NotPositiveDefiniteError) as exc:  # the flag's fault, not the data's
+        raise DomainError(f"--scale {text!r}: {exc}") from None
 
 
 def _build_spec(args):
@@ -94,8 +100,8 @@ def _build_spec(args):
     if m * m > _MAX_COORDINATES:  # refused before the m x m scale is built and factored
         raise DomainError(f"--dim {m} asks for a {m} x {m} scale matrix, more than "
                           f"the {_MAX_COORDINATES} coordinates one draw may hold")
-    loc = _parse_vector(args.loc, m) if args.loc else np.zeros(m)
-    scale = SpdMatrix(_parse_matrix(args.scale, m)) if args.scale else SpdMatrix.identity(m)
+    loc = np.zeros(m) if args.loc is None else _parse_vector(args.loc, m)
+    scale = SpdMatrix.identity(m) if args.scale is None else _parse_matrix(args.scale, m)
     return DistributionSpec(Family(args.family), loc, scale, args.param)
 
 
@@ -131,7 +137,7 @@ def cmd_test(args) -> int:
     stat = statistic(s, Family(args.family), args.null_param, args.k)
     null_text = mc._format_float(args.null_param)
     decisions = []
-    if args.critical_table:
+    if args.critical_table is not None:
         # W here constrains the maximum by the sample's own covariance
         critical = mc.read_summary(args.critical_table, {
             "family": args.family, "null_param": null_text, "dim": s.dim, "k": args.k,
@@ -164,7 +170,7 @@ def load_config(path: Path) -> mc.ExperimentConfig:
     try:
         data = json.loads("".join(read_lines(path)), parse_float=mc._finite_json_float)
     except ValueError as exc:  # a JSONDecodeError, an int past Python's digit limit, or 1e999
-        raise ExperimentError(f"config is not valid JSON: {exc}") from None
+        raise DomainError(f"config is not valid JSON: {exc}") from None
     return mc.ExperimentConfig.from_dict(data)
 
 
@@ -181,7 +187,7 @@ def _check_out_dir(out_dir: Path) -> None:
 def cmd_experiment(args) -> int:
     config = load_config(Path(args.config))
     critical_by_n = None
-    if args.critical_table:  # read before the run, which a bad table would waste
+    if args.critical_table is not None:  # read before the run, which a bad table would waste
         critical_by_n = mc.read_summary(args.critical_table, config.to_dict())[0.05]
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)  # before the run, which an unusable path would waste
@@ -229,38 +235,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--loc", help="location as comma-separated values (default 0)")
     p.add_argument("--scale", help="scale matrix rows separated by ';' (default identity)")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", type=_path, required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("entropy", allow_abbrev=False, help="estimate entropy of a CSV sample")
-    p.add_argument("data")
+    p.add_argument("data", type=_path)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=float, required=True, help="Renyi order; 1 selects Shannon")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("test", allow_abbrev=False,
                        help="goodness-of-fit statistic for a CSV sample")
-    p.add_argument("data")
+    p.add_argument("data", type=_path)
     p.add_argument("--family", choices=["student", "pearson2"], required=True)
     p.add_argument("--null-param", type=_param, required=True,
                    help="null's tail parameter: Student nu0 (> 2) or Pearson II eta0 (> 0); "
                         "inf for the Gaussian limit")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--critical-table",
+    p.add_argument("--critical-table", type=_path,
                    help="summary CSV from a null-configuration experiment; a decision "
                         "record follows for each level it tabulates")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("experiment", allow_abbrev=False,
                        help="run a Monte Carlo experiment from a JSON config")
-    p.add_argument("config")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("config", type=_path)
+    p.add_argument("--out-dir", type=_path, required=True)
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: the CPUs this process may run on); "
                         "results identical for any count")
     p.add_argument("--replicates-json", action="store_true",
                    help="also write full replicate arrays as JSON")
-    p.add_argument("--critical-table",
+    p.add_argument("--critical-table", type=_path,
                    help="summary CSV from a null-configuration experiment; power_at_005 "
                         "is the rejection rate against its 5%% critical values")
     p.set_defaults(func=cmd_experiment)
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
         except (DuplicatePointsError, NotPositiveDefiniteError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             code = EXIT_DATA
-        except (DomainError, ExperimentError, OSError) as exc:
+        except (DomainError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = EXIT_USAGE
     # a failed command's one error line says what went wrong; a command

@@ -4,7 +4,8 @@
 class DomainError(ValueError):
     """An input value a function or command does not accept: an argument
     outside the mathematical domain of an operation, a malformed input
-    file, or a command-line usage error."""
+    file, an invalid experiment config, a config whose run exceeds its
+    replicate-failure budget, or a command-line usage error."""
 
 
 class DuplicatePointsError(ValueError):
@@ -21,8 +22,3 @@ class DuplicatePointsError(ValueError):
 
 class NotPositiveDefiniteError(ValueError):
     """A matrix that must be symmetric positive definite is not."""
-
-
-class ExperimentError(RuntimeError):
-    """A Monte Carlo experiment configuration is invalid or the run
-    exceeded its replicate-failure budget."""

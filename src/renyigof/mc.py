@@ -27,12 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .distributions import Family, _maximiser_order, _standard_spec, check_pearson_k, tail_family
-from .errors import (
-    DomainError,
-    DuplicatePointsError,
-    ExperimentError,
-    NotPositiveDefiniteError,
-)
+from .errors import DomainError, DuplicatePointsError, NotPositiveDefiniteError
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import _MAX_COORDINATES, read_table, sample, write_table
 from .special import _got, _integer, _real, _reals
@@ -232,8 +227,8 @@ def _rule_problems(v: dict) -> list[str]:
     return problems
 
 
-def _invalid(problems: list[str]) -> ExperimentError:
-    return ExperimentError("invalid experiment config: " + "; ".join(problems))
+def _invalid(problems: list[str]) -> DomainError:
+    return DomainError("invalid experiment config: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -313,10 +308,11 @@ class ExperimentConfig:
         Unknown or missing keys, a wrong `schema_version`, values of the
         wrong type (1.7 for an integer, "false" for a boolean) and every
         rule violation among the values that parse are collected and
-        raised together as one ExperimentError.
+        raised together as one DomainError, which the command line, like
+        every other refused input, ends in exit 2.
         """
         if not isinstance(data, dict):
-            raise ExperimentError("config must be a JSON object")
+            raise DomainError("config must be a JSON object")
         problems = []
         version = data.get("schema_version")
         if version != CONFIG_SCHEMA_VERSION:
@@ -461,9 +457,10 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     indices (:func:`_block`), in grid order, and land in one float64
     array per N.  `workers` counts as in :func:`worker_count`, capped at
     the number of blocks.  Results are bit-identical for any worker
-    count.  Raises ExperimentError if the fraction of failed replicates
+    count.  Raises DomainError if the fraction of failed replicates
     at any sample size exceeds config.max_failure_rate, or leaves fewer
-    than 2 valid replicates.
+    than 2 valid replicates: the replicates, and so their failures,
+    depend on the config alone, so such a config is refused input.
     """
     m_rep = config.replicates
     tasks = [(n, start) for n in config.n_grid for start in range(0, m_rep, _BLOCK)]
@@ -478,7 +475,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> McResul
     for n, failures in failed_at.items():
         # the summaries need at least 2 values, whatever the budget allows
         if len(failures) > config.max_failure_rate * m_rep or m_rep - len(failures) < 2:
-            raise ExperimentError(
+            raise DomainError(
                 f"{len(failures)}/{m_rep} replicates failed at N={n} (allowed: a share of "
                 f"{config.max_failure_rate}, leaving at least 2); first failure: {failures[0][1]}"
             )
@@ -773,7 +770,7 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     try:
         config = ExperimentConfig.from_dict(json.loads(configs[0],
                                                        parse_float=_finite_json_float))
-    except (ValueError, ExperimentError) as exc:  # ValueError: bad JSON, an over-long int, 1e999
+    except ValueError as exc:  # bad JSON, an over-long int, 1e999, or an invalid config
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
     table = [row for _, _, row in lines if row is not None]
     needed = ("N", *ALPHA_COLUMNS.values())

@@ -129,6 +129,12 @@ class TestSampleCommand:
         (["--dim", "2", "--loc", "1,2,3"], "--loc needs 2 comma-separated values, got 3"),
         (["--dim", "2", "--scale", "1,0;0"], "--scale needs an 2x2 matrix"),
         (["--dim", "2", "--scale", "1,0"], "--scale needs an 2x2 matrix"),
+        (["--dim", "2", "--scale", "1,2;2,1"],
+         "error: --scale '1,2;2,1': Cholesky factorisation failed"),
+        (["--dim", "2", "--scale", "1,2;3,1"],
+         "error: --scale '1,2;3,1': matrix is not symmetric"),
+        (["--dim", "1", "--loc", ""], "--loc takes numbers, got ''"),
+        (["--dim", "1", "--scale", ""], "--scale takes numbers, got ''"),
     ])
     def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
         path = tmp_path / "x.csv"
@@ -843,6 +849,34 @@ class TestExperimentCommand:
         assert f"--out-dir {out_dir}: {afile} is not a directory" in err
         assert list(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, flag", [("test", "--critical-table"),
+                                               ("experiment", "--critical-table"),
+                                               ("experiment", "--out-dir")])
+    def test_empty_path_flag_exits_2(self, tmp_path, capsys, monkeypatch, command, flag):
+        # Path("") names the working directory: an empty flag was once taken
+        # as no table, or as that directory, whose summary.csv a run overwrote
+        def never(config, n, j):
+            pytest.fail(f"a replicate ran although {flag} is empty")
+
+        monkeypatch.setattr(mc, "_replicate_value", never)
+        monkeypatch.chdir(tmp_path)
+        write_csv(sample(gaussian([0.0], [[1.0]]), 100, 6), tmp_path / "g.csv")
+        (tmp_path / "summary.csv").write_text("kept\n")
+        argv = {"test": ["test", "g.csv", "--family", "student", "--null-param", "5", "--k", "3"],
+                "experiment": ["experiment", str(_REPO / "configs" / "smoke.json"),
+                               "--workers", "1"]}[command]
+        if command == "experiment" and flag != "--out-dir":
+            argv += ["--out-dir", "o"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, flag, ""])
+        assert excinfo.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == \
+            f"renyigof {command}: error: argument {flag}: expected a path, got ''"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.csv", "summary.csv"]
+        assert (tmp_path / "summary.csv").read_text() == "kept\n"
 
     def test_power_reference_fills_power_column(self, tmp_path, capsys):
         null_config = {

@@ -1,9 +1,9 @@
 """The exit-code contract of the command line, as one property test.
 
-`renyigof entropy`, `test` and `experiment` end in 0, 2 (usage or
-validation error) or 3 (data error) on any flags, sample file or config,
-never in a traceback; a run that does not exit 0 prints exactly one
-`error:` or `data error:` line on stderr and nothing else but
+`renyigof sample`, `entropy`, `test` and `experiment` end in 0, 2
+(usage or validation error) or 3 (data error) on any flags, sample file,
+config or path, never in a traceback; a run that does not exit 0 prints
+exactly one `error:` or `data error:` line on stderr and nothing else but
 argparse's usage text, no warning.  A run that exits 0 prints nothing
 on stderr: a warning it issues raises here, under the suite's
 `error::RuntimeWarning` filter.
@@ -11,9 +11,11 @@ on stderr: a warning it issues raises here, under the suite's
 Samples and experiments stay small, so each example takes milliseconds.
 The strategies still reach the largest values the parsers accept
 (`replicates` up to 2**32 - 1, `n_grid` entries up to 2**31 - 1, tail
-parameters up to 1e300): the work limits and the maximiser-order check
+parameters up to 1e300, `sample --n` and `--dim` up to 2**70): the work limits and the maximiser-order check
 must refuse those before anything is allocated.  Values between a small
 run and the work limits are valid and only slow, so they are not drawn.
+Each path may also be empty or name a directory.  An unreadable file is
+not drawn: a process running as root reads a file of mode 000.
 """
 
 import contextlib
@@ -76,14 +78,15 @@ def _assert_contract(argv):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Paths the flags may name: a null run's summary table, a file that
-    is no table, and one that does not exist."""
+    is no table, one that does not exist, a directory and the empty
+    path."""
     root = tmp_path_factory.mktemp("exit-codes")
     (root / "table.json").write_text(json.dumps(_TABLE_CONFIG))
     assert _cli(["experiment", str(root / "table.json"), "--out-dir", str(root / "null"),
                  "--workers", "1"])[0] == 0
     (root / "text.csv").write_text("not a table\n")
     return {"table": str(root / "null" / "summary.csv"), "text": str(root / "text.csv"),
-            "missing": str(root / "missing.csv")}
+            "missing": str(root / "missing.csv"), "directory": str(root), "empty": ""}
 
 
 _CELL_TEXT = ["nan", "inf", "-inf", "1e400", "-1e400", "4e-324", "0x10", "", " ", "1e200",
@@ -134,9 +137,14 @@ _TAIL = st.one_of(st.sampled_from(["inf", "3", "10", "2.0000000000000004", "1e30
                   st.sampled_from(["nan", "-inf", "2", "0", "-1", "abc", "", "1e999"]))
 
 
+def _read_path(path):
+    # the file a command reads, or in its place the empty path or a directory
+    return st.sampled_from([path] * 8 + ["", str(Path(path).parent)])
+
+
 @st.composite
 def _entropy_argv(draw, path):
-    argv = ["entropy", path]
+    argv = ["entropy", draw(_read_path(path))]
     if draw(_GIVEN):
         argv += ["--k", draw(_K)]
     if draw(_GIVEN):
@@ -147,7 +155,7 @@ def _entropy_argv(draw, path):
 @st.composite
 def _test_argv(draw, path, files):
     family = draw(st.sampled_from(["student", "pearson2"] * 4 + ["gaussian"]))
-    argv = ["test", path, "--family", family]
+    argv = ["test", draw(_read_path(path)), "--family", family]
     if draw(_GIVEN):
         argv += ["--null-param", draw(_TAIL)]
     if draw(_GIVEN):
@@ -208,16 +216,89 @@ def _config_bytes(draw):
 
 @st.composite
 def _experiment_argv(draw, config, out_dir, files):
-    argv = ["experiment", config, "--out-dir",
-            draw(st.sampled_from([out_dir] * 4 + [files["text"]])),
+    # an out dir below the example's own directory, that directory, a file or ""
+    argv = ["experiment", draw(_read_path(config)), "--out-dir",
+            draw(st.sampled_from([out_dir] * 8 + [str(Path(out_dir).parent), files["text"], ""])),
             "--workers", draw(st.sampled_from(["1"] * 7 + ["0", "-1", "x"]))]
     if draw(st.booleans()):
         argv += ["--critical-table", files[draw(st.sampled_from(sorted(files)))]]
     return argv
 
 
+def _usually(valid, other):
+    # a value from `valid` nine times in ten, else one from `other`
+    return _GIVEN.flatmap(lambda ok: valid if ok else other)
+
+
+# --dim small, or with an m x m scale past the coordinate limit; --n
+# small, or past that limit in any m; and text no integer parser takes
+_DIM = _usually(st.integers(1, 3), st.one_of(st.integers(2897, 2**70),
+                                             st.sampled_from(["0", "-1", "x", ""]))).map(str)
+_N = _usually(st.integers(1, 40), st.one_of(
+    st.integers(sampler._MAX_COORDINATES + 1, 2**70), st.sampled_from(["0", "-1", "1.5"]))).map(str)
+_SEED = _usually(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, "x", ""])).map(str)
+_CELL = _usually(st.floats(-3.0, 3.0).map(repr),
+                 st.sampled_from(["0", "1", "1e-310", "1e200", "1e400", "nan", "x", ""]))
+
+
+@st.composite
+def _loc_text(draw, m):
+    width = draw(st.sampled_from([m] * 4 + [m + 1, max(m - 1, 1)]))
+    return ",".join(draw(st.lists(_CELL, min_size=width, max_size=width)))
+
+
+@st.composite
+def _scale_text(draw, m):
+    """An m x m scale matrix as `--scale` text, positive definite or
+    not, symmetric or not, or of the wrong shape or a cell no float."""
+    size = draw(st.sampled_from([m] * 4 + [m + 1, max(m - 1, 1)]))
+    kind = draw(st.sampled_from(["positive definite", "symmetric", "any"]))
+    cells = [[draw(_CELL) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        for j in range(i):
+            if kind == "positive definite":  # diagonally dominant
+                cells[i][j] = repr(draw(st.floats(-0.9, 0.9)))
+            if kind != "any":
+                cells[j][i] = cells[i][j]
+        if kind == "positive definite":
+            cells[i][i] = repr(draw(st.floats(float(size), 10.0)))
+    if draw(st.integers(0, 9)) == 0:  # a ragged row
+        cells[-1] = cells[-1][:-1] or ["1", "1"]
+    return ";".join(",".join(row) for row in cells)
+
+
+@st.composite
+def _sample_argv(draw, output):
+    family = draw(st.sampled_from(["gaussian", "student", "pearson2"]))
+    dim = draw(_DIM)
+    m = int(dim) if dim.isdigit() and int(dim) <= 3 else 1
+    # a temporary file, that file's directory, the empty path, or a file
+    # in a directory that does not exist
+    out = draw(_usually(st.just(output), st.sampled_from(
+        [str(Path(output).parent), "", str(Path(output).parent / "no" / "x.csv")])))
+    argv = ["sample", "--family", family, "--dim", dim, "--n", draw(_N),
+            "--seed", draw(_SEED), "-o", out]
+    # gaussian refuses --param, and the other families require it
+    if draw(st.booleans() if family == "gaussian" else _GIVEN):
+        argv += ["--param", draw(_TAIL)]
+    if draw(st.booleans()):
+        argv += ["--stream", draw(_SEED)]
+    # spelled --flag=text, since argparse takes text such as "-1,2" for a flag
+    if draw(st.booleans()):
+        argv.append("--loc=" + draw(_loc_text(m)))
+    if draw(st.booleans()):
+        argv.append("--scale=" + draw(_scale_text(m)))
+    return argv
+
+
 class TestExitCodeContract:
     # each subcommand draws its own examples, so each is exercised alike
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_sample(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            _assert_contract(data.draw(_sample_argv(str(Path(tmp) / "x.csv"))))
+
     @settings(max_examples=150)
     @given(data=st.data())
     def test_entropy(self, data):

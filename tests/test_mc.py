@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renyigof.distributions import Family, _standard_spec
-from renyigof.errors import DomainError, ExperimentError
+from renyigof.errors import DomainError
 from renyigof.gof import pearson_statistic
 from renyigof.sampler import Sample
 from renyigof import mc, sampler
@@ -229,7 +229,7 @@ class TestConfig:
                 try:
                     _config(family=Family.PEARSON2, true_param=eta0, null_param=eta0, k=k)
                     config_ok = True
-                except ExperimentError as exc:
+                except DomainError as exc:
                     assert "eta0" in str(exc)
                     config_ok = False
                 try:
@@ -242,24 +242,24 @@ class TestConfig:
         assert 0 < accepted < 90
 
     def test_invalid_config_raises(self):
-        with pytest.raises(ExperimentError, match="replicates"):
+        with pytest.raises(DomainError, match="replicates"):
             _config(replicates=1)
-        with pytest.raises(ExperimentError, match="eta0"):
+        with pytest.raises(DomainError, match="eta0"):
             _config(family=Family.PEARSON2, true_param=0.3, null_param=0.3, k=3)
 
     def test_schema_version_checked(self):
         data = _config().to_dict()
         data["schema_version"] = 99
-        with pytest.raises(ExperimentError, match="schema_version"):
+        with pytest.raises(DomainError, match="schema_version"):
             ExperimentConfig.from_dict(data)
 
     def test_not_an_object(self):
         for data in ([1, 2], "config", None):
-            with pytest.raises(ExperimentError, match="config must be a JSON object"):
+            with pytest.raises(DomainError, match="config must be a JSON object"):
                 ExperimentConfig.from_dict(data)
 
     def test_missing_fields_listed(self):
-        with pytest.raises(ExperimentError, match="true_param"):
+        with pytest.raises(DomainError, match="true_param"):
             ExperimentConfig.from_dict({"schema_version": 1, "family": "student"})
 
     @pytest.mark.parametrize("key, value, fragment", [
@@ -299,7 +299,7 @@ class TestConfig:
         if key in mc._CONFIG_FIELDS:  # the dataclass takes no unknown keyword
             routes.append(lambda: _config(**{key: value}))
         for build in routes:
-            with pytest.raises(ExperimentError) as excinfo:
+            with pytest.raises(DomainError) as excinfo:
                 build()
             assert fragment in str(excinfo.value)
 
@@ -307,7 +307,7 @@ class TestConfig:
         data = dict(_config().to_dict(), covarience_mode="fresh", include_replicates="false",
                     dim=1.7, k=2.5, replicates=10.5, n_grid=[100, 200.5])
         del data["family"]
-        with pytest.raises(ExperimentError) as excinfo:
+        with pytest.raises(DomainError) as excinfo:
             ExperimentConfig.from_dict(data)
         message = str(excinfo.value)
         for fragment in ("missing required fields: family", "covarience_mode",
@@ -319,7 +319,7 @@ class TestConfig:
         data = dict(_config().to_dict(), covarience_mode="fresh", replicates=1,
                     n_grid=[100, 100])
         data["schema_version"] = 99
-        with pytest.raises(ExperimentError) as excinfo:
+        with pytest.raises(DomainError) as excinfo:
             ExperimentConfig.from_dict(data)
         message = str(excinfo.value)
         for fragment in ("schema_version 99", "unknown config fields: 'covarience_mode'",
@@ -353,7 +353,7 @@ class TestConfig:
             (lambda: ExperimentConfig(**values),
              ("sample size 1 too small for k = 3",), ("below m+1",)),
         ):
-            with pytest.raises(ExperimentError) as excinfo:
+            with pytest.raises(DomainError) as excinfo:
                 build()
             message = str(excinfo.value)
             for fragment in found + also:
@@ -369,7 +369,7 @@ class TestConfig:
     def test_sample_size_rules(self, overrides, message):
         for build in (lambda: _config(**overrides),
                       lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **overrides))):
-            with pytest.raises(ExperimentError, match=re.escape(message)):
+            with pytest.raises(DomainError, match=re.escape(message)):
                 build()
 
     @pytest.mark.parametrize("overrides, message", [
@@ -381,7 +381,7 @@ class TestConfig:
     def test_level_rate_and_mode_rules(self, overrides, message):
         for build in (lambda: _config(**overrides),
                       lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **overrides))):
-            with pytest.raises(ExperimentError, match=re.escape(message)):
+            with pytest.raises(DomainError, match=re.escape(message)):
                 build()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -406,7 +406,7 @@ class TestConfig:
         # by its bit length, and nothing is coerced to a string first
         for build in (lambda: _config(**{key: value}),
                       lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **{key: value}))):
-            with pytest.raises(ExperimentError) as excinfo:
+            with pytest.raises(DomainError) as excinfo:
                 build()
             assert message in str(excinfo.value)
 
@@ -417,7 +417,7 @@ class TestConfig:
         for build in (lambda: _config(family=family, true_param=5.0, null_param=huge),
                       lambda: ExperimentConfig.from_dict(dict(
                           _config().to_dict(), family=family.value, null_param=huge))):
-            with pytest.raises(ExperimentError, match=re.escape(
+            with pytest.raises(DomainError, match=re.escape(
                     f"null_param: {'Student nu' if family is Family.STUDENT else 'Pearson II eta'}"
                     f" = {huge} is too large in m = 1")):
                 build()
@@ -435,7 +435,7 @@ class TestConfig:
             for build in (lambda: _config(n_grid=grid, replicates=replicates),
                           lambda: ExperimentConfig.from_dict(dict(
                               _config().to_dict(), n_grid=list(grid), replicates=replicates))):
-                with pytest.raises(ExperimentError, match=re.escape(message)):
+                with pytest.raises(DomainError, match=re.escape(message)):
                     build()
 
     def test_coordinate_limit(self):
@@ -449,17 +449,17 @@ class TestConfig:
             for build in (lambda: _config(dim=dim, n_grid=(100, n)),
                           lambda: ExperimentConfig.from_dict(dict(
                               _config().to_dict(), dim=dim, n_grid=[100, n]))):
-                with pytest.raises(ExperimentError, match=re.escape(message)):
+                with pytest.raises(DomainError, match=re.escape(message)):
                     build()
         # a dimension too large for any draw is refused without a float conversion
-        with pytest.raises(ExperimentError, match=re.escape("below m+1")):
+        with pytest.raises(DomainError, match=re.escape("below m+1")):
             _config(dim=10**400, n_grid=(100,))
 
     def test_long_grid_checked_in_linear_time(self):
         # the repeat rule once counted each entry over the whole grid: 40 000
         # sizes took 18 s to check, and 100 000 about two minutes
         start = time.perf_counter()
-        with pytest.raises(ExperimentError, match="n_grid repeats sample sizes 5, 7$"):
+        with pytest.raises(DomainError, match="n_grid repeats sample sizes 5, 7$"):
             _config(n_grid=(*range(5, 100_005), 5, 7), replicates=2)
         assert time.perf_counter() - start < 10.0
 
@@ -467,7 +467,7 @@ class TestConfig:
         for build in (lambda: _config(n_grid=(100, 200, 100, 100)),
                       lambda: ExperimentConfig.from_dict(
                           dict(_config().to_dict(), n_grid=[100, 200, 200]))):
-            with pytest.raises(ExperimentError, match="n_grid repeats sample sizes"):
+            with pytest.raises(DomainError, match="n_grid repeats sample sizes"):
                 build()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -476,7 +476,7 @@ class TestConfig:
         for build in (lambda: _config(master_seed=seed),
                       lambda: ExperimentConfig.from_dict(
                           dict(_config().to_dict(), master_seed=seed))):
-            with pytest.raises(ExperimentError,
+            with pytest.raises(DomainError,
                                match=rf"master_seed must be an integer in \[0, 2\*\*64\), "
                                      rf"got {seed}"):
                 build()
@@ -515,7 +515,7 @@ class TestConfig:
         what = "each n_grid entry" if key == "n_grid" else key
         for build in (lambda: _config(**{key: given}),
                       lambda: ExperimentConfig.from_dict(dict(_config().to_dict(), **{key: given}))):
-            with pytest.raises(ExperimentError, match=re.escape(f"{what} must be an integer")):
+            with pytest.raises(DomainError, match=re.escape(f"{what} must be an integer")):
                 build()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -527,7 +527,7 @@ class TestConfig:
         # N and the replicate index share one 64-bit stream id (32 bits
         # each, the top bit kept for the fresh covariance): beyond these
         # bounds two replicates would draw the same stream
-        with pytest.raises(ExperimentError, match=re.escape(message)):
+        with pytest.raises(DomainError, match=re.escape(message)):
             _config(**{key: value})
         assert mc._stream_id(2**31 - 1, 2**32 - 1) < mc._FRESH_COV_BIT
 
@@ -742,7 +742,7 @@ class TestRunExperiment:
             raise DomainError("synthetic failure")
 
         monkeypatch.setattr(mc, "_replicate_value", broken)
-        with pytest.raises(ExperimentError, match="failed"):
+        with pytest.raises(DomainError, match="failed"):
             run_experiment(_config(replicates=10), workers=1)
 
 
@@ -756,7 +756,7 @@ class TestRunExperiment:
             return original(config, n, j)
 
         monkeypatch.setattr(mc, "_replicate_value", flaky)
-        with pytest.raises(ExperimentError, match=r"1/2 replicates failed at N=100 .*least 2"):
+        with pytest.raises(DomainError, match=r"1/2 replicates failed at N=100 .*least 2"):
             run_experiment(_config(replicates=2, max_failure_rate=0.5), workers=1)
 
 

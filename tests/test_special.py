@@ -20,7 +20,7 @@ from renyigof.distributions import (
     renyi_entropy_closed_form,
     student,
 )
-from renyigof.errors import DomainError, ExperimentError
+from renyigof.errors import DomainError
 from renyigof.gof import statistic
 from renyigof.knn import renyi_estimate
 from renyigof import mc, special
@@ -463,7 +463,7 @@ def _outcome(read, value):
     # a result, or the error it raises and its message
     try:
         return read(value)
-    except (ValueError, ExperimentError) as exc:  # DomainError is a ValueError
+    except ValueError as exc:  # DomainError is a ValueError
         return type(exc), str(exc)
 
 
@@ -484,10 +484,10 @@ def test_anything_else_is_refused_naming_the_parameter(site, value):
     read, name = _REAL_SITES[site]
     if site in _PARSED:
         assume(not isinstance(value, str))  # text is what parse_param parses
-        error = ExperimentError if site.startswith("config") else ValueError
+        error = DomainError if site.startswith("config") else ValueError
         message = f"{name} or 'inf', got "
     else:
-        error = ExperimentError if site.startswith("config") else DomainError
+        error = DomainError
         message = f"{name} must be a real number, got "
     with pytest.raises(error) as excinfo:
         read(value)
