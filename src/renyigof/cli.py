@@ -44,10 +44,10 @@ from ._version import __version__
 from . import mc
 from .distributions import DistributionSpec, Family, SpdMatrix
 from .errors import DomainError, DuplicatePointsError, NotPositiveDefiniteError
-from .gof import statistic
+from .gof import sample_covariance, statistic
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import _MAX_COORDINATES, read_csv, read_lines, sample, write_csv
-from .special import _integer
+from .special import _integer, _reals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,28 +68,23 @@ def _path(text: str) -> str:
     return text
 
 
-def _floats(text: str, flag: str) -> list[float]:
+def _flag_reals(flag: str, text: str, m: int, rows: int):
+    """The text of `--loc` (rows 1, read as a location by
+    :func:`special._reals`) or `--scale` (rows m, built as an SpdMatrix):
+    rows split on ';' and entries on ','.  Every refusal is one
+    DomainError, "<flag> '<text>': <reason>"."""
+    cells = [row.split(",") for row in text.split(";")]
+    if [len(row) for row in cells] != [m] * rows:
+        raise DomainError(f"{flag} {text!r}: needs {rows} x {m} numbers, "
+                          "rows split by ';' and entries by ','")
     try:
-        return [float(v) for v in text.split(",")]
+        grid = [[float(v) for v in row] for row in cells]
     except ValueError:
-        raise DomainError(f"{flag} takes numbers, got {text!r}") from None
-
-
-def _parse_vector(text: str, m: int) -> np.ndarray:
-    vals = _floats(text, "--loc")
-    if len(vals) != m:
-        raise DomainError(f"--loc needs {m} comma-separated values, got {len(vals)}")
-    return np.asarray(vals)
-
-
-def _parse_matrix(text: str, m: int) -> SpdMatrix:
-    rows = [_floats(row, "--scale") for row in text.split(";")]
-    if len(rows) != m or any(len(r) != m for r in rows):
-        raise DomainError(f"--scale needs an {m}x{m} matrix as 'r1c1,r1c2;r2c1,...'")
+        raise DomainError(f"{flag} {text!r}: takes numbers") from None
     try:
-        return SpdMatrix(np.asarray(rows))
+        return _reals("location", grid)[0] if rows == 1 else SpdMatrix(grid)
     except (DomainError, NotPositiveDefiniteError) as exc:  # the flag's fault, not the data's
-        raise DomainError(f"--scale {text!r}: {exc}") from None
+        raise DomainError(f"{flag} {text!r}: {exc}") from None
 
 
 def _build_spec(args):
@@ -100,8 +95,9 @@ def _build_spec(args):
     if m * m > _MAX_COORDINATES:  # refused before the m x m scale is built and factored
         raise DomainError(f"--dim {m} asks for a {m} x {m} scale matrix, more than "
                           f"the {_MAX_COORDINATES} coordinates one draw may hold")
-    loc = np.zeros(m) if args.loc is None else _parse_vector(args.loc, m)
-    scale = SpdMatrix.identity(m) if args.scale is None else _parse_matrix(args.scale, m)
+    loc = np.zeros(m) if args.loc is None else _flag_reals("--loc", args.loc, m, 1)
+    scale = (SpdMatrix.identity(m) if args.scale is None
+             else _flag_reals("--scale", args.scale, m, m))
     return DistributionSpec(Family(args.family), loc, scale, args.param)
 
 
@@ -158,6 +154,8 @@ def cmd_test(args) -> int:
         "m": s.dim,
         "l2_condition_ok": stat.l2_ok,
     }
+    if s.dim >= 2:  # where a critical table assumes the scatter is spherical
+        record["scatter_condition"] = float(np.linalg.cond(sample_covariance(s)[1].matrix))
     for line in (record, *decisions):
         print(json.dumps(line))
     return EXIT_OK
@@ -233,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--loc", help="location as comma-separated values (default 0)")
-    p.add_argument("--scale", help="scale matrix rows separated by ';' (default identity)")
+    p.add_argument("--loc", help="comma-separated location (default 0); write -1,2 as --loc=-1,2")
+    p.add_argument("--scale", help="scale matrix rows separated by ';' (default identity); "
+                                   "a value starting with '-' is written --scale=VALUE")
     p.add_argument("-o", "--output", type=_path, required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("entropy", allow_abbrev=False, help="estimate entropy of a CSV sample")
     p.add_argument("data", type=_path)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=float, required=True, help="Renyi order; 1 selects Shannon")
+    p.add_argument("--q", type=_param, required=True, help="Renyi order; 1 selects Shannon")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("test", allow_abbrev=False,

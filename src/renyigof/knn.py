@@ -121,7 +121,12 @@ def knn_distances(sample: Sample, k_max: int, method: str = "auto") -> KnnDistan
     DuplicatePointsError
         If two points coincide (zero squared distance), listing in
         ascending order every point whose nearest neighbour is at zero
-        distance.
+        distance.  At m >= 2 the kd-tree cannot split coincident points,
+        so it takes time quadratic in their number before this is
+        raised: 0.18-0.38 s at N = 10 000 and 0.74-1.62 s at N = 20 000
+        on a constant 2-D column (2-CPU Linux VM), against 2-3 ms at
+        m = 1.  Only this error path is slow; a check before the tree
+        would cost every call a sort.
     """
     pts = sample.points
     if sample.n == 1:

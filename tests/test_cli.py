@@ -2,6 +2,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from renyigof import cli, mc
 from renyigof.cli import load_config, main
 from renyigof.distributions import Family, gaussian
 from renyigof.errors import DomainError
-from renyigof.gof import statistic
+from renyigof.gof import sample_covariance, statistic
 from renyigof.knn import renyi_estimate
 from renyigof.mc import ExperimentConfig
 from renyigof.sampler import read_csv, sample, write_csv
@@ -124,17 +125,35 @@ class TestSampleCommand:
                      id="flags0---dim must be >= 1, got 0"),
         pytest.param(["--dim", "-1"], "--dim must be an integer >= 1, got -1",
                      id="flags1---dim must be >= 1, got -1"),
-        (["--dim", "1", "--loc", "abc"], "--loc takes numbers, got 'abc'"),
-        (["--dim", "2", "--scale", "1,0;0,x"], "--scale takes numbers, got '0,x'"),
-        (["--dim", "2", "--loc", "1,2,3"], "--loc needs 2 comma-separated values, got 3"),
-        (["--dim", "2", "--scale", "1,0;0"], "--scale needs an 2x2 matrix"),
-        (["--dim", "2", "--scale", "1,0"], "--scale needs an 2x2 matrix"),
+        # every --loc and --scale refusal reads "<flag> '<text>': <reason>"
+        pytest.param(["--dim", "1", "--loc", "abc"], "error: --loc 'abc': takes numbers",
+                     id="flags2---loc takes numbers, got 'abc'"),
+        pytest.param(["--dim", "2", "--scale", "1,0;0,x"],
+                     "error: --scale '1,0;0,x': takes numbers",
+                     id="flags3---scale takes numbers, got '0,x'"),
+        pytest.param(["--dim", "2", "--loc", "1,2,3"],
+                     "error: --loc '1,2,3': needs 1 x 2 numbers",
+                     id="flags4---loc needs 2 comma-separated values, got 3"),
+        pytest.param(["--dim", "2", "--scale", "1,0;0"],
+                     "error: --scale '1,0;0': needs 2 x 2 numbers",
+                     id="flags5---scale needs an 2x2 matrix"),
+        pytest.param(["--dim", "2", "--scale", "1,0"],
+                     "error: --scale '1,0': needs 2 x 2 numbers",
+                     id="flags6---scale needs an 2x2 matrix"),
         (["--dim", "2", "--scale", "1,2;2,1"],
          "error: --scale '1,2;2,1': Cholesky factorisation failed"),
         (["--dim", "2", "--scale", "1,2;3,1"],
          "error: --scale '1,2;3,1': matrix is not symmetric"),
-        (["--dim", "1", "--loc", ""], "--loc takes numbers, got ''"),
-        (["--dim", "1", "--scale", ""], "--scale takes numbers, got ''"),
+        pytest.param(["--dim", "1", "--loc", ""], "error: --loc '': takes numbers",
+                     id="flags9---loc takes numbers, got ''"),
+        pytest.param(["--dim", "1", "--scale", ""], "error: --scale '': takes numbers",
+                     id="flags10---scale takes numbers, got ''"),
+        # float() reads these as nan or inf; the location and scale must be finite
+        (["--dim", "1", "--loc", "nan"], "error: --loc 'nan': location must be finite"),
+        (["--dim", "1", "--loc", "1e999"], "error: --loc '1e999': location must be finite"),
+        (["--dim", "2", "--loc", "1,inf"], "error: --loc '1,inf': location must be finite"),
+        (["--dim", "2", "--scale", "1,0;0,inf"],
+         "error: --scale '1,0;0,inf': matrix entries must be finite"),
     ])
     def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
         path = tmp_path / "x.csv"
@@ -142,8 +161,22 @@ class TestSampleCommand:
                                        "--n", "10", "--seed", "1", "-o", str(path)])
         assert code == 2
         assert out == ""
-        assert message in err
+        assert len(err.splitlines()) == 1 and message in err
         assert not path.exists()
+
+    def test_negative_location_written_with_equals(self, tmp_path, capsys):
+        # argparse takes "-1,2" after a space for a flag; "--loc=-1,2" is the spelling
+        path = tmp_path / "x.csv"
+        argv = ["sample", "--family", "gaussian", "--dim", "2", "--n", "5", "--seed", "1",
+                "-o", str(path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--loc", "-1,2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --loc: expected one argument\n")
+        code, _, _ = _run(capsys, [*argv, "--loc=-1,2"])
+        assert code == 0
+        expected = sample(gaussian([-1.0, 2.0], np.eye(2)), 5, 1)
+        np.testing.assert_array_equal(read_csv(path).points, expected.points)
 
     def test_location_and_scale_applied(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -248,6 +281,20 @@ class TestEntropyCommand:
         assert err == ("error: the entropy estimate is inf: a squared neighbour distance "
                        "overflows the double range\n")
 
+    @pytest.mark.parametrize("q, got", [("1e999", "'1e999', a number past the double range"),
+                                        ("nan", "'nan'")])
+    def test_q_that_is_not_a_number_or_inf_exits_2(self, tmp_path, capsys, q, got):
+        # --q is read by the tail parameters' parser: float() would take
+        # 1e999 for inf and run on to a misleading domain error
+        path = tmp_path / "pts.csv"
+        path.write_text("x1\n0.0\n1.0\n3.0\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["entropy", str(path), "--k", "1", "--q", q])
+        out = capsys.readouterr()
+        assert (excinfo.value.code, out.out) == (2, "")
+        assert [line for line in out.err.splitlines() if "error:" in line] == [
+            f"renyigof entropy: error: argument --q: expected a number or 'inf', got {got}"]
+
     def test_k_below_q_minus_one_exit_2(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("x1\n0.0\n1.0\n3.0\n")
@@ -310,10 +357,30 @@ class TestTestCommand:
         record = json.loads(out)
         stat = statistic(read_csv(path), Family(family), float(param), 3)
         assert list(record) == ["W", "h_max", "h_hat", "family", "null_param", "q", "k",
-                                "n", "m", "l2_condition_ok"]
+                                "n", "m", "l2_condition_ok", "scatter_condition"]
         assert (record["W"], record["h_max"], record["h_hat"]) == \
             (stat.value, stat.h_max, stat.h_hat)
         assert record["W"] == record["h_max"] - record["h_hat"]
+
+    def test_scatter_condition_at_m_of_two_or_more(self, tmp_path, capsys):
+        # a critical table assumes a spherical scatter at m >= 2, so the
+        # record shows how far S is from one
+        records = {}
+        for name, scale in [("round", np.eye(2)), ("stretched", np.diag([1.0, 400.0])),
+                            ("line", np.eye(1))]:
+            path = tmp_path / f"{name}.csv"
+            write_csv(sample(gaussian(np.zeros(len(scale)), scale), 500, 6), path)
+            code, out, err = _run(capsys, ["test", str(path), "--family", "student",
+                                           "--null-param", "10", "--k", "3"])
+            assert (code, err) == (0, "")
+            records[name] = json.loads(out)
+        assert 1.0 <= records["round"]["scatter_condition"] < 1.5
+        assert 300.0 < records["stretched"]["scatter_condition"] < 550.0
+        assert records["stretched"]["scatter_condition"] == float(
+            np.linalg.cond(sample_covariance(read_csv(tmp_path / "stretched.csv"))[1].matrix))
+        # at m = 1 every scatter is spherical: the record keeps its fields
+        assert list(records["line"]) == ["W", "h_max", "h_hat", "family", "null_param", "q",
+                                         "k", "n", "m", "l2_condition_ok"]
 
     @pytest.mark.parametrize("eta0, k, ok", [("1", "2", False), ("2", "2", False),
                                             ("2", "3", True)])
@@ -1082,6 +1149,19 @@ class TestFlagSpelling:
         assert out.err.startswith("usage: renyigof")
         assert "Traceback" not in out.err
         assert not (tmp_path / "out").exists()
+
+
+class TestRealFlags:
+    def test_build_parser_reads_no_flag_by_float(self):
+        # float() takes 1e999 for inf and nan for a number: every real-valued
+        # flag goes through cli._param, the one parser for inf, or, for
+        # --loc and --scale, through cli._flag_reals
+        tree = ast.parse(inspect.getsource(cli.build_parser))
+        types = [ast.unparse(keyword.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) for keyword in node.keywords
+                 if keyword.arg == "type"]
+        assert "float" not in types
+        assert types.count("_param") == 3  # --param, --q and --null-param
 
 
 class TestWarnings:
