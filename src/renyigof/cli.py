@@ -68,11 +68,12 @@ def _path(text: str) -> str:
     return text
 
 
-def _flag_reals(flag: str, text: str, m: int, rows: int):
-    """The text of `--loc` (rows 1, read as a location by
-    :func:`special._reals`) or `--scale` (rows m, built as an SpdMatrix):
+def _flag_reals(flag: str, text: str, m: int):
+    """The text of `--loc` (1 x m, read as a location by
+    :func:`special._reals`) or `--scale` (m x m, built as an SpdMatrix):
     rows split on ';' and entries on ','.  Every refusal is one
     DomainError, "<flag> '<text>': <reason>"."""
+    rows = 1 if flag == "--loc" else m
     cells = [row.split(",") for row in text.split(";")]
     if [len(row) for row in cells] != [m] * rows:
         raise DomainError(f"{flag} {text!r}: needs {rows} x {m} numbers, "
@@ -82,7 +83,7 @@ def _flag_reals(flag: str, text: str, m: int, rows: int):
     except ValueError:
         raise DomainError(f"{flag} {text!r}: takes numbers") from None
     try:
-        return _reals("location", grid)[0] if rows == 1 else SpdMatrix(grid)
+        return _reals("location", grid)[0] if flag == "--loc" else SpdMatrix(grid)
     except (DomainError, NotPositiveDefiniteError) as exc:  # the flag's fault, not the data's
         raise DomainError(f"{flag} {text!r}: {exc}") from None
 
@@ -95,9 +96,8 @@ def _build_spec(args):
     if m * m > _MAX_COORDINATES:  # refused before the m x m scale is built and factored
         raise DomainError(f"--dim {m} asks for a {m} x {m} scale matrix, more than "
                           f"the {_MAX_COORDINATES} coordinates one draw may hold")
-    loc = np.zeros(m) if args.loc is None else _flag_reals("--loc", args.loc, m, 1)
-    scale = (SpdMatrix.identity(m) if args.scale is None
-             else _flag_reals("--scale", args.scale, m, m))
+    loc = np.zeros(m) if args.loc is None else _flag_reals("--loc", args.loc, m)
+    scale = SpdMatrix.identity(m) if args.scale is None else _flag_reals("--scale", args.scale, m)
     return DistributionSpec(Family(args.family), loc, scale, args.param)
 
 

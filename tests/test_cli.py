@@ -154,6 +154,11 @@ class TestSampleCommand:
         (["--dim", "2", "--loc", "1,inf"], "error: --loc '1,inf': location must be finite"),
         (["--dim", "2", "--scale", "1,0;0,inf"],
          "error: --scale '1,0;0,inf': matrix entries must be finite"),
+        # at --dim 1 the scale is a 1 x 1 matrix, not a location
+        (["--dim", "1", "--scale=-1"], "error: --scale '-1': Cholesky factorisation failed"),
+        (["--dim", "1", "--scale", "0"], "error: --scale '0': Cholesky factorisation failed"),
+        (["--dim", "1", "--scale", "nan"], "error: --scale 'nan': matrix entries must be finite"),
+        (["--dim", "1", "--scale", "1e308"], "error: --scale '1e308': matrix entries too large"),
     ])
     def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
         path = tmp_path / "x.csv"
@@ -1157,11 +1162,17 @@ class TestRealFlags:
         # flag goes through cli._param, the one parser for inf, or, for
         # --loc and --scale, through cli._flag_reals
         tree = ast.parse(inspect.getsource(cli.build_parser))
-        types = [ast.unparse(keyword.value) for node in ast.walk(tree)
-                 if isinstance(node, ast.Call) for keyword in node.keywords
-                 if keyword.arg == "type"]
-        assert "float" not in types
-        assert types.count("_param") == 3  # --param, --q and --null-param
+        types = {}  # option string -> the text of its type=
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for keyword in node.keywords:
+                    if keyword.arg == "type":
+                        for arg in node.args:
+                            if isinstance(arg, ast.Constant):
+                                types[arg.value] = ast.unparse(keyword.value)
+        assert "float" not in types.values()
+        for flag in ("--param", "--q", "--null-param"):
+            assert types[flag] == "_param"
 
 
 class TestWarnings:
