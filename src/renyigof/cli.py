@@ -10,6 +10,9 @@ parameter has one flag, read as nu or eta by the family: `sample
 --param`, `test --null-param`.
 Flags are taken only as spelled in full (or as `--flag=value`); a
 prefix of one, such as `--null` for `--null-param`, is a usage error.
+Every numeric flag, and each entry of `--loc` and `--scale`, is read
+by :func:`special._number`, the one reader of number text, so `1_0`,
+non-ASCII digits, `nan` and `1e999` exit 2 naming the flag.
 
 Exit codes: 0 success, 2 usage or validation error (an empty path and
 a --scale that is not positive definite among them), 3 data error
@@ -30,6 +33,7 @@ import json
 import os
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 # Replicates run in separate worker processes and no BLAS call here is large
@@ -47,16 +51,19 @@ from .errors import DomainError, DuplicatePointsError, NotPositiveDefiniteError
 from .gof import sample_covariance, statistic
 from .knn import renyi_estimate, shannon_estimate
 from .sampler import _MAX_COORDINATES, read_csv, read_lines, sample, write_csv
-from .special import _integer, _reals
+from .special import _integer, _number, _reals
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _param(text: str) -> float:
+def _numeric(kind: type, text: str, inf: bool = False):
+    """The argparse type of every numeric flag, bound to its kind by
+    `partial`: the flag's text read by :func:`special._number`, whose
+    refusal becomes argparse's usage error naming the flag."""
     try:
-        return mc.parse_param(text)
+        return _number(text, kind, inf)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -71,20 +78,18 @@ def _path(text: str) -> str:
 def _flag_reals(flag: str, text: str, m: int):
     """The text of `--loc` (1 x m, read as a location by
     :func:`special._reals`) or `--scale` (m x m, built as an SpdMatrix):
-    rows split on ';' and entries on ','.  Every refusal is one
-    DomainError, "<flag> '<text>': <reason>"."""
+    rows split on ';' and entries on ',', each entry read by
+    :func:`special._number`.  Every refusal is one DomainError,
+    "<flag> '<text>': <reason>"."""
     rows = 1 if flag == "--loc" else m
     cells = [row.split(",") for row in text.split(";")]
     if [len(row) for row in cells] != [m] * rows:
         raise DomainError(f"{flag} {text!r}: needs {rows} x {m} numbers, "
                           "rows split by ';' and entries by ','")
     try:
-        grid = [[float(v) for v in row] for row in cells]
-    except ValueError:
-        raise DomainError(f"{flag} {text!r}: takes numbers") from None
-    try:
+        grid = [[_number(v) for v in row] for row in cells]
         return _reals("location", grid)[0] if flag == "--loc" else SpdMatrix(grid)
-    except (DomainError, NotPositiveDefiniteError) as exc:  # the flag's fault, not the data's
+    except ValueError as exc:  # a NotPositiveDefiniteError too: the flag's fault, not the data's
         raise DomainError(f"{flag} {text!r}: {exc}") from None
 
 
@@ -163,10 +168,11 @@ def cmd_test(args) -> int:
 
 def load_config(path: Path) -> mc.ExperimentConfig:
     """An experiment config file: JSON, read by :func:`sampler.read_lines`,
-    built by :meth:`mc.ExperimentConfig.from_dict`.  A number past the
-    double range is refused as JSON, not read as +-inf."""
+    built by :meth:`mc.ExperimentConfig.from_dict`.  Each JSON float is
+    read by :func:`special._number`, so one past the double range is
+    refused as JSON, not read as +-inf."""
     try:
-        data = json.loads("".join(read_lines(path)), parse_float=mc._finite_json_float)
+        data = json.loads("".join(read_lines(path)), parse_float=_number)
     except ValueError as exc:  # a JSONDecodeError, an int past Python's digit limit, or 1e999
         raise DomainError(f"config is not valid JSON: {exc}") from None
     return mc.ExperimentConfig.from_dict(data)
@@ -190,7 +196,7 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)  # before the run, which an unusable path would waste
 
-    result = mc.run_experiment(config, workers=args.workers)
+    result = mc.run_experiment(config, workers=mc.worker_count(args.workers, "--workers"))
 
     # created only now, so a run that fails leaves no empty directory
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", allow_abbrev=False, help="draw a seeded sample to CSV")
     p.add_argument("--family", choices=["gaussian", "student", "pearson2"], required=True)
-    p.add_argument("--param", type=_param,
+    p.add_argument("--param", type=partial(_numeric, float, inf=True),
                    help="tail parameter: Student nu (> 2) or Pearson II eta (> 0), or inf; "
                         "not for gaussian")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stream", type=int, default=0)
+    p.add_argument("--dim", type=partial(_numeric, int), required=True)
+    p.add_argument("--n", type=partial(_numeric, int), required=True)
+    p.add_argument("--seed", type=partial(_numeric, int), required=True)
+    p.add_argument("--stream", type=partial(_numeric, int), default=0)
     p.add_argument("--loc", help="comma-separated location (default 0); write -1,2 as --loc=-1,2")
     p.add_argument("--scale", help="scale matrix rows separated by ';' (default identity); "
                                    "a value starting with '-' is written --scale=VALUE")
@@ -239,18 +245,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", allow_abbrev=False, help="estimate entropy of a CSV sample")
     p.add_argument("data", type=_path)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=_param, required=True, help="Renyi order; 1 selects Shannon")
+    p.add_argument("--k", type=partial(_numeric, int), required=True)
+    p.add_argument("--q", type=partial(_numeric, float, inf=True), required=True,
+                   help="Renyi order, or inf; 1 selects Shannon")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("test", allow_abbrev=False,
                        help="goodness-of-fit statistic for a CSV sample")
     p.add_argument("data", type=_path)
     p.add_argument("--family", choices=["student", "pearson2"], required=True)
-    p.add_argument("--null-param", type=_param, required=True,
+    p.add_argument("--null-param", type=partial(_numeric, float, inf=True), required=True,
                    help="null's tail parameter: Student nu0 (> 2) or Pearson II eta0 (> 0); "
                         "inf for the Gaussian limit")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=partial(_numeric, int), required=True)
     p.add_argument("--critical-table", type=_path,
                    help="summary CSV from a null-configuration experiment; a decision "
                         "record follows for each level it tabulates")
@@ -260,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a Monte Carlo experiment from a JSON config")
     p.add_argument("config", type=_path)
     p.add_argument("--out-dir", type=_path, required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: the CPUs this process may run on); "
-                        "results identical for any count")
+    p.add_argument("--workers", type=partial(_numeric, int), default=None,
+                   help=f"worker processes, 1 to {mc._MAX_WORKERS} (default: the CPUs this "
+                        f"process may run on, at most that); results identical for any count")
     p.add_argument("--replicates-json", action="store_true",
                    help="also write full replicate arrays as JSON")
     p.add_argument("--critical-table", type=_path,

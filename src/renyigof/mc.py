@@ -30,7 +30,7 @@ from .distributions import Family, _maximiser_order, _standard_spec, check_pears
 from .errors import DomainError, DuplicatePointsError, NotPositiveDefiniteError
 from .gof import pearson_statistic, sample_covariance, statistic, student_statistic
 from .sampler import _MAX_COORDINATES, read_table, sample, write_table
-from .special import _got, _integer, _real, _reals
+from .special import _got, _integer, _number, _real, _reals
 
 # only bench/layers.py reads these: its per-layer spans wrap them by name here
 from .distributions import max_renyi_entropy  # noqa: F401
@@ -78,30 +78,19 @@ def parse_param(value) -> float:
     """A tail parameter from a number or the string "inf" ("infinity").
 
     The one parser for tail parameters in configs and on the command
-    line: a string is turned into a number by float(), and the number is
-    read by :func:`special._real`.  A string gives +inf only when it
-    spells inf or infinity; a decimal that float() rounds to +-inf, such
-    as "1e999", is refused, not read as the Gaussian limit.  Raises
-    ValueError for anything else, NaN and -inf included.
+    line: a string is read by :func:`special._number`, which takes a
+    decimal or, for the Gaussian limit, inf or infinity (so a decimal
+    past the double range, such as "1e999", `1_0` and non-ASCII digits
+    are refused), and a number by :func:`special._real`.  Raises
+    ValueError, "expected a number or 'inf', got <value>", for anything
+    else, NaN and -inf included.
     """
     try:
-        x = _real("tail parameter", float(value) if isinstance(value, str) else value)
-    except ValueError:  # a string float() refuses, or special._real's DomainError
+        x = _number(value, inf=True) if isinstance(value, str) else _real("tail parameter", value)
+    except DomainError:  # special._real's refusal; the reader's own names the text
         x = math.nan
-    past = math.isinf(x) and isinstance(value, str) \
-        and value.strip().lstrip("+-").lower() not in ("inf", "infinity")
-    if past or not x > -math.inf:
-        raise ValueError(f"expected a number or 'inf', got {_got(value)}"
-                         + (", a number past the double range" if past else ""))
-    return x
-
-
-def _finite_json_float(text: str) -> float:
-    # json's parse_float for config text: a number past the double range is
-    # refused, not read as +-inf (the Gaussian limit is spelled "inf")
-    x = float(text)
-    if math.isinf(x):
-        raise ValueError(f"number {text} lies past the double range")
+    if not x > -math.inf:
+        raise ValueError(f"expected a number or 'inf', got {_got(value)}")
     return x
 
 
@@ -421,15 +410,20 @@ def _block(config: ExperimentConfig, n: int, start: int) -> tuple[np.ndarray, li
     return values, failures
 
 
-def worker_count(workers: int | None) -> int:
+# the most worker processes one run may start: the pool forks every worker
+# at its first task, and only Windows caps their number (at 61)
+_MAX_WORKERS = 64
+
+
+def worker_count(workers: int | None, what: str = "workers") -> int:
     """The number of worker processes `workers` asks for: for None, the
-    CPUs this process may run on; anything but an integer >= 1 raises
-    DomainError."""
+    CPUs this process may run on, at most :data:`_MAX_WORKERS`; anything
+    but an integer in [1, _MAX_WORKERS] raises DomainError naming
+    `what`, as :func:`special._integer` does."""
     if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    return _integer("workers", workers, 1)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, _MAX_WORKERS)
+    return _integer(what, workers, 1, _MAX_WORKERS + 1)
 
 
 def _blocks(config: ExperimentConfig, tasks: list, workers: int) -> Iterator[tuple]:
@@ -755,9 +749,10 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     run's config comes from the `# config` header line.  DomainError,
     naming the file, is raised for a file that does not decode, has no
     such line or no valid experiment config on it, or has no
-    well-formed table; for a row whose N repeats an earlier row's or
-    lies outside the config's `n_grid`, or whose critical value is not
-    finite; for a run that is not a null run (one whose true_param
+    well-formed table; for a row whose N or critical value is not
+    number text (:func:`special._number`: no NaN or infinite value), or
+    whose N repeats an earlier row's or lies outside the config's
+    `n_grid`; for a run that is not a null run (a null run's true_param
     equals its null_param); and for `settings` that differ from the run
     on a key of :data:`NULL_RUN_KEYS`, naming each such key.  A table
     may lack a row of its `n_grid`.
@@ -768,8 +763,7 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     if not configs:
         raise DomainError(f"{path}: no '# config' header line")
     try:
-        config = ExperimentConfig.from_dict(json.loads(configs[0],
-                                                       parse_float=_finite_json_float))
+        config = ExperimentConfig.from_dict(json.loads(configs[0], parse_float=_number))
     except ValueError as exc:  # bad JSON, an over-long int, 1e999, or an invalid config
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
     table = [row for _, _, row in lines if row is not None]
@@ -780,15 +774,13 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     grid = set(config.n_grid)
     for row in (dict(zip(table[0], cells)) for cells in table[1:]):
         try:
-            n, values = int(row["N"]), [float(row[column]) for column in ALPHA_COLUMNS.values()]
+            n, values = _number(row["N"], int), [_number(row[c]) for c in ALPHA_COLUMNS.values()]
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{path}: unreadable summary row: {exc}") from None
         if n in critical[0.05] or n not in grid:
             where = "a second row" if n in grid else "a row outside its n_grid"
             raise DomainError(f"critical table {path} has {where} for N={n}")
-        for (alpha, column), value in zip(ALPHA_COLUMNS.items(), values):
-            if not math.isfinite(value):
-                raise DomainError(f"{path}: {column} at N={n} is {value}, not a finite number")
+        for alpha, value in zip(ALPHA_COLUMNS, values):
             critical[alpha][n] = value
     theirs = config.to_dict()
     if config.true_param != config.null_param:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
-from .special import _integer, _reals
+from .special import _integer, _number, _reals
 
 # the most coordinates, n * m, one draw may hold: its costliest use,
 # `renyigof sample` at m = 1, peaks at about 220 bytes per coordinate
@@ -203,16 +203,16 @@ def read_csv(path) -> Sample:
         if width is None:  # the header line
             width = len(row)
             try:
-                [float(v) for v in row]
+                [_number(v) for v in row]
             except ValueError:
                 continue
             raise DomainError(f"{path}:{lineno}: expected a header line, got a row of numbers")
         if len(row) != width:
             raise DomainError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise DomainError(f"{path}:{lineno}: non-numeric value") from None
+            rows.append([_number(v) for v in row])
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
     if width is None:
         raise DomainError(f"{path}: empty file")
     if not rows:

@@ -44,12 +44,27 @@ float that is not NaN (`_order` adds q > 0 for a Renyi order).
 `_reals` is the one reader of real-valued arrays (sample points, a
 location, matrix entries, replicate values): an array of integers or
 floats, returned as float64, every entry finite.
+
+`_number` is the one reader of number text: every flag value, CSV
+cell, summary-table cell and JSON config number the package turns from
+text into a number passes through it, and no other code applies
+`int()` or `float()` to text.  An integer is ASCII decimal digits with
+an optional sign; a real number also takes an optional point and
+exponent (`-1.5`, `.5`, `2.`, `1e-3`, `+6.02E23`), and, where a tail
+parameter allows it, `inf` or `infinity` in any case, with an optional
+`+`.  Whitespace around the text is dropped.  Everything else is
+refused: an underscore (`1_0`), a non-ASCII digit (`٣`, `１０`), hex
+(`0x10`), `nan`, the empty text, and a decimal past the double range
+(`1e999`), which `float()` would read as inf.  Every number the
+package writes fits this grammar: `repr` of any finite double, `inf`
+for an infinite tail parameter, and a JSON integer.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 
 import numpy as np
@@ -269,6 +284,30 @@ def _reals(what: str, value) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError(f"{what} must be finite")
     return a
+
+
+# a real number as text: ASCII digits, an optional sign, point and exponent
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _number(text: str, kind: type = float, inf: bool = False):
+    """The number `text` spells, an int for `kind` int and a float for
+    float: the one reader of number text (see the module docstring for
+    its grammar).  `inf` lets a real number be +inf, spelt `inf` or
+    `infinity`.  Anything else raises ValueError, "expected an integer"
+    (or "a number", or "a number or 'inf'"), "got '<text>'", and ", a
+    number past the double range" for a decimal that rounds to +-inf;
+    an integer past Python's digit limit raises int()'s own ValueError.
+    The error names no flag, cell or field: the caller adds that."""
+    s = text.strip()
+    if inf and re.fullmatch(r"\+?inf(inity)?", s, re.IGNORECASE):
+        return math.inf
+    x = kind(s) if re.fullmatch(r"[+-]?[0-9]+" if kind is int else _DECIMAL, s) else None
+    if x is not None and x not in (math.inf, -math.inf):
+        return x
+    expected = "an integer" if kind is int else "a number or 'inf'" if inf else "a number"
+    past = "" if x is None else ", a number past the double range"
+    raise ValueError(f"expected {expected}, got {text!r}{past}")
 
 
 def _got(value) -> str:

@@ -19,6 +19,12 @@ def pytest_make_parametrize_id(config, val, argname):
     return None
 
 
+# text that no reader of number text takes (special._number): underscores,
+# non-ASCII digits (Arabic-Indic three, fullwidth ten), hex, nan, a decimal
+# past the double range and the empty text
+NOT_NUMBER_TEXT = ["1_0", "1__0", "\u0663", "\uff11\uff10", "0x10", "nan", "1e999", ""]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import renyigof
+from conftest import NOT_NUMBER_TEXT
 from renyigof import cli, mc
 from renyigof.cli import load_config, main
 from renyigof.distributions import Family, gaussian
@@ -125,11 +126,13 @@ class TestSampleCommand:
                      id="flags0---dim must be >= 1, got 0"),
         pytest.param(["--dim", "-1"], "--dim must be an integer >= 1, got -1",
                      id="flags1---dim must be >= 1, got -1"),
-        # every --loc and --scale refusal reads "<flag> '<text>': <reason>"
-        pytest.param(["--dim", "1", "--loc", "abc"], "error: --loc 'abc': takes numbers",
+        # every --loc and --scale refusal reads "<flag> '<text>': <reason>"; an
+        # entry that is not number text names itself
+        pytest.param(["--dim", "1", "--loc", "abc"],
+                     "error: --loc 'abc': expected a number, got 'abc'\n",
                      id="flags2---loc takes numbers, got 'abc'"),
         pytest.param(["--dim", "2", "--scale", "1,0;0,x"],
-                     "error: --scale '1,0;0,x': takes numbers",
+                     "error: --scale '1,0;0,x': expected a number, got 'x'\n",
                      id="flags3---scale takes numbers, got '0,x'"),
         pytest.param(["--dim", "2", "--loc", "1,2,3"],
                      "error: --loc '1,2,3': needs 1 x 2 numbers",
@@ -144,20 +147,31 @@ class TestSampleCommand:
          "error: --scale '1,2;2,1': Cholesky factorisation failed"),
         (["--dim", "2", "--scale", "1,2;3,1"],
          "error: --scale '1,2;3,1': matrix is not symmetric"),
-        pytest.param(["--dim", "1", "--loc", ""], "error: --loc '': takes numbers",
+        pytest.param(["--dim", "1", "--loc", ""], "error: --loc '': expected a number, got ''\n",
                      id="flags9---loc takes numbers, got ''"),
-        pytest.param(["--dim", "1", "--scale", ""], "error: --scale '': takes numbers",
+        pytest.param(["--dim", "1", "--scale", ""],
+                     "error: --scale '': expected a number, got ''\n",
                      id="flags10---scale takes numbers, got ''"),
-        # float() reads these as nan or inf; the location and scale must be finite
-        (["--dim", "1", "--loc", "nan"], "error: --loc 'nan': location must be finite"),
-        (["--dim", "1", "--loc", "1e999"], "error: --loc '1e999': location must be finite"),
-        (["--dim", "2", "--loc", "1,inf"], "error: --loc '1,inf': location must be finite"),
-        (["--dim", "2", "--scale", "1,0;0,inf"],
-         "error: --scale '1,0;0,inf': matrix entries must be finite"),
+        # float() reads these as nan or inf; an entry is a finite decimal
+        pytest.param(["--dim", "1", "--loc", "nan"],
+                     "error: --loc 'nan': expected a number, got 'nan'\n",
+                     id="flags11-error: --loc 'nan': location must be finite"),
+        pytest.param(["--dim", "1", "--loc", "1e999"],
+                     "error: --loc '1e999': expected a number, got '1e999', "
+                     "a number past the double range\n",
+                     id="flags12-error: --loc '1e999': location must be finite"),
+        pytest.param(["--dim", "2", "--loc", "1,inf"],
+                     "error: --loc '1,inf': expected a number, got 'inf'\n",
+                     id="flags13-error: --loc '1,inf': location must be finite"),
+        pytest.param(["--dim", "2", "--scale", "1,0;0,inf"],
+                     "error: --scale '1,0;0,inf': expected a number, got 'inf'\n",
+                     id="flags14-error: --scale '1,0;0,inf': matrix entries must be finite"),
         # at --dim 1 the scale is a 1 x 1 matrix, not a location
         (["--dim", "1", "--scale=-1"], "error: --scale '-1': Cholesky factorisation failed"),
         (["--dim", "1", "--scale", "0"], "error: --scale '0': Cholesky factorisation failed"),
-        (["--dim", "1", "--scale", "nan"], "error: --scale 'nan': matrix entries must be finite"),
+        pytest.param(["--dim", "1", "--scale", "nan"],
+                     "error: --scale 'nan': expected a number, got 'nan'\n",
+                     id="flags17-error: --scale 'nan': matrix entries must be finite"),
         (["--dim", "1", "--scale", "1e308"], "error: --scale '1e308': matrix entries too large"),
     ])
     def test_bad_shape_or_location_exits_2(self, tmp_path, capsys, flags, message):
@@ -441,8 +455,8 @@ class TestTestCommand:
                    "a number past the double range"),
         ("test", "error: argument --null-param: expected a number or 'inf', got '1e999', "
                  "a number past the double range"),
-        ("experiment", "error: config is not valid JSON: number 1e999 lies past the double "
-                       "range"),
+        ("experiment", "error: config is not valid JSON: expected a number, got '1e999', "
+                       "a number past the double range"),
     ], ids=["sample", "test", "experiment"])
     def test_tail_parameter_past_double_range_exits_2(self, tmp_path, capsys, command, line):
         # float() and json.loads read 1e999 as inf, but the Gaussian limit
@@ -575,7 +589,9 @@ class TestTestCommand:
                                             "--k", "3")
         assert code == 2
         assert out == ""
-        assert err == f"error: {table}: {column} at N=50 is {float(text)}, not a finite number\n"
+        past = ", a number past the double range" if text == "1e999" else ""
+        assert err == (f"error: {table}: unreadable summary row: expected a number, "
+                       f"got {text!r}{past}\n")
 
     def test_table_that_repeats_an_n_exits_2(self, tmp_path, capsys):
         # the later of two N = 50 rows, with q05 = 99.0, must not decide
@@ -785,7 +801,21 @@ class TestExperimentCommand:
                                        "--out-dir", str(tmp_path / "o"), "--workers", workers])
         assert code == 2
         assert out == ""
-        assert f"workers must be an integer >= 1, got {workers}" in err
+        assert err == f"error: --workers must be an integer in [1, 65), got {workers}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("workers", ["65", "5000"])
+    def test_workers_above_the_bound_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        # refused before a pool could fork that many processes, and before
+        # the output directory is made
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        code, out, err = _run(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
+                                       "--out-dir", str(tmp_path / "o"), "--workers", workers])
+        assert (code, out) == (2, "")
+        assert err == f"error: --workers must be an integer in [1, 65), got {workers}\n"
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -1013,7 +1043,8 @@ class TestExperimentCommand:
                                        "--critical-table", str(reference)])
         assert code == 2
         assert out == ""
-        assert err == f"error: {reference}: q05 at N=60 is nan, not a finite number\n"
+        assert err == (f"error: {reference}: unreadable summary row: expected a number, "
+                       "got 'nan'\n")
         assert not (tmp_path / "alt_out").exists()
 
     def test_mismatched_power_reference_exits_2(self, tmp_path, capsys):
@@ -1158,9 +1189,10 @@ class TestFlagSpelling:
 
 class TestRealFlags:
     def test_build_parser_reads_no_flag_by_float(self):
-        # float() takes 1e999 for inf and nan for a number: every real-valued
-        # flag goes through cli._param, the one parser for inf, or, for
-        # --loc and --scale, through cli._flag_reals
+        # float() takes 1e999 for inf and nan for a number, and int() and
+        # float() both take 1_0 and non-ASCII digits: every numeric flag goes
+        # through cli._numeric, the one adapter of special._number, and
+        # every other typed argument is a path
         tree = ast.parse(inspect.getsource(cli.build_parser))
         types = {}  # option string -> the text of its type=
         for node in ast.walk(tree):
@@ -1170,9 +1202,122 @@ class TestRealFlags:
                         for arg in node.args:
                             if isinstance(arg, ast.Constant):
                                 types[arg.value] = ast.unparse(keyword.value)
-        assert "float" not in types.values()
+        assert not {"int", "float"} & set(types.values())
+        assert set(types.values()) <= {"_path", "partial(_numeric, int)",
+                                       "partial(_numeric, float, inf=True)"}
         for flag in ("--param", "--q", "--null-param"):
-            assert types[flag] == "_param"
+            assert types[flag] == "partial(_numeric, float, inf=True)"
+        for flag in ("--dim", "--n", "--seed", "--stream", "--k", "--workers"):
+            assert types[flag] == "partial(_numeric, int)"
+
+
+class TestNumberText:
+    """Text that is no number in the one grammar (special._number) exits 2
+    in every channel that reads number text, with one error line that
+    says where it stood: a flag, a CSV line, a summary table or a config
+    field.  int() and float() took 1_0 and non-ASCII digits, and float()
+    took nan and took 1e999 for inf."""
+
+    @staticmethod
+    def _reason(text, kind):
+        expected = {int: "an integer", float: "a number", "tail": "a number or 'inf'"}[kind]
+        past = ", a number past the double range" if text == "1e999" and kind != int else ""
+        return f"expected {expected}, got {text!r}{past}"
+
+    @pytest.fixture(scope="class")
+    def null_table(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("null")
+        config = {"schema_version": 1, "family": "student", "true_param": 5.0,
+                  "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3, "replicates": 10}
+        (root / "null.json").write_text(json.dumps(config))
+        assert main(["experiment", str(root / "null.json"), "--out-dir", str(root / "out"),
+                     "--workers", "1"]) == 0
+        return (root / "out" / "summary.csv").read_text()
+
+    @pytest.mark.parametrize("text", NOT_NUMBER_TEXT)
+    @pytest.mark.parametrize("command, flag, kind", [
+        ("sample", "--dim", int), ("sample", "--n", int), ("sample", "--seed", int),
+        ("sample", "--stream", int), ("sample", "--param", "tail"), ("entropy", "--k", int),
+        ("entropy", "--q", "tail"), ("test", "--k", int), ("test", "--null-param", "tail"),
+        ("experiment", "--workers", int),
+    ])
+    def test_flag(self, tmp_path, capsys, text, command, flag, kind):
+        data, out = tmp_path / "g.csv", tmp_path / "out"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 20, 1), data)
+        argv = {"sample": ["sample", "--family", "student", "--param", "5", "--dim", "1",
+                           "--n", "10", "--seed", "1", "-o", str(out)],
+                "entropy": ["entropy", str(data), "--k", "3", "--q", "1"],
+                "test": ["test", str(data), "--family", "student", "--null-param", "5",
+                         "--k", "3"],
+                "experiment": ["experiment", str(_REPO / "configs" / "smoke.json"),
+                               "--out-dir", str(out)]}[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, f"{flag}={text}"])  # the later value of a flag wins
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1] == (
+            f"renyigof {command}: error: argument {flag}: {self._reason(text, kind)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", NOT_NUMBER_TEXT)
+    @pytest.mark.parametrize("flag", ["--loc", "--scale"])
+    def test_loc_and_scale_entry(self, tmp_path, capsys, text, flag):
+        code, out, err = _run(capsys, ["sample", "--family", "gaussian", "--dim", "2",
+                                       "--n", "5", "--seed", "1", "-o", str(tmp_path / "x.csv"),
+                                       f"{flag}=1,{text}" + (";0,1" if flag == "--scale" else "")])
+        value = f"1,{text}" + (";0,1" if flag == "--scale" else "")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} {value!r}: {self._reason(text, float)}\n"
+
+    @pytest.mark.parametrize("text", NOT_NUMBER_TEXT)
+    @pytest.mark.parametrize("command", ["entropy", "test"])
+    def test_csv_cell(self, tmp_path, capsys, text, command):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"# a comment\nx1,x2\n0.5,1.5\n2.5,{text}\n3.5,4.0\n", encoding="utf-8")
+        flags = {"entropy": ["--k", "1", "--q", "1"],
+                 "test": ["--family", "student", "--null-param", "5", "--k", "1"]}[command]
+        code, out, err = _run(capsys, [command, str(path), *flags])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: {self._reason(text, float)}\n"
+
+    @pytest.mark.parametrize("text", NOT_NUMBER_TEXT)
+    @pytest.mark.parametrize("column", ["N", "q05", "q10"])
+    @pytest.mark.parametrize("command", ["test", "experiment"])
+    def test_summary_cell(self, tmp_path, capsys, null_table, text, column, command):
+        table = tmp_path / "summary.csv"
+        table.write_text(null_table)
+        _set_summary_field(table, column, text)
+        data, config = tmp_path / "g.csv", tmp_path / "alt.json"
+        write_csv(sample(gaussian([0.0], [[1.0]]), 50, 2), data)
+        config.write_text(json.dumps({"schema_version": 1, "family": "student",
+                                      "true_param": "inf", "null_param": 5.0, "dim": 1,
+                                      "n_grid": [50], "k": 3, "replicates": 10}))
+        argv = {"test": ["test", str(data), "--family", "student", "--null-param", "5",
+                         "--k", "3"],
+                "experiment": ["experiment", str(config), "--out-dir", str(tmp_path / "o")]}
+        code, out, err = _run(capsys, [*argv[command], "--critical-table", str(table)])
+        assert (code, out) == (2, "")
+        reason = self._reason(text, int if column == "N" else float)
+        assert err == f"error: {table}: unreadable summary row: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", NOT_NUMBER_TEXT + ["\u0661\u0660"])
+    @pytest.mark.parametrize("field", ["true_param", "null_param"])
+    def test_config_string(self, tmp_path, capsys, monkeypatch, text, field):
+        def never(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(mc, "_replicate_value", never)
+        config = {"schema_version": 1, "family": "student", "true_param": 5.0,
+                  "null_param": 5.0, "dim": 1, "n_grid": [50], "k": 3, "replicates": 10,
+                  field: text}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", str(tmp_path / "cfg.json"),
+                                       "--out-dir", str(tmp_path / "o")])
+        assert (code, out) == (2, "")
+        assert err == (f"error: invalid experiment config: {field}: "
+                       f"{self._reason(text, 'tail')}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestWarnings:

@@ -90,7 +90,7 @@ def files(tmp_path_factory):
 
 
 _CELL_TEXT = ["nan", "inf", "-inf", "1e400", "-1e400", "4e-324", "0x10", "", " ", "1e200",
-              "-1.7e308", "abc", "-0.0"]
+              "-1.7e308", "abc", "-0.0", "1_0", "\u0664"]
 
 
 @st.composite

@@ -657,14 +657,38 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(DomainError, match=f"workers must be an integer >= 1, got {workers}"):
+        with pytest.raises(DomainError, match=re.escape(f"workers must be an integer in [1, 65), "
+                                                        f"got {workers}")):
             run_experiment(_config(replicates=4), workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, 2.0, "2", True, False])
     def test_non_integer_workers_rejected(self, workers):
         # bool is not a count, and an integral float or string is not either
-        with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+        with pytest.raises(DomainError, match=re.escape("workers must be an integer in [1, 65)")):
             run_experiment(_config(replicates=4), workers=workers)
+
+    def test_worker_count_bounded(self, monkeypatch):
+        # the pool forks every worker at its first task, so a count past
+        # the bound is refused before any pool exists; no process starts here
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        assert mc.worker_count(mc._MAX_WORKERS) == mc._MAX_WORKERS == 64
+        for workers in (65, 5000, 10**5000):
+            with pytest.raises(DomainError, match=re.escape("must be an integer in [1, 65)")):
+                mc.worker_count(workers)
+            with pytest.raises(DomainError, match=re.escape("workers must be an integer in")):
+                run_experiment(_config(replicates=4), workers=workers)
+        with pytest.raises(DomainError) as excinfo:
+            mc.worker_count(65, "--workers")
+        assert str(excinfo.value) == "--workers must be an integer in [1, 65), got 65"
+
+    def test_default_worker_count_bounded(self, monkeypatch):
+        # a process that may run on more CPUs than the bound gets the bound
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(200)),
+                            raising=False)
+        assert mc.worker_count(None) == mc._MAX_WORKERS
 
     def test_integer_worker_counts_accepted(self):
         assert mc.worker_count(np.int64(2)) == 2
@@ -794,7 +818,8 @@ class TestOutputs:
          r"summary.csv has a row outside its n_grid for N=300$"),
         # a number past the double range is refused, not read as +inf
         (lambda text: text.replace('"null_param":"5.0"', '"null_param":1e999'),
-         "unreadable config header: number 1e999 lies past the double range"),
+         "unreadable config header: expected a number, got '1e999', a number past the double "
+         "range"),
     ], ids=["no-config-header", "missing-column", "bad-row", "bad-config-header",
             "over-long-int-in-config-header", "repeated-n", "n-outside-n-grid",
             "number-past-double-range-in-config-header"])

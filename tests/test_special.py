@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import struct
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as scipy_special
+
+from conftest import NOT_NUMBER_TEXT
 
 from renyigof.distributions import (
     DistributionSpec,
@@ -27,6 +30,7 @@ from renyigof import mc, special
 from renyigof.sampler import Sample
 from renyigof.special import (
     _integer,
+    _number,
     _real,
     _log_unit_ball_volume,
     digamma,
@@ -543,3 +547,79 @@ def test_real_refuses_everything_else(value, shown):
     with pytest.raises(DomainError) as excinfo:
         _real("x", value)
     assert str(excinfo.value) == f"x must be a real number, got {shown}"
+
+
+# -- the reader of number text -----------------------------------------------
+
+@settings(max_examples=1000)
+@given(st.floats(allow_nan=False))
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308)
+@example(1e308)
+@example(sys.float_info.max)
+@example(math.inf)
+@example(-math.inf)
+def test_repr_of_any_double_reads_back_bit_for_bit(x):
+    # every float the package writes is repr(x); +inf reads back where a
+    # tail parameter allows it, and -inf nowhere
+    text = repr(x)
+    readings = [lambda: _number(text), lambda: _number(text, inf=True)]
+    allowed = [not math.isinf(x), x != -math.inf]
+    for read, ok, expected in zip(readings, allowed, ["a number", "a number or 'inf'"]):
+        if ok:
+            got = read()
+            assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", x)
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                read()
+            assert str(excinfo.value) == f"expected {expected}, got {text!r}"
+
+
+@settings(max_examples=500)
+@given(st.integers(-2**70, 2**70) | st.integers())
+@example(0)
+@example(2**64 - 1)
+def test_json_integers_read_back_unchanged(n):
+    assert _number(json.dumps(n), int) == n and type(_number(json.dumps(n), int)) is int
+    assert _number(f" {n} ", int) == n
+
+
+@pytest.mark.parametrize("text, value", [
+    ("+5", 5.0), (" -1.5 ", -1.5), (".5", 0.5), ("2.", 2.0), ("1e-3", 1e-3), ("+6.02E23", 6.02e23),
+    ("007", 7.0), ("1e-400", 0.0), ("\t3\n", 3.0),
+])
+def test_decimal_spellings(text, value):
+    assert _number(text) == value
+
+
+@pytest.mark.parametrize("text", ["inf", "+inf", "INF", " Infinity ", "+infinity"])
+def test_inf_only_where_allowed(text):
+    assert _number(text, inf=True) == math.inf
+    with pytest.raises(ValueError, match=re.escape(f"expected a number, got {text!r}")):
+        _number(text)
+    with pytest.raises(ValueError, match=re.escape(f"expected an integer, got {text!r}")):
+        _number(text, int)
+
+
+@pytest.mark.parametrize("text", NOT_NUMBER_TEXT + ["inf", "-inf", "1.5", "1e3", "++1", "1 0"])
+def test_integer_text_refusals(text):
+    with pytest.raises(ValueError) as excinfo:
+        _number(text, int)
+    assert str(excinfo.value) == f"expected an integer, got {text!r}"
+
+
+@pytest.mark.parametrize("text", NOT_NUMBER_TEXT + ["-1e999", " 1E400 ", "1.5.", "e5", ".", "-",
+                                                    "1e", "++1", "1 0", "infinit", "-inf"])
+@pytest.mark.parametrize("inf", [False, True])
+def test_real_text_refusals(text, inf):
+    past = ", a number past the double range" if text in ("1e999", "-1e999", " 1E400 ") else ""
+    expected = "a number or 'inf'" if inf else "a number"
+    with pytest.raises(ValueError) as excinfo:
+        _number(text, inf=inf)
+    assert str(excinfo.value) == f"expected {expected}, got {text!r}{past}"
+
+
+def test_integer_past_the_digit_limit_keeps_ints_message():
+    with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\)"):
+        _number("7" * 5000, int)
