@@ -59,13 +59,17 @@ EXIT_DATA = 3
 
 
 def _numeric(kind: type, text: str, inf: bool = False):
-    """The argparse type of every numeric flag, bound to its kind by
-    `partial`: the flag's text read by :func:`special._number`, whose
-    refusal becomes argparse's usage error naming the flag."""
+    """The flag's text read by :func:`special._number`, whose refusal
+    becomes argparse's usage error naming the flag: the argparse type
+    of every numeric flag, as :data:`_int_flag` or :data:`_tail_flag`."""
     try:
         return _number(text, kind, inf)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# an integer flag, and a tail parameter or Renyi order (a number or inf)
+_int_flag, _tail_flag = partial(_numeric, int), partial(_numeric, float, inf=True)
 
 
 def _path(text: str) -> str:
@@ -230,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", allow_abbrev=False, help="draw a seeded sample to CSV")
     p.add_argument("--family", choices=["gaussian", "student", "pearson2"], required=True)
-    p.add_argument("--param", type=partial(_numeric, float, inf=True),
+    p.add_argument("--param", type=_tail_flag,
                    help="tail parameter: Student nu (> 2) or Pearson II eta (> 0), or inf; "
                         "not for gaussian")
-    p.add_argument("--dim", type=partial(_numeric, int), required=True)
-    p.add_argument("--n", type=partial(_numeric, int), required=True)
-    p.add_argument("--seed", type=partial(_numeric, int), required=True)
-    p.add_argument("--stream", type=partial(_numeric, int), default=0)
+    p.add_argument("--dim", type=_int_flag, required=True)
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--seed", type=_int_flag, required=True)
+    p.add_argument("--stream", type=_int_flag, default=0)
     p.add_argument("--loc", help="comma-separated location (default 0); write -1,2 as --loc=-1,2")
     p.add_argument("--scale", help="scale matrix rows separated by ';' (default identity); "
                                    "a value starting with '-' is written --scale=VALUE")
@@ -245,19 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", allow_abbrev=False, help="estimate entropy of a CSV sample")
     p.add_argument("data", type=_path)
-    p.add_argument("--k", type=partial(_numeric, int), required=True)
-    p.add_argument("--q", type=partial(_numeric, float, inf=True), required=True,
-                   help="Renyi order, or inf; 1 selects Shannon")
+    p.add_argument("--k", type=_int_flag, required=True)
+    p.add_argument("--q", type=_tail_flag, required=True, help="Renyi order, or inf; 1 selects Shannon")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("test", allow_abbrev=False,
                        help="goodness-of-fit statistic for a CSV sample")
     p.add_argument("data", type=_path)
     p.add_argument("--family", choices=["student", "pearson2"], required=True)
-    p.add_argument("--null-param", type=partial(_numeric, float, inf=True), required=True,
+    p.add_argument("--null-param", type=_tail_flag, required=True,
                    help="null's tail parameter: Student nu0 (> 2) or Pearson II eta0 (> 0); "
                         "inf for the Gaussian limit")
-    p.add_argument("--k", type=partial(_numeric, int), required=True)
+    p.add_argument("--k", type=_int_flag, required=True)
     p.add_argument("--critical-table", type=_path,
                    help="summary CSV from a null-configuration experiment; a decision "
                         "record follows for each level it tabulates")
@@ -267,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a Monte Carlo experiment from a JSON config")
     p.add_argument("config", type=_path)
     p.add_argument("--out-dir", type=_path, required=True)
-    p.add_argument("--workers", type=partial(_numeric, int), default=None,
-                   help=f"worker processes, 1 to {mc._MAX_WORKERS} (default: the CPUs this "
-                        f"process may run on, at most that); results identical for any count")
+    p.add_argument("--workers", type=_int_flag, default=None,
+                   help=f"worker processes, 1 to {mc._MAX_WORKERS} or to the CPUs this process may "
+                        "run on, whichever is more (default: those CPUs); results identical "
+                        "for any count")
     p.add_argument("--replicates-json", action="store_true",
                    help="also write full replicate arrays as JSON")
     p.add_argument("--critical-table", type=_path,

@@ -410,20 +410,19 @@ def _block(config: ExperimentConfig, n: int, start: int) -> tuple[np.ndarray, li
     return values, failures
 
 
-# the most worker processes one run may start: the pool forks every worker
-# at its first task, and only Windows caps their number (at 61)
+# the most worker processes a count may ask for on a host of fewer CPUs:
+# the pool forks every worker at its first task, and only Windows caps
+# their number (at 61)
 _MAX_WORKERS = 64
 
 
 def worker_count(workers: int | None, what: str = "workers") -> int:
     """The number of worker processes `workers` asks for: for None, the
-    CPUs this process may run on, at most :data:`_MAX_WORKERS`; anything
-    but an integer in [1, _MAX_WORKERS] raises DomainError naming
-    `what`, as :func:`special._integer` does."""
-    if workers is None:
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        return min(cpus or 1, _MAX_WORKERS)
-    return _integer(what, workers, 1, _MAX_WORKERS + 1)
+    CPUs this process may run on; anything but an integer from 1 to the
+    larger of :data:`_MAX_WORKERS` and that CPU count raises DomainError
+    naming `what`, as :func:`special._integer` does."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus if workers is None else _integer(what, workers, 1, max(_MAX_WORKERS, cpus) + 1)
 
 
 def _blocks(config: ExperimentConfig, tasks: list, workers: int) -> Iterator[tuple]:
@@ -750,8 +749,8 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
     naming the file, is raised for a file that does not decode, has no
     such line or no valid experiment config on it, or has no
     well-formed table; for a row whose N or critical value is not
-    number text (:func:`special._number`: no NaN or infinite value), or
-    whose N repeats an earlier row's or lies outside the config's
+    number text (:func:`special._number`: no NaN or infinite value),
+    naming its line too, or whose N repeats an earlier row's or lies outside the config's
     `n_grid`; for a run that is not a null run (a null run's true_param
     equals its null_param); and for `settings` that differ from the run
     on a key of :data:`NULL_RUN_KEYS`, naming each such key.  A table
@@ -766,17 +765,18 @@ def read_summary(path, settings: dict) -> dict[float, dict[int, float]]:
         config = ExperimentConfig.from_dict(json.loads(configs[0], parse_float=_number))
     except ValueError as exc:  # bad JSON, an over-long int, 1e999, or an invalid config
         raise DomainError(f"{path}: unreadable config header: {exc}") from None
-    table = [row for _, _, row in lines if row is not None]
-    needed = ("N", *ALPHA_COLUMNS.values())
-    if not table or not set(needed) <= set(table[0]):
+    table = [(lineno, row) for lineno, _, row in lines if row is not None]
+    header, needed = table[0][1] if table else [], ("N", *ALPHA_COLUMNS.values())
+    if not set(needed) <= set(header):
         raise DomainError(f"{path}: not a summary table (needs columns {', '.join(needed)})")
     critical = {alpha: {} for alpha in ALPHA_COLUMNS}
     grid = set(config.n_grid)
-    for row in (dict(zip(table[0], cells)) for cells in table[1:]):
+    for lineno, cells in table[1:]:
+        row = dict(zip(header, cells))
         try:
             n, values = _number(row["N"], int), [_number(row[c]) for c in ALPHA_COLUMNS.values()]
         except (KeyError, ValueError) as exc:
-            raise DomainError(f"{path}: unreadable summary row: {exc}") from None
+            raise DomainError(f"{path}:{lineno}: unreadable summary row: {exc}") from None
         if n in critical[0.05] or n not in grid:
             where = "a second row" if n in grid else "a row outside its n_grid"
             raise DomainError(f"critical table {path} has {where} for N={n}")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, Family
 from .errors import DomainError
-from .special import _integer, _number, _reals
+from .special import _FLOAT_TEXT, _integer, _numbers, _reals
 
 # the most coordinates, n * m, one draw may hold: its costliest use,
 # `renyigof sample` at m = 1, peaks at about 220 bytes per coordinate
@@ -193,24 +193,24 @@ def read_csv(path) -> Sample:
     """Read a sample written by :func:`write_csv`, through :func:`read_table`.
 
     Raises DomainError for a file that does not decode, an empty file, a
-    first row of numbers where the header belongs, ragged rows, or
-    non-numeric entries.
+    first row of numbers where the header belongs (any text float()
+    reads, such as `1_0`, `nan` or `1e999`, counts as a number there, so
+    a misplaced data row is never dropped as a header), ragged rows, or
+    an entry that is not number text (:func:`special._number`).
     """
     rows, width = [], None
     for lineno, _, row in read_table(path):
         if row is None:
             continue
-        if width is None:  # the header line
+        if width is None:  # the header line, which float() must not read as numbers
             width = len(row)
-            try:
-                [_number(v) for v in row]
-            except ValueError:
-                continue
-            raise DomainError(f"{path}:{lineno}: expected a header line, got a row of numbers")
+            if all(map(_FLOAT_TEXT.fullmatch, row)):
+                raise DomainError(f"{path}:{lineno}: expected a header line, got a row of numbers")
+            continue
         if len(row) != width:
             raise DomainError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
-            rows.append([_number(v) for v in row])
+            rows.append(_numbers(row))
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: {exc}") from None
     if width is None:

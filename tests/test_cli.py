@@ -42,7 +42,7 @@ def _run(capsys, argv):
 
 def _set_summary_field(path, column, text, n=None):
     """Rewrite one field of a summary CSV: `column` in the row of N = n
-    (the first row for None)."""
+    (the first row for None).  Returns the number of the line rewritten."""
     lines = path.read_text().splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     names = lines[header].split(",")
@@ -53,6 +53,7 @@ def _set_summary_field(path, column, text, n=None):
             lines[i] = ",".join(row)
             break
     path.write_text("\n".join(lines) + "\n")
+    return i + 1
 
 
 class TestSampleCommand:
@@ -584,13 +585,13 @@ class TestTestCommand:
     def test_non_finite_critical_value_exits_2(self, tmp_path, capsys, column, text):
         # a nan q05 once gave {"critical": NaN, "reject": false} with exit 0
         table = self._null_table(tmp_path, capsys)
-        _set_summary_field(table, column, text)
+        line = _set_summary_field(table, column, text)
         code, out, err = self._test_against(tmp_path, capsys, table, "--null-param", "5",
                                             "--k", "3")
         assert code == 2
         assert out == ""
         past = ", a number past the double range" if text == "1e999" else ""
-        assert err == (f"error: {table}: unreadable summary row: expected a number, "
+        assert err == (f"error: {table}:{line}: unreadable summary row: expected a number, "
                        f"got {text!r}{past}\n")
 
     def test_table_that_repeats_an_n_exits_2(self, tmp_path, capsys):
@@ -796,7 +797,9 @@ class TestExperimentCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        # on 2 usable CPUs, where a count may be 1 to 64
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code, out, err = _run(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
                                        "--out-dir", str(tmp_path / "o"), "--workers", workers])
         assert code == 2
@@ -812,6 +815,7 @@ class TestExperimentCommand:
             raise AssertionError(f"a pool of {max_workers} workers was started")
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code, out, err = _run(capsys, ["experiment", str(_REPO / "configs" / "smoke.json"),
                                        "--out-dir", str(tmp_path / "o"), "--workers", workers])
         assert (code, out) == (2, "")
@@ -1035,7 +1039,7 @@ class TestExperimentCommand:
                                    "--out-dir", str(tmp_path / "null_out")])
         assert code == 0
         reference = tmp_path / "null_out" / "summary.csv"
-        _set_summary_field(reference, "q05", "nan", n=60)
+        line = _set_summary_field(reference, "q05", "nan", n=60)
         alt_config = dict(null_config, true_param="inf", master_seed=22)
         (tmp_path / "alt.json").write_text(json.dumps(alt_config))
         code, out, err = _run(capsys, ["experiment", str(tmp_path / "alt.json"),
@@ -1043,8 +1047,8 @@ class TestExperimentCommand:
                                        "--critical-table", str(reference)])
         assert code == 2
         assert out == ""
-        assert err == (f"error: {reference}: unreadable summary row: expected a number, "
-                       "got 'nan'\n")
+        assert err == (f"error: {reference}:{line}: unreadable summary row: expected a "
+                       "number, got 'nan'\n")
         assert not (tmp_path / "alt_out").exists()
 
     def test_mismatched_power_reference_exits_2(self, tmp_path, capsys):
@@ -1191,8 +1195,9 @@ class TestRealFlags:
     def test_build_parser_reads_no_flag_by_float(self):
         # float() takes 1e999 for inf and nan for a number, and int() and
         # float() both take 1_0 and non-ASCII digits: every numeric flag goes
-        # through cli._numeric, the one adapter of special._number, and
-        # every other typed argument is a path
+        # through cli._int_flag or cli._tail_flag, the two bindings of
+        # cli._numeric, the one adapter of special._number, and every other
+        # typed argument is a path
         tree = ast.parse(inspect.getsource(cli.build_parser))
         types = {}  # option string -> the text of its type=
         for node in ast.walk(tree):
@@ -1203,12 +1208,14 @@ class TestRealFlags:
                             if isinstance(arg, ast.Constant):
                                 types[arg.value] = ast.unparse(keyword.value)
         assert not {"int", "float"} & set(types.values())
-        assert set(types.values()) <= {"_path", "partial(_numeric, int)",
-                                       "partial(_numeric, float, inf=True)"}
+        assert set(types.values()) <= {"_path", "_int_flag", "_tail_flag"}
         for flag in ("--param", "--q", "--null-param"):
-            assert types[flag] == "partial(_numeric, float, inf=True)"
+            assert types[flag] == "_tail_flag"
         for flag in ("--dim", "--n", "--seed", "--stream", "--k", "--workers"):
-            assert types[flag] == "partial(_numeric, int)"
+            assert types[flag] == "_int_flag"
+        assert (cli._int_flag.args, cli._int_flag.keywords) == ((int,), {})
+        assert (cli._tail_flag.args, cli._tail_flag.keywords) == ((float,), {"inf": True})
+        assert cli._int_flag.func is cli._tail_flag.func is cli._numeric
 
 
 class TestNumberText:
@@ -1286,7 +1293,7 @@ class TestNumberText:
     def test_summary_cell(self, tmp_path, capsys, null_table, text, column, command):
         table = tmp_path / "summary.csv"
         table.write_text(null_table)
-        _set_summary_field(table, column, text)
+        line = _set_summary_field(table, column, text)
         data, config = tmp_path / "g.csv", tmp_path / "alt.json"
         write_csv(sample(gaussian([0.0], [[1.0]]), 50, 2), data)
         config.write_text(json.dumps({"schema_version": 1, "family": "student",
@@ -1298,7 +1305,7 @@ class TestNumberText:
         code, out, err = _run(capsys, [*argv[command], "--critical-table", str(table)])
         assert (code, out) == (2, "")
         reason = self._reason(text, int if column == "N" else float)
-        assert err == f"error: {table}: unreadable summary row: {reason}\n"
+        assert err == f"error: {table}:{line}: unreadable summary row: {reason}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("text", NOT_NUMBER_TEXT + ["\u0661\u0660"])

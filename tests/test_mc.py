@@ -655,19 +655,24 @@ class TestRunExperiment:
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
         assert mc.worker_count(None) == 1
 
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        # a process that may run on 2 CPUs: the bound on a count is then 64
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     @pytest.mark.parametrize("workers", [0, -2])
-    def test_workers_below_one_rejected(self, workers):
+    def test_workers_below_one_rejected(self, two_cpus, workers):
         with pytest.raises(DomainError, match=re.escape(f"workers must be an integer in [1, 65), "
                                                         f"got {workers}")):
             run_experiment(_config(replicates=4), workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, 2.0, "2", True, False])
-    def test_non_integer_workers_rejected(self, workers):
+    def test_non_integer_workers_rejected(self, two_cpus, workers):
         # bool is not a count, and an integral float or string is not either
         with pytest.raises(DomainError, match=re.escape("workers must be an integer in [1, 65)")):
             run_experiment(_config(replicates=4), workers=workers)
 
-    def test_worker_count_bounded(self, monkeypatch):
+    def test_worker_count_bounded(self, monkeypatch, two_cpus):
         # the pool forks every worker at its first task, so a count past
         # the bound is refused before any pool exists; no process starts here
         def no_pool(max_workers):
@@ -684,11 +689,30 @@ class TestRunExperiment:
             mc.worker_count(65, "--workers")
         assert str(excinfo.value) == "--workers must be an integer in [1, 65), got 65"
 
-    def test_default_worker_count_bounded(self, monkeypatch):
-        # a process that may run on more CPUs than the bound gets the bound
+    def test_bound_is_the_usable_cpus_above_64(self, monkeypatch):
+        # a process that may run on 200 CPUs gets all 200 by default, and
+        # may ask for up to 200, which --workers 200 also asks for
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(200)),
                             raising=False)
-        assert mc.worker_count(None) == mc._MAX_WORKERS
+        assert mc.worker_count(None) == mc.worker_count(200) == 200
+        with pytest.raises(DomainError) as excinfo:
+            mc.worker_count(201, "--workers")
+        assert str(excinfo.value) == "--workers must be an integer in [1, 201), got 201"
+        with pytest.raises(DomainError, match=re.escape("workers must be an integer in [1, 201)")):
+            run_experiment(_config(replicates=4), workers=5000)
+
+    def test_a_small_host_keeps_the_bound_of_64(self, monkeypatch):
+        # workers=8 (the fake-pool test above) stays valid on one CPU
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc.worker_count(None) == 1
+        assert mc.worker_count(8) == 8 and mc.worker_count(64) == 64
+        with pytest.raises(DomainError, match=re.escape("must be an integer in [1, 65), got 65")):
+            mc.worker_count(65)
 
     def test_integer_worker_counts_accepted(self):
         assert mc.worker_count(np.int64(2)) == 2

@@ -321,6 +321,25 @@ class TestCsv:
         with pytest.raises(DomainError, match=r"bare\.csv:2: expected a header line"):
             read_csv(path)
 
+    @pytest.mark.parametrize("first", ["1_0,2", "nan,1", "inf,3", "-Infinity,3", "1e999,0",
+                                       "\u0663,4", "\uff11\uff10,5", " 1.5 ,2"])
+    def test_first_row_float_reads_is_no_header(self, tmp_path, first):
+        # a first row that float() reads is a misplaced point, even where
+        # the one reader of number text refuses a cell, not a header to drop
+        path = tmp_path / "bare.csv"
+        path.write_text(f"{first}\n3,4\n5,6\n", encoding="utf-8")
+        with pytest.raises(DomainError) as excinfo:
+            read_csv(path)
+        assert str(excinfo.value) == f"{path}:1: expected a header line, got a row of numbers"
+
+    @pytest.mark.parametrize("header", ["x1,x2", "1st,2nd", "0x10,y", "1__0,2", "n,2", "1e,2",
+                                        "\u0663x,4", "e1,2", ",2"])
+    def test_header_float_does_not_read(self, tmp_path, header):
+        # a first row with a cell float() refuses is a header, as it always was
+        path = tmp_path / "g.csv"
+        path.write_text(f"{header}\n3,4\n5,6\n", encoding="utf-8")
+        assert read_csv(path).points.tolist() == [[3.0, 4.0], [5.0, 6.0]]
+
     @pytest.mark.parametrize("metadata", [None, ["renyigof"]],
                              ids=["header-first", "comment-first"])
     def test_byte_order_mark_dropped(self, tmp_path, rng, metadata):

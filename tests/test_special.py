@@ -29,8 +29,10 @@ from renyigof.knn import renyi_estimate
 from renyigof import mc, special
 from renyigof.sampler import Sample
 from renyigof.special import (
+    _FLOAT_TEXT,
     _integer,
     _number,
+    _numbers,
     _real,
     _log_unit_ball_volume,
     digamma,
@@ -623,3 +625,52 @@ def test_real_text_refusals(text, inf):
 def test_integer_past_the_digit_limit_keeps_ints_message():
     with pytest.raises(ValueError, match=r"^Exceeds the limit \(4300 digits\)"):
         _number("7" * 5000, int)
+
+
+# text near numbers: ASCII digits and the characters of a decimal, the
+# letters of nan, inf and infinity, '_', spaces, a non-ASCII digit and a
+# fullwidth one
+_NEAR_NUMBER = st.text(st.sampled_from("0123456789+-.eEnaifNtyx_ \t\u0663\uff11"), max_size=8)
+
+
+def _reading(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.lists(_NEAR_NUMBER | st.floats(allow_nan=False).map(repr), max_size=4))
+@example(["NaN", "1"])
+@example(["INF"])
+@example(["\u0663", "1"])
+@example([" 1.5", "2 "])
+@example(["1.5", "1e999"])
+@example(["1e308", "1e308"])
+@example(["1", ""])
+@example(["1_0", "2"])
+@example([])
+def test_numbers_reads_a_row_as_number_reads_each_cell(cells):
+    # the row reader's float() shortcut gives the one reader's numbers,
+    # and its first refusal, for any row
+    expected = [_reading(_number, v) for v in cells]
+    refusals = [r for r in expected if isinstance(r, str)]
+    assert _reading(_numbers, cells) == (refusals[0] if refusals else expected)
+
+
+@settings(max_examples=500)
+@given(_NEAR_NUMBER)
+@example("NaN")
+@example("+inf")
+@example(".5")
+@example("5.")
+@example(".")
+@example("1e5_0")
+@example(" 1_0 ")
+@example("\u0663.5e-1")
+@example("-Infinity")
+@example("1__0")
+def test_float_text_is_what_float_reads(text):
+    # a first CSV row of such cells is refused as a header
+    assert (_FLOAT_TEXT.fullmatch(text) is not None) == isinstance(_reading(float, text), float)
